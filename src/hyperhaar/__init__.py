@@ -22,7 +22,6 @@ from .approx import (
     NotConverged,
     ShrinkingChain,
     ZeroDenominator,
-    ZeroNormalizer,
     approximant,
     bounds_certificate,
     canonical_chain,

@@ -18,16 +18,15 @@ from .core import (
     FiniteHypergroup,
     Function,
     Measure,
-    convolve_measure_function,
     convolve_measures,
     find_dominating_measure,
     pair,
+    translates,
 )
 from .oracles import invariance_residual
 
 __all__ = [
     "ZeroDenominator",
-    "ZeroNormalizer",
     "NotConverged",
     "ShrinkingChain",
     "ApproximantConfig",
@@ -48,10 +47,6 @@ __all__ = [
 
 class ZeroDenominator(Exception):
     """(mu0 * g) vanishes somewhere; g violates its positivity precondition."""
-
-
-class ZeroNormalizer(Exception):
-    """The normalization pairing with f0 is zero."""
 
 
 class NotConverged(Exception):
@@ -110,7 +105,6 @@ class ApproximantConfig:
     f0: Function
     chain: ShrinkingChain
     conv_tol: float = 1e-12
-    probe_functions: Optional[Sequence[Function]] = None
     residual_tol: float = 1e-10
 
     def __post_init__(self):
@@ -120,11 +114,6 @@ class ApproximantConfig:
             raise ValueError("f0 must be nonnegative and nonzero")
         if self.conv_tol <= 0:
             raise ValueError("conv_tol must be positive")
-
-    def probes(self) -> List[Function]:
-        if self.probe_functions is not None:
-            return list(self.probe_functions)
-        return default_probes(self.mu0.n)
 
 
 @dataclass(frozen=True)
@@ -159,22 +148,26 @@ def symmetrize(h: FiniteHypergroup, g: Function) -> Function:
     return Function(0.5 * (g.v + g.v[h.inv]))
 
 
-def approximant(h: FiniteHypergroup, mu0: Measure, g: Function) -> Measure:
-    """Reweight mu0 by 1/(mu0 * g); strictly positive with full support."""
-    denom = convolve_measure_function(h, mu0, g).v
+def _step(h: FiniteHypergroup, mu0: Measure, g: Function) -> tuple:
+    """The chain step's one contraction: the translate matrix K[s, t] = (dirac_s * g)(t)
+    and the approximant weights mu0 / (mu0 * g) derived from it."""
+    k = translates(h, g)
+    denom = mu0.w @ k
     if np.any(denom <= 0):
         t = int(np.argmin(denom))
         raise ZeroDenominator(f"(mu0 * g)({t}) = {denom[t]} <= 0")
-    return Measure(mu0.w / denom, nonneg=True)
+    return k, mu0.w / denom
+
+
+def approximant(h: FiniteHypergroup, mu0: Measure, g: Function) -> Measure:
+    """Reweight mu0 by 1/(mu0 * g); strictly positive with full support."""
+    return Measure(_step(h, mu0, g)[1], nonneg=True)
 
 
 def normalized_approximant(h: FiniteHypergroup, cfg: ApproximantConfig, g: Function) -> Measure:
     """Approximant scaled so its pairing with f0 is exactly 1."""
     chi_t = approximant(h, cfg.mu0, g)
-    z = pair(cfg.f0, chi_t)
-    if z == 0.0:
-        raise ZeroNormalizer("approximant pairs to zero against f0")
-    return Measure(chi_t.w / z, nonneg=True)
+    return Measure(chi_t.w / pair(cfg.f0, chi_t), nonneg=True)
 
 
 def canonical_chain(h: FiniteHypergroup,
@@ -210,12 +203,14 @@ def canonical_chain(h: FiniteHypergroup,
     return chain
 
 
+def _gap(k: np.ndarray, chi_t: np.ndarray, fs: np.ndarray) -> float:
+    """Sup-norm of f - ((f . approximant) * g) over f = fs, or over each row f of fs."""
+    return float(np.abs(fs - (fs * chi_t) @ k).max())
+
+
 def main_identity_gap(h: FiniteHypergroup, mu0: Measure, g: Function, f: Function) -> float:
     """Sup-norm of f - ((f . approximant) * g); vanishes at the terminal bump."""
-    chi_t = approximant(h, mu0, g)
-    reweighted = Measure(f.v * chi_t.w)
-    recovered = convolve_measure_function(h, reweighted, g)
-    return float(np.abs(f.v - recovered.v).max())
+    return _gap(*_step(h, mu0, g), f.v)
 
 
 def sandwich_ratio(h: FiniteHypergroup, mu0: Measure, g: Function,
@@ -232,13 +227,17 @@ def sandwich_ratio(h: FiniteHypergroup, mu0: Measure, g: Function,
     return pair(f, convolve_measures(h, mu, chi_t)) / denom
 
 
+def _bounds(h: FiniteHypergroup, f0: Function, f: Function) -> tuple:
+    """Bounds (a, b) on <f, normalized approximant> from greedy dominating measures;
+    they hold for every bump."""
+    return (1.0 / (2.0 * find_dominating_measure(h, f0, f).norm),
+            2.0 * find_dominating_measure(h, f, f0).norm)
+
+
 def bounds_certificate(h: FiniteHypergroup, cfg: ApproximantConfig,
                        g: Function, f: Function) -> BoundsCertificate:
     """Two-sided bounds on the normalized approximant via greedy dominating measures."""
-    mu1 = find_dominating_measure(h, f, cfg.f0)
-    mu2 = find_dominating_measure(h, cfg.f0, f)
-    a = 1.0 / (2.0 * mu2.norm)
-    b = 2.0 * mu1.norm
+    a, b = _bounds(h, cfg.f0, f)
     value = pair(f, normalized_approximant(h, cfg, g))
     return BoundsCertificate(a, b, value, a < value < b)
 
@@ -250,23 +249,24 @@ def haar_net(h: FiniteHypergroup, cfg: ApproximantConfig):
     early once successive probe values differ by less than conv_tol.
     """
     cfg.chain.check(h)
-    probes = cfg.probes()
-    certs = [(find_dominating_measure(h, f, cfg.f0).norm,
-              find_dominating_measure(h, cfg.f0, f).norm) for f in probes]
+    probes = default_probes(h.n)
+    p = np.array([f.v for f in probes])
+    a, b = np.array([_bounds(h, cfg.f0, f) for f in probes]).T
     mu_unif = Measure.uniform(h.n)
 
     steps = []
     chi = None
     prev_vals = None
-    for k, (u, g) in enumerate(zip(cfg.chain.neighborhoods, cfg.chain.bumps)):
-        chi = normalized_approximant(h, cfg, g)
-        vals = np.array([pair(f, chi) for f in probes])
-        gap = max(main_identity_gap(h, cfg.mu0, g, f) for f in probes)
-        rho = sandwich_ratio(h, cfg.mu0, g, cfg.f0, mu_unif)
-        bounds_ok = all(1.0 / (2.0 * m2) < v < 2.0 * m1
-                        for v, (m1, m2) in zip(vals, certs))
+    for step, (u, g) in enumerate(zip(cfg.chain.neighborhoods, cfg.chain.bumps)):
+        k, chi_t = _step(h, cfg.mu0, g)
+        z = cfg.f0.v @ chi_t
+        chi = Measure(chi_t / z, nonneg=True)
+        vals = p @ chi.w
+        gap = _gap(k, chi_t, p)
+        rho = pair(cfg.f0, convolve_measures(h, mu_unif, Measure(chi_t))) / (mu_unif.norm * z)
+        bounds_ok = bool(np.all((a < vals) & (vals < b)))
         diff = float(np.abs(vals - prev_vals).max()) if prev_vals is not None else np.inf
-        steps.append(TraceStep(k, len(u), vals, gap, rho, bounds_ok,
+        steps.append(TraceStep(step, len(u), vals, gap, rho, bounds_ok,
                                diff if np.isfinite(diff) else np.nan))
         if diff < cfg.conv_tol:
             break

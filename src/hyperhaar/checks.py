@@ -18,14 +18,7 @@ from .core import (
     involute_measure,
     pair,
 )
-from .approx import (
-    ApproximantConfig,
-    bounds_certificate,
-    canonical_chain,
-    default_probes,
-    main_identity_gap,
-    sandwich_ratio,
-)
+from .approx import _bounds, _gap, _step, canonical_chain, default_probes, sandwich_ratio
 
 __all__ = ["SuiteResult", "identity_suite", "terminal_gap_suite",
            "terminal_ratio_suite", "bounds_suite", "run_all_suites"]
@@ -86,9 +79,8 @@ def identity_suite(h: FiniteHypergroup, rng: np.random.Generator,
 
 def terminal_gap_suite(h: FiniteHypergroup, tol: float = 1e-12) -> SuiteResult:
     """Reconstruction gap at the terminal bump 1_{e} is exact."""
-    mu0 = Measure(np.ones(h.n), nonneg=True)
-    g = Function.indicator(h.n, [h.e])
-    worst = max(main_identity_gap(h, mu0, g, f) for f in default_probes(h.n))
+    p = np.array([f.v for f in default_probes(h.n)])
+    worst = _gap(*_step(h, Measure(np.ones(h.n)), Function.indicator(h.n, [h.e])), p)
     return SuiteResult("terminal reconstruction gap", worst <= tol, worst)
 
 
@@ -108,17 +100,15 @@ def terminal_ratio_suite(h: FiniteHypergroup, rng: np.random.Generator,
 
 def bounds_suite(h: FiniteHypergroup) -> SuiteResult:
     """Greedy two-sided bounds hold at every chain step for every probe."""
-    chain = canonical_chain(h)
-    cfg = ApproximantConfig(Measure(np.ones(h.n), nonneg=True), Function.ones(h.n), chain)
-    ok = True
-    margin = np.inf
-    for g in chain.bumps:
-        for f in default_probes(h.n):
-            cert = bounds_certificate(h, cfg, g, f)
-            ok = ok and cert.passed
-            margin = min(margin, cert.value - cert.a, cert.b - cert.value)
-    return SuiteResult("dominating-measure bounds", ok, float(margin),
-                       "min margin to either bound")
+    mu0 = Measure(np.ones(h.n))
+    f0 = Function.ones(h.n)
+    probes = default_probes(h.n)
+    a, b = np.array([_bounds(h, f0, f) for f in probes]).T
+    p = np.array([f.v for f in probes])
+    chis = (_step(h, mu0, g)[1] for g in canonical_chain(h).bumps)
+    vals = np.array([p @ (chi_t / (f0.v @ chi_t)) for chi_t in chis])
+    return SuiteResult("dominating-measure bounds", bool(np.all((a < vals) & (vals < b))),
+                       float(np.minimum(vals - a, b - vals).min()), "min margin to either bound")
 
 
 def run_all_suites(h: FiniteHypergroup, seed: int = 0, trials: int = 1000) -> List[SuiteResult]:

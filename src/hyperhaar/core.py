@@ -24,6 +24,7 @@ __all__ = [
     "involute_measure",
     "involute_function",
     "pair",
+    "translates",
     "convolve_measure_function",
     "convolve_function_measure",
     "support_product",
@@ -173,18 +174,22 @@ def pair(f: Function, mu: Measure) -> float:
     return float(f.v @ mu.w)
 
 
+def translates(h: FiniteHypergroup, f: Function) -> np.ndarray:
+    """Translate matrix K[s, t] = (dirac_s * f)(t) = sum_u c[inv[s], t, u] f(u)."""
+    _check_size(h, f)
+    return (h.c @ f.v)[h.inv]
+
+
 def convolve_measure_function(h: FiniteHypergroup, mu: Measure, f: Function) -> Function:
     """(mu * f)(t) = sum_s mu_s sum_u c[inv[s], t, u] f(u)."""
     _check_size(h, mu, f)
-    v = np.einsum("s,stu,u->t", mu.w, h.c[h.inv], f.v)
-    return Function(v)
+    return Function(mu.w @ translates(h, f))
 
 
 def convolve_function_measure(h: FiniteHypergroup, f: Function, mu: Measure) -> Function:
     """(f * mu)(t) = sum_s mu_s sum_u c[t, inv[s], u] f(u)."""
     _check_size(h, mu, f)
-    v = np.einsum("s,tsu,u->t", mu.w, h.c[:, h.inv, :], f.v)
-    return Function(v)
+    return Function((h.c @ f.v)[:, h.inv] @ mu.w)
 
 
 def support_product(h: FiniteHypergroup, a: Iterable[int], b: Iterable[int]) -> frozenset:
@@ -243,7 +248,6 @@ def validate(h: FiniteHypergroup, tol: Optional[float] = None) -> ValidationRepo
     n, e, inv, c = h.n, h.e, h.inv, h.c
     checks = {}
 
-    dev = np.zeros(n)
     bad = inv[inv] != np.arange(n)
     inv_ok = not bad.any() and inv[e] == e
     witness = None
@@ -313,11 +317,10 @@ def find_dominating_measure(h: FiniteHypergroup, f: Function, f0: Function) -> M
         raise ValueError("f must be nonnegative")
     if not (f0.is_nonneg() and f0.sup_norm > 0):
         raise ValueError("f0 must be nonnegative and nonzero")
-    # translates[s, t] = (dirac_s * f0)(t)
-    translates = np.einsum("stu,u->st", h.c[h.inv], f0.v)
+    k = translates(h, f0)
     w = np.zeros(h.n)
     for t in sorted(f.support()):
-        col = translates[:, t]
+        col = k[:, t]
         s = int(np.argmax(col))
         if col[s] <= 0.0:
             raise NoCover(f"no translate of f0 reaches point {t}")

@@ -106,23 +106,20 @@ def parse_hypergroup(text: str, tol: float = 1e-9) -> FiniteHypergroup:
 def serialize_hypergroup(h: FiniteHypergroup) -> str:
     """Emit the sparse text form; floats at 17 significant digits."""
     lines = [_MAGIC, f"n {h.n}", f"e {h.e}", "inv " + " ".join(str(int(x)) for x in h.inv)]
-    for s in range(h.n):
-        for t in range(h.n):
-            for u in range(h.n):
-                if h.c[s, t, u] != 0.0:
-                    lines.append(f"c {s} {t} {u} {h.c[s, t, u]:.17g}")
+    for s, t, u in zip(*np.nonzero(h.c)):
+        lines.append(f"c {s} {t} {u} {h.c[s, t, u]:.17g}")
     return "\n".join(lines) + "\n"
 
 
 def write_trace_csv(trace: ConvergenceTrace, out: TextIO) -> None:
-    """One row per chain step: step, |U|, probe values, gap, rho, cauchy_diff."""
+    """One row per chain step: step, |U|, probe values, bounds_ok, gap, rho, cauchy_diff."""
     writer = csv.writer(out)
     if not trace.steps:
         return
     n_probe = len(trace.steps[0].chi_probe)
     writer.writerow(["step", "|U|"] + [f"chi(f{i})" for i in range(n_probe)]
-                    + ["gap", "rho", "cauchy_diff"])
+                    + ["bounds_ok", "gap", "rho", "cauchy_diff"])
     for s in trace.steps:
         writer.writerow([s.step, s.u_size]
                         + [f"{v:.17g}" for v in s.chi_probe]
-                        + [f"{s.gap:.17g}", f"{s.rho:.17g}", f"{s.cauchy_diff:.17g}"])
+                        + [s.bounds_ok, f"{s.gap:.17g}", f"{s.rho:.17g}", f"{s.cauchy_diff:.17g}"])

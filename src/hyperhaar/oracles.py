@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
@@ -242,8 +243,9 @@ class FamilySpec:
             key = param.lower()
             if key in _NAMED_TABLES:
                 return FamilySpec("conjugacy-class", table=_NAMED_TABLES[key]())
+            lines = Path(param).read_text().splitlines()
             rows = [[int(x) for x in line.split()]
-                    for line in open(param) if line.strip() and not line.startswith("#")]
+                    for line in lines if line.strip() and not line.startswith("#")]
             return FamilySpec("conjugacy-class", table=np.asarray(rows, dtype=int))
         if family == "cosine-grid":
             return FamilySpec("cosine-grid", m=int(param))

@@ -3,11 +3,13 @@ import pytest
 
 from hyperhaar import (
     ApproximantConfig,
+    FamilySpec,
     Function,
     Measure,
     ZeroDenominator,
     approximant,
     bounds_certificate,
+    build_family,
     canonical_chain,
     haar_net,
     invariance_residual,
@@ -295,3 +297,62 @@ class TestHaarNet:
         if last.u_size == 1:
             assert last.gap < 1e-12
             assert last.rho == pytest.approx(1.0, abs=1e-12)
+
+
+def reference_net(h, mu0, f0, chain, conv_tol=1e-12):
+    """The chain step expanded one einsum per probe and per diagnostic,
+    independent of the package's convolution kernels."""
+    n = h.n
+    ci = h.c[h.inv]
+    probes = list(np.eye(n)) + [np.ones(n)]
+    unif = np.full(n, 1.0 / n)
+
+    def conv(w, g):  # (w * g)(t) = sum_s w_s sum_u c[inv[s], t, u] g(u)
+        return np.einsum("s,stu,u->t", w, ci, g)
+
+    def dominating_norm(f, f_ref):  # mass of the greedy measure with f < mu * f_ref
+        tr = np.einsum("stu,u->st", ci, f_ref)
+        return sum((f[t] + 1.0) / tr[:, t].max() for t in np.flatnonzero(f))
+
+    bounds = [(1.0 / (2.0 * dominating_norm(f0, f)), 2.0 * dominating_norm(f, f0))
+              for f in probes]
+    rows, prev = [], None
+    for g in chain.bumps:
+        chi_t = mu0 / conv(mu0, g.v)
+        chi = chi_t / (f0 @ chi_t)
+        vals = np.array([f @ chi for f in probes])
+        gap = max(np.abs(f - conv(f * chi_t, g.v)).max() for f in probes)
+        rho = f0 @ np.einsum("s,t,stu->u", unif, chi_t, h.c) / (unif.sum() * (f0 @ chi_t))
+        ok = all(a < v < b for v, (a, b) in zip(vals, bounds))
+        diff = np.abs(vals - prev).max() if prev is not None else np.nan
+        rows.append((vals, gap, rho, ok, diff))
+        if diff < conv_tol:
+            break
+        prev = vals
+    return chi, rows
+
+
+class TestTraceParity:
+    def check(self, h):
+        rng = np.random.default_rng(18)
+        mu0 = rng.uniform(0.5, 2.0, h.n)
+        f0 = rng.uniform(0.1, 1.0, h.n)
+        chain = canonical_chain(h)
+        chi, trace = haar_net(h, ApproximantConfig(Measure(mu0, nonneg=True), Function(f0), chain))
+        ref_chi, rows = reference_net(h, mu0, f0, chain)
+        np.testing.assert_allclose(chi.w, ref_chi, rtol=0, atol=1e-14)
+        assert len(trace) == len(rows)
+        for step, (vals, gap, rho, ok, diff) in zip(trace.steps, rows):
+            np.testing.assert_allclose(step.chi_probe, vals, rtol=0, atol=1e-14)
+            assert abs(step.gap - gap) <= 1e-14
+            assert abs(step.rho - rho) <= 1e-14
+            assert step.bounds_ok == ok
+            np.testing.assert_allclose(step.cauchy_diff, diff, rtol=0, atol=1e-14)
+
+    def test_bundled(self, bundled):
+        self.check(bundled)
+
+    @pytest.mark.parametrize("family,param", [("cosine-grid", "16"),
+                                              ("product", "cyclic:3,cosine-grid:4")])
+    def test_larger(self, family, param):
+        self.check(build_family(FamilySpec.parse(family, param)))

@@ -102,5 +102,9 @@ class TestTraceCsv:
         assert lines[0].startswith("step,|U|,chi(f0)")
         assert lines[0].endswith("gap,rho,cauchy_diff")
         assert len(lines) == len(trace) + 1
+        header = lines[0].split(",")
+        col = 2 + len(trace.steps[0].chi_probe)
+        assert header[col] == "bounds_ok"
+        assert [row.split(",")[col] for row in lines[1:]] == [str(s.bounds_ok) for s in trace.steps]
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "2"

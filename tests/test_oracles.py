@@ -1,3 +1,6 @@
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -115,6 +118,18 @@ class TestBuildFamily:
     def test_bad_group_table(self):
         with pytest.raises(ValueError, match="associative|identity|inverse"):
             conjugacy_class_hypergroup(np.zeros((3, 3), dtype=int))
+
+    def test_table_file_is_closed(self, tmp_path):
+        table = s3_table()[0]
+        path = tmp_path / "s3.txt"
+        path.write_text("# S3\n" + "\n".join(" ".join(map(str, row)) for row in table) + "\n")
+        # an unclosed file warns from its finalizer, where an "error" filter cannot raise
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            spec = FamilySpec.parse("conj-class", str(path))
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        np.testing.assert_array_equal(spec.table, table)
 
     def test_parameter_out_of_range(self):
         with pytest.raises(ValueError):
