@@ -18,6 +18,7 @@ from .core import (
     FiniteHypergroup,
     Function,
     Measure,
+    _dominating_measure,
     convolve_measures,
     find_dominating_measure,
     pair,
@@ -227,17 +228,18 @@ def sandwich_ratio(h: FiniteHypergroup, mu0: Measure, g: Function,
     return pair(f, convolve_measures(h, mu, chi_t)) / denom
 
 
-def _bounds(h: FiniteHypergroup, f0: Function, f: Function) -> tuple:
-    """Bounds (a, b) on <f, normalized approximant> from greedy dominating measures;
-    they hold for every bump."""
-    return (1.0 / (2.0 * find_dominating_measure(h, f0, f).norm),
-            2.0 * find_dominating_measure(h, f, f0).norm)
+def _bounds(h: FiniteHypergroup, f0: Function, fs: Sequence[Function]) -> np.ndarray:
+    """Rows a, b: bounds on <f, normalized approximant> for each f in fs from greedy
+    dominating measures; they hold for every bump."""
+    k0 = translates(h, f0)
+    return np.array([(1.0 / (2.0 * find_dominating_measure(h, f0, f).norm),
+                      2.0 * _dominating_measure(k0, f).norm) for f in fs]).T
 
 
 def bounds_certificate(h: FiniteHypergroup, cfg: ApproximantConfig,
                        g: Function, f: Function) -> BoundsCertificate:
     """Two-sided bounds on the normalized approximant via greedy dominating measures."""
-    a, b = _bounds(h, cfg.f0, f)
+    a, b = _bounds(h, cfg.f0, [f]).ravel().tolist()
     value = pair(f, normalized_approximant(h, cfg, g))
     return BoundsCertificate(a, b, value, a < value < b)
 
@@ -251,7 +253,7 @@ def haar_net(h: FiniteHypergroup, cfg: ApproximantConfig):
     cfg.chain.check(h)
     probes = default_probes(h.n)
     p = np.array([f.v for f in probes])
-    a, b = np.array([_bounds(h, cfg.f0, f) for f in probes]).T
+    a, b = _bounds(h, cfg.f0, probes)
     mu_unif = Measure.uniform(h.n)
 
     steps = []

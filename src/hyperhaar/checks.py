@@ -103,7 +103,7 @@ def bounds_suite(h: FiniteHypergroup) -> SuiteResult:
     mu0 = Measure(np.ones(h.n))
     f0 = Function.ones(h.n)
     probes = default_probes(h.n)
-    a, b = np.array([_bounds(h, f0, f) for f in probes]).T
+    a, b = _bounds(h, f0, probes)
     p = np.array([f.v for f in probes])
     chis = (_step(h, mu0, g)[1] for g in canonical_chain(h).bumps)
     vals = np.array([p @ (chi_t / (f0.v @ chi_t)) for chi_t in chis])

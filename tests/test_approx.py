@@ -4,13 +4,16 @@ import pytest
 from hyperhaar import (
     ApproximantConfig,
     FamilySpec,
+    FiniteHypergroup,
     Function,
     Measure,
+    NoCover,
     ZeroDenominator,
     approximant,
     bounds_certificate,
     build_family,
     canonical_chain,
+    find_dominating_measure,
     haar_net,
     invariance_residual,
     main_identity_gap,
@@ -19,7 +22,7 @@ from hyperhaar import (
     sandwich_ratio,
     symmetrize,
 )
-from hyperhaar.approx import default_probes
+from hyperhaar.approx import _bounds, default_probes
 from hyperhaar.core import convolve_measures
 from hyperhaar.oracles import (
     conjugacy_class_hypergroup,
@@ -259,6 +262,23 @@ class TestBoundsCertificate:
         for g in cfg.chain.bumps:
             for f in default_probes(bundled.n):
                 assert bounds_certificate(bundled, cfg, g, f).passed
+
+    def test_bounds_equal_per_probe_dominating_measures(self, bundled):
+        f0 = Function(np.random.default_rng(3).uniform(0.5, 1.5, bundled.n))
+        probes = default_probes(bundled.n)
+        a, b = _bounds(bundled, f0, probes)
+        np.testing.assert_array_equal(
+            a, [1.0 / (2.0 * find_dominating_measure(bundled, f0, f).norm) for f in probes])
+        np.testing.assert_array_equal(
+            b, [2.0 * find_dominating_measure(bundled, f, f0).norm for f in probes])
+
+    def test_bounds_no_cover_message(self):
+        # dirac_1 * dirac_1 = dirac_1: no translate of an f0 on point 0 reaches point 1
+        c = np.zeros((2, 2, 2))
+        c[0, 0, 0] = c[0, 1, 1] = c[1, 0, 1] = c[1, 1, 1] = 1.0
+        h = FiniteHypergroup(2, 0, [0, 1], c)
+        with pytest.raises(NoCover, match="^no translate of f0 reaches point 1$"):
+            _bounds(h, Function([1.0, 0.0]), [Function([0.0, 1.0])])
 
 
 class TestHaarNet:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,13 @@ from hyperhaar import (
     support_product,
     validate,
 )
-from hyperhaar.oracles import cyclic_hypergroup, theta_hypergroup, conjugacy_class_hypergroup
+from hyperhaar.oracles import (
+    conjugacy_class_hypergroup,
+    cosine_grid_hypergroup,
+    cyclic_hypergroup,
+    symmetric_group_table,
+    theta_hypergroup,
+)
 
 from conftest import s3_table
 
@@ -218,6 +226,95 @@ class TestValidate:
         for name in ("H2", "H3", "H7"):
             assert report.checks[name].passed
             assert "automatic" in report.checks[name].note
+
+
+def dense_deviation(c):
+    """|((s*t)*r - s*(t*r))[v]| built as one n^4 array, the form validate streams."""
+    return np.abs(np.einsum("stu,urv->strv", c, c) - np.einsum("tru,suv->strv", c, c))
+
+
+STREAM_BASES = {
+    "Z4": lambda: cyclic_hypergroup(4),
+    "Z7": lambda: cyclic_hypergroup(7),
+    "Z12": lambda: cyclic_hypergroup(12),
+    "cosine-6": lambda: cosine_grid_hypergroup(6),
+    "theta-0.3": lambda: theta_hypergroup(0.3),
+    "S4-classes": lambda: conjugacy_class_hypergroup(symmetric_group_table(4)),
+}
+
+
+class TestAssociativityStream:
+    """validate's streamed associativity check reports what the dense one does."""
+
+    def assert_matches_dense(self, h, tol=1e-9):
+        got = validate(h, tol).checks["associativity"]
+        deva = dense_deviation(h.c)
+        worst = float(deva.max())
+        assert got.passed == (worst <= tol)
+        assert got.witness == (None if worst <= tol else
+                               tuple(int(i) for i in np.unravel_index(np.argmax(deva), deva.shape)))
+        if np.isnan(worst):
+            assert np.isnan(got.worst)
+        else:
+            assert abs(got.worst - worst) <= 1e-15 * max(1.0, worst)
+        return got
+
+    @pytest.mark.parametrize("name", sorted(STREAM_BASES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scaled_entries(self, name, seed):
+        h = STREAM_BASES[name]()
+        rng = np.random.default_rng(seed)
+        self.assert_matches_dense(h)
+        c = h.c * rng.uniform(0.9, 1.1, h.c.shape)
+        self.assert_matches_dense(FiniteHypergroup(h.n, h.e, h.inv, c))
+
+    # On two points an additive perturbation leaves several deviations equal up
+    # to rounding, so the summation order, not the tensor, would pick the witness.
+    @pytest.mark.parametrize("name", sorted(set(STREAM_BASES) - {"theta-0.3"}))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_filled_zeros(self, name, seed):
+        h = STREAM_BASES[name]()
+        rng = np.random.default_rng(seed)
+        c = h.c + rng.uniform(0.0, 1e-3, h.c.shape)
+        self.assert_matches_dense(FiniteHypergroup(h.n, h.e, h.inv, c))
+
+    @pytest.mark.parametrize("name", ["Z7", "Z12", "cosine-6"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dirichlet_row(self, name, seed):
+        h = STREAM_BASES[name]()
+        rng = np.random.default_rng(seed)
+        c = h.c.copy()
+        s, t = rng.integers(h.n, size=2)
+        c[s, t] = rng.dirichlet(np.ones(h.n))
+        self.assert_matches_dense(FiniteHypergroup(h.n, h.e, h.inv, c))
+
+    def test_exact_tie_keeps_first_witness(self):
+        h = cyclic_hypergroup(4)
+        c = h.c.copy()
+        c[1, 1] = [0.0, 0.0, 0.5, 0.5]
+        deva = dense_deviation(c)
+        tied = np.argwhere(deva == deva.max())
+        assert len(np.unique(tied[:, 0])) > 1  # the tie spans several s
+        got = self.assert_matches_dense(FiniteHypergroup(4, 0, h.inv, c))
+        assert got.witness == tuple(tied[0])
+
+    @pytest.mark.parametrize("where", [(0, 0, 0), (2, 1, 3), (3, 3, 1)])
+    def test_nan_fails_with_first_nan_witness(self, where):
+        h = cyclic_hypergroup(4)
+        c = h.c.copy()
+        c[where] = np.nan
+        got = self.assert_matches_dense(FiniteHypergroup(4, 0, h.inv, c))
+        assert not got.passed and np.isnan(got.worst)
+
+    def test_peak_memory_below_one_n4_array(self):
+        h = cosine_grid_hypergroup(48)
+        tracemalloc.start()
+        try:
+            assert validate(h, 1e-12).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < h.n ** 4 * 8
 
 
 class TestFindDominatingMeasure:
