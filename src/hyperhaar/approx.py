@@ -214,6 +214,17 @@ def main_identity_gap(h: FiniteHypergroup, mu0: Measure, g: Function, f: Functio
     return _gap(*_step(h, mu0, g), f.v)
 
 
+def _ratio(h: FiniteHypergroup, chi_t: np.ndarray, fs: np.ndarray, mus: np.ndarray) -> np.ndarray:
+    """R[i, j] = <f_i, mu_j * chi_t> / (|mu_j| chi_t(f_i)) over the rows f_i of fs
+    and mu_j of mus, for approximant weights chi_t."""
+    chi = Measure(chi_t)
+    conv = np.array([convolve_measures(h, Measure(w), chi).w for w in mus])
+    denom = np.abs(mus).sum(axis=1) * (fs @ chi_t)[:, None]
+    if np.any(denom == 0.0):
+        raise ZeroDenominator("approximant pairs to zero against f")
+    return (fs @ conv.T) / denom
+
+
 def sandwich_ratio(h: FiniteHypergroup, mu0: Measure, g: Function,
                    f: Function, mu: Measure) -> float:
     """<f, mu * approximant> / (|mu| approximant(f)); tends to 1 as g shrinks."""
@@ -221,11 +232,7 @@ def sandwich_ratio(h: FiniteHypergroup, mu0: Measure, g: Function,
         raise ValueError("bump must be symmetric")
     if mu.norm == 0:
         raise ValueError("mu must be nonzero")
-    chi_t = approximant(h, mu0, g)
-    denom = mu.norm * pair(f, chi_t)
-    if denom == 0.0:
-        raise ZeroDenominator("approximant pairs to zero against f")
-    return pair(f, convolve_measures(h, mu, chi_t)) / denom
+    return float(_ratio(h, _step(h, mu0, g)[1], f.v[None], mu.w[None])[0, 0])
 
 
 def _bounds(h: FiniteHypergroup, f0: Function, fs: Sequence[Function]) -> np.ndarray:
@@ -254,7 +261,6 @@ def haar_net(h: FiniteHypergroup, cfg: ApproximantConfig):
     probes = default_probes(h.n)
     p = np.array([f.v for f in probes])
     a, b = _bounds(h, cfg.f0, probes)
-    mu_unif = Measure.uniform(h.n)
 
     steps = []
     chi = None
@@ -265,7 +271,7 @@ def haar_net(h: FiniteHypergroup, cfg: ApproximantConfig):
         chi = Measure(chi_t / z, nonneg=True)
         vals = p @ chi.w
         gap = _gap(k, chi_t, p)
-        rho = pair(cfg.f0, convolve_measures(h, mu_unif, Measure(chi_t))) / (mu_unif.norm * z)
+        rho = float(_ratio(h, chi_t, cfg.f0.v[None], Measure.uniform(h.n).w[None])[0, 0])
         bounds_ok = bool(np.all((a < vals) & (vals < b)))
         diff = float(np.abs(vals - prev_vals).max()) if prev_vals is not None else np.inf
         steps.append(TraceStep(step, len(u), vals, gap, rho, bounds_ok,

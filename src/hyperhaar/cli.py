@@ -23,14 +23,24 @@ def _parse_f0(spec: str, n: int) -> Function:
     if spec == "uniform":
         return Function.ones(n)
     if spec.startswith("dirac:"):
-        return Function.indicator(n, [int(spec.split(":", 1)[1])])
+        point = spec.split(":", 1)[1]
+        if not (point.isdecimal() and int(point) < n):
+            raise SystemExit(f"f0 spec {spec!r}: the point must be an integer in 0..{n - 1}")
+        return Function.indicator(n, [int(point)])
     raise SystemExit(f"unrecognized f0 spec {spec!r}")
 
 
 def _parse_mu0(spec: str, n: int) -> Measure:
     if spec == "uniform":
         return Measure(np.ones(n), nonneg=True)
-    w = np.array([float(x) for x in Path(spec).read_text().split()])
+    try:
+        w = np.array([float(x) for x in Path(spec).read_text().split()])
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"mu0 file {spec}: {exc}") from None
+    if w.size != n:
+        raise SystemExit(f"mu0 file {spec}: {w.size} weights, expected n={n}")
+    if not np.all(w > 0):
+        raise SystemExit(f"mu0 file {spec}: weights must be positive")
     return Measure(w, nonneg=True)
 
 
@@ -45,13 +55,12 @@ def cmd_validate(args) -> int:
     return 0 if report.passed else 1
 
 
-def _run_net(h, args):
-    f0 = _parse_f0(args.f0, h.n)
-    mu0 = _parse_mu0(args.mu0, h.n)
-    cfg = ApproximantConfig(mu0, f0, canonical_chain(h), conv_tol=args.tol)
+def _run_net(h, f0: str, mu0: str, tol: float, trace_path=None):
+    cfg = ApproximantConfig(_parse_mu0(mu0, h.n), _parse_f0(f0, h.n), canonical_chain(h),
+                            conv_tol=tol)
     chi, trace = haar_net(h, cfg)
-    if getattr(args, "trace", None):
-        with open(args.trace, "w", newline="") as out:
+    if trace_path:
+        with open(trace_path, "w", newline="") as out:
             write_trace_csv(trace, out)
     return chi
 
@@ -59,7 +68,7 @@ def _run_net(h, args):
 def cmd_haar(args) -> int:
     h = _load(args.file)
     if args.method == "net":
-        chi = _run_net(h, args)
+        chi = _run_net(h, args.f0, args.mu0, args.tol, args.trace)
     elif args.method == "jewett":
         chi = jewett_haar(h)
     elif args.method == "solve":
@@ -73,8 +82,7 @@ def cmd_haar(args) -> int:
 def cmd_compare(args) -> int:
     h = _load(args.file)
     weights = {}
-    net_args = argparse.Namespace(f0="uniform", mu0="uniform", tol=1e-12, trace=None)
-    weights["net"] = _run_net(h, net_args).w
+    weights["net"] = _run_net(h, "uniform", "uniform", 1e-12).w
     weights["jewett"] = jewett_haar(h).w
     weights["solve"] = solve_invariance(h).w
     normalized = {k: w / w.sum() for k, w in weights.items()}

@@ -267,6 +267,7 @@ def validate(h: FiniteHypergroup, tol: Optional[float] = None) -> ValidationRepo
     passed = worst <= tol
     witness = _argmax_witness(neg) if neg.max() > rowdev.max() else _argmax_witness(rowdev)
     checks["H1"] = AxiomCheck("H1 row-stochastic", passed, worst, None if passed else witness)
+    del neg  # n^3 floats; the associativity stream below sets the peak without it
 
     checks["H2"] = AxiomCheck("H2", True, note="automatic (finite discrete)")
     checks["H3"] = AxiomCheck("H3", True, note="automatic (finite discrete)")
@@ -281,6 +282,7 @@ def validate(h: FiniteHypergroup, tol: Optional[float] = None) -> ValidationRepo
     worst = float(dev5.max())
     checks["H5"] = AxiomCheck("H5 anti-homomorphism", worst <= tol, worst,
                               None if worst <= tol else _argmax_witness(dev5))
+    del dev5  # n^3 floats, as neg above
 
     # c[t, inv[s], e] > tol iff t == s
     diag = c[np.arange(n), inv, e]

@@ -54,19 +54,12 @@ def jewett_haar(h: FiniteHypergroup) -> Measure:
     return Measure(1.0 / diag, nonneg=True)
 
 
-def _invariance_operator(h: FiniteHypergroup) -> np.ndarray:
-    """Rows (s, u) of the homogeneous system sum_t c[inv[s], t, u] x_t - x_u = 0."""
-    n = h.n
-    a = h.c[h.inv].transpose(0, 2, 1).reshape(n * n, n).copy()
-    a -= np.tile(np.eye(n), (n, 1))
-    return a
-
-
 def invariance_residual(h: FiniteHypergroup, chi: Measure) -> float:
-    """Worst violation of left invariance over all translates and points."""
+    """Worst violation of left invariance, max over s, u of
+    |sum_t c[inv[s], t, u] chi_t - chi_u|."""
     if chi.n != h.n:
         raise ValueError(f"dimension mismatch: {chi.n} vs {h.n}")
-    return float(np.abs(_invariance_operator(h) @ chi.w).max())
+    return float(np.abs((chi.w @ h.c)[h.inv] - chi.w).max())
 
 
 def solve_invariance(h: FiniteHypergroup, sv_gap: float = 1e-8) -> Measure:
@@ -75,7 +68,10 @@ def solve_invariance(h: FiniteHypergroup, sv_gap: float = 1e-8) -> Measure:
     The homogeneous operator must have a one-dimensional nullspace; that is the
     uniqueness certificate for the returned measure.
     """
-    a = _invariance_operator(h)
+    n = h.n
+    # rows (s, u) of the homogeneous system sum_t c[inv[s], t, u] x_t - x_u = 0
+    a = h.c[h.inv].transpose(0, 2, 1).reshape(n * n, n)
+    a -= np.tile(np.eye(n), (n, 1))
     sv = np.linalg.svd(a, compute_uv=False)
     if sv[0] == 0.0:
         nullity = h.n

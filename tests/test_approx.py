@@ -22,7 +22,8 @@ from hyperhaar import (
     sandwich_ratio,
     symmetrize,
 )
-from hyperhaar.approx import _bounds, default_probes
+from hyperhaar.approx import _bounds, _ratio, _step, default_probes
+from hyperhaar.checks import terminal_ratio_suite
 from hyperhaar.core import convolve_measures
 from hyperhaar.oracles import (
     conjugacy_class_hypergroup,
@@ -228,6 +229,54 @@ class TestSandwichRatio:
         with pytest.raises(ValueError, match="symmetric"):
             sandwich_ratio(h, ones_measure(4), Function([1.0, 1.0, 0.0, 0.0]),
                            Function.ones(4), Measure.dirac(4, 0))
+
+
+class TestRatioKernel:
+    def test_matches_defining_formula(self, bundled):
+        # <f, mu * chi~> / (|mu| chi~(f)) with mu * chi~ expanded over the tensor
+        rng = np.random.default_rng(19)
+        g = canonical_chain(bundled).bumps[0]
+        chi_t = _step(bundled, Measure(rng.uniform(0.5, 2.0, bundled.n)), g)[1]
+        fs = rng.uniform(0.1, 1.0, (3, bundled.n))
+        mus = rng.uniform(-1.0, 1.0, (4, bundled.n))
+        conv = np.einsum("js,t,stu->ju", mus, chi_t, bundled.c)
+        ref = (fs @ conv.T) / (np.abs(mus).sum(axis=1) * (fs @ chi_t)[:, None])
+        np.testing.assert_allclose(_ratio(bundled, chi_t, fs, mus), ref, rtol=1e-14, atol=1e-14)
+
+    def test_zero_pairing_raises(self, bundled):
+        chi_t = _step(bundled, ones_measure(bundled.n), terminal_bump(bundled))[1]
+        fs = np.vstack([np.ones(bundled.n), np.zeros(bundled.n)])
+        with pytest.raises(ZeroDenominator):
+            _ratio(bundled, chi_t, fs, np.ones((1, bundled.n)))
+
+
+def per_pair_terminal_ratio(h, rng, trials=25):
+    """terminal_ratio_suite's worst, one sandwich_ratio per (probe, measure)."""
+    mu0, g = ones_measure(h.n), terminal_bump(h)
+    mus = [Measure.dirac(h.n, s) for s in h.points()]
+    mus += [Measure(rng.uniform(0.0, 1.0, h.n) + 1e-3, nonneg=True) for _ in range(trials)]
+    return max(abs(sandwich_ratio(h, mu0, g, f, mu) - 1.0)
+               for f in default_probes(h.n) for mu in mus)
+
+
+class TestTerminalRatioSuite:
+    def check(self, h, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = terminal_ratio_suite(h, rng)
+        ref = per_pair_terminal_ratio(h, ref_rng)
+        assert abs(got.worst - ref) <= 1e-15
+        assert got.passed == (ref <= 1e-12)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        return got
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_bundled(self, bundled, seed):
+        assert self.check(bundled, seed).passed
+
+    def test_perturbed_tensor_fails(self):
+        h = cyclic_hypergroup(4)
+        c = h.c * np.random.default_rng(20).uniform(0.9, 1.1, h.c.shape)
+        assert not self.check(FiniteHypergroup(4, 0, h.inv, c), 3).passed
 
 
 class TestBoundsCertificate:

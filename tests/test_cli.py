@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -99,3 +104,41 @@ def test_check_lemmas(theta_file, capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "terminal reconstruction gap: pass" in out
+
+
+@pytest.fixture
+def z4_file(tmp_path):
+    path = tmp_path / "z4.hg"
+    path.write_text(serialize_hypergroup(cyclic_hypergroup(4)))
+    return str(path)
+
+
+def run_cli(*argv):
+    """The CLI in a fresh interpreter, as a user runs it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "hyperhaar.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("weights,message", [
+    ("1 2 3", "3 weights, expected n=4"),
+    ("1 -2 3 1", "weights must be positive"),
+])
+def test_bad_mu0_is_one_line_diagnosis(z4_file, tmp_path, weights, message):
+    mu0_path = tmp_path / "mu0.txt"
+    mu0_path.write_text(weights + "\n")
+    proc = run_cli("haar", z4_file, "--method", "net", "--mu0", str(mu0_path))
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [f"mu0 file {mu0_path}: {message}"]
+
+
+@pytest.mark.parametrize("spec", ["dirac:9", "dirac:x"])
+def test_bad_f0_is_one_line_diagnosis(z4_file, spec):
+    proc = run_cli("haar", z4_file, "--method", "net", "--f0", spec)
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [
+        f"f0 spec {spec!r}: the point must be an integer in 0..3"]

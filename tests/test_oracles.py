@@ -87,6 +87,24 @@ class TestInvarianceResidual:
     def test_zero_measure_degenerate(self, bundled):
         assert invariance_residual(bundled, Measure(np.zeros(bundled.n))) == 0.0
 
+    def check_against_operator(self, h):
+        # rows (s, u) of sum_t c[inv[s], t, u] x_t - x_u, applied to random measures
+        n = h.n
+        a = h.c[h.inv].transpose(0, 2, 1).reshape(n * n, n) - np.tile(np.eye(n), (n, 1))
+        rng = np.random.default_rng(21)
+        for _ in range(3):
+            w = rng.uniform(0.0, 1.0, n)
+            ref = float(np.abs(a @ w).max())
+            assert ref > 0  # not invariant
+            assert abs(invariance_residual(h, Measure(w)) - ref) <= 1e-15 * max(1.0, ref)
+
+    def test_matches_operator_bundled(self, bundled):
+        self.check_against_operator(bundled)
+
+    def test_matches_operator_product(self):
+        self.check_against_operator(build_family(FamilySpec.parse("product",
+                                                                  "cyclic:3,cosine-grid:4")))
+
 
 class TestBuildFamily:
     def test_theta_one_is_z2(self):
