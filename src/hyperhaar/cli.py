@@ -16,7 +16,11 @@ from .oracles import FamilySpec, build_family, invariance_residual, jewett_haar,
 
 
 def _load(path: str):
-    return parse_hypergroup(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit(f"hypergroup file {path}: {exc}") from None
+    return parse_hypergroup(text)
 
 
 def _parse_f0(spec: str, n: int) -> Function:
@@ -102,7 +106,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    spec = FamilySpec.parse(args.family, args.param)
+    try:
+        spec = FamilySpec.parse(args.family, args.param)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit(f"gen --param {args.param}: {exc}") from None
     text = serialize_hypergroup(build_family(spec))
     if args.output:
         Path(args.output).write_text(text)

@@ -62,29 +62,44 @@ def invariance_residual(h: FiniteHypergroup, chi: Measure) -> float:
     return float(np.abs((chi.w @ h.c)[h.inv] - chi.w).max())
 
 
+def _invariance_factor(h: FiniteHypergroup) -> np.ndarray:
+    """Upper-triangular n x n R with R^T R = A^T A, A the n^2 x n invariance operator.
+
+    A's rows (s, u) are sum_t c[inv[s], t, u] x_t - x_u. Since inv permutes the
+    points, A is the blocks c[s].T - I in some row order, and each block is folded
+    into R by one QR of the 2n x n stack [R; c[s].T - I] (sequential TSQR).
+    """
+    eye = np.eye(h.n)
+    r = np.empty((0, h.n))
+    for cs in h.c:
+        r = np.linalg.qr(np.vstack([r, cs.T - eye]), mode="r")
+    return r
+
+
 def solve_invariance(h: FiniteHypergroup, sv_gap: float = 1e-8) -> Measure:
     """Solve the left-invariance system with total mass 1 by least squares.
 
     The homogeneous operator must have a one-dimensional nullspace; that is the
-    uniqueness certificate for the returned measure.
+    uniqueness certificate for the returned measure. Both the certificate and the
+    solve read the operator's n x n triangular factor, built one QR per left
+    factor: O(n^4) time and O(n^2) extra memory.
     """
-    n = h.n
-    # rows (s, u) of the homogeneous system sum_t c[inv[s], t, u] x_t - x_u = 0
-    a = h.c[h.inv].transpose(0, 2, 1).reshape(n * n, n)
-    a -= np.tile(np.eye(n), (n, 1))
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv[0] == 0.0:
-        nullity = h.n
-    else:
-        nullity = int(np.sum(sv < sv_gap * sv[0]))
+    r = _invariance_factor(h)
+    sv = np.linalg.svd(r, compute_uv=False)
+    threshold = sv_gap * sv[0]
+    nullity = h.n if sv[0] == 0.0 else int(np.sum(sv < threshold))
     if nullity != 1:
-        raise DegenerateNullspace(f"invariance nullspace has dimension {nullity}, expected 1")
-    stacked = np.vstack([a, np.ones((1, h.n))])
-    rhs = np.zeros(a.shape[0] + 1)
+        smallest = ", ".join(f"{v:.3e}" for v in sv[::-1][:3])
+        raise DegenerateNullspace(
+            f"invariance nullspace has dimension {nullity}, expected 1 "
+            f"(threshold sv_gap*sigma_0 = {threshold:.3e}; smallest singular values {smallest})")
+    # ||A x|| = ||R x||, so this is the least-squares problem of [A; 1^T] x = e_last
+    rhs = np.zeros(h.n + 1)
     rhs[-1] = 1.0
-    x, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
-    if np.any(x < -h.tol):
-        raise NegativeSolution(f"weight {x.min()} below -tol")
+    x, *_ = np.linalg.lstsq(np.vstack([r, np.ones(h.n)]), rhs, rcond=None)
+    worst = int(np.argmin(x))
+    if x[worst] < -h.tol:
+        raise NegativeSolution(f"weight {worst} is {x[worst]:.6g}, below -tol (tol = {h.tol:g})")
     return Measure(np.maximum(x, 0.0), nonneg=True)
 
 

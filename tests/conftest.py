@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,16 @@ def s3_table():
         for j, q in enumerate(elems):
             table[i, j] = index[tuple(p[x] for x in q)]
     return table, elems, index
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 BUNDLED = {

@@ -142,3 +142,38 @@ def test_bad_f0_is_one_line_diagnosis(z4_file, spec):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip().splitlines() == [
         f"f0 spec {spec!r}: the point must be an integer in 0..3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate",),
+    ("haar", "--method", "solve"),
+    ("compare",),
+    ("check-lemmas",),
+])
+def test_missing_document_is_one_line_diagnosis(tmp_path, argv):
+    missing = tmp_path / "missing.hg"
+    proc = run_cli(argv[0], str(missing), *argv[1:])
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [
+        f"hypergroup file {missing}: [Errno 2] No such file or directory: '{missing}'"]
+
+
+def test_undecodable_document_is_one_line_diagnosis(tmp_path):
+    path = tmp_path / "binary.hg"
+    path.write_bytes(b"hypergroup v1\n\xff\xfe\n")
+    proc = run_cli("validate", str(path))
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    # the decoder's wording depends on the locale's encoding
+    [line] = proc.stderr.strip().splitlines()
+    assert line.startswith(f"hypergroup file {path}: ") and "decode" in line
+
+
+def test_missing_group_table_is_one_line_diagnosis(tmp_path):
+    missing = tmp_path / "table.txt"
+    proc = run_cli("gen", "--family", "conj-class", "--param", str(missing))
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [
+        f"gen --param {missing}: [Errno 2] No such file or directory: '{missing}'"]

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -26,7 +24,7 @@ from hyperhaar.oracles import (
     theta_hypergroup,
 )
 
-from conftest import s3_table
+from conftest import s3_table, traced_peak
 
 
 def brute_force_class_product(i, j):
@@ -308,12 +306,9 @@ class TestAssociativityStream:
 
     @staticmethod
     def validate_peak(h):
-        tracemalloc.start()
-        try:
-            assert validate(h, 1e-12).passed
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_peak(validate, h, 1e-12)
+        assert report.passed
+        return peak
 
     def test_peak_memory_below_one_n4_array(self):
         h = cosine_grid_hypergroup(48)

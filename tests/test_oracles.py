@@ -1,4 +1,5 @@
 import gc
+import re
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hyperhaar import (
     FiniteHypergroup,
     H6Violation,
     Measure,
+    NegativeSolution,
     build_family,
     invariance_residual,
     jewett_haar,
@@ -17,6 +19,7 @@ from hyperhaar import (
     validate,
 )
 from hyperhaar.oracles import (
+    _invariance_factor,
     conjugacy_class_hypergroup,
     cosine_grid_hypergroup,
     cyclic_hypergroup,
@@ -25,7 +28,42 @@ from hyperhaar.oracles import (
     theta_hypergroup,
 )
 
-from conftest import s3_table
+from conftest import s3_table, traced_peak
+
+
+def identity_translations():
+    """Broken table where every left translation is the identity map: the
+    invariance operator vanishes and the nullspace has dimension 2."""
+    c = np.zeros((2, 2, 2))
+    c[:, 0, 0] = 1.0
+    c[:, 1, 1] = 1.0
+    return FiniteHypergroup(2, 0, [0, 1], c)
+
+
+def swap_translations():
+    """Broken table where points 1 and 2 both act by swapping 1 and 2: the
+    operator is nonzero and its nullspace, x1 = x2, has dimension 2."""
+    swap = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    return FiniteHypergroup(3, 0, [0, 1, 2], np.stack([np.eye(3), swap, swap]))
+
+
+def dense_operator(h):
+    """The n^2 x n invariance operator: rows (s, u) of sum_t c[inv[s], t, u] x_t - x_u."""
+    n = h.n
+    return h.c[h.inv].transpose(0, 2, 1).reshape(n * n, n) - np.tile(np.eye(n), (n, 1))
+
+
+def dense_invariance(h, sv_gap=1e-8):
+    """Reference solve on the materialized operator: its singular values, the
+    nullity by the sv_gap rule, and the stacked least-squares weights."""
+    n = h.n
+    a = dense_operator(h)
+    sv = np.linalg.svd(a, compute_uv=False)
+    nullity = n if sv[0] == 0.0 else int(np.sum(sv < sv_gap * sv[0]))
+    rhs = np.zeros(n * n + 1)
+    rhs[-1] = 1.0
+    x, *_ = np.linalg.lstsq(np.vstack([a, np.ones((1, n))]), rhs, rcond=None)
+    return sv, nullity, x
 
 
 class TestJewettHaar:
@@ -66,14 +104,67 @@ class TestSolveInvariance:
         assert solve_invariance(bundled).w.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_nullspace(self):
-        # broken table where every left translation is the identity map:
-        # the invariance operator vanishes and the nullspace has dimension 2
-        c = np.zeros((2, 2, 2))
-        c[:, 0, 0] = 1.0
-        c[:, 1, 1] = 1.0
-        broken = FiniteHypergroup(2, 0, [0, 1], c)
-        with pytest.raises(DegenerateNullspace):
-            solve_invariance(broken)
+        with pytest.raises(DegenerateNullspace, match=(
+                r"^invariance nullspace has dimension 2, expected 1 \(threshold "
+                r"sv_gap\*sigma_0 = 0\.000e\+00; smallest singular values "
+                r"0\.000e\+00, 0\.000e\+00\)$")):
+            solve_invariance(identity_translations())
+
+    def test_degenerate_nullspace_names_threshold_and_spectrum_head(self):
+        # sigma_0 = 2 sqrt 2; two singular values vanish, the third is sigma_0
+        pattern = (r"^invariance nullspace has dimension 2, expected 1 \(threshold "
+                   r"sv_gap\*sigma_0 = 2\.828e-08; smallest singular values "
+                   r"(\S+), (\S+), 2\.828e\+00\)$")
+        with pytest.raises(DegenerateNullspace, match=pattern) as info:
+            solve_invariance(swap_translations())
+        head = re.match(pattern, str(info.value)).groups()
+        assert all(float(v) < 1e-12 for v in head)
+
+    def test_negative_solution(self):
+        # c[1] is not row-stochastic; the operator's only nonzero row is
+        # 0.5 x0 + x1 = 0, so the mass-one solution is (2, -1)
+        c = np.stack([np.eye(2), [[1.5, 0.0], [1.0, 1.0]]])
+        with pytest.raises(NegativeSolution,
+                           match=r"^weight 1 is -1, below -tol \(tol = 1e-09\)$"):
+            solve_invariance(FiniteHypergroup(2, 0, [0, 1], c))
+        # with a tolerance that admits it, the weight is clamped to 0
+        loose = FiniteHypergroup(2, 0, [0, 1], c, tol=2.0)
+        np.testing.assert_allclose(solve_invariance(loose).w, [2.0, 0.0], atol=1e-12)
+
+
+class TestStreamedSolve:
+    def check_against_dense(self, h):
+        sv, nullity, x = dense_invariance(h)
+        got = np.linalg.svd(_invariance_factor(h), compute_uv=False)
+        assert np.abs(got - sv).max() <= 1e-12 * sv[0]
+        if nullity != 1:
+            with pytest.raises(DegenerateNullspace):
+                solve_invariance(h)
+            return
+        np.testing.assert_allclose(solve_invariance(h).w, np.maximum(x, 0.0), rtol=0, atol=1e-12)
+
+    def test_bundled(self, bundled):
+        self.check_against_dense(bundled)
+
+    @pytest.mark.parametrize("family,param", [
+        ("cyclic", "12"),
+        ("cosine-grid", "16"),
+        ("product", "cyclic:3,cosine-grid:4"),
+    ])
+    def test_larger_families(self, family, param):
+        self.check_against_dense(build_family(FamilySpec.parse(family, param)))
+
+    @pytest.mark.parametrize("make", [identity_translations, swap_translations])
+    def test_degenerate_inputs(self, make):
+        h = make()
+        assert dense_invariance(h)[1] == 2
+        self.check_against_dense(h)
+
+    def test_peak_memory_below_one_n3_array(self):
+        # the dense operator alone is one n^3 float64 array
+        h = cosine_grid_hypergroup(48)
+        _, peak = traced_peak(solve_invariance, h)
+        assert peak < h.n ** 3 * 8
 
 
 class TestInvarianceResidual:
@@ -88,12 +179,10 @@ class TestInvarianceResidual:
         assert invariance_residual(bundled, Measure(np.zeros(bundled.n))) == 0.0
 
     def check_against_operator(self, h):
-        # rows (s, u) of sum_t c[inv[s], t, u] x_t - x_u, applied to random measures
-        n = h.n
-        a = h.c[h.inv].transpose(0, 2, 1).reshape(n * n, n) - np.tile(np.eye(n), (n, 1))
+        a = dense_operator(h)
         rng = np.random.default_rng(21)
         for _ in range(3):
-            w = rng.uniform(0.0, 1.0, n)
+            w = rng.uniform(0.0, 1.0, h.n)
             ref = float(np.abs(a @ w).max())
             assert ref > 0  # not invariant
             assert abs(invariance_residual(h, Measure(w)) - ref) <= 1e-15 * max(1.0, ref)
