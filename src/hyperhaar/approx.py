@@ -18,8 +18,8 @@ from .core import (
     FiniteHypergroup,
     Function,
     Measure,
+    _convolve_measures,
     _dominating_measure,
-    convolve_measures,
     find_dominating_measure,
     pair,
     translates,
@@ -217,8 +217,7 @@ def main_identity_gap(h: FiniteHypergroup, mu0: Measure, g: Function, f: Functio
 def _ratio(h: FiniteHypergroup, chi_t: np.ndarray, fs: np.ndarray, mus: np.ndarray) -> np.ndarray:
     """R[i, j] = <f_i, mu_j * chi_t> / (|mu_j| chi_t(f_i)) over the rows f_i of fs
     and mu_j of mus, for approximant weights chi_t."""
-    chi = Measure(chi_t)
-    conv = np.array([convolve_measures(h, Measure(w), chi).w for w in mus])
+    conv = _convolve_measures(h, mus, chi_t)
     denom = np.abs(mus).sum(axis=1) * (fs @ chi_t)[:, None]
     if np.any(denom == 0.0):
         raise ZeroDenominator("approximant pairs to zero against f")

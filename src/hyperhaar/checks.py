@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List
 
 import numpy as np
@@ -11,12 +12,9 @@ from .core import (
     FiniteHypergroup,
     Function,
     Measure,
-    convolve_function_measure,
-    convolve_measure_function,
-    convolve_measures,
-    involute_function,
-    involute_measure,
-    pair,
+    _convolve_function_measure,
+    _convolve_measure_function,
+    _convolve_measures,
 )
 from .approx import _bounds, _gap, _ratio, _step, canonical_chain, default_probes
 
@@ -32,48 +30,51 @@ class SuiteResult:
     detail: str = ""
 
 
+# Temporaries of one block of identity_suite trials stay below this many floats.
+_BLOCK_FLOATS = 2 ** 21
+
+
 def identity_suite(h: FiniteHypergroup, rng: np.random.Generator,
                    trials: int = 1000, tol: float = 1e-12) -> List[SuiteResult]:
     """Involution and pairing identities of the convolution algebra,
-    checked on random signed measures and functions."""
-    worst = {key: 0.0 for key in (
+    checked on random signed measures and functions.
+
+    Trials are stacked into blocks of b rows, b set by _BLOCK_FLOATS (a trial
+    holds one n x n kernel temporary and at most 48 n-vectors), and each block
+    is drawn as one (b, 4, n) array: the same generator stream as drawing mu,
+    nu, sigma and f one trial at a time.  A NaN on either side of an identity
+    makes its worst NaN, which fails.
+    """
+    n, inv = h.n, h.inv
+    mm, mf, fm = (partial(kernel, h) for kernel in (
+        _convolve_measures, _convolve_measure_function, _convolve_function_measure))
+
+    def dot(a, b):
+        return (a * b).sum(axis=1)
+
+    worst = dict.fromkeys((
         "(mu*f)ck = fck*muck", "(f*mu)ck = muck*fck", "<mu*f,nu> = <nu*fck,mu>",
         "<mu*f,sigma> = <f,muck*sigma>", "<f*mu,sigma> = <f,sigma*muck>",
         "(mu*nu)*f = mu*(nu*f)", "f*(mu*nu) = (f*mu)*nu",
-        "(mu*nu)ck = nuck*muck")}
-    n = h.n
-    for _ in range(trials):
-        mu = Measure(rng.uniform(-1, 1, n))
-        nu = Measure(rng.uniform(-1, 1, n))
-        sigma = Measure(rng.uniform(-1, 1, n))
-        f = Function(rng.uniform(-1, 1, n))
-
-        muck = involute_measure(h, mu)
-        nuck = involute_measure(h, nu)
-        fck = involute_function(h, f)
-        muf = convolve_measure_function(h, mu, f)
-        fmu = convolve_function_measure(h, f, mu)
-        munu = convolve_measures(h, mu, nu)
-
-        def hit(key, a, b):
-            worst[key] = max(worst[key], float(np.max(np.abs(np.asarray(a) - np.asarray(b)))))
-
-        hit("(mu*f)ck = fck*muck", involute_function(h, muf).v,
-            convolve_function_measure(h, fck, muck).v)
-        hit("(f*mu)ck = muck*fck", involute_function(h, fmu).v,
-            convolve_measure_function(h, muck, fck).v)
-        hit("<mu*f,nu> = <nu*fck,mu>", pair(muf, nu),
-            pair(convolve_measure_function(h, nu, fck), mu))
-        hit("<mu*f,sigma> = <f,muck*sigma>", pair(muf, sigma),
-            pair(f, convolve_measures(h, muck, sigma)))
-        hit("<f*mu,sigma> = <f,sigma*muck>", pair(fmu, sigma),
-            pair(f, convolve_measures(h, sigma, muck)))
-        hit("(mu*nu)*f = mu*(nu*f)", convolve_measure_function(h, munu, f).v,
-            convolve_measure_function(h, mu, convolve_measure_function(h, nu, f)).v)
-        hit("f*(mu*nu) = (f*mu)*nu", convolve_function_measure(h, f, munu).v,
-            convolve_function_measure(h, fmu, nu).v)
-        hit("(mu*nu)ck = nuck*muck", involute_measure(h, munu).w,
-            convolve_measures(h, nuck, muck).w)
+        "(mu*nu)ck = nuck*muck"), 0.0)
+    block = max(1, _BLOCK_FLOATS // (n * (n + 48)))
+    for start in range(0, trials, block):
+        draws = rng.uniform(-1, 1, (min(block, trials - start), 4, n))
+        mu, nu, sigma, f = draws.transpose(1, 0, 2)
+        muck, nuck, fck = mu[:, inv], nu[:, inv], f[:, inv]
+        muf, fmu, munu = mf(mu, f), fm(f, mu), mm(mu, nu)
+        sides = (
+            (muf[:, inv], fm(fck, muck)),
+            (fmu[:, inv], mf(muck, fck)),
+            (dot(muf, nu), dot(mf(nu, fck), mu)),
+            (dot(muf, sigma), dot(f, mm(muck, sigma))),
+            (dot(fmu, sigma), dot(f, mm(sigma, muck))),
+            (mf(munu, f), mf(mu, mf(nu, f))),
+            (fm(f, munu), fm(fmu, nu)),
+            (munu[:, inv], mm(nuck, muck)),
+        )
+        for key, (a, b) in zip(worst, sides):
+            worst[key] = float(np.maximum(worst[key], np.abs(a - b).max()))
     return [SuiteResult(k, v <= tol, v) for k, v in worst.items()]
 
 
@@ -84,13 +85,17 @@ def terminal_gap_suite(h: FiniteHypergroup, tol: float = 1e-12) -> SuiteResult:
     return SuiteResult("terminal reconstruction gap", worst <= tol, worst)
 
 
-def terminal_ratio_suite(h: FiniteHypergroup, rng: np.random.Generator,
-                         trials: int = 25, tol: float = 1e-12) -> SuiteResult:
-    """Sandwich ratio at the terminal bump equals 1 for all translates."""
+def terminal_ratio_suite(h: FiniteHypergroup, tol: float = 1e-12) -> SuiteResult:
+    """Sandwich ratio at the terminal bump equals 1 for all translates.
+
+    The diracs suffice: for mu >= 0 both <f, mu * chi> and |mu| are linear in mu,
+    so the ratio for mu is the mu-weighted mean sum_s (mu_s / |mu|) R_s of the
+    dirac ratios R_s, and no nonnegative measure lies farther from 1 than the
+    worst dirac.
+    """
     chi_t = _step(h, Measure(np.ones(h.n)), Function.indicator(h.n, [h.e]))[1]
     p = np.array([f.v for f in default_probes(h.n)])
-    mus = np.vstack([np.eye(h.n), rng.uniform(0.0, 1.0, (trials, h.n)) + 1e-3])
-    worst = float(np.abs(_ratio(h, chi_t, p, mus) - 1.0).max())
+    worst = float(np.abs(_ratio(h, chi_t, p, np.eye(h.n)) - 1.0).max())
     return SuiteResult("terminal sandwich ratio", worst <= tol, worst)
 
 
@@ -108,9 +113,8 @@ def bounds_suite(h: FiniteHypergroup) -> SuiteResult:
 
 
 def run_all_suites(h: FiniteHypergroup, seed: int = 0, trials: int = 1000) -> List[SuiteResult]:
-    rng = np.random.default_rng(seed)
-    results = identity_suite(h, rng, trials)
+    results = identity_suite(h, np.random.default_rng(seed), trials)
     results.append(terminal_gap_suite(h))
-    results.append(terminal_ratio_suite(h, rng))
+    results.append(terminal_ratio_suite(h))
     results.append(bounds_suite(h))
     return results

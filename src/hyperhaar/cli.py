@@ -11,16 +11,16 @@ import numpy as np
 from .core import Function, Measure, validate
 from .approx import ApproximantConfig, canonical_chain, haar_net
 from .checks import run_all_suites
-from .fileio import parse_hypergroup, serialize_hypergroup, write_trace_csv
+from .fileio import ParseError, parse_hypergroup, serialize_hypergroup, write_trace_csv
 from .oracles import FamilySpec, build_family, invariance_residual, jewett_haar, solve_invariance
 
 
 def _load(path: str):
+    # ValueError covers undecodable text and FiniteHypergroup's consistency checks
     try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
+        return parse_hypergroup(Path(path).read_text())
+    except (OSError, ValueError, ParseError) as exc:
         raise SystemExit(f"hypergroup file {path}: {exc}") from None
-    return parse_hypergroup(text)
 
 
 def _parse_f0(spec: str, n: int) -> Function:

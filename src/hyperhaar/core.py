@@ -49,7 +49,7 @@ class FiniteHypergroup:
 
     def __post_init__(self):
         object.__setattr__(self, "inv", np.asarray(self.inv, dtype=int))
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
+        object.__setattr__(self, "c", np.ascontiguousarray(self.c, dtype=float))
         if not (0 <= self.e < self.n):
             raise ValueError(f"identity index {self.e} out of range for n={self.n}")
         if self.inv.shape != (self.n,):
@@ -148,11 +148,52 @@ def _check_size(h: FiniteHypergroup, *objs) -> None:
             raise ValueError(f"dimension mismatch: hypergroup has n={h.n}, got {o.n}")
 
 
+def _convolve_measures(h: FiniteHypergroup, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """(mu * nu)[..., u] = sum_{s,t} mu[..., s] nu[..., t] c[s, t, u].
+
+    mu and nu are (..., n) stacks whose leading batch axes broadcast.  One BLAS
+    product contracts mu with c viewed as n x n^2, a temporary of n^2 floats
+    per row of mu; a single nu is contracted first instead, so a stack of mu
+    against one nu needs n^2 floats in all.
+    """
+    n = h.n
+    if nu.ndim == 1:
+        return mu @ (nu @ h.c)
+    left = (mu @ h.c.reshape(n, n * n)).reshape(*mu.shape[:-1], n, n)
+    return (nu[..., None, :] @ left)[..., 0, :]
+
+
+def _contract_u(h: FiniteHypergroup, f: np.ndarray) -> np.ndarray:
+    """k[..., a, b] = sum_u c[a, b, u] f[..., u]: one BLAS product for a (..., n)
+    stack of functions, with n^2 floats of output per row of f."""
+    n = h.n
+    return (f @ h.c.reshape(n * n, n).T).reshape(*f.shape[:-1], n, n)
+
+
+def _convolve_measure_function(h: FiniteHypergroup, mu: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """(mu * f)[..., t] = sum_s mu[..., s] sum_u c[inv[s], t, u] f[..., u].
+
+    mu and f are (..., n) stacks whose leading batch axes broadcast; the
+    temporary holds n^2 floats per row of f.
+    """
+    m = mu[..., np.argsort(h.inv)]  # m[inv[s]] = mu[s]
+    return (m[..., None, :] @ _contract_u(h, f))[..., 0, :]
+
+
+def _convolve_function_measure(h: FiniteHypergroup, f: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """(f * mu)[..., t] = sum_s mu[..., s] sum_u c[t, inv[s], u] f[..., u].
+
+    f and mu are (..., n) stacks whose leading batch axes broadcast; the
+    temporary holds n^2 floats per row of f.
+    """
+    m = mu[..., np.argsort(h.inv)]  # m[inv[s]] = mu[s]
+    return (_contract_u(h, f) @ m[..., :, None])[..., 0]
+
+
 def convolve_measures(h: FiniteHypergroup, mu: Measure, nu: Measure) -> Measure:
     """(mu * nu)[u] = sum_{s,t} mu_s nu_t c[s,t,u]."""
     _check_size(h, mu, nu)
-    w = np.einsum("s,t,stu->u", mu.w, nu.w, h.c)
-    return Measure(w, nonneg=mu.nonneg and nu.nonneg)
+    return Measure(_convolve_measures(h, mu.w, nu.w), nonneg=mu.nonneg and nu.nonneg)
 
 
 def involute_measure(h: FiniteHypergroup, mu: Measure) -> Measure:
@@ -177,19 +218,19 @@ def pair(f: Function, mu: Measure) -> float:
 def translates(h: FiniteHypergroup, f: Function) -> np.ndarray:
     """Translate matrix K[s, t] = (dirac_s * f)(t) = sum_u c[inv[s], t, u] f(u)."""
     _check_size(h, f)
-    return (h.c @ f.v)[h.inv]
+    return _contract_u(h, f.v)[h.inv]
 
 
 def convolve_measure_function(h: FiniteHypergroup, mu: Measure, f: Function) -> Function:
     """(mu * f)(t) = sum_s mu_s sum_u c[inv[s], t, u] f(u)."""
     _check_size(h, mu, f)
-    return Function(mu.w @ translates(h, f))
+    return Function(_convolve_measure_function(h, mu.w, f.v))
 
 
 def convolve_function_measure(h: FiniteHypergroup, f: Function, mu: Measure) -> Function:
     """(f * mu)(t) = sum_s mu_s sum_u c[t, inv[s], u] f(u)."""
     _check_size(h, mu, f)
-    return Function((h.c @ f.v)[:, h.inv] @ mu.w)
+    return Function(_convolve_function_measure(h, f.v, mu.w))
 
 
 def support_product(h: FiniteHypergroup, a: Iterable[int], b: Iterable[int]) -> frozenset:

@@ -261,12 +261,13 @@ def per_pair_terminal_ratio(h, rng, trials=25):
 
 class TestTerminalRatioSuite:
     def check(self, h, seed):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = terminal_ratio_suite(h, rng)
-        ref = per_pair_terminal_ratio(h, ref_rng)
+        # The suite checks only the diracs; by convexity the reference's 25 random
+        # nonnegative measures must not lie farther from 1 beyond rounding.
+        got = terminal_ratio_suite(h)
+        ref = per_pair_terminal_ratio(h, np.random.default_rng(seed))
         assert abs(got.worst - ref) <= 1e-15
         assert got.passed == (ref <= 1e-12)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert per_pair_terminal_ratio(h, None, trials=0) >= ref - 1e-15
         return got
 
     @pytest.mark.parametrize("seed", [0, 5])

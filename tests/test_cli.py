@@ -159,6 +159,25 @@ def test_missing_document_is_one_line_diagnosis(tmp_path, argv):
         f"hypergroup file {missing}: [Errno 2] No such file or directory: '{missing}'"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("validate",),
+    ("haar", "--method", "solve"),
+    ("compare",),
+    ("check-lemmas",),
+])
+@pytest.mark.parametrize("text,message", [
+    ("hypergroup v1\nn x\n", "line 2: invalid literal for int() with base 10: 'x'"),
+    ("hypergroup v1\nn 2\ne 0\ninv 0 0\nc 0 0 0 1\n", "involution is not a permutation"),
+], ids=["parse-error", "inconsistent"])
+def test_bad_document_is_one_line_diagnosis(tmp_path, argv, text, message):
+    path = tmp_path / "bad.hg"
+    path.write_text(text)
+    proc = run_cli(argv[0], str(path), *argv[1:])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [f"hypergroup file {path}: {message}"]
+
+
 def test_undecodable_document_is_one_line_diagnosis(tmp_path):
     path = tmp_path / "binary.hg"
     path.write_bytes(b"hypergroup v1\n\xff\xfe\n")

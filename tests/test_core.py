@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hyperhaar import (
+    FamilySpec,
     FiniteHypergroup,
     Function,
     Measure,
@@ -14,8 +15,10 @@ from hyperhaar import (
     involute_measure,
     pair,
     support_product,
+    build_family,
     validate,
 )
+from hyperhaar.core import _convolve_function_measure, _convolve_measure_function, _convolve_measures
 from hyperhaar.oracles import (
     conjugacy_class_hypergroup,
     cosine_grid_hypergroup,
@@ -24,7 +27,7 @@ from hyperhaar.oracles import (
     theta_hypergroup,
 )
 
-from conftest import s3_table, traced_peak
+from conftest import BUNDLED, s3_table, traced_peak
 
 
 def brute_force_class_product(i, j):
@@ -350,3 +353,66 @@ class TestFindDominatingMeasure:
         h = FiniteHypergroup(2, 0, [0, 1], c)
         with pytest.raises(NoCover):
             find_dominating_measure(h, Function([0.0, 1.0]), Function([1.0, 0.0]))
+
+
+def three_cycle_tensor():
+    """inv a permutation that is not an involution: FiniteHypergroup accepts it,
+    and the kernels must read inv in the direction the formulas state."""
+    c = np.random.default_rng(31).uniform(0.0, 1.0, (3, 3, 3))
+    return FiniteHypergroup(3, 0, [1, 2, 0], c / c.sum(axis=2, keepdims=True))
+
+
+KERNEL_CASES = {
+    "product-Z3xcosine-4": lambda: build_family(FamilySpec.parse("product", "cyclic:3,cosine-grid:4")),
+    "three-cycle-inv": three_cycle_tensor,
+}
+
+
+@pytest.fixture(params=sorted(BUNDLED) + sorted(KERNEL_CASES))
+def kernel_case(request):
+    if request.param in KERNEL_CASES:
+        return KERNEL_CASES[request.param]()
+    return build_family(BUNDLED[request.param])
+
+
+class TestBatchedKernels:
+    """The three private convolution kernels over stacked (..., n) operands."""
+
+    def draws(self, h, rows=5):
+        rng = np.random.default_rng(32)
+        return rng.uniform(-1, 1, (rows, h.n)), rng.uniform(-1, 1, (rows, h.n))
+
+    @staticmethod
+    def assert_close(got, ref):
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+
+    def test_stacked_equals_row_by_row(self, kernel_case):
+        h = kernel_case
+        a, b = self.draws(h)
+        self.assert_close(_convolve_measures(h, a, b), np.array(
+            [convolve_measures(h, Measure(x), Measure(y)).w for x, y in zip(a, b)]))
+        self.assert_close(_convolve_measure_function(h, a, b), np.array(
+            [convolve_measure_function(h, Measure(x), Function(y)).v for x, y in zip(a, b)]))
+        self.assert_close(_convolve_function_measure(h, a, b), np.array(
+            [convolve_function_measure(h, Function(x), Measure(y)).v for x, y in zip(a, b)]))
+
+    def test_defining_sums(self, kernel_case):
+        # sum_s mu_s c[inv[s], ...], not a gather of mu with inv: the two differ
+        # exactly when inv is not an involution
+        h = kernel_case
+        a, b = self.draws(h)
+        for got, ref in (
+                (_convolve_measures(h, a, b), np.einsum("js,jt,stu->ju", a, b, h.c)),
+                (_convolve_measure_function(h, a, b), np.einsum("js,stu,ju->jt", a, h.c[h.inv], b)),
+                (_convolve_function_measure(h, a, b), np.einsum("ju,tsu,js->jt", a, h.c[:, h.inv], b))):
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-14)
+
+    def test_leading_axes_broadcast(self, kernel_case):
+        h = kernel_case
+        a, b = self.draws(h, rows=6)
+        stacked = a.reshape(2, 3, h.n)
+        for kernel in (_convolve_measures, _convolve_measure_function, _convolve_function_measure):
+            full = kernel(h, a, np.broadcast_to(b[0], a.shape))
+            self.assert_close(kernel(h, stacked, b[0]).reshape(6, h.n), full)
+            full = kernel(h, np.broadcast_to(b[0], a.shape), a)
+            self.assert_close(kernel(h, b[0], stacked).reshape(6, h.n), full)
