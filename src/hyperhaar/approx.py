@@ -15,6 +15,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .core import (
+    CERTIFY_TOL,
+    EXACT_TOL,
     FiniteHypergroup,
     Function,
     Measure,
@@ -84,13 +86,18 @@ class ShrinkingChain:
                 raise ValueError(f"bump {k} must be nonnegative and nonzero")
             if not g.supported_in(u):
                 raise ValueError(f"bump {k} not supported in its neighborhood")
-            if np.max(np.abs(g.v - g.v[h.inv])) > 0:
+            if not _symmetric(h, g):
                 raise ValueError(f"bump {k} is not symmetric")
             if g.v[h.e] <= 0:
                 raise ValueError(f"bump {k} vanishes at the identity")
             prev = u
         if self.neighborhoods[-1] != frozenset({h.e}):
             raise ValueError("chain must terminate at the singleton identity neighborhood")
+
+
+def _symmetric(h: FiniteHypergroup, g: Function) -> bool:
+    """g(s) == g(inv[s]) for every s, exactly."""
+    return bool(np.array_equal(g.v, g.v[h.inv]))
 
 
 def default_probes(n: int) -> List[Function]:
@@ -105,8 +112,7 @@ class ApproximantConfig:
     mu0: Measure
     f0: Function
     chain: ShrinkingChain
-    conv_tol: float = 1e-12
-    residual_tol: float = 1e-10
+    conv_tol: float = EXACT_TOL
 
     def __post_init__(self):
         if np.any(self.mu0.w <= 0):
@@ -227,7 +233,7 @@ def _ratio(h: FiniteHypergroup, chi_t: np.ndarray, fs: np.ndarray, mus: np.ndarr
 def sandwich_ratio(h: FiniteHypergroup, mu0: Measure, g: Function,
                    f: Function, mu: Measure) -> float:
     """<f, mu * approximant> / (|mu| approximant(f)); tends to 1 as g shrinks."""
-    if np.max(np.abs(g.v - g.v[h.inv])) > 1e-12:
+    if not _symmetric(h, g):
         raise ValueError("bump must be symmetric")
     if mu.norm == 0:
         raise ValueError("mu must be nonzero")
@@ -254,7 +260,8 @@ def haar_net(h: FiniteHypergroup, cfg: ApproximantConfig):
     """Drive the normalized approximants down the chain; certify the limit.
 
     Returns the final measure together with the full per-step trace.  Stops
-    early once successive probe values differ by less than conv_tol.
+    early once successive probe values differ by less than conv_tol, and
+    raises NotConverged if the limit's invariance residual exceeds CERTIFY_TOL.
     """
     cfg.chain.check(h)
     probes = default_probes(h.n)
@@ -280,8 +287,8 @@ def haar_net(h: FiniteHypergroup, cfg: ApproximantConfig):
         prev_vals = vals
 
     residual = invariance_residual(h, chi)
-    if residual > cfg.residual_tol:
+    if residual > CERTIFY_TOL:
         raise NotConverged(
-            f"invariance residual {residual:.3e} above {cfg.residual_tol:.3e} "
+            f"invariance residual {residual:.3e} above {CERTIFY_TOL:.3e} "
             "after exhausting the chain")
     return chi, ConvergenceTrace(steps)

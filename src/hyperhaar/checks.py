@@ -9,6 +9,7 @@ from typing import List
 import numpy as np
 
 from .core import (
+    EXACT_TOL,
     FiniteHypergroup,
     Function,
     Measure,
@@ -35,7 +36,7 @@ _BLOCK_FLOATS = 2 ** 21
 
 
 def identity_suite(h: FiniteHypergroup, rng: np.random.Generator,
-                   trials: int = 1000, tol: float = 1e-12) -> List[SuiteResult]:
+                   trials: int = 1000, tol: float = EXACT_TOL) -> List[SuiteResult]:
     """Involution and pairing identities of the convolution algebra,
     checked on random signed measures and functions.
 
@@ -78,14 +79,14 @@ def identity_suite(h: FiniteHypergroup, rng: np.random.Generator,
     return [SuiteResult(k, v <= tol, v) for k, v in worst.items()]
 
 
-def terminal_gap_suite(h: FiniteHypergroup, tol: float = 1e-12) -> SuiteResult:
+def terminal_gap_suite(h: FiniteHypergroup) -> SuiteResult:
     """Reconstruction gap at the terminal bump 1_{e} is exact."""
     p = np.array([f.v for f in default_probes(h.n)])
     worst = _gap(*_step(h, Measure(np.ones(h.n)), Function.indicator(h.n, [h.e])), p)
-    return SuiteResult("terminal reconstruction gap", worst <= tol, worst)
+    return SuiteResult("terminal reconstruction gap", worst <= EXACT_TOL, worst)
 
 
-def terminal_ratio_suite(h: FiniteHypergroup, tol: float = 1e-12) -> SuiteResult:
+def terminal_ratio_suite(h: FiniteHypergroup) -> SuiteResult:
     """Sandwich ratio at the terminal bump equals 1 for all translates.
 
     The diracs suffice: for mu >= 0 both <f, mu * chi> and |mu| are linear in mu,
@@ -96,7 +97,7 @@ def terminal_ratio_suite(h: FiniteHypergroup, tol: float = 1e-12) -> SuiteResult
     chi_t = _step(h, Measure(np.ones(h.n)), Function.indicator(h.n, [h.e]))[1]
     p = np.array([f.v for f in default_probes(h.n)])
     worst = float(np.abs(_ratio(h, chi_t, p, np.eye(h.n)) - 1.0).max())
-    return SuiteResult("terminal sandwich ratio", worst <= tol, worst)
+    return SuiteResult("terminal sandwich ratio", worst <= EXACT_TOL, worst)
 
 
 def bounds_suite(h: FiniteHypergroup) -> SuiteResult:

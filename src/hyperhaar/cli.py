@@ -8,11 +8,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Function, Measure, validate
-from .approx import ApproximantConfig, canonical_chain, haar_net
+from .core import AXIOM_TOL, CERTIFY_TOL, EXACT_TOL, Function, Measure, NoCover, validate
+from .approx import ApproximantConfig, NotConverged, ZeroDenominator, canonical_chain, haar_net
 from .checks import run_all_suites
 from .fileio import ParseError, parse_hypergroup, serialize_hypergroup, write_trace_csv
-from .oracles import FamilySpec, build_family, invariance_residual, jewett_haar, solve_invariance
+from .oracles import (DegenerateNullspace, FamilySpec, H6Violation, NegativeSolution,
+                      build_family, invariance_residual, jewett_haar, solve_invariance)
+
+# The package's refusals of an input that is not a hypergroup it can work with.
+_REFUSALS = (NoCover, H6Violation, ZeroDenominator, DegenerateNullspace, NegativeSolution,
+             NotConverged)
 
 
 def _load(path: str):
@@ -75,10 +80,8 @@ def cmd_haar(args) -> int:
         chi = _run_net(h, args.f0, args.mu0, args.tol, args.trace)
     elif args.method == "jewett":
         chi = jewett_haar(h)
-    elif args.method == "solve":
-        chi = solve_invariance(h)
     else:
-        raise SystemExit(f"unknown method {args.method!r}")
+        chi = solve_invariance(h)
     print(_fmt(chi.w))
     return 0
 
@@ -86,7 +89,7 @@ def cmd_haar(args) -> int:
 def cmd_compare(args) -> int:
     h = _load(args.file)
     weights = {}
-    weights["net"] = _run_net(h, "uniform", "uniform", 1e-12).w
+    weights["net"] = _run_net(h, "uniform", "uniform", EXACT_TOL).w
     weights["jewett"] = jewett_haar(h).w
     weights["solve"] = solve_invariance(h).w
     normalized = {k: w / w.sum() for k, w in weights.items()}
@@ -138,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the hypergroup axioms")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=AXIOM_TOL)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("haar", help="compute invariant weights")
@@ -146,13 +149,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["net", "jewett", "solve"], required=True)
     p.add_argument("--f0", default="uniform", help="uniform | dirac:<i>")
     p.add_argument("--mu0", default="uniform", help="uniform | <file of n weights>")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=EXACT_TOL)
     p.add_argument("--trace", help="write per-step CSV trace here (net only)")
     p.set_defaults(func=cmd_haar)
 
     p = sub.add_parser("compare", help="run all three methods and compare")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=CERTIFY_TOL)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("gen", help="emit a hypergroup document for a bundled family")
@@ -172,8 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Exit codes: 0 success, 1 a failed check or a refused input, 2 a usage error."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _REFUSALS as exc:
+        raise SystemExit(f"hypergroup file {args.file}: {type(exc).__name__}: {exc}") from None
 
 
 if __name__ == "__main__":

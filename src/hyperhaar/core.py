@@ -4,6 +4,10 @@ Points are indices 0..n-1.  A hypergroup is given by its identity, the
 involution permutation, and the structure tensor c, where c[s, t, u] is the
 mass of (dirac_s * dirac_t) at u.  All operations are pure functions over
 immutable values.
+
+Tolerances follow one policy, owned here: the three constants below, and exact
+comparisons with 0 for structural tests (denominators, covers, Jewett's
+diagonal, supports, bump symmetry).
 """
 
 from __future__ import annotations
@@ -13,7 +17,14 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+AXIOM_TOL = 1e-9  # FiniteHypergroup.tol: validate and the invariance solve's clamp
+EXACT_TOL = 1e-12  # rounding of quantities exact in theory: the suites, the Cauchy stop
+CERTIFY_TOL = 1e-10  # the invariance residual that certifies haar_net's limit
+
 __all__ = [
+    "AXIOM_TOL",
+    "EXACT_TOL",
+    "CERTIFY_TOL",
     "FiniteHypergroup",
     "Measure",
     "Function",
@@ -39,13 +50,17 @@ class NoCover(Exception):
 
 @dataclass(frozen=True)
 class FiniteHypergroup:
-    """Finite hypergroup: identity e, involution inv, structure tensor c."""
+    """Finite hypergroup: identity e, involution inv, structure tensor c.
+
+    tol is the axiom tolerance; dataclasses.replace(h, tol=...) gives a copy
+    with another, and runs the checks below again.
+    """
 
     n: int
     e: int
     inv: np.ndarray
     c: np.ndarray
-    tol: float = 1e-9
+    tol: float = AXIOM_TOL
 
     def __post_init__(self):
         object.__setattr__(self, "inv", np.asarray(self.inv, dtype=int))
@@ -374,12 +389,18 @@ def find_dominating_measure(h: FiniteHypergroup, f: Function, f0: Function) -> M
 
 
 def _dominating_measure(k: np.ndarray, f: Function) -> Measure:
-    """The greedy loop of find_dominating_measure over k = translates(h, f0)."""
+    """The greedy cover of find_dominating_measure over k = translates(h, f0).
+
+    Mass is added in increasing t, as a loop over S(f) would, so the sums are
+    rounded in the same order.
+    """
+    t = np.flatnonzero(np.abs(f.v) > 0.0)
+    cols = k[:, t]
+    s = np.argmax(cols, axis=0)
+    best = cols[s, np.arange(t.size)]
+    uncovered = best <= 0.0
+    if uncovered.any():
+        raise NoCover(f"no translate of f0 reaches point {t[np.argmax(uncovered)]}")
     w = np.zeros(k.shape[0])
-    for t in sorted(f.support()):
-        col = k[:, t]
-        s = int(np.argmax(col))
-        if col[s] <= 0.0:
-            raise NoCover(f"no translate of f0 reaches point {t}")
-        w[s] += (f.v[t] + 1.0) / col[s]
+    np.add.at(w, s, (f.v[t] + 1.0) / best)
     return Measure(w, nonneg=True)

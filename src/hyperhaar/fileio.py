@@ -1,6 +1,7 @@
 """Plain-text hypergroup documents and tabular trace output.
 
-Format, one directive per line (comments start with '#'):
+Format, one directive per line (comments start with '#'); n, e and inv appear
+once each:
 
     hypergroup v1
     n <int>
@@ -45,10 +46,11 @@ class DuplicateEntry(ParseError):
     pass
 
 
-def parse_hypergroup(text: str, tol: float = 1e-9) -> FiniteHypergroup:
+def parse_hypergroup(text: str) -> FiniteHypergroup:
     """Parse a document; axiom validation is a separate, explicit step."""
     n = e = inv = c = None
     seen = set()
+    directives = set()
     lines = text.splitlines()
     body = []
     for lineno, raw in enumerate(lines, start=1):
@@ -61,6 +63,10 @@ def parse_hypergroup(text: str, tol: float = 1e-9) -> FiniteHypergroup:
     for lineno, line in body[1:]:
         fields = line.split()
         key = fields[0]
+        if key in ("n", "e", "inv"):
+            if key in directives:
+                raise DuplicateEntry(f"repeated directive {key!r}", lineno)
+            directives.add(key)
         try:
             if key == "n":
                 n = int(fields[1])
@@ -100,7 +106,7 @@ def parse_hypergroup(text: str, tol: float = 1e-9) -> FiniteHypergroup:
     for idx in inv:
         if not (0 <= idx < n):
             raise RangeError(f"inv entry {idx} out of range for n={n}", 1)
-    return FiniteHypergroup(n, e, np.asarray(inv), c, tol)
+    return FiniteHypergroup(n, e, np.asarray(inv), c)
 
 
 def serialize_hypergroup(h: FiniteHypergroup) -> str:

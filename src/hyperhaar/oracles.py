@@ -30,6 +30,11 @@ __all__ = [
 ]
 
 
+# Singular values below this fraction of the largest count toward the
+# invariance nullspace.
+_RANK_CUT = 1e-8
+
+
 class H6Violation(Exception):
     """A diagonal mass at the identity is nonpositive."""
 
@@ -76,17 +81,18 @@ def _invariance_factor(h: FiniteHypergroup) -> np.ndarray:
     return r
 
 
-def solve_invariance(h: FiniteHypergroup, sv_gap: float = 1e-8) -> Measure:
+def solve_invariance(h: FiniteHypergroup) -> Measure:
     """Solve the left-invariance system with total mass 1 by least squares.
 
     The homogeneous operator must have a one-dimensional nullspace; that is the
     uniqueness certificate for the returned measure. Both the certificate and the
     solve read the operator's n x n triangular factor, built one QR per left
-    factor: O(n^4) time and O(n^2) extra memory.
+    factor: O(n^4) time and O(n^2) extra memory. A weight below -h.tol is
+    refused with NegativeSolution; smaller negative weights are clamped to 0.
     """
     r = _invariance_factor(h)
     sv = np.linalg.svd(r, compute_uv=False)
-    threshold = sv_gap * sv[0]
+    threshold = _RANK_CUT * sv[0]
     nullity = h.n if sv[0] == 0.0 else int(np.sum(sv < threshold))
     if nullity != 1:
         smallest = ", ".join(f"{v:.3e}" for v in sv[::-1][:3])
@@ -103,17 +109,17 @@ def solve_invariance(h: FiniteHypergroup, sv_gap: float = 1e-8) -> Measure:
     return Measure(np.maximum(x, 0.0), nonneg=True)
 
 
-def cyclic_hypergroup(n: int, tol: float = 1e-12) -> FiniteHypergroup:
+def cyclic_hypergroup(n: int) -> FiniteHypergroup:
     """Cyclic group Z_n as a hypergroup."""
     if n < 1:
         raise ValueError("n must be at least 1")
     c = np.zeros((n, n, n))
     idx = np.arange(n)
     c[idx[:, None], idx[None, :], (idx[:, None] + idx[None, :]) % n] = 1.0
-    return FiniteHypergroup(n, 0, (-idx) % n, c, tol)
+    return FiniteHypergroup(n, 0, (-idx) % n, c)
 
 
-def theta_hypergroup(theta: float, tol: float = 1e-12) -> FiniteHypergroup:
+def theta_hypergroup(theta: float) -> FiniteHypergroup:
     """Two-point family: dirac_1 * dirac_1 = theta dirac_0 + (1-theta) dirac_1."""
     if not (0 <= theta <= 1):
         raise ValueError("theta must lie in [0, 1]")
@@ -123,7 +129,7 @@ def theta_hypergroup(theta: float, tol: float = 1e-12) -> FiniteHypergroup:
     c[1, 0, 1] = 1.0
     c[1, 1, 0] = theta
     c[1, 1, 1] = 1.0 - theta
-    return FiniteHypergroup(2, 0, [0, 1], c, tol)
+    return FiniteHypergroup(2, 0, [0, 1], c)
 
 
 def _check_group_table(table: np.ndarray) -> int:
@@ -147,7 +153,7 @@ def _check_group_table(table: np.ndarray) -> int:
     return e
 
 
-def conjugacy_class_hypergroup(table, tol: float = 1e-12) -> FiniteHypergroup:
+def conjugacy_class_hypergroup(table) -> FiniteHypergroup:
     """Class hypergroup of a finite group: points are conjugacy classes.
 
     Masses are counts of product pairs landing in each class, normalized by
@@ -183,10 +189,10 @@ def conjugacy_class_hypergroup(table, tol: float = 1e-12) -> FiniteHypergroup:
     sizes = np.array([len(cls) for cls in classes], dtype=float)
     c = counts / (sizes[:, None, None] * sizes[None, :, None])
     inv = np.array([class_of[int(ginv[cls[0]])] for cls in classes])
-    return FiniteHypergroup(m, class_of[ge], inv, c, tol)
+    return FiniteHypergroup(m, class_of[ge], inv, c)
 
 
-def cosine_grid_hypergroup(m: int, tol: float = 1e-12) -> FiniteHypergroup:
+def cosine_grid_hypergroup(m: int) -> FiniteHypergroup:
     """Reflection-orbit hypergroup on m grid points; identity involution.
 
     dirac_x * dirac_y puts half its mass at |x-y| and half at x+y reflected
@@ -203,16 +209,15 @@ def cosine_grid_hypergroup(m: int, tol: float = 1e-12) -> FiniteHypergroup:
                 hi = 2 * (m - 1) - hi
             c[x, y, lo] += 0.5
             c[x, y, hi] += 0.5
-    return FiniteHypergroup(m, 0, np.arange(m), c, tol)
+    return FiniteHypergroup(m, 0, np.arange(m), c)
 
 
-def product_hypergroup(h1: FiniteHypergroup, h2: FiniteHypergroup,
-                       tol: float = 1e-12) -> FiniteHypergroup:
+def product_hypergroup(h1: FiniteHypergroup, h2: FiniteHypergroup) -> FiniteHypergroup:
     """Tensor product; point (i, j) maps to index i * h2.n + j."""
     n1, n2 = h1.n, h2.n
     c = np.einsum("abc,xyz->axbycz", h1.c, h2.c).reshape(n1 * n2, n1 * n2, n1 * n2)
     inv = (h1.inv[:, None] * n2 + h2.inv[None, :]).reshape(-1)
-    return FiniteHypergroup(n1 * n2, h1.e * n2 + h2.e, inv, c, tol)
+    return FiniteHypergroup(n1 * n2, h1.e * n2 + h2.e, inv, c)
 
 
 def symmetric_group_table(k: int) -> np.ndarray:

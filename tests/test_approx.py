@@ -8,6 +8,7 @@ from hyperhaar import (
     Function,
     Measure,
     NoCover,
+    ShrinkingChain,
     ZeroDenominator,
     approximant,
     bounds_certificate,
@@ -228,6 +229,28 @@ class TestSandwichRatio:
         h = cyclic_hypergroup(4)
         with pytest.raises(ValueError, match="symmetric"):
             sandwich_ratio(h, ones_measure(4), Function([1.0, 1.0, 0.0, 0.0]),
+                           Function.ones(4), Measure.dirac(4, 0))
+
+
+class TestBumpSymmetryIsExact:
+    """Bump symmetry is a structural test: an asymmetry of any size is refused."""
+
+    @staticmethod
+    def nearly_symmetric():
+        v = np.ones(4)
+        v[1] += 1e-13  # Z4 pairs point 1 with point 3
+        return Function(v)
+
+    def test_chain_check(self):
+        h = cyclic_hypergroup(4)
+        chain = ShrinkingChain((range(4), [0]), (self.nearly_symmetric(), terminal_bump(h)))
+        with pytest.raises(ValueError, match="^bump 0 is not symmetric$"):
+            chain.check(h)
+
+    def test_sandwich_ratio(self):
+        h = cyclic_hypergroup(4)
+        with pytest.raises(ValueError, match="^bump must be symmetric$"):
+            sandwich_ratio(h, ones_measure(4), self.nearly_symmetric(),
                            Function.ones(4), Measure.dirac(4, 0))
 
 

@@ -196,3 +196,47 @@ def test_missing_group_table_is_one_line_diagnosis(tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip().splitlines() == [
         f"gen --param {missing}: [Errno 2] No such file or directory: '{missing}'"]
+
+
+# theta = 0: dirac_1 * dirac_1 = dirac_1, so (dirac_1 * dirac_1)(e) = 0 (H6 fails)
+THETA0_DOC = "hypergroup v1\nn 2\ne 0\ninv 0 1\nc 0 0 0 1\nc 0 1 1 1\nc 1 0 1 1\nc 1 1 1 1\n"
+# every left translation is the identity map: the invariance nullspace is 2-d
+IDENTITY_TRANSLATIONS_DOC = ("hypergroup v1\nn 2\ne 0\ninv 0 1\n"
+                             "c 0 0 0 1\nc 1 0 0 1\nc 0 1 1 1\nc 1 1 1 1\n")
+# c[1] is not row-stochastic; the mass-one invariance solution is (2, -1)
+NEGATIVE_DOC = ("hypergroup v1\nn 2\ne 0\ninv 0 1\n"
+                "c 0 0 0 1\nc 0 1 1 1\nc 1 0 0 1.5\nc 1 1 0 1\nc 1 1 1 1\n")
+# dirac_1 * dirac_e != dirac_1 (H4 fails): the chain runs, but its limit is not invariant
+NOT_INVARIANT_DOC = ("hypergroup v1\nn 2\ne 0\ninv 0 1\nc 0 0 0 1\nc 0 1 1 1\n"
+                     "c 1 0 0 0.2\nc 1 0 1 0.8\nc 1 1 0 0.5\nc 1 1 1 0.5\n")
+
+
+@pytest.mark.parametrize("doc,argv,message", [
+    (THETA0_DOC, ("haar", "--method", "net"), "NoCover: no translate of f0 reaches point 1"),
+    (THETA0_DOC, ("compare",), "NoCover: no translate of f0 reaches point 1"),
+    (THETA0_DOC, ("haar", "--method", "jewett"),
+     "H6Violation: (dirac_1 * dirac_1)(e) = 0.0 <= 0"),
+    (THETA0_DOC, ("check-lemmas",), "ZeroDenominator: (mu0 * g)(1) = 0.0 <= 0"),
+    (IDENTITY_TRANSLATIONS_DOC, ("haar", "--method", "solve"),
+     "DegenerateNullspace: invariance nullspace has dimension 2, expected 1 (threshold "
+     "sv_gap*sigma_0 = 0.000e+00; smallest singular values 0.000e+00, 0.000e+00)"),
+    (NEGATIVE_DOC, ("haar", "--method", "solve"),
+     "NegativeSolution: weight 1 is -1, below -tol (tol = 1e-09)"),
+    (NOT_INVARIANT_DOC, ("haar", "--method", "net"),
+     "NotConverged: invariance residual 1.176e-01 above 1.000e-10 after exhausting the chain"),
+], ids=["net-NoCover", "compare-NoCover", "jewett-H6Violation", "lemmas-ZeroDenominator",
+        "solve-DegenerateNullspace", "solve-NegativeSolution", "net-NotConverged"])
+def test_refusal_is_one_line_diagnosis(tmp_path, doc, argv, message):
+    path = tmp_path / "refused.hg"
+    path.write_text(doc)
+    proc = run_cli(argv[0], str(path), *argv[1:])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [f"hypergroup file {path}: {message}"]
+    assert proc.stdout == ""
+
+
+def test_usage_error_exits_2(z4_file):
+    proc = run_cli("haar", z4_file, "--method", "lstsq")
+    assert proc.returncode == 2
+    assert "invalid choice" in proc.stderr

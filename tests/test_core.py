@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,13 @@ from hyperhaar import (
     build_family,
     validate,
 )
-from hyperhaar.core import _convolve_function_measure, _convolve_measure_function, _convolve_measures
+from hyperhaar.core import (
+    AXIOM_TOL,
+    _convolve_function_measure,
+    _convolve_measure_function,
+    _convolve_measures,
+    translates,
+)
 from hyperhaar.oracles import (
     conjugacy_class_hypergroup,
     cosine_grid_hypergroup,
@@ -323,6 +331,26 @@ class TestAssociativityStream:
         assert self.validate_peak(h) < 4 * h.n ** 3 * 8
 
 
+class TestTolerancePolicy:
+    def test_built_hypergroups_carry_the_axiom_tolerance(self, bundled):
+        assert bundled.tol == AXIOM_TOL
+
+    def test_replace_sets_tolerance_and_rechecks(self):
+        h = cyclic_hypergroup(3)
+        assert dataclasses.replace(h, tol=1e-12).tol == 1e-12
+        with pytest.raises(ValueError, match="^tol must be nonnegative$"):
+            dataclasses.replace(h, tol=-1.0)
+
+
+def greedy_loop(k, f):
+    """The greedy cover as a loop over S(f) in increasing t."""
+    w = np.zeros(k.shape[0])
+    for t in sorted(f.support()):
+        s = int(np.argmax(k[:, t]))
+        w[s] += (f.v[t] + 1.0) / k[s, t]
+    return w
+
+
 class TestFindDominatingMeasure:
     def test_constant_reference(self, bundled):
         rng = np.random.default_rng(10)
@@ -344,6 +372,17 @@ class TestFindDominatingMeasure:
         h = theta_hypergroup(0.5)
         mu = find_dominating_measure(h, Function([0.0, 0.0]), Function.ones(2))
         np.testing.assert_array_equal(mu.w, [0.0, 0.0])
+
+    def test_equals_greedy_loop(self, bundled):
+        # ones f0 gives tied columns on groups, so one s collects several points
+        rng = np.random.default_rng(11)
+        n = bundled.n
+        for f0 in (Function.ones(n), Function(rng.uniform(0.1, 1.0, n))):
+            k = translates(bundled, f0)
+            for _ in range(5):
+                f = Function(rng.uniform(0, 2, n) * (rng.random(n) < 0.7))
+                np.testing.assert_array_equal(find_dominating_measure(bundled, f, f0).w,
+                                              greedy_loop(k, f))
 
     def test_no_cover_raises(self):
         # reducible 2-point example: dirac_1 * dirac_1 = dirac_1 fails H6, and

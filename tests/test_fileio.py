@@ -2,9 +2,12 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperhaar import (
     DuplicateEntry,
+    FiniteHypergroup,
     ParseError,
     RangeError,
     parse_hypergroup,
@@ -61,6 +64,12 @@ class TestParse:
         with pytest.raises(DuplicateEntry):
             parse_hypergroup(doc)
 
+    @pytest.mark.parametrize("key,line", [("n", "n 1"), ("e", "e 1"), ("inv", "inv 1 0")])
+    def test_repeated_directive(self, key, line):
+        doc = f"hypergroup v1\nn 2\ne 0\ninv 0 1\n{line}\nc 0 0 0 1\n"
+        with pytest.raises(DuplicateEntry, match=f"^line 5: repeated directive '{key}'$"):
+            parse_hypergroup(doc)
+
     def test_syntax_error_line_located(self):
         doc = "hypergroup v1\nn 2\ne 0\ninv 0 1\nc 0 0 zero 1.0\n"
         with pytest.raises(ParseError) as err:
@@ -84,10 +93,43 @@ class TestRoundTrip:
         np.testing.assert_array_equal(again.inv, bundled.inv)
         assert (again.n, again.e) == (bundled.n, bundled.e)
 
+    def test_tolerance_survives(self, bundled):
+        assert parse_hypergroup(serialize_hypergroup(bundled)).tol == bundled.tol
+
     def test_awkward_floats_survive(self):
         h = theta_hypergroup(1 / 3)
         again = parse_hypergroup(serialize_hypergroup(h))
         np.testing.assert_array_equal(again.c, h.c)
+
+
+# Directive-like lines.  n stays at most 6: parse allocates n^3 floats.
+_tokens = st.one_of(st.integers(-2, 8).map(str),
+                    st.floats().map(repr),
+                    st.sampled_from(["x", "", "1.5", "1e3", "0x1"]))
+_lines = st.one_of(
+    st.one_of(st.integers(-1, 6).map(str), st.sampled_from(["x", "", "2.0"])).map("n {}".format),
+    *(st.lists(_tokens, max_size=size).map(lambda f, key=key: " ".join([key, *f]))
+      for key, size in (("e", 2), ("inv", 8), ("c", 6))),
+    st.sampled_from(["", "# comment", "q 1", "hypergroup v1"]),
+)
+_documents = st.tuples(st.sampled_from(["hypergroup v1", "hypergroup v2", ""]),
+                       st.lists(_lines, max_size=12)).map(lambda d: "\n".join([d[0], *d[1]]))
+
+
+@given(_documents)
+@settings(max_examples=300, deadline=None)
+def test_parse_outcomes(doc):
+    """A document parses, or raises ParseError, or fails FiniteHypergroup's
+    consistency checks with a ValueError: the three outcomes the CLI handles."""
+    try:
+        assert isinstance(parse_hypergroup(doc), FiniteHypergroup)
+    except ParseError:
+        pass
+    except ValueError as exc:
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        assert tb.tb_frame.f_code.co_name == "__post_init__"
 
 
 class TestTraceCsv:
