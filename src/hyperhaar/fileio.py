@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 _MAGIC = "hypergroup v1"
+# fields on a line, the directive included; an inv line lists n entries
+_FIELDS = {"n": 2, "e": 2, "c": 5}
 
 
 class ParseError(Exception):
@@ -63,37 +65,40 @@ def parse_hypergroup(text: str) -> FiniteHypergroup:
     for lineno, line in body[1:]:
         fields = line.split()
         key = fields[0]
-        if key in ("n", "e", "inv"):
-            if key in directives:
-                raise DuplicateEntry(f"repeated directive {key!r}", lineno)
-            directives.add(key)
+        if len(fields) != _FIELDS.get(key, len(fields)):
+            raise ParseError(f"{key!r} line has {len(fields) - 1} fields, expected "
+                             f"{_FIELDS[key] - 1}", lineno)
         try:
-            if key == "n":
-                n = int(fields[1])
-                if n < 1:
-                    raise RangeError("n must be at least 1", lineno)
-                c = np.zeros((n, n, n))
-            elif key == "e":
-                e = int(fields[1])
-            elif key == "inv":
-                inv = [int(x) for x in fields[1:]]
-            elif key == "c":
-                s, t, u = (int(x) for x in fields[1:4])
+            if key == "c":
+                entry = int(fields[1]), int(fields[2]), int(fields[3])
                 value = float(fields[4])
                 if n is None:
                     raise ParseError("'c' entry before 'n'", lineno)
-                for idx in (s, t, u):
+                for idx in entry:
                     if not (0 <= idx < n):
                         raise RangeError(f"index {idx} out of range for n={n}", lineno)
-                if (s, t, u) in seen:
-                    raise DuplicateEntry(f"repeated entry ({s}, {t}, {u})", lineno)
-                seen.add((s, t, u))
-                c[s, t, u] = value
+                if entry in seen:
+                    raise DuplicateEntry(f"repeated entry {entry}", lineno)
+                seen.add(entry)
+                c[entry] = value
+            elif key in ("n", "e", "inv"):
+                if key in directives:
+                    raise DuplicateEntry(f"repeated directive {key!r}", lineno)
+                directives.add(key)
+                if key == "n":
+                    n = int(fields[1])
+                    if n < 1:
+                        raise RangeError("n must be at least 1", lineno)
+                    c = np.zeros((n, n, n))
+                elif key == "e":
+                    e = int(fields[1])
+                else:
+                    inv = [int(x) for x in fields[1:]]
             else:
                 raise ParseError(f"unknown directive {key!r}", lineno)
         except ParseError:
             raise
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise ParseError(str(exc), lineno) from exc
 
     for name, value in (("n", n), ("e", e), ("inv", inv)):

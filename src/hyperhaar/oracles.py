@@ -30,8 +30,8 @@ __all__ = [
 ]
 
 
-# Singular values below this fraction of the largest count toward the
-# invariance nullspace.
+# Singular values up to this fraction of the largest (or of a lower bound on
+# it) count toward the invariance nullspace.
 _RANK_CUT = 1e-8
 
 
@@ -67,42 +67,46 @@ def invariance_residual(h: FiniteHypergroup, chi: Measure) -> float:
     return float(np.abs((chi.w @ h.c)[h.inv] - chi.w).max())
 
 
-def _invariance_factor(h: FiniteHypergroup) -> np.ndarray:
-    """Upper-triangular n x n R with R^T R = A^T A, A the n^2 x n invariance operator.
-
-    A's rows (s, u) are sum_t c[inv[s], t, u] x_t - x_u. Since inv permutes the
-    points, A is the blocks c[s].T - I in some row order, and each block is folded
-    into R by one QR of the 2n x n stack [R; c[s].T - I] (sequential TSQR).
-    """
-    eye = np.eye(h.n)
-    r = np.empty((0, h.n))
-    for cs in h.c:
-        r = np.linalg.qr(np.vstack([r, cs.T - eye]), mode="r")
-    return r
-
-
 def solve_invariance(h: FiniteHypergroup) -> Measure:
-    """Solve the left-invariance system with total mass 1 by least squares.
+    """The left-invariant measure of mass 1, from the invariance operator's nullspace.
 
-    The homogeneous operator must have a one-dimensional nullspace; that is the
-    uniqueness certificate for the returned measure. Both the certificate and the
-    solve read the operator's n x n triangular factor, built one QR per left
-    factor: O(n^4) time and O(n^2) extra memory. A weight below -h.tol is
-    refused with NegativeSolution; smaller negative weights are clamped to 0.
+    The n^2 x n operator A has the blocks c[s].T - I in some row order (inv
+    permutes the points). Its nullspace must be one-dimensional: that is the
+    uniqueness certificate for the returned measure. A is never formed.
+    A x = 0 implies S x = 0 for the block sum S = sum_s (c[s].T - I), so
+    null(A) = B null(A B), with B an orthonormal basis of S's numerical
+    nullspace from one n x n SVD, and A B is one contraction of c with the k
+    columns of B. Singular values of A B up to _RANK_CUT * sigma_hat count
+    toward the nullity; sigma_hat is the largest of sigma_0(S) / sqrt(n),
+    sigma_0(A B) and ||A||_F / sqrt(n), each a lower bound on sigma_0(A).
+    This costs O(k n^3) time and O(k n^2) extra memory, and k = 1 for a
+    hypergroup. A weight below -h.tol is refused with NegativeSolution;
+    smaller negative weights are clamped to 0.
     """
-    r = _invariance_factor(h)
-    sv = np.linalg.svd(r, compute_uv=False)
-    threshold = _RANK_CUT * sv[0]
-    nullity = h.n if sv[0] == 0.0 else int(np.sum(sv < threshold))
+    n, c = h.n, h.c
+    frobenius = np.sqrt(max(np.vdot(c, c) - 2.0 * np.einsum("stt->", c) + n * n, 0.0))
+    s = c.sum(axis=0).T
+    s[np.diag_indices(n)] -= n
+    _, sv_s, vt = np.linalg.svd(s)
+    # ||S x|| <= sqrt(n) ||A x||, so this cut keeps every direction that A's cut
+    # below can count, even where S is rounding noise; one column at least, so
+    # the nullity is always decided, and reported, on A B
+    k = max(1, int(np.sum(sv_s <= np.sqrt(n) * _RANK_CUT * frobenius)))
+    b = vt[n - k:]
+    # row j of ab is column j of A B: sum_t b[j, t] c[s, t, u] - b[j, u] over (s, u)
+    ab = np.matmul(b, c)
+    ab -= b
+    u, sv, _ = np.linalg.svd(ab.swapaxes(0, 1).reshape(k, n * n), full_matrices=False)
+    threshold = _RANK_CUT * max(sv_s[0] / np.sqrt(n), sv[0], frobenius / np.sqrt(n))
+    nullity = int(np.sum(sv <= threshold))
     if nullity != 1:
         smallest = ", ".join(f"{v:.3e}" for v in sv[::-1][:3])
         raise DegenerateNullspace(
             f"invariance nullspace has dimension {nullity}, expected 1 "
-            f"(threshold sv_gap*sigma_0 = {threshold:.3e}; smallest singular values {smallest})")
-    # ||A x|| = ||R x||, so this is the least-squares problem of [A; 1^T] x = e_last
-    rhs = np.zeros(h.n + 1)
-    rhs[-1] = 1.0
-    x, *_ = np.linalg.lstsq(np.vstack([r, np.ones(h.n)]), rhs, rcond=None)
+            f"(threshold {_RANK_CUT:g}*sigma_hat = {threshold:.3e}; "
+            f"smallest singular values of the reduced operator {smallest})")
+    x = b.T @ u[:, -1]
+    x /= x.sum()
     worst = int(np.argmin(x))
     if x[worst] < -h.tol:
         raise NegativeSolution(f"weight {worst} is {x[worst]:.6g}, below -tol (tol = {h.tol:g})")

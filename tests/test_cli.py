@@ -219,7 +219,8 @@ NOT_INVARIANT_DOC = ("hypergroup v1\nn 2\ne 0\ninv 0 1\nc 0 0 0 1\nc 0 1 1 1\n"
     (THETA0_DOC, ("check-lemmas",), "ZeroDenominator: (mu0 * g)(1) = 0.0 <= 0"),
     (IDENTITY_TRANSLATIONS_DOC, ("haar", "--method", "solve"),
      "DegenerateNullspace: invariance nullspace has dimension 2, expected 1 (threshold "
-     "sv_gap*sigma_0 = 0.000e+00; smallest singular values 0.000e+00, 0.000e+00)"),
+     "1e-08*sigma_hat = 0.000e+00; smallest singular values of the reduced operator "
+     "0.000e+00, 0.000e+00)"),
     (NEGATIVE_DOC, ("haar", "--method", "solve"),
      "NegativeSolution: weight 1 is -1, below -tol (tol = 1e-09)"),
     (NOT_INVARIANT_DOC, ("haar", "--method", "net"),

@@ -76,6 +76,18 @@ class TestParse:
             parse_hypergroup(doc)
         assert err.value.line == 5
 
+    @pytest.mark.parametrize("lines,message", [
+        ("n 2 7\ne 0\ninv 0 1", "line 2: 'n' line has 2 fields, expected 1"),
+        ("n 2\ne 0 1\ninv 0 1", "line 3: 'e' line has 2 fields, expected 1"),
+        ("n 2\ne\ninv 0 1", "line 3: 'e' line has 0 fields, expected 1"),
+        ("n 2\ne 0\ninv 0 1\nc 0 0 0 1 5", "line 5: 'c' line has 5 fields, expected 4"),
+        ("n 2\ne 0\ninv 0 1\nc 1 1 0 1 extra", "line 5: 'c' line has 5 fields, expected 4"),
+        ("n 2\ne 0\ninv 0 1\nc 0 0 0", "line 5: 'c' line has 3 fields, expected 4"),
+    ], ids=["n-extra", "e-extra", "e-missing", "c-extra", "c-extra-word", "c-missing"])
+    def test_field_count_checked(self, lines, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_hypergroup(f"hypergroup v1\n{lines}\n")
+
     def test_unknown_directive(self):
         with pytest.raises(ParseError, match="unknown directive"):
             parse_hypergroup("hypergroup v1\nn 2\ne 0\ninv 0 1\nq 1\n")

@@ -1,6 +1,7 @@
 import gc
 import re
 import warnings
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hyperhaar import (
     validate,
 )
 from hyperhaar.oracles import (
-    _invariance_factor,
+    _RANK_CUT,
     conjugacy_class_hypergroup,
     cosine_grid_hypergroup,
     cyclic_hypergroup,
@@ -28,7 +29,7 @@ from hyperhaar.oracles import (
     theta_hypergroup,
 )
 
-from conftest import s3_table, traced_peak
+from conftest import BUNDLED, s3_table, traced_peak
 
 
 def identity_translations():
@@ -53,13 +54,14 @@ def dense_operator(h):
     return h.c[h.inv].transpose(0, 2, 1).reshape(n * n, n) - np.tile(np.eye(n), (n, 1))
 
 
-def dense_invariance(h, sv_gap=1e-8):
+def dense_invariance(h):
     """Reference solve on the materialized operator: its singular values, the
-    nullity by the sv_gap rule, and the stacked least-squares weights."""
+    nullity by the rank cut relative to the largest, and the stacked
+    least-squares weights."""
     n = h.n
     a = dense_operator(h)
     sv = np.linalg.svd(a, compute_uv=False)
-    nullity = n if sv[0] == 0.0 else int(np.sum(sv < sv_gap * sv[0]))
+    nullity = n if sv[0] == 0.0 else int(np.sum(sv < _RANK_CUT * sv[0]))
     rhs = np.zeros(n * n + 1)
     rhs[-1] = 1.0
     x, *_ = np.linalg.lstsq(np.vstack([a, np.ones((1, n))]), rhs, rcond=None)
@@ -106,15 +108,16 @@ class TestSolveInvariance:
     def test_degenerate_nullspace(self):
         with pytest.raises(DegenerateNullspace, match=(
                 r"^invariance nullspace has dimension 2, expected 1 \(threshold "
-                r"sv_gap\*sigma_0 = 0\.000e\+00; smallest singular values "
-                r"0\.000e\+00, 0\.000e\+00\)$")):
+                r"1e-08\*sigma_hat = 0\.000e\+00; smallest singular values of the "
+                r"reduced operator 0\.000e\+00, 0\.000e\+00\)$")):
             solve_invariance(identity_translations())
 
     def test_degenerate_nullspace_names_threshold_and_spectrum_head(self):
-        # sigma_0 = 2 sqrt 2; two singular values vanish, the third is sigma_0
+        # S = 2 (swap - I) has sigma_0 = 4, so sigma_hat = 4 / sqrt 3; the reduced
+        # operator has two columns, the nullspace itself, and both values vanish
         pattern = (r"^invariance nullspace has dimension 2, expected 1 \(threshold "
-                   r"sv_gap\*sigma_0 = 2\.828e-08; smallest singular values "
-                   r"(\S+), (\S+), 2\.828e\+00\)$")
+                   r"1e-08\*sigma_hat = 2\.309e-08; smallest singular values of the "
+                   r"reduced operator (\S+), (\S+)\)$")
         with pytest.raises(DegenerateNullspace, match=pattern) as info:
             solve_invariance(swap_translations())
         head = re.match(pattern, str(info.value)).groups()
@@ -131,12 +134,17 @@ class TestSolveInvariance:
         loose = FiniteHypergroup(2, 0, [0, 1], c, tol=2.0)
         np.testing.assert_allclose(solve_invariance(loose).w, [2.0, 0.0], atol=1e-12)
 
+    def test_null_vector_without_mass_refused(self):
+        # c[1].T - I = [[1, 1], [1, 1]]: the only null vector is (1, -1), of mass 0,
+        # so no mass-one solution exists (the stacked least squares gives (1/6, 1/6))
+        c = np.stack([np.eye(2), [[2.0, 1.0], [1.0, 2.0]]])
+        with pytest.raises(NegativeSolution):
+            solve_invariance(FiniteHypergroup(2, 0, [0, 1], c))
+
 
 class TestStreamedSolve:
     def check_against_dense(self, h):
-        sv, nullity, x = dense_invariance(h)
-        got = np.linalg.svd(_invariance_factor(h), compute_uv=False)
-        assert np.abs(got - sv).max() <= 1e-12 * sv[0]
+        _, nullity, x = dense_invariance(h)
         if nullity != 1:
             with pytest.raises(DegenerateNullspace):
                 solve_invariance(h)
@@ -165,6 +173,66 @@ class TestStreamedSolve:
         h = cosine_grid_hypergroup(48)
         _, peak = traced_peak(solve_invariance, h)
         assert peak < h.n ** 3 * 8
+
+    def test_peak_memory_below_eight_n2_floats(self):
+        h = cosine_grid_hypergroup(48)
+        _, peak = traced_peak(solve_invariance, h)
+        assert peak < 8 * h.n ** 2 * 8
+
+
+class TestBlockSumReduction:
+    """The solve reduces A through its block sum S = sum_s (c[s].T - I); these
+    inputs are the ones where S alone says little."""
+
+    def test_block_sum_zero(self):
+        # [I, Q, 2I - Q] sums to 3I, so S = 0 and every direction reaches the
+        # reduced operator; A x = 0 says Q^T x = x, one stationary vector
+        q = np.random.default_rng(5).uniform(0.1, 1.0, (3, 3))
+        q /= q.sum(axis=1, keepdims=True)
+        h = FiniteHypergroup(3, 0, [0, 1, 2], np.stack([np.eye(3), q, 2 * np.eye(3) - q]))
+        assert np.array_equal(h.c.sum(axis=0), 3 * np.eye(3))
+        _, nullity, x = dense_invariance(h)
+        assert nullity == 1
+        got = solve_invariance(h).w
+        np.testing.assert_allclose(got, x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got @ q, got, rtol=0, atol=1e-12)
+
+    def test_block_sum_rounding_noise(self):
+        # [I, P, Q, 3I - P - Q] with P, Q doubly stochastic: S is 0 up to rounding,
+        # so a cut relative to sigma_0(S) alone would keep a random subspace
+        perms = np.eye(4)[list(permutations(range(4)))]
+        noisy = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            p, q = (np.einsum("k,kij->ij", rng.dirichlet(np.ones(24)), perms) for _ in range(2))
+            c = np.stack([np.eye(4), p, q, 3 * np.eye(4) - p - q])
+            h = FiniteHypergroup(4, 0, [0, 1, 2, 3], c)
+            noisy += not np.array_equal(h.c.sum(axis=0), 4 * np.eye(4))
+            _, nullity, x = dense_invariance(h)
+            assert nullity == 1
+            np.testing.assert_allclose(solve_invariance(h).w, x, rtol=0, atol=1e-12)
+        assert noisy > 0
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-10, 1e-6, 1e-3])
+    @pytest.mark.parametrize("name", ["Z4", "S3-classes"])
+    def test_perturbed_matches_dense(self, name, eps):
+        base = build_family(BUNDLED[name])
+        for seed in range(10):
+            noise = np.random.default_rng(seed).standard_normal(base.c.shape)
+            h = FiniteHypergroup(base.n, base.e, base.inv, base.c + eps * noise)
+            sv, nullity, x = dense_invariance(h)
+            if nullity != 1:
+                with pytest.raises(DegenerateNullspace, match=f"dimension {nullity},"):
+                    solve_invariance(h)
+                continue
+            got = solve_invariance(h).w
+            # A has no exact null vector here: the reduced solve returns S's, the
+            # reference A's least-squares one; by the residual over the gap their
+            # angle is at most theta, which moves mass-one weights by at most
+            # (1 + sqrt n) theta |x|_2 to first order
+            theta = np.linalg.norm(dense_operator(h) @ got) / np.linalg.norm(got) / sv[-2]
+            bound = 1e-12 + 2 * (1 + np.sqrt(h.n)) * theta * np.linalg.norm(x)
+            assert np.abs(got - x).max() <= bound
 
 
 class TestInvarianceResidual:
