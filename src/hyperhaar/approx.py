@@ -287,7 +287,7 @@ def haar_net(h: FiniteHypergroup, cfg: ApproximantConfig):
         prev_vals = vals
 
     residual = invariance_residual(h, chi)
-    if residual > CERTIFY_TOL:
+    if not residual <= CERTIFY_TOL:  # a NaN residual certifies nothing
         raise NotConverged(
             f"invariance residual {residual:.3e} above {CERTIFY_TOL:.3e} "
             "after exhausting the chain")

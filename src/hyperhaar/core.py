@@ -347,11 +347,11 @@ def validate(h: FiniteHypergroup, tol: Optional[float] = None) -> ValidationRepo
     h6_ok = bool(np.all(diag > tol) and np.all(off <= tol))
     worst = 0.0
     witness = None
-    if np.any(diag <= tol):
-        t = int(np.argmin(diag))
+    if not np.all(diag > tol):
+        t = int(np.argmin(diag))  # the first NaN, if there is one
         witness = (t, t)
         worst = float(diag[t])
-    elif np.any(off > tol):
+    elif not np.all(off <= tol):
         witness = _argmax_witness(off)
         worst = float(off.max())
     checks["H6"] = AxiomCheck("H6", h6_ok, worst, witness)

@@ -7,12 +7,13 @@ once each:
     n <int>
     e <int>
     inv <int> ... <int>          # n entries
-    c <s> <t> <u> <float>        # sparse; unlisted entries are zero
+    c <s> <t> <u> <float>        # sparse, finite; unlisted entries are zero
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from typing import TextIO
 
 import numpy as np
@@ -52,7 +53,7 @@ def parse_hypergroup(text: str) -> FiniteHypergroup:
     """Parse a document; axiom validation is a separate, explicit step."""
     n = e = inv = c = None
     seen = set()
-    directives = set()
+    directives = {}  # directive -> its line
     lines = text.splitlines()
     body = []
     for lineno, raw in enumerate(lines, start=1):
@@ -72,6 +73,8 @@ def parse_hypergroup(text: str) -> FiniteHypergroup:
             if key == "c":
                 entry = int(fields[1]), int(fields[2]), int(fields[3])
                 value = float(fields[4])
+                if not math.isfinite(value):
+                    raise ParseError(f"value {fields[4]!r} is not finite", lineno)
                 if n is None:
                     raise ParseError("'c' entry before 'n'", lineno)
                 for idx in entry:
@@ -84,7 +87,7 @@ def parse_hypergroup(text: str) -> FiniteHypergroup:
             elif key in ("n", "e", "inv"):
                 if key in directives:
                     raise DuplicateEntry(f"repeated directive {key!r}", lineno)
-                directives.add(key)
+                directives[key] = lineno
                 if key == "n":
                     n = int(fields[1])
                     if n < 1:
@@ -105,12 +108,12 @@ def parse_hypergroup(text: str) -> FiniteHypergroup:
         if value is None:
             raise ParseError(f"missing directive {name!r}", len(lines) or 1)
     if not (0 <= e < n):
-        raise RangeError(f"identity {e} out of range for n={n}", 1)
+        raise RangeError(f"identity {e} out of range for n={n}", directives["e"])
     if len(inv) != n:
-        raise ParseError(f"inv must list {n} entries, got {len(inv)}", 1)
+        raise ParseError(f"inv must list {n} entries, got {len(inv)}", directives["inv"])
     for idx in inv:
         if not (0 <= idx < n):
-            raise RangeError(f"inv entry {idx} out of range for n={n}", 1)
+            raise RangeError(f"inv entry {idx} out of range for n={n}", directives["inv"])
     return FiniteHypergroup(n, e, np.asarray(inv), c)
 
 

@@ -53,9 +53,10 @@ def jewett_haar(h: FiniteHypergroup) -> Measure:
     Returned unnormalized; callers rescale as needed.
     """
     diag = h.c[np.arange(h.n), h.inv, h.e]
-    if np.any(diag <= 0):
-        t = int(np.argmin(diag))
-        raise H6Violation(f"(dirac_{t} * dirac_{int(h.inv[t])})(e) = {diag[t]} <= 0")
+    if not np.all(diag > 0):
+        t = int(np.argmin(diag))  # the first NaN, if there is one
+        raise H6Violation(f"(dirac_{t} * dirac_{int(h.inv[t])})(e) = {diag[t]} "
+                          + ("<= 0" if diag[t] <= 0 else "is not a number"))
     return Measure(1.0 / diag, nonneg=True)
 
 
@@ -140,20 +141,19 @@ def _check_group_table(table: np.ndarray) -> int:
     n = table.shape[0]
     if table.shape != (n, n) or np.any(table < 0) or np.any(table >= n):
         raise ValueError("group table must be n x n with entries in 0..n-1")
-    e = None
-    for a in range(n):
-        if np.array_equal(table[a], np.arange(n)) and np.array_equal(table[:, a], np.arange(n)):
-            e = a
-            break
-    if e is None:
+    idx = np.arange(n)
+    is_e = np.all(table == idx, axis=1) & np.all(table.T == idx, axis=1)
+    if not is_e.any():
         raise ValueError("group table has no identity")
+    e = int(np.argmax(is_e))
+    no_inv = ~np.any(table == e, axis=1)
+    if no_inv.any():
+        raise ValueError(f"element {int(np.argmax(no_inv))} has no inverse")
+    # row b of each side is (a b) c and a (b c) over c: O(n^2) memory per a
     for a in range(n):
-        if not np.any(table[a] == e):
-            raise ValueError(f"element {a} has no inverse")
-    for a in range(n):
-        for b in range(n):
-            if not np.array_equal(table[table[a, b]], table[a][table[b]]):
-                raise ValueError(f"group table not associative at ({a}, {b})")
+        bad = np.any(table[table[a]] != table[a][table], axis=1)
+        if bad.any():
+            raise ValueError(f"group table not associative at ({a}, {int(np.argmax(bad))})")
     return e
 
 
@@ -165,35 +165,17 @@ def conjugacy_class_hypergroup(table) -> FiniteHypergroup:
     """
     table = np.asarray(table, dtype=int)
     ge = _check_group_table(table)
-    n = table.shape[0]
-    ginv = np.array([int(np.flatnonzero(table[a] == ge)[0]) for a in range(n)])
-
-    seen = set()
-    classes = []
-    for a in range(n):
-        if a in seen:
-            continue
-        orbit = {table[table[g, a], ginv[g]] for g in range(n)}
-        orbit = frozenset(int(x) for x in orbit)
-        seen |= orbit
-        classes.append(tuple(sorted(orbit)))
-    classes.sort(key=min)
-    class_of = {}
-    for i, cls in enumerate(classes):
-        for a in cls:
-            class_of[a] = i
-
-    m = len(classes)
-    counts = np.zeros((m, m, m), dtype=np.int64)
-    for i, ki in enumerate(classes):
-        for j, kj in enumerate(classes):
-            for x in ki:
-                for y in kj:
-                    counts[i, j, class_of[int(table[x, y])]] += 1
-    sizes = np.array([len(cls) for cls in classes], dtype=float)
-    c = counts / (sizes[:, None, None] * sizes[None, :, None])
-    inv = np.array([class_of[int(ginv[cls[0]])] for cls in classes])
-    return FiniteHypergroup(m, class_of[ge], inv, c)
+    ginv = np.argmax(table == ge, axis=1)
+    # conj[g, a] = g a g^-1; classes are numbered in order of their smallest member
+    conj = table[table, ginv[:, None]]
+    reps, class_of = np.unique(conj.min(axis=0), return_inverse=True)
+    m = len(reps)
+    # one count per product x y at (class of x, class of y, class of x y)
+    idx = (class_of[:, None] * m + class_of[None, :]) * m + class_of[table]
+    counts = np.bincount(idx.ravel(), minlength=m ** 3)
+    sizes = np.bincount(class_of).astype(float)
+    c = counts.reshape(m, m, m) / (sizes[:, None, None] * sizes[None, :, None])
+    return FiniteHypergroup(m, int(class_of[ge]), class_of[ginv[reps]], c)
 
 
 def cosine_grid_hypergroup(m: int) -> FiniteHypergroup:
@@ -204,15 +186,10 @@ def cosine_grid_hypergroup(m: int) -> FiniteHypergroup:
     """
     if m < 2:
         raise ValueError("m must be at least 2")
+    x, y = np.indices((m, m))
     c = np.zeros((m, m, m))
-    for x in range(m):
-        for y in range(m):
-            lo = abs(x - y)
-            hi = x + y
-            if hi > m - 1:
-                hi = 2 * (m - 1) - hi
-            c[x, y, lo] += 0.5
-            c[x, y, hi] += 0.5
+    c[x, y, np.abs(x - y)] += 0.5
+    c[x, y, np.minimum(x + y, 2 * (m - 1) - x - y)] += 0.5
     return FiniteHypergroup(m, 0, np.arange(m), c)
 
 

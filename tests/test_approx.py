@@ -8,6 +8,7 @@ from hyperhaar import (
     Function,
     Measure,
     NoCover,
+    NotConverged,
     ShrinkingChain,
     ZeroDenominator,
     approximant,
@@ -390,6 +391,12 @@ class TestHaarNet:
         if last.u_size == 1:
             assert last.gap < 1e-12
             assert last.rho == pytest.approx(1.0, abs=1e-12)
+
+    def test_nan_residual_refused(self):
+        c = theta_hypergroup(0.5).c.copy()
+        c[1, 1, 1] = np.nan
+        with pytest.raises(NotConverged, match="^invariance residual nan above"):
+            self.run(FiniteHypergroup(2, 0, [0, 1], c))
 
 
 def reference_net(h, mu0, f0, chain, conv_tol=1e-12):

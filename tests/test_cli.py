@@ -178,6 +178,26 @@ def test_bad_document_is_one_line_diagnosis(tmp_path, argv, text, message):
     assert proc.stderr.strip().splitlines() == [f"hypergroup file {path}: {message}"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("validate",),
+    ("haar", "--method", "net"),
+    ("haar", "--method", "jewett"),
+    ("haar", "--method", "solve"),
+    ("compare",),
+    ("check-lemmas",),
+], ids=["validate", "net", "jewett", "solve", "compare", "check-lemmas"])
+def test_non_finite_value_is_one_line_diagnosis(tmp_path, argv):
+    path = tmp_path / "nan.hg"
+    path.write_text("hypergroup v1\nn 2\ne 0\ninv 0 1\nc 0 0 0 1\nc 0 1 1 1\n"
+                    "c 1 0 1 1\nc 1 1 0 nan\nc 1 1 1 0.5\n")
+    proc = run_cli(argv[0], str(path), *argv[1:])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [
+        f"hypergroup file {path}: line 8: value 'nan' is not finite"]
+    assert proc.stdout == ""
+
+
 def test_undecodable_document_is_one_line_diagnosis(tmp_path):
     path = tmp_path / "binary.hg"
     path.write_bytes(b"hypergroup v1\n\xff\xfe\n")

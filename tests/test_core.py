@@ -219,6 +219,16 @@ class TestValidate:
         assert not check.passed
         assert check.witness == (1, 1)
 
+    @pytest.mark.parametrize("where,witness", [((1, 1, 0), (1, 1)), ((0, 1, 0), (0, 1))],
+                             ids=["diagonal", "off-diagonal"])
+    def test_nan_fails_h6_with_witness(self, where, witness):
+        c = theta_hypergroup(0.5).c.copy()
+        c[where] = np.nan
+        check = validate(FiniteHypergroup(2, 0, [0, 1], c)).checks["H6"]
+        assert not check.passed
+        assert check.witness == witness
+        assert np.isnan(check.worst)
+
     def test_perturbed_z4_fails_h1_and_associativity(self):
         h = cyclic_hypergroup(4)
         c = h.c.copy()

@@ -88,6 +88,23 @@ class TestParse:
         with pytest.raises(ParseError, match=f"^{message}$"):
             parse_hypergroup(f"hypergroup v1\n{lines}\n")
 
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "1e999"])
+    def test_non_finite_value_refused(self, value):
+        doc = f"hypergroup v1\nn 2\ne 0\ninv 0 1\nc 1 1 0 {value}\n"
+        with pytest.raises(ParseError, match=f"^line 5: value '{value}' is not finite$"):
+            parse_hypergroup(doc)
+
+    @pytest.mark.parametrize("doc,error,line,message", [
+        ("n 3\ne 5\ninv 0 1 2", RangeError, 3, "identity 5 out of range for n=3"),
+        ("n 3\ninv 0 1 2\n# comment\n\ne 3", RangeError, 6, "identity 3 out of range for n=3"),
+        ("n 3\ne 0\n\ninv 0 1", ParseError, 5, "inv must list 3 entries, got 2"),
+        ("inv 0 1 7\nn 3\ne 0", RangeError, 2, "inv entry 7 out of range for n=3"),
+    ], ids=["e-line-3", "e-line-6", "inv-length", "inv-entry"])
+    def test_directive_checks_report_their_line(self, doc, error, line, message):
+        with pytest.raises(error, match=f"^line {line}: {message}$") as err:
+            parse_hypergroup(f"hypergroup v1\n{doc}\n")
+        assert err.value.line == line
+
     def test_unknown_directive(self):
         with pytest.raises(ParseError, match="unknown directive"):
             parse_hypergroup("hypergroup v1\nn 2\ne 0\ninv 0 1\nq 1\n")

@@ -86,6 +86,13 @@ class TestJewettHaar:
         with pytest.raises(H6Violation):
             jewett_haar(theta_hypergroup(0.0))
 
+    def test_nan_diagonal_refused(self):
+        c = theta_hypergroup(0.5).c.copy()
+        c[1, 1, 0] = np.nan
+        message = "(dirac_1 * dirac_1)(e) = nan is not a number"
+        with pytest.raises(H6Violation, match=f"^{re.escape(message)}$"):
+            jewett_haar(FiniteHypergroup(2, 0, [0, 1], c))
+
 
 class TestSolveInvariance:
     def test_theta_half(self):
@@ -311,6 +318,93 @@ class TestBuildFamily:
             build_family(FamilySpec.parse("theta2", "0"))
         with pytest.raises(ValueError):
             build_family(FamilySpec.parse("cosine-grid", "1"))
+
+
+def dihedral_table(k):
+    """D_k of order 2k: element r + k f is rotation r, then reflection if f = 1."""
+    a = np.arange(2 * k)
+    r, f = a % k, a // k
+    rot = (r[:, None] + np.where(f[:, None] == 0, 1, -1) * r[None, :]) % k
+    return rot + k * (f[:, None] ^ f[None, :])
+
+
+def reference_class_hypergroup(table):
+    """The class hypergroup from its definition: conjugacy classes as indicator
+    rows, ordered by smallest member, and the class-pair counts of products as
+    one einsum."""
+    n = len(table)
+    e = next(a for a in range(n) if all(table[a, b] == b == table[b, a] for b in range(n)))
+    ginv = [next(b for b in range(n) if table[a, b] == e) for a in range(n)]
+    classes = sorted({frozenset(int(table[table[g, a], ginv[g]]) for g in range(n))
+                      for a in range(n)}, key=min)
+    ind = np.array([[x in k for x in range(n)] for k in classes], dtype=np.int64)
+    lands = np.eye(n, dtype=np.int64)[table]  # lands[x, y, z] = [x y == z]
+    counts = np.einsum("ix,jy,xyz,kz->ijk", ind, ind, lands, ind, optimize=True)
+    sizes = ind.sum(axis=1).astype(float)
+    c = counts / (sizes[:, None, None] * sizes[None, :, None])
+    class_of = ind.argmax(axis=0)
+    inv = class_of[[ginv[min(k)] for k in classes]]
+    return FiniteHypergroup(len(classes), int(class_of[e]), inv, c)
+
+
+def reference_cosine_grid(m):
+    """Half the mass at |x - y| and half at x + y reflected at m - 1."""
+    c = np.zeros((m, m, m))
+    for x in range(m):
+        for y in range(m):
+            hi = x + y if x + y <= m - 1 else 2 * (m - 1) - (x + y)
+            c[x, y, abs(x - y)] += 0.5
+            c[x, y, hi] += 0.5
+    return FiniteHypergroup(m, 0, np.arange(m), c)
+
+
+def assert_same_hypergroup(got, ref):
+    assert (got.n, got.e) == (ref.n, ref.e)
+    assert got.c.tobytes() == ref.c.tobytes()
+    np.testing.assert_array_equal(got.inv, ref.inv)
+
+
+class TestBuildersMatchDefinition:
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_symmetric_groups(self, k):
+        table = symmetric_group_table(k)
+        assert_same_hypergroup(conjugacy_class_hypergroup(table),
+                               reference_class_hypergroup(table))
+
+    def test_dihedral_groups(self):
+        for k in range(3, 31):
+            table = dihedral_table(k)
+            got = conjugacy_class_hypergroup(table)
+            assert_same_hypergroup(got, reference_class_hypergroup(table))
+            # D_k has (k + 3) / 2 classes for odd k and k / 2 + 3 for even k
+            assert got.n == ((k + 3) // 2 if k % 2 else k // 2 + 3)
+
+    def test_cyclic_groups(self):
+        # the classes of Z_n are singletons and most are not their own inverse
+        for n in range(1, 13):
+            table = np.add.outer(np.arange(n), np.arange(n)) % n
+            got = conjugacy_class_hypergroup(table)
+            assert_same_hypergroup(got, reference_class_hypergroup(table))
+            np.testing.assert_array_equal(got.inv, (-np.arange(n)) % n)
+
+    def test_cosine_grids(self):
+        for m in range(2, 65):
+            assert_same_hypergroup(cosine_grid_hypergroup(m), reference_cosine_grid(m))
+
+    @pytest.mark.parametrize("table,message", [
+        ([[0, 2], [1, 0]], "group table must be n x n with entries in 0..n-1"),
+        ([[0, 1, 0], [1, 0, 1]], "group table must be n x n with entries in 0..n-1"),
+        ([[0, 0, 0]] * 3, "group table has no identity"),
+        ([[0, 1, 2], [1, 1, 1], [2, 1, 2]], "element 1 has no inverse"),
+        ([[0, 1, 2], [1, 0, 0], [2, 0, 0]], "group table not associative at (1, 1)"),
+        ([[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
+          [3, 2, 5, 4, 1, 0], [4, 5, 1, 0, 3, 2], [5, 4, 3, 2, 1, 0]],
+         "group table not associative at (1, 3)"),
+    ], ids=["range", "shape", "no-identity", "no-inverse", "not-associative",
+            "s3-two-entries-swapped"])
+    def test_malformed_table(self, table, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            conjugacy_class_hypergroup(table)
 
 
 class TestOracleAgreement:
