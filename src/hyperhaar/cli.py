@@ -109,11 +109,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    # ValueError covers a malformed parameter or group table and undecodable text
     try:
-        spec = FamilySpec.parse(args.family, args.param)
-    except (OSError, UnicodeDecodeError) as exc:
+        h = build_family(FamilySpec.parse(args.family, args.param))
+    except (OSError, ValueError) as exc:
         raise SystemExit(f"gen --param {args.param}: {exc}") from None
-    text = serialize_hypergroup(build_family(spec))
+    text = serialize_hypergroup(h)
     if args.output:
         Path(args.output).write_text(text)
     else:

@@ -247,10 +247,10 @@ class FamilySpec:
         if family == "cosine-grid":
             return FamilySpec("cosine-grid", m=int(param))
         if family == "product":
-            parts = param.split(",")
-            if len(parts) != 2:
+            parts = [p.split(":", 1) for p in param.split(",")]
+            if len(parts) != 2 or any(len(p) != 2 for p in parts):
                 raise ValueError("product parameter must be '<family>:<param>,<family>:<param>'")
-            specs = tuple(FamilySpec.parse(*p.split(":", 1)) for p in parts)
+            specs = tuple(FamilySpec.parse(*p) for p in parts)
             return FamilySpec("product", factors=specs)
         raise ValueError(f"unknown family {family!r}")
 

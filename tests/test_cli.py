@@ -218,6 +218,42 @@ def test_missing_group_table_is_one_line_diagnosis(tmp_path):
         f"gen --param {missing}: [Errno 2] No such file or directory: '{missing}'"]
 
 
+@pytest.mark.parametrize("family,param,table,message", [
+    ("cyclic", "0", None, "n must be at least 1"),
+    ("cyclic", "x", None, "invalid literal for int() with base 10: 'x'"),
+    ("theta2", "2", None, "theta must lie in (0, 1]"),
+    ("conj-class", "table.txt", "0 1 2\n1 0 0\n2 0 0\n", "group table not associative at (1, 1)"),
+    ("conj-class", "table.txt", "0 1\n1\n",
+     "setting an array element with a sequence. The requested array has an inhomogeneous "
+     "shape after 1 dimensions. The detected shape was (2,) + inhomogeneous part."),
+    ("conj-class", "table.txt", "0 1\n1 x\n", "invalid literal for int() with base 10: 'x'"),
+    ("product", "cyclic,cyclic", None,
+     "product parameter must be '<family>:<param>,<family>:<param>'"),
+], ids=["cyclic-0", "cyclic-x", "theta2-2", "table-malformed", "table-ragged", "table-x",
+        "product-no-params"])
+def test_bad_gen_param_is_one_line_diagnosis(tmp_path, family, param, table, message):
+    if table is not None:
+        param = str(tmp_path / param)
+        Path(param).write_text(table)
+    out = tmp_path / "out.hg"
+    proc = run_cli("gen", "--family", family, "--param", param, "-o", str(out))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [f"gen --param {param}: {message}"]
+    assert not out.exists()
+
+
+def test_non_ascii_entry_is_one_line_diagnosis(tmp_path):
+    path = tmp_path / "underscore.hg"
+    path.write_text("hypergroup v1\nn 2\ne 0\ninv 0 1\nc 0 0 1_0 1\n")
+    proc = run_cli("validate", str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [
+        f"hypergroup file {path}: line 5: index '1_0' must be written in ASCII digits "
+        "without underscores"]
+
+
 # theta = 0: dirac_1 * dirac_1 = dirac_1, so (dirac_1 * dirac_1)(e) = 0 (H6 fails)
 THETA0_DOC = "hypergroup v1\nn 2\ne 0\ninv 0 1\nc 0 0 0 1\nc 0 1 1 1\nc 1 0 1 1\nc 1 1 1 1\n"
 # every left translation is the identity map: the invariance nullspace is 2-d
