@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -21,10 +22,11 @@ _REFUSALS = (NoCover, H6Violation, ZeroDenominator, DegenerateNullspace, Negativ
 
 
 def _load(path: str):
-    # ValueError covers undecodable text and FiniteHypergroup's consistency checks
+    # ValueError covers undecodable text and FiniteHypergroup's consistency checks;
+    # MemoryError an n whose n^3 tensor cannot be allocated
     try:
         return parse_hypergroup(Path(path).read_text())
-    except (OSError, ValueError, ParseError) as exc:
+    except (OSError, ValueError, ParseError, MemoryError) as exc:
         raise SystemExit(f"hypergroup file {path}: {exc}") from None
 
 
@@ -48,6 +50,8 @@ def _parse_mu0(spec: str, n: int) -> Measure:
         raise SystemExit(f"mu0 file {spec}: {exc}") from None
     if w.size != n:
         raise SystemExit(f"mu0 file {spec}: {w.size} weights, expected n={n}")
+    if not np.all(np.isfinite(w)):
+        raise SystemExit(f"mu0 file {spec}: weights must be finite")
     if not np.all(w > 0):
         raise SystemExit(f"mu0 file {spec}: weights must be positive")
     return Measure(w, nonneg=True)
@@ -69,8 +73,11 @@ def _run_net(h, f0: str, mu0: str, tol: float, trace_path=None):
                             conv_tol=tol)
     chi, trace = haar_net(h, cfg)
     if trace_path:
-        with open(trace_path, "w", newline="") as out:
-            write_trace_csv(trace, out)
+        try:
+            with open(trace_path, "w", newline="") as out:
+                write_trace_csv(trace, out)
+        except OSError as exc:
+            raise SystemExit(f"trace file {trace_path}: {exc}") from None
     return chi
 
 
@@ -109,14 +116,18 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    # ValueError covers a malformed parameter or group table and undecodable text
+    # ValueError covers a malformed parameter or group table and undecodable text;
+    # MemoryError a size whose n^3 tensor cannot be allocated
     try:
         h = build_family(FamilySpec.parse(args.family, args.param))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         raise SystemExit(f"gen --param {args.param}: {exc}") from None
     text = serialize_hypergroup(h)
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise SystemExit(f"gen -o {args.output}: {exc}") from None
     else:
         sys.stdout.write(text)
     return 0
@@ -134,6 +145,21 @@ def cmd_check_lemmas(args) -> int:
     return 0 if ok else 1
 
 
+def _checked(kind, ok, what: str):
+    """An argparse type: a value of kind for which ok holds; others are usage errors."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in 'invalid int value'
+    return parse
+
+
+_TOL = _checked(float, lambda x: 0 <= x < math.inf, "a finite number >= 0")
+_POSITIVE_TOL = _checked(float, lambda x: 0 < x < math.inf, "a finite number > 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperhaar",
@@ -142,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the hypergroup axioms")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=AXIOM_TOL)
+    p.add_argument("--tol", type=_TOL, default=AXIOM_TOL)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("haar", help="compute invariant weights")
@@ -150,13 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["net", "jewett", "solve"], required=True)
     p.add_argument("--f0", default="uniform", help="uniform | dirac:<i>")
     p.add_argument("--mu0", default="uniform", help="uniform | <file of n weights>")
-    p.add_argument("--tol", type=float, default=EXACT_TOL)
+    p.add_argument("--tol", type=_POSITIVE_TOL, default=EXACT_TOL)
     p.add_argument("--trace", help="write per-step CSV trace here (net only)")
     p.set_defaults(func=cmd_haar)
 
     p = sub.add_parser("compare", help="run all three methods and compare")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=CERTIFY_TOL)
+    p.add_argument("--tol", type=_TOL, default=CERTIFY_TOL)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("gen", help="emit a hypergroup document for a bundled family")
@@ -168,8 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-lemmas", help="run the randomized identity/convergence suites")
     p.add_argument("file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--seed", type=_checked(int, lambda k: k >= 0, "an integer >= 0"), default=0)
+    p.add_argument("--trials", type=_checked(int, lambda k: k >= 1, "an integer >= 1"),
+                   default=1000)
     p.set_defaults(func=cmd_check_lemmas)
 
     return parser

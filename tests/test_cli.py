@@ -125,6 +125,7 @@ def run_cli(*argv):
 @pytest.mark.parametrize("weights,message", [
     ("1 2 3", "3 weights, expected n=4"),
     ("1 -2 3 1", "weights must be positive"),
+    ("inf 1 1 1", "weights must be finite"),
 ])
 def test_bad_mu0_is_one_line_diagnosis(z4_file, tmp_path, weights, message):
     mu0_path = tmp_path / "mu0.txt"
@@ -297,3 +298,71 @@ def test_usage_error_exits_2(z4_file):
     proc = run_cli("haar", z4_file, "--method", "lstsq")
     assert proc.returncode == 2
     assert "invalid choice" in proc.stderr
+
+
+def _assert_one_line_refusal(proc, line):
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [line]
+    assert proc.stdout == ""
+
+
+# the n^3 tensor of n = 10^5 is 7 PiB: numpy refuses the allocation at once
+@pytest.mark.parametrize("argv", [
+    ("validate",),
+    ("haar", "--method", "jewett"),
+    ("compare",),
+], ids=["validate", "haar", "compare"])
+def test_unallocatable_document_is_one_line_diagnosis(tmp_path, argv):
+    path = tmp_path / "big.hg"
+    path.write_text("hypergroup v1\nn 100000\ne 0\n")
+    proc = run_cli(argv[0], str(path), *argv[1:])
+    [line] = proc.stderr.strip().splitlines()
+    assert line.startswith(f"hypergroup file {path}: Unable to allocate")
+    _assert_one_line_refusal(proc, line)
+
+
+def test_unallocatable_gen_is_one_line_diagnosis(tmp_path):
+    out = tmp_path / "out.hg"
+    proc = run_cli("gen", "--family", "cyclic", "--param", "100000", "-o", str(out))
+    [line] = proc.stderr.strip().splitlines()
+    assert line.startswith("gen --param 100000: Unable to allocate")
+    _assert_one_line_refusal(proc, line)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("haar", "--method", "net", "--tol", "0"), "argument --tol: '0' is not a finite number > 0"),
+    (("haar", "--method", "net", "--tol", "-0.5"),
+     "argument --tol: '-0.5' is not a finite number > 0"),
+    (("haar", "--method", "net", "--tol", "nan"),
+     "argument --tol: 'nan' is not a finite number > 0"),
+    (("validate", "--tol", "nan"), "argument --tol: 'nan' is not a finite number >= 0"),
+    (("compare", "--tol", "-1"), "argument --tol: '-1' is not a finite number >= 0"),
+    (("check-lemmas", "--trials", "-5"), "argument --trials: '-5' is not an integer >= 1"),
+    (("check-lemmas", "--trials", "0"), "argument --trials: '0' is not an integer >= 1"),
+    (("check-lemmas", "--seed", "-1"), "argument --seed: '-1' is not an integer >= 0"),
+    (("check-lemmas", "--trials", "x"), "argument --trials: invalid int value: 'x'"),
+], ids=["haar-tol-0", "haar-tol-negative", "haar-tol-nan", "validate-tol-nan",
+        "compare-tol-negative", "trials-negative", "trials-0", "seed-negative", "trials-x"])
+def test_out_of_range_flag_is_usage_error(z4_file, argv, message):
+    proc = run_cli(argv[0], z4_file, *argv[1:])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    # argparse prints its usage block, then the one error line
+    assert proc.stderr.strip().splitlines()[-1] == f"hyperhaar {argv[0]}: error: {message}"
+    assert proc.stdout == ""
+
+
+def test_unwritable_trace_is_one_line_diagnosis(z4_file, tmp_path):
+    trace = tmp_path / "missing" / "t.csv"
+    proc = run_cli("haar", z4_file, "--method", "net", "--trace", str(trace))
+    _assert_one_line_refusal(
+        proc, f"trace file {trace}: [Errno 2] No such file or directory: '{trace}'")
+
+
+def test_unwritable_gen_output_is_one_line_diagnosis(tmp_path):
+    out = tmp_path / "missing" / "x.hg"
+    proc = run_cli("gen", "--family", "cyclic", "--param", "4", "-o", str(out))
+    _assert_one_line_refusal(proc, f"gen -o {out}: [Errno 2] No such file or directory: '{out}'")
+    assert not out.parent.exists()

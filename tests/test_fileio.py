@@ -389,6 +389,46 @@ def test_subnormal_values_parse_exactly():
             assert h.c[0, 0, 0].tobytes() == np.float64(value).tobytes()
 
 
+def test_bad_line_before_unallocatable_n():
+    """numpy refuses the 7 PiB tensor of n = 10^5 at once; a bad line above
+    the 'n' line still comes first, as it does read line by line."""
+    with pytest.raises(MemoryError):
+        parse_hypergroup("hypergroup v1\nn 100000\ne 0\ninv 0\n")
+    with pytest.raises(ParseError, match="^line 2: 'c' entry before 'n'$"):
+        parse_hypergroup("hypergroup v1\nc 0 0 0 1\nn 100000\ne 0\ninv 0\n")
+
+
+def _parse_line_by_line(doc, monkeypatch):
+    """parse_hypergroup with the bulk read refused, so the line-by-line reader reads doc."""
+    calls = []
+
+    def refuse(rows, **kwargs):
+        calls.append(rows)
+        raise ValueError("bulk read refused")
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "loadtxt", refuse)
+        h = parse_hypergroup(doc)
+    assert len(calls) == 1
+    return h
+
+
+def _assert_same_parse(doc, monkeypatch):
+    bulk, lines = parse_hypergroup(doc), _parse_line_by_line(doc, monkeypatch)
+    assert (lines.n, lines.e, lines.inv.tobytes(), lines.c.tobytes()) == (
+        bulk.n, bulk.e, bulk.inv.tobytes(), bulk.c.tobytes())
+
+
+def test_line_by_line_reader_matches_bulk_read(bundled, monkeypatch):
+    _assert_same_parse(serialize_hypergroup(bundled), monkeypatch)
+
+
+@pytest.mark.parametrize("value", [5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, -0.0])
+def test_line_by_line_reader_matches_bulk_read_subnormal(value, monkeypatch):
+    for token in (repr(value), "%.17g" % value):
+        _assert_same_parse(f"hypergroup v1\nn 1\ne 0\ninv 0\nc 0 0 0 {token}\n", monkeypatch)
+
+
 class TestTraceCsv:
     def test_header_and_rows(self):
         h = theta_hypergroup(0.5)
