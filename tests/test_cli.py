@@ -8,7 +8,7 @@ import pytest
 
 from hyperhaar.cli import main
 from hyperhaar.fileio import serialize_hypergroup
-from hyperhaar.oracles import cyclic_hypergroup, theta_hypergroup
+from hyperhaar.oracles import cosine_grid_hypergroup, cyclic_hypergroup, theta_hypergroup
 
 
 @pytest.fixture
@@ -40,6 +40,19 @@ def test_validate_broken_exits_nonzero(broken_file, capsys):
     out = capsys.readouterr().out
     assert "H1 row-stochastic: FAIL" in out
     assert "associativity: FAIL" in out
+
+
+def test_validate_sparse_path_prints_int_witness(tmp_path, capsys):
+    # n = 128 takes the sparse associativity path; H1 still holds
+    text = serialize_hypergroup(cosine_grid_hypergroup(128))
+    text = text.replace("c 1 1 0 0.5\n", "c 1 1 0 0.75\n").replace("c 1 1 2 0.5\n", "c 1 1 2 0.25\n")
+    path = tmp_path / "grid128.hg"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "H1 row-stochastic: pass" in out
+    assert "associativity: FAIL worst=3.750e-01 witness=(1, 1, 2, 2)" in out
+    assert [line for line in out if "FAIL" in line] == [out[-1]]
 
 
 def test_haar_methods_agree(theta_file, capsys):

@@ -22,9 +22,13 @@ from hyperhaar import (
 )
 from hyperhaar.core import (
     AXIOM_TOL,
+    _associativity_blas,
+    _associativity_sparse,
     _convolve_function_measure,
     _convolve_measure_function,
     _convolve_measures,
+    _product_count,
+    _sparse_pays,
     translates,
 )
 from hyperhaar.oracles import (
@@ -252,6 +256,18 @@ def dense_deviation(c):
     return np.abs(np.einsum("stu,urv->strv", c, c) - np.einsum("tru,suv->strv", c, c))
 
 
+def assert_outcome(deva, tol, passed, worst, witness):
+    """passed, worst and witness are what the dense deviation array deva gives."""
+    top = float(deva.max())
+    assert passed == (top <= tol)
+    assert witness == (None if top <= tol else
+                       tuple(int(i) for i in np.unravel_index(np.argmax(deva), deva.shape)))
+    if np.isnan(top):
+        assert np.isnan(worst)
+    else:
+        assert abs(worst - top) <= 1e-15 * max(1.0, top)
+
+
 STREAM_BASES = {
     "Z4": lambda: cyclic_hypergroup(4),
     "Z7": lambda: cyclic_hypergroup(7),
@@ -263,19 +279,16 @@ STREAM_BASES = {
 
 
 class TestAssociativityStream:
-    """validate's streamed associativity check reports what the dense one does."""
+    """validate's streamed associativity check reports what the dense one does,
+    and so does its sparse path, called directly on every finite case."""
 
     def assert_matches_dense(self, h, tol=1e-9):
         got = validate(h, tol).checks["associativity"]
         deva = dense_deviation(h.c)
-        worst = float(deva.max())
-        assert got.passed == (worst <= tol)
-        assert got.witness == (None if worst <= tol else
-                               tuple(int(i) for i in np.unravel_index(np.argmax(deva), deva.shape)))
-        if np.isnan(worst):
-            assert np.isnan(got.worst)
-        else:
-            assert abs(got.worst - worst) <= 1e-15 * max(1.0, worst)
+        assert_outcome(deva, tol, got.passed, got.worst, got.witness)
+        if np.isfinite(h.c).all():
+            worst, witness = _associativity_sparse(h.c)
+            assert_outcome(deva, tol, worst <= tol, worst, None if worst <= tol else witness)
         return got
 
     @pytest.mark.parametrize("name", sorted(STREAM_BASES))
@@ -297,7 +310,7 @@ class TestAssociativityStream:
         c = h.c + rng.uniform(0.0, 1e-3, h.c.shape)
         self.assert_matches_dense(FiniteHypergroup(h.n, h.e, h.inv, c))
 
-    @pytest.mark.parametrize("name", ["Z7", "Z12", "cosine-6"])
+    @pytest.mark.parametrize("name", sorted(STREAM_BASES))
     @pytest.mark.parametrize("seed", range(3))
     def test_dirichlet_row(self, name, seed):
         h = STREAM_BASES[name]()
@@ -316,6 +329,7 @@ class TestAssociativityStream:
         assert len(np.unique(tied[:, 0])) > 1  # the tie spans several s
         got = self.assert_matches_dense(FiniteHypergroup(4, 0, h.inv, c))
         assert got.witness == tuple(tied[0])
+        assert _associativity_sparse(c)[1] == tuple(tied[0])
 
     @pytest.mark.parametrize("where", [(0, 0, 0), (2, 1, 3), (3, 3, 1)])
     def test_nan_fails_with_first_nan_witness(self, where):
@@ -335,10 +349,82 @@ class TestAssociativityStream:
         h = cosine_grid_hypergroup(48)
         assert self.validate_peak(h) < h.n ** 4 * 8
 
-    def test_peak_memory_below_four_n3_arrays(self):
+    # both sizes take the sparse path: its accumulator and per-s products
+    @pytest.mark.parametrize("n", [48, 96], ids=["cosine-grid-48", "cosine-grid-96"])
+    def test_peak_memory_below_four_n3_arrays(self, n):
         # the axiom temporaries are gone before the associativity stream starts
-        h = cosine_grid_hypergroup(48)
+        h = cosine_grid_hypergroup(n)
         assert self.validate_peak(h) < 4 * h.n ** 3 * 8
+
+    def test_blas_path_peak_memory_below_four_n3_arrays(self):
+        c = cosine_grid_hypergroup(48).c
+        (worst, _), peak = traced_peak(_associativity_blas, c)
+        assert worst == 0.0
+        assert peak < 4 * c.size * 8
+
+
+GRID64 = {
+    "cyclic-64": lambda: cyclic_hypergroup(64),
+    "cosine-grid-64": lambda: cosine_grid_hypergroup(64),
+    "product-c8-g8": lambda: build_family(FamilySpec.parse("product", "cyclic:8,cosine-grid:8")),
+}
+
+
+class TestSparseAssociativity:
+    """The sparse path against the BLAS path at n=64, and the rule between them."""
+
+    @pytest.mark.parametrize("name", sorted(GRID64))
+    @pytest.mark.parametrize("scaled", [False, True], ids=["exact", "scaled"])
+    def test_matches_blas_path(self, name, scaled):
+        c = GRID64[name]().c
+        if scaled:  # the nonzeros scaled, so the tensor keeps its sparsity
+            c = c * np.random.default_rng(0).uniform(0.9, 1.1, c.shape)
+        sparse, blas = _associativity_sparse(c), _associativity_blas(c)
+        assert (sparse[0] <= 1e-9) == (blas[0] <= 1e-9) == (not scaled)
+        assert abs(sparse[0] - blas[0]) <= 1e-15 * max(1.0, blas[0])
+        assert sparse[1] == blas[1]
+
+    @pytest.mark.parametrize("spec", [("cyclic", str(n)) for n in range(1, 25)]
+                             + [("cosine-grid", str(n)) for n in range(2, 25)]
+                             + [("theta2", "0.5"), ("conj-class", "s3"), ("conj-class", "s4")]
+                             + [("product", f"cyclic:{a},cosine-grid:{b}")
+                                for a in range(2, 13) for b in range(2, 13) if a * b <= 24],
+                             ids=lambda spec: ":".join(spec))
+    def test_small_documents_take_blas(self, spec):
+        assert not _sparse_pays(build_family(FamilySpec.parse(*spec)).c)
+
+    @pytest.mark.parametrize("name", sorted(GRID64))
+    def test_grid64_documents_take_sparse(self, name):
+        assert _sparse_pays(GRID64[name]().c)
+
+    @pytest.mark.parametrize("spec", [("cyclic", "32"), ("cosine-grid", "32"),
+                                      ("cosine-grid", "48"), ("product", "cyclic:4,cosine-grid:8")],
+                             ids=lambda spec: ":".join(spec))
+    def test_rule_counts_the_products(self, spec):
+        c = build_family(FamilySpec.parse(*spec)).c
+        n = c.shape[0]
+        assert _sparse_pays(c) == (200 * _product_count(c) + 350_000 * n < n ** 5)
+
+    @pytest.mark.parametrize("axis", [None, 0, 1, 2])
+    def test_product_count(self, axis):
+        c = cosine_grid_hypergroup(12).c.copy()
+        if axis is not None:  # one full slice, so the three counts differ
+            np.moveaxis(c, axis, 0)[3] = 0.25
+        nz = (c != 0).astype(int)
+        # per nonzero c[s, b, u]: one left product per nonzero c[u, ., .] and
+        # one right product per nonzero c[., ., b]
+        p = (nz * nz.sum(axis=(1, 2))).sum() + (nz * nz.sum(axis=(0, 1))[:, None]).sum()
+        assert _product_count(c) == p
+
+    def test_dense_tensor_takes_blas(self):
+        c = np.random.default_rng(0).uniform(0.5, 1.0, (32, 32, 32))
+        assert not _sparse_pays(c / c.sum(axis=2, keepdims=True))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_takes_blas(self, value):
+        c = cyclic_hypergroup(64).c.copy()
+        c[3, 5, 7] = value
+        assert not _sparse_pays(c)
 
 
 class TestTolerancePolicy:
