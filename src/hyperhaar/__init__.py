@@ -33,7 +33,6 @@ from .approx import (
 )
 from .oracles import (
     DegenerateNullspace,
-    FamilySpec,
     H6Violation,
     NegativeSolution,
     build_family,

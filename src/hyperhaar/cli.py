@@ -13,7 +13,7 @@ from .core import AXIOM_TOL, CERTIFY_TOL, EXACT_TOL, Function, Measure, NoCover,
 from .approx import ApproximantConfig, NotConverged, ZeroDenominator, canonical_chain, haar_net
 from .checks import run_all_suites
 from .fileio import ParseError, parse_hypergroup, serialize_hypergroup, write_trace_csv
-from .oracles import (DegenerateNullspace, FamilySpec, H6Violation, NegativeSolution,
+from .oracles import (_FAMILIES, DegenerateNullspace, H6Violation, NegativeSolution,
                       build_family, invariance_residual, jewett_haar, solve_invariance)
 
 # The package's refusals of an input that is not a hypergroup it can work with.
@@ -119,7 +119,7 @@ def cmd_gen(args) -> int:
     # ValueError covers a malformed parameter or group table and undecodable text;
     # MemoryError a size whose n^3 tensor cannot be allocated
     try:
-        h = build_family(FamilySpec.parse(args.family, args.param))
+        h = build_family(args.family, args.param)
     except (OSError, ValueError, MemoryError) as exc:
         raise SystemExit(f"gen --param {args.param}: {exc}") from None
     text = serialize_hypergroup(h)
@@ -186,8 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("gen", help="emit a hypergroup document for a bundled family")
-    p.add_argument("--family", required=True,
-                   choices=["cyclic", "theta2", "conj-class", "cosine-grid", "product"])
+    p.add_argument("--family", required=True, choices=list(_FAMILIES))
     p.add_argument("--param", required=True)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_gen)

@@ -298,6 +298,7 @@ def _argmax_witness(arr: np.ndarray) -> tuple:
     return tuple(int(i) for i in np.unravel_index(int(np.argmax(arr)), arr.shape))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported as inf, not warned
 def validate(h: FiniteHypergroup, tol: Optional[float] = None) -> ValidationReport:
     """Check the hypergroup axioms; failures become report content, not errors.
 
@@ -312,6 +313,8 @@ def validate(h: FiniteHypergroup, tol: Optional[float] = None) -> ValidationRepo
     The sparse path is taken when 200 * P + 350_000 * n < n^5 and c is finite
     (the constants are measured in _sparse_pays). Both report the same outcome,
     but the sparse path adds in another order, so its worst can move by rounding.
+    On a finite c a deviation that overflows counts as inf, so the worst is inf
+    at the first non-finite deviation; a NaN in c gives nan at the first NaN.
     """
     tol = h.tol if tol is None else tol
     n, e, inv, c = h.n, h.e, h.inv, h.c
@@ -409,6 +412,8 @@ def _associativity_blas(c: np.ndarray) -> tuple:
     for s in range(n):
         dev = np.abs(c[s] @ rows - (pairs @ c[s]).reshape(n, n * n)).reshape(n, n, n)
         top = dev.max()
+        if np.isnan(top) and np.isfinite(c).all():  # overflowed products: inf - inf
+            dev[np.isnan(dev)] = top = np.inf
         if not top <= worst:  # a strict increase (ties keep the first in C order) or NaN
             worst, witness = float(top), (s, *_argmax_witness(dev))
             if np.isnan(worst):  # argmax already gave the first NaN; it stays the witness
@@ -457,12 +462,12 @@ def _associativity_sparse(c: np.ndarray) -> tuple:
         dev = np.abs(lhs[keys] - rhs[keys])
         lhs[left], rhs[right] = 0.0, 0.0
         top = dev.max(initial=0.0)
-        if not top <= worst:  # as in _associativity_blas; dev is NaN only by overflow
+        if np.isnan(top):  # c is finite here, so as in _associativity_blas
+            dev[np.isnan(dev)] = top = np.inf
+        if not top <= worst:  # as in _associativity_blas
             # every key off `keys` deviates by 0, so a top of 0 is first met at key 0
-            key = keys[(dev == top) | np.isnan(dev)].min() if top != 0 else 0
+            key = keys[dev == top].min() if top != 0 else 0
             worst, witness = float(top), (s, *map(int, np.unravel_index(key, (n,) * 3)))
-            if np.isnan(worst):
-                break
     return worst, witness
 
 

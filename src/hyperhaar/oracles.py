@@ -3,10 +3,8 @@ and builders for hypergroup families with known invariant measures."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -16,7 +14,6 @@ __all__ = [
     "H6Violation",
     "DegenerateNullspace",
     "NegativeSolution",
-    "FamilySpec",
     "jewett_haar",
     "solve_invariance",
     "invariance_residual",
@@ -202,70 +199,52 @@ def product_hypergroup(h1: FiniteHypergroup, h2: FiniteHypergroup) -> FiniteHype
 
 
 def symmetric_group_table(k: int) -> np.ndarray:
-    """Multiplication table of S_k with elements ordered lexicographically."""
-    elems = sorted(permutations(range(k)))
-    index = {p: i for i, p in enumerate(elems)}
-    n = len(elems)
-    table = np.zeros((n, n), dtype=int)
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            table[i, j] = index[tuple(p[x] for x in q)]
-    return table
+    """Multiplication table of S_k with elements ordered lexicographically.
+
+    Lexicographic order is the order of the base-k codes, so the product
+    p q (x -> p[q[x]]) is found by its code among the sorted ones.
+    """
+    elems = np.array(sorted(permutations(range(k))), dtype=int)
+    weights = k ** np.arange(k - 1, -1, -1)
+    return np.searchsorted(elems @ weights, elems[:, elems] @ weights)
 
 
-_NAMED_TABLES = {"s3": lambda: symmetric_group_table(3),
-                 "s4": lambda: symmetric_group_table(4)}
+def _group_table(param: str) -> np.ndarray:
+    """S3 or S4 by name, or the rows of a table file ('#' starts a comment line)."""
+    if param.lower() in ("s3", "s4"):
+        return symmetric_group_table(int(param[1]))
+    lines = Path(param).read_text().splitlines()
+    rows = [[int(x) for x in line.split()]
+            for line in lines if line.strip() and not line.startswith("#")]
+    return np.asarray(rows, dtype=int)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Tagged parameters for the bundled hypergroup families."""
+def _theta2(param: str) -> FiniteHypergroup:
+    theta = float(param)
+    if not (0 < theta <= 1):
+        raise ValueError("theta must lie in (0, 1]")
+    return theta_hypergroup(theta)
 
-    family: str
-    n: Optional[int] = None
-    theta: Optional[float] = None
-    table: Optional[np.ndarray] = None
-    m: Optional[int] = None
-    factors: Optional[Tuple["FamilySpec", "FamilySpec"]] = None
 
-    @staticmethod
-    def parse(family: str, param: str) -> "FamilySpec":
-        """Build a spec from CLI-style strings, e.g. ('product', 'cyclic:2,theta2:0.5')."""
-        family = family.replace("_", "-")
-        if family == "cyclic":
-            return FamilySpec("cyclic", n=int(param))
-        if family == "theta2":
-            return FamilySpec("theta2", theta=float(param))
-        if family in ("conj-class", "conjugacy-class"):
-            key = param.lower()
-            if key in _NAMED_TABLES:
-                return FamilySpec("conjugacy-class", table=_NAMED_TABLES[key]())
-            lines = Path(param).read_text().splitlines()
-            rows = [[int(x) for x in line.split()]
-                    for line in lines if line.strip() and not line.startswith("#")]
-            return FamilySpec("conjugacy-class", table=np.asarray(rows, dtype=int))
-        if family == "cosine-grid":
-            return FamilySpec("cosine-grid", m=int(param))
-        if family == "product":
-            parts = [p.split(":", 1) for p in param.split(",")]
-            if len(parts) != 2 or any(len(p) != 2 for p in parts):
-                raise ValueError("product parameter must be '<family>:<param>,<family>:<param>'")
-            specs = tuple(FamilySpec.parse(*p) for p in parts)
-            return FamilySpec("product", factors=specs)
+def _product(param: str) -> FiniteHypergroup:
+    parts = [p.split(":", 1) for p in param.split(",")]
+    if len(parts) != 2 or any(len(p) != 2 for p in parts):
+        raise ValueError("product parameter must be '<family>:<param>,<family>:<param>'")
+    return product_hypergroup(*(build_family(*p) for p in parts))
+
+
+# gen's families in its --family order: each parses its parameter and builds
+_FAMILIES = {
+    "cyclic": lambda param: cyclic_hypergroup(int(param)),
+    "theta2": _theta2,
+    "conj-class": lambda param: conjugacy_class_hypergroup(_group_table(param)),
+    "cosine-grid": lambda param: cosine_grid_hypergroup(int(param)),
+    "product": _product,
+}
+
+
+def build_family(family: str, param: str) -> FiniteHypergroup:
+    """A bundled family's hypergroup from gen's strings, e.g. ('product', 'cyclic:2,theta2:0.5')."""
+    if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-
-
-def build_family(spec: FamilySpec) -> FiniteHypergroup:
-    if spec.family == "cyclic":
-        return cyclic_hypergroup(spec.n)
-    if spec.family == "theta2":
-        if not (0 < spec.theta <= 1):
-            raise ValueError("theta must lie in (0, 1]")
-        return theta_hypergroup(spec.theta)
-    if spec.family == "conjugacy-class":
-        return conjugacy_class_hypergroup(spec.table)
-    if spec.family == "cosine-grid":
-        return cosine_grid_hypergroup(spec.m)
-    if spec.family == "product":
-        return product_hypergroup(build_family(spec.factors[0]), build_family(spec.factors[1]))
-    raise ValueError(f"unknown family {spec.family!r}")
+    return _FAMILIES[family](param)

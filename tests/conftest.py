@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hyperhaar import FamilySpec, build_family
+from hyperhaar import build_family
 
 
 def s3_table():
@@ -30,18 +30,18 @@ def traced_peak(fn, *args):
 
 
 BUNDLED = {
-    "Z4": FamilySpec.parse("cyclic", "4"),
-    "Z8": FamilySpec.parse("cyclic", "8"),
-    "theta-0.1": FamilySpec.parse("theta2", "0.1"),
-    "theta-0.5": FamilySpec.parse("theta2", "0.5"),
-    "theta-1": FamilySpec.parse("theta2", "1"),
-    "S3-classes": FamilySpec.parse("conj-class", "s3"),
-    "cosine-3": FamilySpec.parse("cosine-grid", "3"),
-    "cosine-5": FamilySpec.parse("cosine-grid", "5"),
-    "Z2xtheta-0.5": FamilySpec.parse("product", "cyclic:2,theta2:0.5"),
+    "Z4": ("cyclic", "4"),
+    "Z8": ("cyclic", "8"),
+    "theta-0.1": ("theta2", "0.1"),
+    "theta-0.5": ("theta2", "0.5"),
+    "theta-1": ("theta2", "1"),
+    "S3-classes": ("conj-class", "s3"),
+    "cosine-3": ("cosine-grid", "3"),
+    "cosine-5": ("cosine-grid", "5"),
+    "Z2xtheta-0.5": ("product", "cyclic:2,theta2:0.5"),
 }
 
 
 @pytest.fixture(params=sorted(BUNDLED), ids=sorted(BUNDLED))
 def bundled(request):
-    return build_family(BUNDLED[request.param])
+    return build_family(*BUNDLED[request.param])

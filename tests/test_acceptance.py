@@ -6,7 +6,6 @@ import numpy as np
 
 from hyperhaar import (
     ApproximantConfig,
-    FamilySpec,
     Function,
     H6Violation,
     Measure,
@@ -51,11 +50,11 @@ def _net(h):
 
 
 AGREEMENT_SPECS = (
-    [FamilySpec.parse("cyclic", str(n)) for n in (2, 3, 5, 16, 64)]
-    + [FamilySpec.parse("theta2", t) for t in ("0.1", "0.5", "1")]
-    + [FamilySpec.parse("conj-class", "s3")]
-    + [FamilySpec.parse("cosine-grid", str(m)) for m in (3, 5, 17, 65)]
-    + [FamilySpec.parse("product", "cyclic:2,theta2:0.5")]
+    [("cyclic", str(n)) for n in (2, 3, 5, 16, 64)]
+    + [("theta2", t) for t in ("0.1", "0.5", "1")]
+    + [("conj-class", "s3")]
+    + [("cosine-grid", str(m)) for m in (3, 5, 17, 65)]
+    + [("product", "cyclic:2,theta2:0.5")]
 )
 
 
@@ -63,7 +62,7 @@ def test_criterion_1_three_way_agreement():
     start = time.monotonic()
     worst = 0.0
     for spec in AGREEMENT_SPECS:
-        h = build_family(spec)
+        h = build_family(*spec)
         net = _net(h)
         jw = jewett_haar(h).w
         jw = jw / jw.sum()
@@ -77,10 +76,10 @@ def test_criterion_1_three_way_agreement():
 
 def test_criterion_2_known_haar_values():
     ok = True
-    s3 = _net(build_family(FamilySpec.parse("conj-class", "s3")))
+    s3 = _net(build_family("conj-class", "s3"))
     ok &= np.abs(s3 - np.array([1 / 6, 1 / 2, 1 / 3])).max() <= 1e-12
     for m in (3, 5, 17, 65):
-        got = _net(build_family(FamilySpec.parse("cosine-grid", str(m))))
+        got = _net(build_family("cosine-grid", str(m)))
         expected = np.full(m, 2.0)
         expected[0] = expected[-1] = 1.0
         expected /= 2.0 * (m - 1)
@@ -99,7 +98,7 @@ def test_criterion_3_identity_suites():
     ok = True
     worst = 0.0
     for spec in BUNDLED.values():
-        results = identity_suite(build_family(spec), rng, trials=1000, tol=1e-12)
+        results = identity_suite(build_family(*spec), rng, trials=1000, tol=1e-12)
         ok &= all(r.passed for r in results)
         worst = max(worst, max(r.worst for r in results))
     for _ in range(50):
@@ -118,7 +117,7 @@ def test_criterion_4_terminal_reconstruction_gap():
     ok = True
     worst = 0.0
     for spec in BUNDLED.values():
-        h = build_family(spec)
+        h = build_family(*spec)
         mu0 = Measure(np.ones(h.n), nonneg=True)
         chain = canonical_chain(h)
         # per-step gap sequence is recorded; terminal gap must vanish
@@ -135,7 +134,7 @@ def test_criterion_5_sandwich_ratio():
     ok = True
     worst_terminal = 0.0
     for spec in BUNDLED.values():
-        h = build_family(spec)
+        h = build_family(*spec)
         mu0 = Measure(np.ones(h.n), nonneg=True)
         chain = canonical_chain(h)
         ones = Function.ones(h.n)
@@ -167,7 +166,7 @@ def test_criterion_5_sandwich_ratio():
 def test_criterion_6_bounds_at_every_step():
     ok = True
     for spec in BUNDLED.values():
-        h = build_family(spec)
+        h = build_family(*spec)
         cfg = _ones_cfg(h)
         for g in cfg.chain.bumps:
             for f in default_probes(h.n):
@@ -179,7 +178,7 @@ def test_criterion_7_scale_invariance():
     rng = np.random.default_rng(7)
     ok = True
     for spec in BUNDLED.values():
-        h = build_family(spec)
+        h = build_family(*spec)
         cfg = _ones_cfg(h)
         for _ in range(5):
             g = symmetrize(h, Function(rng.uniform(0.1, 1.0, h.n)))
@@ -194,7 +193,7 @@ def test_criterion_8_theorem_properties():
     ok = True
     worst = 0.0
     for spec in BUNDLED.values():
-        h = build_family(spec)
+        h = build_family(*spec)
         chi, _ = haar_net(h, _ones_cfg(h))
         residual = invariance_residual(h, chi)
         worst = max(worst, residual)
@@ -235,7 +234,7 @@ def test_criterion_10_mu0_independence():
     ok = True
     worst = 0.0
     for spec in BUNDLED.values():
-        h = build_family(spec)
+        h = build_family(*spec)
         terminal = Function.indicator(h.n, [h.e])
         ref = approximant(h, Measure(np.ones(h.n), nonneg=True), terminal)
         for _ in range(20):

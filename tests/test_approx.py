@@ -3,7 +3,6 @@ import pytest
 
 from hyperhaar import (
     ApproximantConfig,
-    FamilySpec,
     FiniteHypergroup,
     Function,
     Measure,
@@ -455,4 +454,4 @@ class TestTraceParity:
     @pytest.mark.parametrize("family,param", [("cosine-grid", "16"),
                                               ("product", "cyclic:3,cosine-grid:4")])
     def test_larger(self, family, param):
-        self.check(build_family(FamilySpec.parse(family, param)))
+        self.check(build_family(family, param))

@@ -4,7 +4,7 @@ they replaced, and the memory the suites take."""
 import numpy as np
 import pytest
 
-from hyperhaar import FamilySpec, FiniteHypergroup, build_family
+from hyperhaar import FiniteHypergroup, build_family
 from hyperhaar import checks
 from hyperhaar.approx import _step, default_probes
 from hyperhaar.checks import (bounds_suite, identity_suite, run_all_suites, terminal_gap_suite,
@@ -79,10 +79,10 @@ def perturbed_z4():
 
 
 PARITY = [(name, spec, i % 4) for i, (name, spec) in enumerate(sorted(BUNDLED.items()))] + [
-    ("Z12", FamilySpec.parse("cyclic", "12"), 0),
-    ("cosine-16", FamilySpec.parse("cosine-grid", "16"), 1),
-    ("cosine-24", FamilySpec.parse("cosine-grid", "24"), 2),
-    ("Z3xcosine-4", FamilySpec.parse("product", "cyclic:3,cosine-grid:4"), 3),
+    ("Z12", ("cyclic", "12"), 0),
+    ("cosine-16", ("cosine-grid", "16"), 1),
+    ("cosine-24", ("cosine-grid", "24"), 2),
+    ("Z3xcosine-4", ("product", "cyclic:3,cosine-grid:4"), 3),
 ]
 
 
@@ -95,7 +95,7 @@ def assert_parity(got, ref):
 class TestCheckLemmasParity:
     @pytest.mark.parametrize("name,spec,seed", PARITY, ids=[p[0] for p in PARITY])
     def test_families(self, name, spec, seed):
-        h = build_family(spec)
+        h = build_family(*spec)
         assert_parity(run_all_suites(h, seed, 1000), reference_all_suites(h, seed, 1000))
 
     @pytest.mark.parametrize("seed", range(4))
@@ -122,7 +122,7 @@ class TestIdentitySuite:
 
     @pytest.mark.parametrize("block", [1, 3, 7])
     def test_blocks_match_one_block(self, monkeypatch, block):
-        h = build_family(FamilySpec.parse("cosine-grid", "5"))
+        h = build_family("cosine-grid", "5")
         one = np.random.default_rng(4)
         whole = identity_suite(h, one, trials=20)
         monkeypatch.setattr(checks, "_BLOCK_FLOATS", block * h.n * (h.n + 48))
@@ -131,7 +131,7 @@ class TestIdentitySuite:
         assert split.bit_generator.state == one.bit_generator.state
 
     def test_draws_are_the_per_trial_stream(self):
-        h = build_family(FamilySpec.parse("cyclic", "8"))
+        h = build_family("cyclic", "8")
         rng, ref = np.random.default_rng(9), np.random.default_rng(9)
         identity_suite(h, rng, trials=37)
         for _ in range(37 * 4):
@@ -139,7 +139,7 @@ class TestIdentitySuite:
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_peak_does_not_grow_with_trials(self):
-        h = build_family(FamilySpec.parse("cosine-grid", "48"))
+        h = build_family("cosine-grid", "48")
         peaks = [traced_peak(identity_suite, h, np.random.default_rng(0), trials)[1]
                  for trials in (1000, 4000)]
         assert peaks[1] <= 1.05 * peaks[0]
@@ -149,7 +149,7 @@ class TestIdentitySuite:
 def test_terminal_ratio_suite_peak_below_quarter_n3():
     # n diracs against one approximant: the kernel contracts the approximant
     # first instead of holding n^2 floats per dirac
-    h = build_family(FamilySpec.parse("cosine-grid", "48"))
+    h = build_family("cosine-grid", "48")
     result, peak = traced_peak(terminal_ratio_suite, h)
     assert result.passed
     assert peak < 0.25 * 8 * h.n ** 3

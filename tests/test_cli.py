@@ -8,7 +8,7 @@ import pytest
 
 from hyperhaar.cli import main
 from hyperhaar.fileio import serialize_hypergroup
-from hyperhaar.oracles import cosine_grid_hypergroup, cyclic_hypergroup, theta_hypergroup
+from hyperhaar.oracles import _FAMILIES, cosine_grid_hypergroup, cyclic_hypergroup, theta_hypergroup
 
 
 @pytest.fixture
@@ -110,6 +110,26 @@ def test_gen_product(tmp_path, capsys):
     assert main(["gen", "--family", "product", "--param", "cyclic:2,theta2:0.5",
                  "-o", str(out_path)]) == 0
     assert main(["compare", str(out_path)]) == 0
+
+
+def test_gen_family_choices_are_the_builders(capsys):
+    with pytest.raises(SystemExit):
+        main(["gen", "--help"])
+    # argparse prints the choices as one unbroken {a,b,...} group
+    assert "{" + ",".join(_FAMILIES) + "}" in capsys.readouterr().out
+
+
+# one small parameter per family gen knows
+SMALL_PARAMS = {"cyclic": "3", "theta2": "0.5", "conj-class": "s3", "cosine-grid": "3",
+                "product": "cyclic:2,theta2:0.5"}
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_gen_every_family_validates(tmp_path, family, capsys):
+    out_path = tmp_path / f"{family}.hg"
+    assert main(["gen", "--family", family, "--param", SMALL_PARAMS[family],
+                 "-o", str(out_path)]) == 0
+    assert main(["validate", str(out_path)]) == 0
 
 
 def test_check_lemmas(theta_file, capsys):
@@ -305,6 +325,18 @@ def test_refusal_is_one_line_diagnosis(tmp_path, doc, argv, message):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip().splitlines() == [f"hypergroup file {path}: {message}"]
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("big", ["1e300", "1.7e308"])
+def test_overflow_is_inf_without_warnings(tmp_path, big):
+    # 1e300 squared overflows the associativity products; 1.7e308 doubled, H1's row sum too
+    path = tmp_path / "overflow.hg"
+    path.write_text("hypergroup v1\nn 2\ne 0\ninv 0 1\nc 0 0 0 1\nc 0 1 1 1\n"
+                    f"c 1 0 1 1\nc 1 1 0 {big}\nc 1 1 1 {big}\n")
+    proc = run_cli("validate", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert "associativity: FAIL worst=inf witness=(1, 1, 1, 0)" in proc.stdout.splitlines()
 
 
 def test_usage_error_exits_2(z4_file):

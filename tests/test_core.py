@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hyperhaar import (
-    FamilySpec,
     FiniteHypergroup,
     Function,
     Measure,
@@ -339,6 +338,31 @@ class TestAssociativityStream:
         got = self.assert_matches_dense(FiniteHypergroup(4, 0, h.inv, c))
         assert not got.passed and np.isnan(got.worst)
 
+    @pytest.mark.parametrize("where", [(0, 0, 0), (3, 3, 1)])
+    def test_inf_in_c_fails_with_first_nan_witness(self, where):
+        # inf * 0 is NaN, so a stored inf reports as a stored NaN does
+        h = cyclic_hypergroup(4)
+        c = h.c.copy()
+        c[where] = np.inf
+        with np.errstate(invalid="ignore"):
+            got = self.assert_matches_dense(FiniteHypergroup(4, 0, h.inv, c))
+        assert not got.passed and np.isnan(got.worst)
+
+    @pytest.mark.parametrize("name", sorted(STREAM_BASES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_overflow_is_inf_at_first_non_finite(self, name, seed):
+        # entries of 1e200 overflow where two of them meet in a product and
+        # nowhere else, so both paths and the dense form agree on where
+        h = STREAM_BASES[name]()
+        c = h.c * 10.0 ** np.random.default_rng(seed).choice([0, 200], size=h.c.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = np.unravel_index(np.argmax(~np.isfinite(dense_deviation(c))), c.shape + (h.n,))
+            paths = [_associativity_blas(c), _associativity_sparse(c)]
+        got = validate(FiniteHypergroup(h.n, h.e, h.inv, c)).checks["associativity"]
+        for worst, witness in paths + [(got.worst, got.witness)]:
+            assert worst == np.inf
+            assert witness == tuple(int(i) for i in ref)
+
     @staticmethod
     def validate_peak(h):
         report, peak = traced_peak(validate, h, 1e-12)
@@ -366,7 +390,7 @@ class TestAssociativityStream:
 GRID64 = {
     "cyclic-64": lambda: cyclic_hypergroup(64),
     "cosine-grid-64": lambda: cosine_grid_hypergroup(64),
-    "product-c8-g8": lambda: build_family(FamilySpec.parse("product", "cyclic:8,cosine-grid:8")),
+    "product-c8-g8": lambda: build_family("product", "cyclic:8,cosine-grid:8"),
 }
 
 
@@ -391,7 +415,7 @@ class TestSparseAssociativity:
                                 for a in range(2, 13) for b in range(2, 13) if a * b <= 24],
                              ids=lambda spec: ":".join(spec))
     def test_small_documents_take_blas(self, spec):
-        assert not _sparse_pays(build_family(FamilySpec.parse(*spec)).c)
+        assert not _sparse_pays(build_family(*spec).c)
 
     @pytest.mark.parametrize("name", sorted(GRID64))
     def test_grid64_documents_take_sparse(self, name):
@@ -401,7 +425,7 @@ class TestSparseAssociativity:
                                       ("cosine-grid", "48"), ("product", "cyclic:4,cosine-grid:8")],
                              ids=lambda spec: ":".join(spec))
     def test_rule_counts_the_products(self, spec):
-        c = build_family(FamilySpec.parse(*spec)).c
+        c = build_family(*spec).c
         n = c.shape[0]
         assert _sparse_pays(c) == (200 * _product_count(c) + 350_000 * n < n ** 5)
 
@@ -498,7 +522,7 @@ def three_cycle_tensor():
 
 
 KERNEL_CASES = {
-    "product-Z3xcosine-4": lambda: build_family(FamilySpec.parse("product", "cyclic:3,cosine-grid:4")),
+    "product-Z3xcosine-4": lambda: build_family("product", "cyclic:3,cosine-grid:4"),
     "three-cycle-inv": three_cycle_tensor,
 }
 
@@ -507,7 +531,7 @@ KERNEL_CASES = {
 def kernel_case(request):
     if request.param in KERNEL_CASES:
         return KERNEL_CASES[request.param]()
-    return build_family(BUNDLED[request.param])
+    return build_family(*BUNDLED[request.param])
 
 
 class TestBatchedKernels:

@@ -8,7 +8,6 @@ import pytest
 
 from hyperhaar import (
     DegenerateNullspace,
-    FamilySpec,
     FiniteHypergroup,
     H6Violation,
     Measure,
@@ -167,7 +166,7 @@ class TestStreamedSolve:
         ("product", "cyclic:3,cosine-grid:4"),
     ])
     def test_larger_families(self, family, param):
-        self.check_against_dense(build_family(FamilySpec.parse(family, param)))
+        self.check_against_dense(build_family(family, param))
 
     @pytest.mark.parametrize("make", [identity_translations, swap_translations])
     def test_degenerate_inputs(self, make):
@@ -223,7 +222,7 @@ class TestBlockSumReduction:
     @pytest.mark.parametrize("eps", [1e-12, 1e-10, 1e-6, 1e-3])
     @pytest.mark.parametrize("name", ["Z4", "S3-classes"])
     def test_perturbed_matches_dense(self, name, eps):
-        base = build_family(BUNDLED[name])
+        base = build_family(*BUNDLED[name])
         for seed in range(10):
             noise = np.random.default_rng(seed).standard_normal(base.c.shape)
             h = FiniteHypergroup(base.n, base.e, base.inv, base.c + eps * noise)
@@ -266,31 +265,30 @@ class TestInvarianceResidual:
         self.check_against_operator(bundled)
 
     def test_matches_operator_product(self):
-        self.check_against_operator(build_family(FamilySpec.parse("product",
-                                                                  "cyclic:3,cosine-grid:4")))
+        self.check_against_operator(build_family("product", "cyclic:3,cosine-grid:4"))
 
 
 class TestBuildFamily:
     def test_theta_one_is_z2(self):
-        h = build_family(FamilySpec.parse("theta2", "1"))
+        h = build_family("theta2", "1")
         z2 = cyclic_hypergroup(2)
         np.testing.assert_allclose(h.c, z2.c, atol=1e-15)
 
     def test_s3_class_products(self):
-        h = build_family(FamilySpec.parse("conj-class", "s3"))
+        h = build_family("conj-class", "s3")
         assert h.n == 3
         np.testing.assert_allclose(h.c[1, 1], [1 / 3, 0, 2 / 3], atol=1e-15)
         np.testing.assert_allclose(h.c[1, 2], [0, 1, 0], atol=1e-15)
         np.testing.assert_allclose(h.c[2, 2], [1 / 2, 0, 1 / 2], atol=1e-15)
 
     def test_cosine_grid_3(self):
-        h = build_family(FamilySpec.parse("cosine-grid", "3"))
+        h = build_family("cosine-grid", "3")
         np.testing.assert_allclose(h.c[1, 1], [0.5, 0.0, 0.5])
         np.testing.assert_allclose(h.c[2, 2], [1.0, 0.0, 0.0])
         assert validate(h, 1e-12).passed
 
     def test_product_haar(self):
-        h = build_family(FamilySpec.parse("product", "cyclic:2,theta2:0.5"))
+        h = build_family("product", "cyclic:2,theta2:0.5")
         got = solve_invariance(h)
         np.testing.assert_allclose(got.w, np.array([1, 2, 1, 2]) / 6, atol=1e-12)
 
@@ -308,16 +306,20 @@ class TestBuildFamily:
         # an unclosed file warns from its finalizer, where an "error" filter cannot raise
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
-            spec = FamilySpec.parse("conj-class", str(path))
+            h = build_family("conj-class", str(path))
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
-        np.testing.assert_array_equal(spec.table, table)
+        assert_same_hypergroup(h, build_family("conj-class", "s3"))
 
     def test_parameter_out_of_range(self):
         with pytest.raises(ValueError):
-            build_family(FamilySpec.parse("theta2", "0"))
+            build_family("theta2", "0")
         with pytest.raises(ValueError):
-            build_family(FamilySpec.parse("cosine-grid", "1"))
+            build_family("cosine-grid", "1")
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="^unknown family 'nope'$"):
+            build_family("nope", "1")
 
 
 def dihedral_table(k):
@@ -347,6 +349,19 @@ def reference_class_hypergroup(table):
     return FiniteHypergroup(len(classes), int(class_of[e]), inv, c)
 
 
+def reference_symmetric_table(k):
+    """S_k's table one product at a time: (p q)(x) = p[q[x]] looked up among
+    the permutations in lexicographic order."""
+    elems = sorted(permutations(range(k)))
+    index = {p: i for i, p in enumerate(elems)}
+    n = len(elems)
+    table = np.zeros((n, n), dtype=int)
+    for i, p in enumerate(elems):
+        for j, q in enumerate(elems):
+            table[i, j] = index[tuple(p[x] for x in q)]
+    return table
+
+
 def reference_cosine_grid(m):
     """Half the mass at |x - y| and half at x + y reflected at m - 1."""
     c = np.zeros((m, m, m))
@@ -365,6 +380,12 @@ def assert_same_hypergroup(got, ref):
 
 
 class TestBuildersMatchDefinition:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_symmetric_group_table(self, k):
+        got, ref = symmetric_group_table(k), reference_symmetric_table(k)
+        assert got.dtype == ref.dtype
+        np.testing.assert_array_equal(got, ref)
+
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_symmetric_groups(self, k):
         table = symmetric_group_table(k)
