@@ -9,6 +9,7 @@ attains the limit at its terminal step.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -20,9 +21,13 @@ from .core import (
     FiniteHypergroup,
     Function,
     Measure,
+    NoCover,
+    _check_size,
+    _contract_u,
     _convolve_measures,
-    _dominating_measure,
-    find_dominating_measure,
+    _cover,
+    _indicator_peaks,
+    _peaks,
     pair,
     translates,
 )
@@ -74,25 +79,45 @@ class ShrinkingChain:
         return len(self.neighborhoods)
 
     def check(self, h: FiniteHypergroup) -> None:
-        prev = None
-        for k, (u, g) in enumerate(zip(self.neighborhoods, self.bumps)):
-            if h.e not in u:
-                raise ValueError(f"neighborhood {k} does not contain the identity")
-            if frozenset(int(h.inv[p]) for p in u) != u:
-                raise ValueError(f"neighborhood {k} is not involution-stable")
-            if prev is not None and not u <= prev:
-                raise ValueError(f"neighborhood {k} is not contained in its predecessor")
-            if not (g.is_nonneg() and g.sup_norm > 0):
-                raise ValueError(f"bump {k} must be nonnegative and nonzero")
-            if not g.supported_in(u):
-                raise ValueError(f"bump {k} not supported in its neighborhood")
-            if not _symmetric(h, g):
-                raise ValueError(f"bump {k} is not symmetric")
-            if g.v[h.e] <= 0:
-                raise ValueError(f"bump {k} vanishes at the identity")
-            prev = u
-        if self.neighborhoods[-1] != frozenset({h.e}):
+        """Raise ValueError for the first neighborhood k that fails, naming the first of
+        its conditions that fails; all of them are array tests over the whole chain."""
+        _check_size(h, *self.bumps)
+        sizes = [len(u) for u in self.neighborhoods]
+        rows = np.repeat(np.arange(len(self)), sizes)
+        points = np.fromiter(itertools.chain.from_iterable(self.neighborhoods), int, sum(sizes))
+        outside = (points < 0) | (points >= h.n)
+        member = np.zeros((len(self), h.n), dtype=bool)
+        member[rows[~outside], points[~outside]] = True
+        bumps = np.array([g.v for g in self.bumps]).reshape(len(self), h.n)
+        contained = np.ones(len(self), dtype=bool)
+        contained[1:] = ~(member[1:] & ~member[:-1]).any(axis=1)
+        failed = np.stack([
+            ~member[:, h.e],
+            np.bincount(rows[outside], minlength=len(self)).astype(bool)
+            | (member != member[:, h.inv]).any(axis=1),
+            ~contained,
+            ~((bumps >= 0).all(axis=1) & (np.abs(bumps).max(axis=1) > 0)),
+            ((bumps != 0) & ~member).any(axis=1),
+            (bumps != bumps[:, h.inv]).any(axis=1),
+            bumps[:, h.e] <= 0,
+        ], axis=1)
+        if failed.any():
+            k = int(np.argmax(failed.any(axis=1)))
+            raise ValueError(_CHAIN_FAILURES[int(np.argmax(failed[k]))].format(k=k))
+        if not self.neighborhoods or self.neighborhoods[-1] != frozenset({h.e}):
             raise ValueError("chain must terminate at the singleton identity neighborhood")
+
+
+# ShrinkingChain.check's conditions on neighborhood k and its bump, in the order tested.
+_CHAIN_FAILURES = (
+    "neighborhood {k} does not contain the identity",
+    "neighborhood {k} is not involution-stable",
+    "neighborhood {k} is not contained in its predecessor",
+    "bump {k} must be nonnegative and nonzero",
+    "bump {k} not supported in its neighborhood",
+    "bump {k} is not symmetric",
+    "bump {k} vanishes at the identity",
+)
 
 
 def _symmetric(h: FiniteHypergroup, g: Function) -> bool:
@@ -115,8 +140,12 @@ class ApproximantConfig:
     conv_tol: float = EXACT_TOL
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.mu0.w)):
+            raise ValueError("mu0 must be finite")
         if np.any(self.mu0.w <= 0):
             raise ValueError("mu0 must be strictly positive everywhere")
+        if not np.all(np.isfinite(self.f0.v)):
+            raise ValueError("f0 must be finite")
         if not (self.f0.is_nonneg() and self.f0.sup_norm > 0):
             raise ValueError("f0 must be nonnegative and nonzero")
         if self.conv_tol <= 0:
@@ -155,15 +184,31 @@ def symmetrize(h: FiniteHypergroup, g: Function) -> Function:
     return Function(0.5 * (g.v + g.v[h.inv]))
 
 
+def _walk(h: FiniteHypergroup, mu0: Measure, bumps: Sequence[Function]):
+    """Yield, bump by bump, the translate matrix K[s, t] = (dirac_s * g)(t) and the
+    approximant weights mu0 / (mu0 * g) derived from it.
+
+    K is linear in the bump: one contraction gives the first bump's K, and each
+    later K adds d_p c[inv, :, p] for every point p where the bump changed by d_p,
+    O(n^2) a changed point.  A change with full support costs O(n^3), as a
+    contraction does.
+    """
+    k = translates(h, bumps[0])
+    for i, g in enumerate(bumps):
+        if i:
+            d = g.v - bumps[i - 1].v
+            for p in np.flatnonzero(d):
+                k = k + d[p] * h.c[h.inv, :, p]
+        denom = mu0.w @ k
+        if np.any(denom <= 0):
+            t = int(np.argmin(denom))
+            raise ZeroDenominator(f"(mu0 * g)({t}) = {denom[t]} <= 0")
+        yield k, mu0.w / denom
+
+
 def _step(h: FiniteHypergroup, mu0: Measure, g: Function) -> tuple:
-    """The chain step's one contraction: the translate matrix K[s, t] = (dirac_s * g)(t)
-    and the approximant weights mu0 / (mu0 * g) derived from it."""
-    k = translates(h, g)
-    denom = mu0.w @ k
-    if np.any(denom <= 0):
-        t = int(np.argmin(denom))
-        raise ZeroDenominator(f"(mu0 * g)({t}) = {denom[t]} <= 0")
-    return k, mu0.w / denom
+    """K and the approximant weights of the single bump g: _walk's first step."""
+    return next(_walk(h, mu0, (g,)))
 
 
 def approximant(h: FiniteHypergroup, mu0: Measure, g: Function) -> Measure:
@@ -215,6 +260,14 @@ def _gap(k: np.ndarray, chi_t: np.ndarray, fs: np.ndarray) -> float:
     return float(np.abs(fs - (fs * chi_t) @ k).max())
 
 
+def _probe_gap(k: np.ndarray, chi_t: np.ndarray) -> float:
+    """_gap over default_probes in O(n^2): the row of probe 1_i is
+    1_i - chi_t[i] K[i, :], the row of the ones probe is 1 - chi_t K."""
+    rows = chi_t[:, None] * k
+    rows.reshape(-1)[::k.shape[0] + 1] -= 1.0
+    return float(np.maximum(np.abs(rows).max(), np.abs(1.0 - chi_t @ k).max()))
+
+
 def main_identity_gap(h: FiniteHypergroup, mu0: Measure, g: Function, f: Function) -> float:
     """Sup-norm of f - ((f . approximant) * g); vanishes at the terminal bump."""
     return _gap(*_step(h, mu0, g), f.v)
@@ -242,10 +295,34 @@ def sandwich_ratio(h: FiniteHypergroup, mu0: Measure, g: Function,
 
 def _bounds(h: FiniteHypergroup, f0: Function, fs: Sequence[Function]) -> np.ndarray:
     """Rows a, b: bounds on <f, normalized approximant> for each f in fs from greedy
-    dominating measures; they hold for every bump."""
-    k0 = translates(h, f0)
-    return np.array([(1.0 / (2.0 * find_dominating_measure(h, f0, f).norm),
-                      2.0 * _dominating_measure(k0, f).norm) for f in fs]).T
+    dominating measures; they hold for every bump.
+
+    a covers f0 by the translates of f, b covers f by the translates of f0, as
+    find_dominating_measure(h, f0, f) and find_dominating_measure(h, f, f0) do,
+    and a failure is raised for the first f, a's before b's.  The translates of an
+    indicator probe 1_j are the slices c[inv, :, j], so _indicator_peaks serves
+    all of them in one pass over the tensor; any other f costs a contraction.
+    """
+    n = h.n
+    f = np.array([probe.v for probe in fs]).reshape(len(fs), n)
+    indicator = ((f == 1.0).sum(axis=1) == 1) & ((f == 0.0).sum(axis=1) == n - 1)
+    s_a, best_a = np.zeros(f.shape, dtype=int), np.zeros(f.shape)
+    if indicator.any():
+        s_ind, best_ind = _indicator_peaks(h)
+        j = np.argmax(f[indicator], axis=1)
+        s_a[indicator], best_a[indicator] = s_ind[j], best_ind[j]
+    for i in np.flatnonzero(~indicator):
+        s_a[i], best_a[i] = _peaks(translates(h, fs[i]))
+    w_a, uncovered_a = _cover(s_a, best_a, np.broadcast_to(f0.v, f.shape))
+    w_b, uncovered_b = _cover(*_peaks(translates(h, f0)), f)
+    invalid = ~((f >= 0).all(axis=1) & (np.abs(f).max(axis=1) > 0))
+    failed = np.hstack([invalid[:, None], uncovered_a, uncovered_b])
+    if failed.any():
+        col = int(np.argmax(failed)) % (2 * n + 1)
+        if col == 0:
+            raise ValueError("f0 must be nonnegative and nonzero")
+        raise NoCover(f"no translate of f0 reaches point {(col - 1) % n}")
+    return np.array([1.0 / (2.0 * np.abs(w_a).sum(axis=1)), 2.0 * np.abs(w_b).sum(axis=1)])
 
 
 def bounds_certificate(h: FiniteHypergroup, cfg: ApproximantConfig,
@@ -256,6 +333,22 @@ def bounds_certificate(h: FiniteHypergroup, cfg: ApproximantConfig,
     return BoundsCertificate(a, b, value, a < value < b)
 
 
+def _net_steps(h: FiniteHypergroup, cfg: ApproximantConfig):
+    """Yield, bump by bump down cfg.chain, the normalized approximant's weights,
+    its default-probe values, the gap over the default probes and rho, all
+    derived from _walk's K in O(n^2).
+
+    rho = <f0, uniform * chi_t> / chi_t(f0), the sandwich ratio of the uniform
+    measure, and <f0, uniform * chi_t> = v0 . chi_t for v0 = uniform . (c
+    contracted with f0), formed once.
+    """
+    p = np.array([f.v for f in default_probes(h.n)])
+    v0 = Measure.uniform(h.n).w @ _contract_u(h, cfg.f0.v)
+    for k, chi_t in _walk(h, cfg.mu0, cfg.chain.bumps):
+        z = cfg.f0.v @ chi_t
+        yield chi_t / z, p @ (chi_t / z), _probe_gap(k, chi_t), float(v0 @ chi_t / z)
+
+
 def haar_net(h: FiniteHypergroup, cfg: ApproximantConfig):
     """Drive the normalized approximants down the chain; certify the limit.
 
@@ -264,20 +357,14 @@ def haar_net(h: FiniteHypergroup, cfg: ApproximantConfig):
     raises NotConverged if the limit's invariance residual exceeds CERTIFY_TOL.
     """
     cfg.chain.check(h)
-    probes = default_probes(h.n)
-    p = np.array([f.v for f in probes])
-    a, b = _bounds(h, cfg.f0, probes)
+    a, b = _bounds(h, cfg.f0, default_probes(h.n))
 
     steps = []
     chi = None
     prev_vals = None
-    for step, (u, g) in enumerate(zip(cfg.chain.neighborhoods, cfg.chain.bumps)):
-        k, chi_t = _step(h, cfg.mu0, g)
-        z = cfg.f0.v @ chi_t
-        chi = Measure(chi_t / z, nonneg=True)
-        vals = p @ chi.w
-        gap = _gap(k, chi_t, p)
-        rho = float(_ratio(h, chi_t, cfg.f0.v[None], Measure.uniform(h.n).w[None])[0, 0])
+    walk = _net_steps(h, cfg)
+    for step, (u, (w, vals, gap, rho)) in enumerate(zip(cfg.chain.neighborhoods, walk)):
+        chi = Measure(w, nonneg=True)
         bounds_ok = bool(np.all((a < vals) & (vals < b)))
         diff = float(np.abs(vals - prev_vals).max()) if prev_vals is not None else np.inf
         steps.append(TraceStep(step, len(u), vals, gap, rho, bounds_ok,

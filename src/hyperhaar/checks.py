@@ -17,7 +17,7 @@ from .core import (
     _convolve_measure_function,
     _convolve_measures,
 )
-from .approx import _bounds, _gap, _ratio, _step, canonical_chain, default_probes
+from .approx import _bounds, _gap, _ratio, _step, _walk, canonical_chain, default_probes
 
 __all__ = ["SuiteResult", "identity_suite", "terminal_gap_suite",
            "terminal_ratio_suite", "bounds_suite", "run_all_suites"]
@@ -107,7 +107,7 @@ def bounds_suite(h: FiniteHypergroup) -> SuiteResult:
     probes = default_probes(h.n)
     a, b = _bounds(h, f0, probes)
     p = np.array([f.v for f in probes])
-    chis = (_step(h, mu0, g)[1] for g in canonical_chain(h).bumps)
+    chis = (chi_t for _, chi_t in _walk(h, mu0, canonical_chain(h).bumps))
     vals = np.array([p @ (chi_t / (f0.v @ chi_t)) for chi_t in chis])
     return SuiteResult("dominating-measure bounds", bool(np.all((a < vals) & (vals < b))),
                        float(np.minimum(vals - a, b - vals).min()), "min margin to either bound")

@@ -482,22 +482,47 @@ def find_dominating_measure(h: FiniteHypergroup, f: Function, f0: Function) -> M
         raise ValueError("f must be nonnegative")
     if not (f0.is_nonneg() and f0.sup_norm > 0):
         raise ValueError("f0 must be nonnegative and nonzero")
-    return _dominating_measure(translates(h, f0), f)
-
-
-def _dominating_measure(k: np.ndarray, f: Function) -> Measure:
-    """The greedy cover of find_dominating_measure over k = translates(h, f0).
-
-    Mass is added in increasing t, as a loop over S(f) would, so the sums are
-    rounded in the same order.
-    """
-    t = np.flatnonzero(np.abs(f.v) > 0.0)
-    cols = k[:, t]
-    s = np.argmax(cols, axis=0)
-    best = cols[s, np.arange(t.size)]
-    uncovered = best <= 0.0
+    w, uncovered = _cover(*_peaks(translates(h, f0)), f.v[None])
     if uncovered.any():
-        raise NoCover(f"no translate of f0 reaches point {t[np.argmax(uncovered)]}")
-    w = np.zeros(k.shape[0])
-    np.add.at(w, s, (f.v[t] + 1.0) / best)
-    return Measure(w, nonneg=True)
+        raise NoCover(f"no translate of f0 reaches point {np.argmax(uncovered)}")
+    return Measure(w[0], nonneg=True)
+
+
+def _peaks(k: np.ndarray) -> tuple:
+    """For each column t of the translate matrix k: the first s with the largest
+    k[s, t], and that largest value."""
+    s = np.argmax(k, axis=0)
+    return s, k[s, np.arange(k.shape[1])]
+
+
+def _cover(s: np.ndarray, best: np.ndarray, f: np.ndarray) -> tuple:
+    """Greedy cover weights w (m, n) for the rows f_i of f (m, n), from column peaks
+    s, best of shape (n,) or (m, n): each t in S(f_i) puts (f_i(t) + 1) / best[t]
+    on the point s[t].
+
+    Mass is added in increasing t, as a loop over S(f_i) would, so the sums are
+    rounded in the same order.  Also returns the (m, n) mask of the points of
+    S(f_i) that no translate reaches (best <= 0); they receive no mass.
+    """
+    s, best = np.broadcast_to(s, f.shape), np.broadcast_to(best, f.shape)
+    on = np.abs(f) > 0.0
+    uncovered = on & (best <= 0.0)
+    i, t = np.nonzero(on & ~uncovered)
+    w = np.zeros(f.shape)
+    np.add.at(w, (i, s[i, t]), (f[i, t] + 1.0) / best[i, t])
+    return w, uncovered
+
+
+def _indicator_peaks(h: FiniteHypergroup) -> tuple:
+    """_peaks of translates(h, 1_j) for every j, as (n, n) arrays indexed [j, t].
+
+    Those translates are the slices c[inv, :, j]; one pass over the tensor, one
+    (n, n) slab c[inv[s]] at a time, finds all their peaks with no n^3 temporary.
+    """
+    best = h.c[h.inv[0]].copy()
+    s = np.zeros((h.n, h.n), dtype=int)
+    for i in range(1, h.n):
+        slab = h.c[h.inv[i]]
+        np.copyto(s, i, where=slab > best)
+        np.maximum(best, slab, out=best)
+    return s.T, best.T

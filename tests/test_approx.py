@@ -23,15 +23,21 @@ from hyperhaar import (
     sandwich_ratio,
     symmetrize,
 )
-from hyperhaar.approx import _bounds, _ratio, _step, default_probes
+from hyperhaar.approx import (_bounds, _gap, _net_steps, _probe_gap, _ratio, _step, _walk,
+                              default_probes)
 from hyperhaar.checks import terminal_ratio_suite
-from hyperhaar.core import convolve_measures
+from hyperhaar.core import convolve_measures, translates
 from hyperhaar.oracles import (
     conjugacy_class_hypergroup,
     cyclic_hypergroup,
     symmetric_group_table,
     theta_hypergroup,
 )
+
+from conftest import traced_peak
+
+
+EPS = np.finfo(float).eps
 
 
 def ones_measure(n):
@@ -254,6 +260,122 @@ class TestBumpSymmetryIsExact:
                            Function.ones(4), Measure.dirac(4, 0))
 
 
+def reference_check(chain, h):
+    """ShrinkingChain.check as a loop over the neighborhoods, one set test at a time."""
+    prev = None
+    for k, (u, g) in enumerate(zip(chain.neighborhoods, chain.bumps)):
+        if h.e not in u:
+            raise ValueError(f"neighborhood {k} does not contain the identity")
+        if any(not 0 <= p < h.n for p in u) or frozenset(int(h.inv[p]) for p in u) != u:
+            raise ValueError(f"neighborhood {k} is not involution-stable")
+        if prev is not None and not u <= prev:
+            raise ValueError(f"neighborhood {k} is not contained in its predecessor")
+        if not (g.is_nonneg() and g.sup_norm > 0):
+            raise ValueError(f"bump {k} must be nonnegative and nonzero")
+        if not g.supported_in(u):
+            raise ValueError(f"bump {k} not supported in its neighborhood")
+        if not np.array_equal(g.v, g.v[h.inv]):
+            raise ValueError(f"bump {k} is not symmetric")
+        if g.v[h.e] <= 0:
+            raise ValueError(f"bump {k} vanishes at the identity")
+        prev = u
+    if not chain.neighborhoods or chain.neighborhoods[-1] != frozenset({h.e}):
+        raise ValueError("chain must terminate at the singleton identity neighborhood")
+
+
+def z4_chain(neighborhoods, bumps=None):
+    """A chain on Z4 (1 and 3 are involution partners), indicator bumps by default."""
+    if bumps is None:
+        bumps = [Function.indicator(4, u).v for u in neighborhoods]
+    return ShrinkingChain(tuple(neighborhoods), tuple(Function(b) for b in bumps))
+
+
+class TestChainCheck:
+    Z4 = cyclic_hypergroup(4)
+
+    @pytest.mark.parametrize("chain,message", [
+        (z4_chain([{1, 3}, {0}]), "neighborhood 0 does not contain the identity"),
+        (z4_chain([range(4), {0, 1, 3}, {0, 1}, {0}], [np.ones(4), [1, 1, 0, 1], [1, 1, 0, 1],
+                                                         [1, 0, 0, 0]]),
+         "neighborhood 2 is not involution-stable"),
+        (z4_chain([range(4), {0, 5}, {0}], [np.ones(4), [1, 0, 0, 0], [1, 0, 0, 0]]),
+         "neighborhood 1 is not involution-stable"),
+        (z4_chain([range(4), {0}, {0, 2}, {0}]),
+         "neighborhood 2 is not contained in its predecessor"),
+        (z4_chain([range(4), {0, 2}, {0}], [np.ones(4), [1, 0, -1, 0], [1, 0, 0, 0]]),
+         "bump 1 must be nonnegative and nonzero"),
+        (z4_chain([range(4), {0}], [np.zeros(4), [1, 0, 0, 0]]),
+         "bump 0 must be nonnegative and nonzero"),
+        (z4_chain([range(4), {0, 2}, {0}], [np.ones(4), np.ones(4), [1, 0, 0, 0]]),
+         "bump 1 not supported in its neighborhood"),
+        (z4_chain([range(4), {0}], [[1, 1, 1, 0.5], [1, 0, 0, 0]]), "bump 0 is not symmetric"),
+        (z4_chain([range(4), {0}], [[0, 1, 1, 1], [1, 0, 0, 0]]),
+         "bump 0 vanishes at the identity"),
+        (z4_chain([range(4), {0, 2}]),
+         "chain must terminate at the singleton identity neighborhood"),
+        (z4_chain([]), "chain must terminate at the singleton identity neighborhood"),
+    ])
+    def test_message(self, chain, message):
+        for check in (chain.check, lambda h: reference_check(chain, h)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                check(self.Z4)
+
+    @pytest.mark.parametrize("chain,message", [
+        # {0, 1} lacks 1's partner 3, and its indicator bump is not symmetric either
+        (z4_chain([range(4), {0, 1}, {0}]), "neighborhood 1 is not involution-stable"),
+        # bump 1 is asymmetric, and neighborhood 2 lacks the identity
+        (z4_chain([range(4), {0, 1, 3}, {1, 3}, {0}],
+                  [np.ones(4), [1, 1, 0, 0.5], [0, 1, 0, 1], [1, 0, 0, 0]]),
+         "bump 1 is not symmetric"),
+        # bump 1 is unsupported and vanishes at the identity
+        (z4_chain([range(4), {0, 2}, {0}], [np.ones(4), [0, 1, 0, 1], [1, 0, 0, 0]]),
+         "bump 1 not supported in its neighborhood"),
+    ])
+    def test_first_failure_wins(self, chain, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            chain.check(self.Z4)
+
+    def test_wrong_bump_length(self):
+        chain = z4_chain([range(4), {0}], [np.ones(4), [1.0, 0.0]])
+        with pytest.raises(ValueError, match="^dimension mismatch: hypergroup has n=4, got 2$"):
+            chain.check(self.Z4)
+
+    def test_agrees_with_reference_on_damaged_chains(self, bundled):
+        # damage one neighborhood or bump of the canonical chain at random, often
+        # twice, and require the same message as the one-set-at-a-time loop
+        rng = np.random.default_rng(21)
+        base = canonical_chain(bundled)
+        n = bundled.n
+        for _ in range(60):
+            us = [set(u) for u in base.neighborhoods]
+            gs = [g.v.copy() for g in base.bumps]
+            for _ in range(rng.integers(1, 3)):
+                k, p = int(rng.integers(len(us))), int(rng.integers(n))
+                damage = rng.integers(5)
+                if damage == 0:
+                    us[k].symmetric_difference_update({p})
+                elif damage == 1:
+                    gs[k][p] = -gs[k][p] if gs[k][p] else 1.0
+                elif damage == 2:
+                    gs[k][p] = 0.0
+                elif damage == 3:
+                    gs[k][p] += 0.25
+                else:
+                    del us[k], gs[k]
+            chain = ShrinkingChain(tuple(us), tuple(Function(g) for g in gs))
+            try:
+                reference_check(chain, bundled)
+                expected = None
+            except ValueError as exc:
+                expected = str(exc)
+            if expected is None:
+                chain.check(bundled)
+            else:
+                with pytest.raises(ValueError) as got:
+                    chain.check(bundled)
+                assert str(got.value) == expected
+
+
 class TestRatioKernel:
     def test_matches_defining_formula(self, bundled):
         # <f, mu * chi~> / (|mu| chi~(f)) with mu * chi~ expanded over the tensor
@@ -396,6 +518,162 @@ class TestHaarNet:
         c[1, 1, 1] = np.nan
         with pytest.raises(NotConverged, match="^invariance residual nan above"):
             self.run(FiniteHypergroup(2, 0, [0, 1], c))
+
+
+class TestProbeDerivations:
+    """The O(n^2) forms of the default probes' gap and bounds against the general ones."""
+
+    @pytest.mark.parametrize("n", [1, 5, 40])
+    def test_probe_gap_is_gap_over_default_probes(self, n):
+        rng = np.random.default_rng(25)
+        p = np.array([f.v for f in default_probes(n)])
+        ones_binding = 0
+        for scale in (0.1, 1.0, 3.0):
+            k = rng.uniform(0.0, 1.0, (n, n))
+            chi_t = rng.uniform(0.0, scale, n)
+            rows = np.abs(p - (p * chi_t) @ k).max(axis=1)
+            ones_binding += rows[-1] > rows[:-1].max()
+            assert _probe_gap(k, chi_t) == pytest.approx(_gap(k, chi_t, p), rel=4 * n * EPS)
+        assert n == 1 or ones_binding
+
+    @pytest.mark.parametrize("family,param", [("cyclic", "64"), ("conj-class", "s4"),
+                                              ("product", "cyclic:5,cosine-grid:6")])
+    def test_bounds_equal_dominating_measures(self, family, param):
+        h = build_family(family, param)
+        f0 = Function(np.random.default_rng(26).uniform(0.5, 1.5, h.n))
+        probes = default_probes(h.n)
+        a, b = _bounds(h, f0, probes)
+        np.testing.assert_array_equal(
+            a, [1.0 / (2.0 * find_dominating_measure(h, f0, f).norm) for f in probes])
+        np.testing.assert_array_equal(
+            b, [2.0 * find_dominating_measure(h, f, f0).norm for f in probes])
+
+    def test_invalid_probe_refused_before_later_cover_failure(self):
+        h = theta_hypergroup(0.0)  # no translate of an f0 on point 0 reaches point 1
+        with pytest.raises(ValueError, match="^f0 must be nonnegative and nonzero$"):
+            _bounds(h, Function.ones(2), [Function([1.0, -1.0]), Function([0.0, 1.0])])
+        with pytest.raises(NoCover, match="^no translate of f0 reaches point 1$"):
+            _bounds(h, Function.ones(2), [Function([1.0, 0.0]), Function([1.0, -1.0])])
+
+
+class TestApproximantConfigRefusals:
+    Z4 = cyclic_hypergroup(4)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_mu0(self, value):
+        mu0 = Measure([1.0, value, 1.0, 1.0])
+        with pytest.raises(ValueError, match="^mu0 must be finite$"):
+            ApproximantConfig(mu0, Function.ones(4), canonical_chain(self.Z4))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_f0(self, value):
+        # with f0 = [1, inf, 1, 1] the chain ends in the all-zero measure, whose
+        # invariance residual is 0, so haar_net would certify it
+        f0 = Function([1.0, value, 1.0, 1.0])
+        with pytest.raises(ValueError, match="^f0 must be finite$"):
+            ApproximantConfig(ones_measure(4), f0, canonical_chain(self.Z4))
+
+    def test_finite_accepted(self):
+        cfg = ApproximantConfig(Measure([1.0, 2.0, 1.0, 2.0]), Function([1.0, 0.0, 1.0, 0.0]),
+                                canonical_chain(self.Z4))
+        chi, _ = haar_net(self.Z4, cfg)
+        np.testing.assert_allclose(chi.w, np.full(4, 0.5), atol=1e-12)
+
+
+
+def fresh_walk(h, mu0, f0, bumps):
+    """Per bump: K = translates(h, g) contracted from scratch, and the step's
+    normalized weights, probe values, gap and rho from the general kernels."""
+    p = np.array([f.v for f in default_probes(h.n)])
+    for g in bumps:
+        k = translates(h, g)
+        chi_t = mu0.w / (mu0.w @ k)
+        w = chi_t / (f0.v @ chi_t)
+        rho = _ratio(h, chi_t, f0.v[None], Measure.uniform(h.n).w[None])[0, 0]
+        yield k, chi_t, w, p @ w, _gap(k, chi_t, p), rho
+
+
+class TestWalkRounding:
+    """_walk's updated K against a from-scratch contraction per bump.
+
+    The bound: K_k is a sum of m_k = n + sum_{j<=k} |supp(g_j - g_{j-1})| rounded
+    products, against n for the fresh contraction, so elementwise
+    |K_walk - K_fresh| <= 2 m_k eps B_k, where B_k is the translate matrix of
+    |g_0| + sum_{j<=k} |g_j - g_{j-1}| over the tensor |c|.  To first order this
+    makes the denominator mu0 K of each weight off by a relative
+    r = (mu0 B_k) 2 m_k eps / (mu0 K) + 2 n eps, the normalized weights and the
+    probe values by 2 max(r) + 4 n eps, rho by 2 max(r) + 8 n eps, each entry
+    1_i - chi_t[i] K[i, t] of the gap by chi_t[i] (dK + r_i K)[i, t] and the ones
+    row's entry t by the sum of those over i, each plus 4 n eps.  The factor 2 in
+    the asserts covers second-order terms.
+    """
+
+    def check(self, h, mu0, f0, chain):
+        n = h.n
+        habs = FiniteHypergroup(n, h.e, h.inv, np.abs(h.c))
+        cfg = ApproximantConfig(mu0, f0, chain)
+        walked = list(zip(_walk(h, mu0, chain.bumps), _net_steps(h, cfg)))
+        fresh = list(fresh_walk(h, mu0, f0, chain.bumps))
+        assert len(walked) == len(fresh) == len(chain)
+        m, mass = n, np.abs(chain.bumps[0].v)
+        for j, (((k, chi_t), (w, vals, gap, rho)), ref) in enumerate(zip(walked, fresh)):
+            if j:
+                d = chain.bumps[j].v - chain.bumps[j - 1].v
+                m += np.count_nonzero(d)
+                mass = mass + np.abs(d)
+            k_ref, chi_ref, w_ref, vals_ref, gap_ref, rho_ref = ref
+            dk = 2 * m * EPS * translates(habs, Function(mass))
+            assert np.all(np.abs(k - k_ref) <= dk)
+            r = (mu0.w @ dk) / (mu0.w @ k_ref) + 2 * n * EPS
+            rel = 2 * r.max() + 4 * n * EPS
+            assert np.all(np.abs(chi_t - chi_ref) <= 2 * r * chi_ref)
+            assert np.all(np.abs(w - w_ref) <= 2 * rel * w_ref)
+            assert np.all(np.abs(vals - vals_ref) <= 2 * rel * np.abs(vals_ref))
+            assert abs(rho - rho_ref) <= 2 * (rel + 4 * n * EPS) * abs(rho_ref)
+            spread = chi_ref[:, None] * (dk + r[:, None] * np.abs(k_ref))
+            gap_tol = max(spread.max(), spread.sum(axis=0).max()) + 4 * n * EPS
+            assert abs(gap - gap_ref) <= 2 * gap_tol
+        return walked, fresh
+
+    def test_bundled(self, bundled):
+        rng = np.random.default_rng(22)
+        for mu0, f0 in [(ones_measure(bundled.n), Function.ones(bundled.n)),
+                        (Measure(rng.uniform(0.5, 2.0, bundled.n)),
+                         Function(rng.uniform(0.1, 1.0, bundled.n)))]:
+            self.check(bundled, mu0, f0, canonical_chain(bundled))
+
+    def test_perturbed_tensor(self):
+        # entries away from 0, 1/2 and 1, so the updates round: not a hypergroup
+        # any more, but the walk and its derived quantities are defined all the same
+        h = conjugacy_class_hypergroup(symmetric_group_table(4))
+        rng = np.random.default_rng(23)
+        c = h.c * rng.uniform(0.99, 1.01, h.c.shape)
+        h = FiniteHypergroup(h.n, h.e, h.inv, c)
+        walked, fresh = self.check(h, Measure(rng.uniform(0.5, 2.0, h.n)),
+                                   Function(rng.uniform(0.1, 1.0, h.n)), canonical_chain(h))
+        assert any(not np.array_equal(k, ref[0]) for ((k, _), _), ref in zip(walked, fresh))
+
+    @pytest.mark.parametrize("family,param", [("cyclic", "6"), ("conj-class", "s4"),
+                                              ("product", "cyclic:3,theta2:0.3")])
+    def test_full_support_deltas(self, family, param):
+        # symmetric non-indicator bumps on the whole space: every change between
+        # consecutive bumps has full support, so every update is a full contraction
+        h = build_family(family, param)
+        rng = np.random.default_rng(24)
+        bumps = [symmetrize(h, Function(rng.uniform(0.2, 1.0, h.n))) for _ in range(4)]
+        bumps.append(Function.indicator(h.n, [h.e]))
+        chain = ShrinkingChain((range(h.n),) * 4 + ({h.e},), tuple(bumps))
+        for a, b in zip(bumps, bumps[1:]):
+            assert np.all(a.v != b.v)
+        self.check(h, ones_measure(h.n), Function.ones(h.n), chain)
+
+    def test_haar_net_holds_no_n3_temporary(self):
+        # the walk, the bounds and v0 hold O(n^2) floats; a copy of c[inv] is n^3
+        h = build_family("cosine-grid", "96")
+        cfg = ApproximantConfig(ones_measure(h.n), Function.ones(h.n), canonical_chain(h))
+        (chi, trace), peak = traced_peak(haar_net, h, cfg)
+        assert len(trace) == h.n
+        assert peak < 0.25 * 8 * h.n ** 3
 
 
 def reference_net(h, mu0, f0, chain, conv_tol=1e-12):
