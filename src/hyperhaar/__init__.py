@@ -19,6 +19,7 @@ from .core import (
 from .approx import (
     ApproximantConfig,
     ConvergenceTrace,
+    NoChain,
     NotConverged,
     ShrinkingChain,
     ZeroDenominator,

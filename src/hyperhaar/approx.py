@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .oracles import invariance_residual
 __all__ = [
     "ZeroDenominator",
     "NotConverged",
+    "NoChain",
     "ShrinkingChain",
     "ApproximantConfig",
     "TraceStep",
@@ -59,6 +60,10 @@ class ZeroDenominator(Exception):
 
 class NotConverged(Exception):
     """Chain exhausted with invariance residual above the certification threshold."""
+
+
+class NoChain(ValueError):
+    """inv is not an involution fixing e, so canonical_chain has no chain to build."""
 
 
 @dataclass(frozen=True)
@@ -222,36 +227,22 @@ def normalized_approximant(h: FiniteHypergroup, cfg: ApproximantConfig, g: Funct
     return Measure(chi_t.w / pair(cfg.f0, chi_t), nonneg=True)
 
 
-def canonical_chain(h: FiniteHypergroup,
-                    ordering: Optional[Sequence[int]] = None) -> ShrinkingChain:
-    """Shrink from the whole space down to {e}, one involution-orbit at a time.
-
-    Default removal order: orbits keyed by their smallest member, descending.
-    An explicit ordering (a permutation of the non-identity points) is walked
-    front to back; each point drags its involution partner along.
-    """
-    others = [p for p in h.points() if p != h.e]
-    if ordering is not None:
-        if sorted(ordering) != sorted(others):
-            raise ValueError("ordering must be a permutation of the non-identity points")
-        seq = list(ordering)
-    else:
-        orbits = {}
-        for p in others:
-            orbits.setdefault(min(p, int(h.inv[p])), None)
-        seq = sorted(orbits, reverse=True)
-
+def canonical_chain(h: FiniteHypergroup) -> ShrinkingChain:
+    """Shrink from the whole space down to {e}, one involution-orbit at a time:
+    orbits keyed by their smallest member, removed in descending key order.
+    Raises NoChain when inv is not an involution fixing e."""
     current = set(h.points())
     neighborhoods = [frozenset(current)]
-    for p in seq:
-        if p not in current:
-            continue
+    for p in sorted({min(p, int(h.inv[p])) for p in h.points() if p != h.e}, reverse=True):
         current.discard(p)
         current.discard(int(h.inv[p]))
         neighborhoods.append(frozenset(current))
     bumps = [symmetrize(h, Function.indicator(h.n, u)) for u in neighborhoods]
     chain = ShrinkingChain(tuple(neighborhoods), tuple(bumps))
-    chain.check(h)
+    try:
+        chain.check(h)
+    except ValueError as exc:
+        raise NoChain(str(exc)) from None
     return chain
 
 

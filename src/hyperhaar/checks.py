@@ -17,7 +17,7 @@ from .core import (
     _convolve_measure_function,
     _convolve_measures,
 )
-from .approx import _bounds, _gap, _ratio, _step, _walk, canonical_chain, default_probes
+from .approx import _bounds, _probe_gap, _ratio, _step, _walk, canonical_chain, default_probes
 
 __all__ = ["SuiteResult", "identity_suite", "terminal_gap_suite",
            "terminal_ratio_suite", "bounds_suite", "run_all_suites"]
@@ -81,8 +81,7 @@ def identity_suite(h: FiniteHypergroup, rng: np.random.Generator,
 
 def terminal_gap_suite(h: FiniteHypergroup) -> SuiteResult:
     """Reconstruction gap at the terminal bump 1_{e} is exact."""
-    p = np.array([f.v for f in default_probes(h.n)])
-    worst = _gap(*_step(h, Measure(np.ones(h.n)), Function.indicator(h.n, [h.e])), p)
+    worst = _probe_gap(*_step(h, Measure(np.ones(h.n)), Function.indicator(h.n, [h.e])))
     return SuiteResult("terminal reconstruction gap", worst <= EXACT_TOL, worst)
 
 

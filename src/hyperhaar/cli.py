@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import AXIOM_TOL, CERTIFY_TOL, EXACT_TOL, Function, Measure, NoCover, validate
-from .approx import ApproximantConfig, NotConverged, ZeroDenominator, canonical_chain, haar_net
+from .approx import (ApproximantConfig, NoChain, NotConverged, ZeroDenominator, canonical_chain,
+                     haar_net)
 from .checks import run_all_suites
 from .fileio import ParseError, parse_hypergroup, serialize_hypergroup, write_trace_csv
 from .oracles import (_FAMILIES, DegenerateNullspace, H6Violation, NegativeSolution,
@@ -18,7 +19,7 @@ from .oracles import (_FAMILIES, DegenerateNullspace, H6Violation, NegativeSolut
 
 # The package's refusals of an input that is not a hypergroup it can work with.
 _REFUSALS = (NoCover, H6Violation, ZeroDenominator, DegenerateNullspace, NegativeSolution,
-             NotConverged)
+             NotConverged, NoChain)
 
 
 def _load(path: str):
@@ -107,7 +108,7 @@ def cmd_compare(args) -> int:
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             wa, wb = normalized[a], normalized[b]
-            rel = float(np.max(np.abs(wa - wb) / np.maximum(np.maximum(wa, wb), 1e-300)))
+            rel = float(np.max(np.abs(wa - wb) / np.maximum(wa, wb)))
             ok = ok and rel <= args.tol
             print(f"max relative difference {a}/{b}: {rel:.3e}")
     residual = invariance_residual(h, Measure(normalized["net"], nonneg=True))

@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-AXIOM_TOL = 1e-9  # FiniteHypergroup.tol: validate and the invariance solve's clamp
+AXIOM_TOL = 1e-9  # validate's default and the invariance solve's clamp
 EXACT_TOL = 1e-12  # rounding of quantities exact in theory: the suites, the Cauchy stop
 CERTIFY_TOL = 1e-10  # the invariance residual that certifies haar_net's limit
 
@@ -50,17 +50,12 @@ class NoCover(Exception):
 
 @dataclass(frozen=True)
 class FiniteHypergroup:
-    """Finite hypergroup: identity e, involution inv, structure tensor c.
-
-    tol is the axiom tolerance; dataclasses.replace(h, tol=...) gives a copy
-    with another, and runs the checks below again.
-    """
+    """Finite hypergroup: identity e, involution inv, structure tensor c."""
 
     n: int
     e: int
     inv: np.ndarray
     c: np.ndarray
-    tol: float = AXIOM_TOL
 
     def __post_init__(self):
         object.__setattr__(self, "inv", np.asarray(self.inv, dtype=int))
@@ -73,8 +68,6 @@ class FiniteHypergroup:
             raise ValueError("involution is not a permutation")
         if self.c.shape != (self.n, self.n, self.n):
             raise ValueError(f"structure tensor must have shape {(self.n,) * 3}")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
 
     def points(self) -> range:
         return range(self.n)
@@ -142,9 +135,6 @@ class Function:
 
     def is_nonneg(self) -> bool:
         return bool(np.all(self.v >= 0))
-
-    def supported_in(self, points: Iterable[int]) -> bool:
-        return self.support() <= frozenset(points)
 
     @staticmethod
     def indicator(n: int, points: Iterable[int]) -> "Function":
@@ -278,9 +268,6 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks.values())
 
-    def failures(self) -> list:
-        return [c for c in self.checks.values() if not c.passed]
-
     def summary(self) -> str:
         lines = []
         for c in self.checks.values():
@@ -299,7 +286,7 @@ def _argmax_witness(arr: np.ndarray) -> tuple:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is reported as inf, not warned
-def validate(h: FiniteHypergroup, tol: Optional[float] = None) -> ValidationReport:
+def validate(h: FiniteHypergroup, tol: float = AXIOM_TOL) -> ValidationReport:
     """Check the hypergroup axioms; failures become report content, not errors.
 
     The associativity check sets the cost. Its worst is the largest
@@ -316,7 +303,6 @@ def validate(h: FiniteHypergroup, tol: Optional[float] = None) -> ValidationRepo
     On a finite c a deviation that overflows counts as inf, so the worst is inf
     at the first non-finite deviation; a NaN in c gives nan at the first NaN.
     """
-    tol = h.tol if tol is None else tol
     n, e, inv, c = h.n, h.e, h.inv, h.c
     checks = {}
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FiniteHypergroup, Measure
+from .core import AXIOM_TOL, FiniteHypergroup, Measure
 
 __all__ = [
     "H6Violation",
@@ -78,7 +78,7 @@ def solve_invariance(h: FiniteHypergroup) -> Measure:
     toward the nullity; sigma_hat is the largest of sigma_0(S) / sqrt(n),
     sigma_0(A B) and ||A||_F / sqrt(n), each a lower bound on sigma_0(A).
     This costs O(k n^3) time and O(k n^2) extra memory, and k = 1 for a
-    hypergroup. A weight below -h.tol is refused with NegativeSolution;
+    hypergroup. A weight below -AXIOM_TOL is refused with NegativeSolution;
     smaller negative weights are clamped to 0.
     """
     n, c = h.n, h.c
@@ -106,8 +106,9 @@ def solve_invariance(h: FiniteHypergroup) -> Measure:
     x = b.T @ u[:, -1]
     x /= x.sum()
     worst = int(np.argmin(x))
-    if x[worst] < -h.tol:
-        raise NegativeSolution(f"weight {worst} is {x[worst]:.6g}, below -tol (tol = {h.tol:g})")
+    if x[worst] < -AXIOM_TOL:
+        raise NegativeSolution(
+            f"weight {worst} is {x[worst]:.6g}, below -tol (tol = {AXIOM_TOL:g})")
     return Measure(np.maximum(x, 0.0), nonneg=True)
 
 

@@ -6,6 +6,7 @@ from hyperhaar import (
     FiniteHypergroup,
     Function,
     Measure,
+    NoChain,
     NoCover,
     NotConverged,
     ShrinkingChain,
@@ -160,13 +161,39 @@ class TestCanonicalChain:
         np.testing.assert_array_equal(
             chain.bumps[-1].v, Function.indicator(bundled.n, [bundled.e]).v)
 
-    def test_explicit_ordering(self):
-        chain = canonical_chain(cyclic_hypergroup(4), ordering=[1, 2, 3])
-        assert [sorted(u) for u in chain.neighborhoods] == [[0, 1, 2, 3], [0, 2], [0]]
+    def test_matches_walk_with_skip(self, bundled):
+        assert_chain_is_reference(canonical_chain(bundled), bundled)
 
-    def test_invalid_ordering(self):
-        with pytest.raises(ValueError, match="permutation"):
-            canonical_chain(cyclic_hypergroup(4), ordering=[1, 2])
+    @pytest.mark.parametrize("family,param", [("cyclic", "12"), ("conj-class", "s4"),
+                                              ("product", "cyclic:3,cosine-grid:4")])
+    def test_matches_walk_with_skip_on_larger_families(self, family, param):
+        h = build_family(family, param)
+        assert_chain_is_reference(canonical_chain(h), h)
+
+    @pytest.mark.parametrize("inv,message", [
+        ([1, 2, 0], "neighborhood 1 is not involution-stable"),
+        ([1, 0, 2], "neighborhood 2 does not contain the identity"),
+    ], ids=["three-cycle", "moves-identity"])
+    def test_non_involutive_inv_is_refused(self, inv, message):
+        h = FiniteHypergroup(3, 0, inv, cyclic_hypergroup(3).c)
+        with pytest.raises(NoChain, match=f"^{message}$"):
+            canonical_chain(h)
+
+
+def assert_chain_is_reference(chain, h):
+    """The chain equals the walk canonical_chain used to make: orbit keys in
+    descending order, skipping a point an earlier orbit already removed."""
+    current = set(h.points())
+    neighborhoods = [frozenset(current)]
+    for p in sorted({min(p, int(h.inv[p])) for p in h.points() if p != h.e}, reverse=True):
+        if p not in current:
+            continue
+        current.discard(p)
+        current.discard(int(h.inv[p]))
+        neighborhoods.append(frozenset(current))
+    assert chain.neighborhoods == tuple(neighborhoods)
+    assert [g.v.tobytes() for g in chain.bumps] == [
+        symmetrize(h, Function.indicator(h.n, u)).v.tobytes() for u in neighborhoods]
 
 
 class TestMainIdentityGap:
@@ -272,7 +299,7 @@ def reference_check(chain, h):
             raise ValueError(f"neighborhood {k} is not contained in its predecessor")
         if not (g.is_nonneg() and g.sup_norm > 0):
             raise ValueError(f"bump {k} must be nonnegative and nonzero")
-        if not g.supported_in(u):
+        if not g.support() <= u:
             raise ValueError(f"bump {k} not supported in its neighborhood")
         if not np.array_equal(g.v, g.v[h.inv]):
             raise ValueError(f"bump {k} is not symmetric")

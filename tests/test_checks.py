@@ -6,10 +6,10 @@ import pytest
 
 from hyperhaar import FiniteHypergroup, build_family
 from hyperhaar import checks
-from hyperhaar.approx import _step, default_probes
+from hyperhaar.approx import _gap, _step, default_probes
 from hyperhaar.checks import (bounds_suite, identity_suite, run_all_suites, terminal_gap_suite,
                              terminal_ratio_suite)
-from hyperhaar.core import Function, Measure
+from hyperhaar.core import EXACT_TOL, Function, Measure
 from hyperhaar.oracles import cyclic_hypergroup
 
 from conftest import BUNDLED, traced_peak
@@ -144,6 +144,28 @@ class TestIdentitySuite:
                  for trials in (1000, 4000)]
         assert peaks[1] <= 1.05 * peaks[0]
         assert max(peaks) <= 8 * checks._BLOCK_FLOATS
+
+
+# dirac_1 * dirac_e != dirac_1 (H4 fails), so the terminal gap is 0.4, not 0
+NOT_INVARIANT = FiniteHypergroup(2, 0, [0, 1], [[[1.0, 0.0], [0.0, 1.0]],
+                                                [[0.2, 0.8], [0.5, 0.5]]])
+GAP_CASES = [(name, lambda spec=spec: build_family(*spec))
+             for name, spec in sorted(BUNDLED.items())] + [
+    ("cosine-24", lambda: build_family("cosine-grid", "24")),
+    ("perturbed-Z4", perturbed_z4),
+    ("not-invariant", lambda: NOT_INVARIANT),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in GAP_CASES], ids=[name for name, _ in GAP_CASES])
+def test_terminal_gap_suite_is_gap_over_stacked_probes(make):
+    # the O(n^2) probe gap the suite reads against _gap over the (n+1) x n probe matrix
+    h = make()
+    p = np.array([f.v for f in default_probes(h.n)])
+    ref = _gap(*_step(h, Measure(np.ones(h.n)), Function.indicator(h.n, [h.e])), p)
+    got = terminal_gap_suite(h)
+    assert abs(got.worst - ref) <= 4 * h.n * np.finfo(float).eps * max(1.0, ref)
+    assert got.passed == (ref <= EXACT_TOL)
 
 
 def test_terminal_ratio_suite_peak_below_quarter_n3():

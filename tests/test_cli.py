@@ -299,6 +299,11 @@ NEGATIVE_DOC = ("hypergroup v1\nn 2\ne 0\ninv 0 1\n"
 # dirac_1 * dirac_e != dirac_1 (H4 fails): the chain runs, but its limit is not invariant
 NOT_INVARIANT_DOC = ("hypergroup v1\nn 2\ne 0\ninv 0 1\nc 0 0 0 1\nc 0 1 1 1\n"
                      "c 1 0 0 0.2\nc 1 0 1 0.8\nc 1 1 0 0.5\nc 1 1 1 0.5\n")
+# Z3's table with inv a three-cycle (1 2 0): a permutation, but not an involution
+THREE_CYCLE_DOC = ("hypergroup v1\nn 3\ne 0\ninv 1 2 0\n" + "".join(
+    f"c {s} {t} {(s + t) % 3} 1\n" for s in range(3) for t in range(3)))
+# the same table with inv swapping the identity 0 and 1
+MOVED_IDENTITY_DOC = THREE_CYCLE_DOC.replace("inv 1 2 0", "inv 1 0 2")
 
 
 @pytest.mark.parametrize("doc,argv,message", [
@@ -315,8 +320,20 @@ NOT_INVARIANT_DOC = ("hypergroup v1\nn 2\ne 0\ninv 0 1\nc 0 0 0 1\nc 0 1 1 1\n"
      "NegativeSolution: weight 1 is -1, below -tol (tol = 1e-09)"),
     (NOT_INVARIANT_DOC, ("haar", "--method", "net"),
      "NotConverged: invariance residual 1.176e-01 above 1.000e-10 after exhausting the chain"),
+    (THREE_CYCLE_DOC, ("haar", "--method", "net"),
+     "NoChain: neighborhood 1 is not involution-stable"),
+    (THREE_CYCLE_DOC, ("compare",), "NoChain: neighborhood 1 is not involution-stable"),
+    (THREE_CYCLE_DOC, ("check-lemmas", "--trials", "5"),
+     "NoChain: neighborhood 1 is not involution-stable"),
+    (MOVED_IDENTITY_DOC, ("haar", "--method", "net"),
+     "NoChain: neighborhood 2 does not contain the identity"),
+    (MOVED_IDENTITY_DOC, ("compare",), "NoChain: neighborhood 2 does not contain the identity"),
+    (MOVED_IDENTITY_DOC, ("check-lemmas", "--trials", "5"),
+     "NoChain: neighborhood 2 does not contain the identity"),
 ], ids=["net-NoCover", "compare-NoCover", "jewett-H6Violation", "lemmas-ZeroDenominator",
-        "solve-DegenerateNullspace", "solve-NegativeSolution", "net-NotConverged"])
+        "solve-DegenerateNullspace", "solve-NegativeSolution", "net-NotConverged",
+        "net-NoChain", "compare-NoChain", "lemmas-NoChain",
+        "net-NoChain-identity", "compare-NoChain-identity", "lemmas-NoChain-identity"])
 def test_refusal_is_one_line_diagnosis(tmp_path, doc, argv, message):
     path = tmp_path / "refused.hg"
     path.write_text(doc)

@@ -452,14 +452,17 @@ class TestSparseAssociativity:
 
 
 class TestTolerancePolicy:
-    def test_built_hypergroups_carry_the_axiom_tolerance(self, bundled):
-        assert bundled.tol == AXIOM_TOL
+    def test_fields_are_points_identity_involution_tensor(self):
+        assert [f.name for f in dataclasses.fields(FiniteHypergroup)] == ["n", "e", "inv", "c"]
 
-    def test_replace_sets_tolerance_and_rechecks(self):
-        h = cyclic_hypergroup(3)
-        assert dataclasses.replace(h, tol=1e-12).tol == 1e-12
-        with pytest.raises(ValueError, match="^tol must be nonnegative$"):
-            dataclasses.replace(h, tol=-1.0)
+    @pytest.mark.parametrize("excess", [5e-10, 2e-9], ids=["within", "beyond"])
+    def test_validate_defaults_to_the_axiom_tolerance(self, excess):
+        h = theta_hypergroup(0.5)
+        c = h.c.copy()
+        c[1, 1, 0] += excess  # row (1, 1) now sums to 1 + excess
+        h = FiniteHypergroup(2, 0, h.inv, c)
+        assert validate(h).checks["H1"].passed == (excess <= AXIOM_TOL)
+        assert not validate(h, excess / 2).checks["H1"].passed
 
 
 def greedy_loop(k, f):

@@ -186,9 +186,6 @@ class TestRoundTrip:
         np.testing.assert_array_equal(again.inv, bundled.inv)
         assert (again.n, again.e) == (bundled.n, bundled.e)
 
-    def test_tolerance_survives(self, bundled):
-        assert parse_hypergroup(serialize_hypergroup(bundled)).tol == bundled.tol
-
     def test_serialize_matches_per_entry_reference(self, bundled):
         assert serialize_hypergroup(bundled) == _per_entry_serialize(bundled)
 

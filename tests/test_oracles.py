@@ -18,6 +18,7 @@ from hyperhaar import (
     solve_invariance,
     validate,
 )
+from hyperhaar.core import AXIOM_TOL
 from hyperhaar.oracles import (
     _RANK_CUT,
     conjugacy_class_hypergroup,
@@ -136,9 +137,19 @@ class TestSolveInvariance:
         with pytest.raises(NegativeSolution,
                            match=r"^weight 1 is -1, below -tol \(tol = 1e-09\)$"):
             solve_invariance(FiniteHypergroup(2, 0, [0, 1], c))
-        # with a tolerance that admits it, the weight is clamped to 0
-        loose = FiniteHypergroup(2, 0, [0, 1], c, tol=2.0)
-        np.testing.assert_allclose(solve_invariance(loose).w, [2.0, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("excess", [5e-10, 2e-9], ids=["clamped", "refused"])
+    def test_clamp_at_axiom_tolerance(self, excess):
+        # as above with 1 + excess for 1.5: the solution is (1, -excess) / (1 - excess),
+        # its second weight clamped to 0 within AXIOM_TOL and refused beyond it
+        c = np.stack([np.eye(2), [[1.0 + excess, 0.0], [1.0, 1.0]]])
+        h = FiniteHypergroup(2, 0, [0, 1], c)
+        if excess < AXIOM_TOL:
+            np.testing.assert_allclose(solve_invariance(h).w, [1.0 / (1.0 - excess), 0.0],
+                                       rtol=1e-12)
+        else:
+            with pytest.raises(NegativeSolution, match=r"below -tol \(tol = 1e-09\)$"):
+                solve_invariance(h)
 
     def test_null_vector_without_mass_refused(self):
         # c[1].T - I = [[1, 1], [1, 1]]: the only null vector is (1, -1), of mass 0,
