@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Sequence
 
 import numpy as np
@@ -29,7 +30,6 @@ from .core import (
     _indicator_peaks,
     _peaks,
     pair,
-    translates,
 )
 from .oracles import invariance_residual
 
@@ -189,16 +189,23 @@ def symmetrize(h: FiniteHypergroup, g: Function) -> Function:
     return Function(0.5 * (g.v + g.v[h.inv]))
 
 
-def _walk(h: FiniteHypergroup, mu0: Measure, bumps: Sequence[Function]):
+def _contraction(h: FiniteHypergroup, f0: np.ndarray):
+    """_contract_u(h, .) that contracts f0 once, and returns that contraction for
+    every input bitwise equal to f0."""
+    key, k0 = f0.tobytes(), _contract_u(h, f0)
+    return lambda f: k0 if f.tobytes() == key else _contract_u(h, f)
+
+
+def _walk(h: FiniteHypergroup, mu0: Measure, bumps: Sequence[Function], contract=None):
     """Yield, bump by bump, the translate matrix K[s, t] = (dirac_s * g)(t) and the
     approximant weights mu0 / (mu0 * g) derived from it.
 
     K is linear in the bump: one contraction gives the first bump's K, and each
     later K adds d_p c[inv, :, p] for every point p where the bump changed by d_p,
     O(n^2) a changed point.  A change with full support costs O(n^3), as a
-    contraction does.
+    contraction does.  contract, _contract_u(h, .) by default, gives the first K.
     """
-    k = translates(h, bumps[0])
+    k = (contract or partial(_contract_u, h))(bumps[0].v)[h.inv]
     for i, g in enumerate(bumps):
         if i:
             d = g.v - bumps[i - 1].v
@@ -284,7 +291,8 @@ def sandwich_ratio(h: FiniteHypergroup, mu0: Measure, g: Function,
     return float(_ratio(h, _step(h, mu0, g)[1], f.v[None], mu.w[None])[0, 0])
 
 
-def _bounds(h: FiniteHypergroup, f0: Function, fs: Sequence[Function]) -> np.ndarray:
+def _bounds(h: FiniteHypergroup, f0: Function, fs: Sequence[Function],
+            contract=None) -> np.ndarray:
     """Rows a, b: bounds on <f, normalized approximant> for each f in fs from greedy
     dominating measures; they hold for every bump.
 
@@ -292,9 +300,11 @@ def _bounds(h: FiniteHypergroup, f0: Function, fs: Sequence[Function]) -> np.nda
     find_dominating_measure(h, f0, f) and find_dominating_measure(h, f, f0) do,
     and a failure is raised for the first f, a's before b's.  The translates of an
     indicator probe 1_j are the slices c[inv, :, j], so _indicator_peaks serves
-    all of them in one pass over the tensor; any other f costs a contraction.
+    all of them in one pass over the tensor; any other f costs a contraction,
+    made by contract, _contract_u(h, .) by default.
     """
     n = h.n
+    contract = contract or partial(_contract_u, h)
     f = np.array([probe.v for probe in fs]).reshape(len(fs), n)
     indicator = ((f == 1.0).sum(axis=1) == 1) & ((f == 0.0).sum(axis=1) == n - 1)
     s_a, best_a = np.zeros(f.shape, dtype=int), np.zeros(f.shape)
@@ -303,9 +313,9 @@ def _bounds(h: FiniteHypergroup, f0: Function, fs: Sequence[Function]) -> np.nda
         j = np.argmax(f[indicator], axis=1)
         s_a[indicator], best_a[indicator] = s_ind[j], best_ind[j]
     for i in np.flatnonzero(~indicator):
-        s_a[i], best_a[i] = _peaks(translates(h, fs[i]))
+        s_a[i], best_a[i] = _peaks(contract(fs[i].v)[h.inv])
     w_a, uncovered_a = _cover(s_a, best_a, np.broadcast_to(f0.v, f.shape))
-    w_b, uncovered_b = _cover(*_peaks(translates(h, f0)), f)
+    w_b, uncovered_b = _cover(*_peaks(contract(f0.v)[h.inv]), f)
     invalid = ~((f >= 0).all(axis=1) & (np.abs(f).max(axis=1) > 0))
     failed = np.hstack([invalid[:, None], uncovered_a, uncovered_b])
     if failed.any():
@@ -324,18 +334,19 @@ def bounds_certificate(h: FiniteHypergroup, cfg: ApproximantConfig,
     return BoundsCertificate(a, b, value, a < value < b)
 
 
-def _net_steps(h: FiniteHypergroup, cfg: ApproximantConfig):
+def _net_steps(h: FiniteHypergroup, cfg: ApproximantConfig, contract=None):
     """Yield, bump by bump down cfg.chain, the normalized approximant's weights,
     its default-probe values, the gap over the default probes and rho, all
     derived from _walk's K in O(n^2).
 
     rho = <f0, uniform * chi_t> / chi_t(f0), the sandwich ratio of the uniform
     measure, and <f0, uniform * chi_t> = v0 . chi_t for v0 = uniform . (c
-    contracted with f0), formed once.
+    contracted with f0), formed once by contract, _contraction(h, f0) by default.
     """
+    contract = contract or _contraction(h, cfg.f0.v)
     p = np.array([f.v for f in default_probes(h.n)])
-    v0 = Measure.uniform(h.n).w @ _contract_u(h, cfg.f0.v)
-    for k, chi_t in _walk(h, cfg.mu0, cfg.chain.bumps):
+    v0 = Measure.uniform(h.n).w @ contract(cfg.f0.v)
+    for k, chi_t in _walk(h, cfg.mu0, cfg.chain.bumps, contract):
         z = cfg.f0.v @ chi_t
         yield chi_t / z, p @ (chi_t / z), _probe_gap(k, chi_t), float(v0 @ chi_t / z)
 
@@ -348,12 +359,14 @@ def haar_net(h: FiniteHypergroup, cfg: ApproximantConfig):
     raises NotConverged if the limit's invariance residual exceeds CERTIFY_TOL.
     """
     cfg.chain.check(h)
-    a, b = _bounds(h, cfg.f0, default_probes(h.n))
+    # a constant f0 equals the first bump and the ones probe: one contraction serves all
+    contract = _contraction(h, cfg.f0.v)
+    a, b = _bounds(h, cfg.f0, default_probes(h.n), contract)
 
     steps = []
     chi = None
     prev_vals = None
-    walk = _net_steps(h, cfg)
+    walk = _net_steps(h, cfg, contract)
     for step, (u, (w, vals, gap, rho)) in enumerate(zip(cfg.chain.neighborhoods, walk)):
         chi = Measure(w, nonneg=True)
         bounds_ok = bool(np.all((a < vals) & (vals < b)))

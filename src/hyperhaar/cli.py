@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -161,7 +162,9 @@ _TOL = _checked(float, lambda x: 0 <= x < math.inf, "a finite number >= 0")
 _POSITIVE_TOL = _checked(float, lambda x: 0 < x < math.inf, "a finite number > 0")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built once per process: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="hyperhaar",
         description="Invariant measures on finite hypergroups: compute, validate, compare.")

@@ -407,6 +407,13 @@ def _associativity_blas(c: np.ndarray) -> tuple:
     return worst, witness
 
 
+def _nonzeros(c: np.ndarray) -> tuple:
+    """The indices s, t, u and the values of c's nonzeros (NaNs included), in C
+    order, through one boolean mask: np.nonzero on the float tensor is slower."""
+    flat = np.flatnonzero(c != 0)
+    return (*np.unravel_index(flat, c.shape), c.ravel()[flat])
+
+
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The concatenation of arange(a, a + k) over the pairs of starts and counts."""
     ends = np.cumsum(counts)
@@ -425,8 +432,7 @@ def _associativity_sparse(c: np.ndarray) -> tuple:
     and O(n^3) memory.
     """
     n = c.shape[0]
-    s_, t_, u_ = np.nonzero(c)  # C order: grouped by first index
-    val = c[s_, t_, u_]
+    s_, t_, u_, val = _nonzeros(c)  # C order: grouped by first index
     first = np.searchsorted(s_, np.arange(n + 1))
     rv = t_ * n + u_  # the key part (r, v) of c[u, r, v]
     by_u = np.argsort(u_, kind="stable")

@@ -23,7 +23,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .core import FiniteHypergroup
+from .core import FiniteHypergroup, _nonzeros
 from .approx import ConvergenceTrace
 
 __all__ = [
@@ -178,11 +178,17 @@ def _read_lines(numbered, count: int):
 
 
 def serialize_hypergroup(h: FiniteHypergroup) -> str:
-    """Emit the sparse text form; floats at 17 significant digits."""
+    """Emit the sparse text form; floats at 17 significant digits.
+
+    Each index and each distinct value is formatted once.
+    """
     lines = [_MAGIC, f"n {h.n}", f"e {h.e}", "inv " + " ".join(str(int(x)) for x in h.inv)]
-    nz = np.nonzero(h.c)
-    lines += [f"c {s} {t} {u} {v:.17g}"
-              for s, t, u, v in zip(*(i.tolist() for i in nz), h.c[nz].tolist())]
+    names = [str(i) for i in range(h.n)]
+    s, t, u, v = _nonzeros(h.c)
+    values, which = np.unique(v, return_inverse=True)
+    texts = [f"{x:.17g}" for x in values.tolist()]
+    lines += [f"c {names[a]} {names[b]} {names[d]} {texts[k]}"
+              for a, b, d, k in zip(s.tolist(), t.tolist(), u.tolist(), which.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -1,6 +1,9 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
+from hyperhaar import approx
 from hyperhaar import (
     ApproximantConfig,
     FiniteHypergroup,
@@ -27,7 +30,7 @@ from hyperhaar import (
 from hyperhaar.approx import (_bounds, _gap, _net_steps, _probe_gap, _ratio, _step, _walk,
                               default_probes)
 from hyperhaar.checks import terminal_ratio_suite
-from hyperhaar.core import convolve_measures, translates
+from hyperhaar.core import _contract_u, convolve_measures, translates
 from hyperhaar.oracles import (
     conjugacy_class_hypergroup,
     cyclic_hypergroup,
@@ -701,6 +704,48 @@ class TestWalkRounding:
         (chi, trace), peak = traced_peak(haar_net, h, cfg)
         assert len(trace) == h.n
         assert peak < 0.25 * 8 * h.n ** 3
+
+
+class TestSharedContraction:
+    """haar_net contracts f0 once and reuses it wherever the input equals f0
+    bitwise: for a constant f0 the first bump, the ones probe's bounds, f0's
+    bounds and v0.  Nothing it reports may change by a bit."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+
+        def contract(h, f):
+            calls.append(f)
+            return _contract_u(h, f)
+        monkeypatch.setattr(approx, "_contract_u", contract)
+        return calls
+
+    @pytest.mark.parametrize("family,param", [("cosine-grid", "24"), ("conj-class", "s4"),
+                                              ("product", "cyclic:3,theta2:0.3")])
+    @pytest.mark.parametrize("constant", [True, False], ids=["ones", "random"])
+    def test_bit_identical_to_fresh_contractions(self, monkeypatch, family, param, constant):
+        h = build_family(family, param)
+        rng = np.random.default_rng(25)
+        f0 = Function.ones(h.n) if constant else Function(rng.uniform(0.1, 1.0, h.n))
+        cfg = ApproximantConfig(Measure(rng.uniform(0.5, 2.0, h.n), nonneg=True), f0,
+                                canonical_chain(h))
+        probes = default_probes(h.n)
+        calls = self.counted(monkeypatch)
+        chi, trace = haar_net(h, cfg)
+        # the ones probe and the first bump equal f0 or share one contraction of their own
+        assert len(calls) == (1 if constant else 3)
+        shared_bounds = _bounds(h, f0, probes, approx._contraction(h, f0.v))
+        monkeypatch.setattr(approx, "_contraction", lambda h, f0: partial(_contract_u, h))
+        fresh_chi, fresh_trace = haar_net(h, cfg)
+        np.testing.assert_array_equal(shared_bounds, _bounds(h, f0, probes))
+        np.testing.assert_array_equal(chi.w, fresh_chi.w)
+        assert len(trace) == len(fresh_trace)
+        for a, b in zip(trace.steps, fresh_trace.steps):
+            np.testing.assert_array_equal(a.chi_probe, b.chi_probe)
+            np.testing.assert_array_equal([a.step, a.u_size, a.gap, a.rho, a.cauchy_diff],
+                                          [b.step, b.u_size, b.gap, b.rho, b.cauchy_diff])
+            assert a.bounds_ok == b.bounds_ok
 
 
 def reference_net(h, mu0, f0, chain, conv_tol=1e-12):

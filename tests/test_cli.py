@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperhaar.cli import main
-from hyperhaar.fileio import serialize_hypergroup
+from hyperhaar.cli import build_parser, main
+from hyperhaar.core import AXIOM_TOL, validate
+from hyperhaar.fileio import parse_hypergroup, serialize_hypergroup
 from hyperhaar.oracles import _FAMILIES, cosine_grid_hypergroup, cyclic_hypergroup, theta_hypergroup
 
 
@@ -117,6 +118,58 @@ def test_gen_family_choices_are_the_builders(capsys):
         main(["gen", "--help"])
     # argparse prints the choices as one unbroken {a,b,...} group
     assert "{" + ",".join(_FAMILIES) + "}" in capsys.readouterr().out
+
+
+class TestParserBuiltOnce:
+    """main builds its argparse tree once per process; one call leaves nothing
+    behind in it for the next."""
+
+    def test_one_tree(self):
+        assert build_parser() is build_parser()
+
+    def test_trace_flag_does_not_carry_over(self, theta_file, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        assert main(["haar", theta_file, "--method", "net", "--trace", str(trace)]) == 0
+        trace.unlink()
+        assert main(["haar", theta_file, "--method", "jewett"]) == 0
+        assert main(["haar", theta_file, "--method", "net"]) == 0
+        assert not trace.exists()
+
+    def test_tol_does_not_carry_over(self, tmp_path, capsys):
+        # H1 is off by 1e-6: a pass at --tol 1, a failure at AXIOM_TOL
+        text = serialize_hypergroup(theta_hypergroup(0.5)).replace(
+            "c 1 1 0 0.5\n", "c 1 1 0 0.500001\n")
+        path = tmp_path / "off.hg"
+        path.write_text(text)
+        h = parse_hypergroup(text)
+        main(["validate", str(path), "--tol", "1"])
+        loose = capsys.readouterr().out
+        assert loose == validate(h, 1.0).summary() + "\n"
+        assert "H1 row-stochastic: pass" in loose
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == validate(h, AXIOM_TOL).summary() + "\n"
+
+    def test_usage_error_then_valid_command(self, theta_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["haar", theta_file, "--method", "lstsq"])
+        assert exc.value.code == 2
+        assert main(["validate", theta_file]) == 0
+
+    def test_gen_help_unchanged(self, theta_file, capsys):
+        def gen_help():
+            with pytest.raises(SystemExit) as exc:
+                main(["gen", "--help"])
+            assert exc.value.code == 0
+            return capsys.readouterr().out
+
+        first = gen_help()
+        assert main(["gen", "--family", "cyclic", "--param", "3"]) == 0
+        assert main(["haar", theta_file, "--method", "solve"]) == 0
+        capsys.readouterr()
+        fresh = build_parser.__wrapped__()  # a tree no call has used
+        with pytest.raises(SystemExit):
+            fresh.parse_args(["gen", "--help"])
+        assert capsys.readouterr().out == first == gen_help()
 
 
 # one small parameter per family gen knows

@@ -26,6 +26,7 @@ from hyperhaar.core import (
     _convolve_function_measure,
     _convolve_measure_function,
     _convolve_measures,
+    _nonzeros,
     _product_count,
     _sparse_pays,
     translates,
@@ -443,6 +444,17 @@ class TestSparseAssociativity:
     def test_dense_tensor_takes_blas(self):
         c = np.random.default_rng(0).uniform(0.5, 1.0, (32, 32, 32))
         assert not _sparse_pays(c / c.sum(axis=2, keepdims=True))
+
+    @pytest.mark.parametrize("name", sorted(GRID64))
+    def test_nonzeros_match_np_nonzero(self, name):
+        c = GRID64[name]().c.copy()
+        c[0, 1, 2], c[1, 2, 3], c[2, 3, 4], c[3, 4, 5] = -0.0, np.nan, -np.inf, 5e-324
+        nz = np.nonzero(c)
+        got = _nonzeros(c)
+        for a, b in zip(got, (*nz, c[nz])):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        assert (1, 2, 3) in zip(*got[:3]) and (0, 1, 2) not in zip(*got[:3])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_tensor_takes_blas(self, value):

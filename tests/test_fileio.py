@@ -20,7 +20,7 @@ from hyperhaar.approx import ApproximantConfig, canonical_chain, haar_net
 from hyperhaar.core import Function, Measure
 from hyperhaar.fileio import write_trace_csv
 from hyperhaar.oracles import (conjugacy_class_hypergroup, cosine_grid_hypergroup,
-                               symmetric_group_table, theta_hypergroup)
+                               cyclic_hypergroup, symmetric_group_table, theta_hypergroup)
 
 THETA_DOC = """\
 hypergroup v1
@@ -192,6 +192,30 @@ class TestRoundTrip:
     @pytest.mark.parametrize("h", [theta_hypergroup(1 / 3), cosine_grid_hypergroup(64)],
                              ids=["theta-1/3", "cosine-grid-64"])
     def test_serialize_matches_per_entry_reference_large(self, h):
+        assert serialize_hypergroup(h) == _per_entry_serialize(h)
+
+    @pytest.mark.parametrize("entries", [
+        {(0, 0, 0): 1.0, (0, 1, 1): -0.0, (1, 1, 0): -0.0, (2, 2, 2): 0.5},
+        {(0, 0, 1): 5e-324, (0, 2, 1): -5e-324, (1, 0, 2): -2.5, (1, 1, 1): 1 / 3,
+         (2, 0, 0): 1 / 3, (2, 2, 0): -1 / 3, (2, 2, 1): 2.2250738585072014e-308},
+        {(0, 0, 0): np.inf, (0, 1, 0): -np.inf, (1, 0, 1): np.nan, (1, 2, 2): -np.nan,
+         (2, 1, 0): np.nan, (2, 2, 2): 1.0},
+        {},
+    ], ids=["negative-zero", "subnormal-negative-third", "inf-nan", "empty"])
+    def test_serialize_matches_per_entry_reference_awkward(self, entries):
+        c = np.zeros((3, 3, 3))
+        for key, value in entries.items():
+            c[key] = value
+        doc = serialize_hypergroup(FiniteHypergroup(3, 0, [0, 2, 1], c))
+        assert doc == _per_entry_serialize(FiniteHypergroup(3, 0, [0, 2, 1], c))
+        # -0.0 is omitted as 0.0 is; every NaN, whatever its sign, reads 'nan'
+        assert doc.count("\nc ") == sum(1 for v in entries.values() if v != 0)
+        assert "-0\n" not in doc and "-nan" not in doc
+
+    @pytest.mark.parametrize("build", [cyclic_hypergroup, cosine_grid_hypergroup],
+                             ids=["cyclic-256", "cosine-grid-256"])
+    def test_serialize_matches_per_entry_reference_n256(self, build):
+        h = build(256)  # the large-sparse benchmark documents
         assert serialize_hypergroup(h) == _per_entry_serialize(h)
 
     def test_awkward_floats_survive(self):
