@@ -189,11 +189,17 @@ def symmetrize(h: FiniteHypergroup, g: Function) -> Function:
     return Function(0.5 * (g.v + g.v[h.inv]))
 
 
-def _contraction(h: FiniteHypergroup, f0: np.ndarray):
-    """_contract_u(h, .) that contracts f0 once, and returns that contraction for
-    every input bitwise equal to f0."""
-    key, k0 = f0.tobytes(), _contract_u(h, f0)
-    return lambda f: k0 if f.tobytes() == key else _contract_u(h, f)
+def _contraction(h: FiniteHypergroup):
+    """_contract_u(h, .) that contracts each distinct input once: an input
+    bitwise equal to an earlier one gets that one's contraction back."""
+    cache = {}
+
+    def contract(f: np.ndarray) -> np.ndarray:
+        key = f.tobytes()
+        if key not in cache:
+            cache[key] = _contract_u(h, f)
+        return cache[key]
+    return contract
 
 
 def _walk(h: FiniteHypergroup, mu0: Measure, bumps: Sequence[Function], contract=None):
@@ -341,9 +347,9 @@ def _net_steps(h: FiniteHypergroup, cfg: ApproximantConfig, contract=None):
 
     rho = <f0, uniform * chi_t> / chi_t(f0), the sandwich ratio of the uniform
     measure, and <f0, uniform * chi_t> = v0 . chi_t for v0 = uniform . (c
-    contracted with f0), formed once by contract, _contraction(h, f0) by default.
+    contracted with f0), formed by contract, _contraction(h) by default.
     """
-    contract = contract or _contraction(h, cfg.f0.v)
+    contract = contract or _contraction(h)
     p = np.array([f.v for f in default_probes(h.n)])
     v0 = Measure.uniform(h.n).w @ contract(cfg.f0.v)
     for k, chi_t in _walk(h, cfg.mu0, cfg.chain.bumps, contract):
@@ -359,8 +365,9 @@ def haar_net(h: FiniteHypergroup, cfg: ApproximantConfig):
     raises NotConverged if the limit's invariance residual exceeds CERTIFY_TOL.
     """
     cfg.chain.check(h)
-    # a constant f0 equals the first bump and the ones probe: one contraction serves all
-    contract = _contraction(h, cfg.f0.v)
+    # inputs repeat: canonical_chain's first bump symmetrize(1_X) is the ones probe,
+    # and a constant f0 is both
+    contract = _contraction(h)
     a, b = _bounds(h, cfg.f0, default_probes(h.n), contract)
 
     steps = []

@@ -292,16 +292,13 @@ def validate(h: FiniteHypergroup, tol: float = AXIOM_TOL) -> ValidationReport:
     The associativity check sets the cost. Its worst is the largest
     |((s*t)*r - s*(t*r))(v)| over all points, where s*t is dirac_s * dirac_t,
     and its witness is the first (s, t, r, v) in C order that reaches it. It
-    runs one left factor s at a time, in O(n^3) peak memory, by one of two paths:
-    - BLAS: two dense matrix products per s, O(n^5) time;
-    - sparse: only the P products of two nonzeros of c, O(P) time, where
-      P = sum_w #{u = w} * (#{s = w} + #{t = w}) over the nonzeros c[s, t, u],
-      which is O(n^3 d^2) when every c[s, t] has at most d nonzeros.
-    The sparse path is taken when 200 * P + 350_000 * n < n^5 and c is finite
-    (the constants are measured in _sparse_pays). Both report the same outcome,
-    but the sparse path adds in another order, so its worst can move by rounding.
-    On a finite c a deviation that overflows counts as inf, so the worst is inf
-    at the first non-finite deviation; a NaN in c gives nan at the first NaN.
+    forms only the P products of two nonzeros of c, one left factor s at a
+    time, in O(P) time and O(n^3) peak memory; P is
+    sum_w #{u = w} * (#{s = w} + #{t = w}) over the nonzeros c[s, t, u], which
+    is O(n^3 d^2) when every c[s, t] has at most d nonzeros. A deviation that
+    overflows counts as inf, so the worst is inf at the first non-finite
+    deviation. A non-finite c forms no products: the worst is nan and the
+    witness is c's first non-finite entry (s, t, u).
     """
     n, e, inv, c = h.n, h.e, h.inv, h.c
     checks = {}
@@ -356,55 +353,11 @@ def validate(h: FiniteHypergroup, tol: float = AXIOM_TOL) -> ValidationReport:
 
     checks["H7"] = AxiomCheck("H7", True, note="automatic (finite discrete)")
 
-    worst, witness = (_associativity_sparse if _sparse_pays(c) else _associativity_blas)(c)
+    worst, witness = _associativity(c)
     checks["associativity"] = AxiomCheck("associativity", worst <= tol, worst,
                                          None if worst <= tol else witness)
 
     return ValidationReport(checks)
-
-
-def _sparse_pays(c: np.ndarray) -> bool:
-    """validate's choice of associativity path: the rule its docstring gives.
-
-    Measured with one BLAS thread (2-core x86-64, numpy 2.4, n = 8..96): BLAS
-    costs 0.12-0.17 ns * n^5; the sparse path 50-65 us per left factor plus
-    15-40 ns per product (the upper end once its two n^3 accumulators outgrow
-    the cache, from n = 64). In units of 0.17 ns, with 60 us and 34 ns, that
-    is 200 * P + 350_000 * n < n^5; it picked the faster path on all 24 tensors
-    measured. Every n <= 24 stays on BLAS without counting P, and a non-finite
-    c stays on BLAS, which reports the first NaN.
-    """
-    n = c.shape[0]
-    if 350_000 * n >= n ** 5 or not np.isfinite(c).all():
-        return False
-    return 200 * _product_count(c) + 350_000 * n < n ** 5
-
-
-def _product_count(c: np.ndarray) -> int:
-    """P = sum_w #{u = w} * (#{s = w} + #{t = w}) over the nonzeros c[s, t, u]:
-    the products _associativity_sparse forms."""
-    return int(np.count_nonzero(c, axis=(0, 1)) @ (np.count_nonzero(c, axis=(1, 2))
-                                                   + np.count_nonzero(c, axis=(0, 2))))
-
-
-def _associativity_blas(c: np.ndarray) -> tuple:
-    """Worst |((s*t)*r - s*(t*r))[v]| and its first (s, t, r, v) in C order.
-
-    One s at a time: two BLAS products of n^3 floats per s, O(n^5) in all.
-    """
-    n = c.shape[0]
-    pairs, rows = c.reshape(n * n, n), c.reshape(n, n * n)
-    worst, witness = -np.inf, None
-    for s in range(n):
-        dev = np.abs(c[s] @ rows - (pairs @ c[s]).reshape(n, n * n)).reshape(n, n, n)
-        top = dev.max()
-        if np.isnan(top) and np.isfinite(c).all():  # overflowed products: inf - inf
-            dev[np.isnan(dev)] = top = np.inf
-        if not top <= worst:  # a strict increase (ties keep the first in C order) or NaN
-            worst, witness = float(top), (s, *_argmax_witness(dev))
-            if np.isnan(worst):  # argmax already gave the first NaN; it stays the witness
-                break
-    return worst, witness
 
 
 def _nonzeros(c: np.ndarray) -> tuple:
@@ -420,17 +373,22 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
 
 
-def _associativity_sparse(c: np.ndarray) -> tuple:
-    """_associativity_blas through c's nonzeros (Gustavson's row-by-row product).
+def _associativity(c: np.ndarray) -> tuple:
+    """Worst |((s*t)*r - s*(t*r))[v]| and its first (s, t, r, v) in C order,
+    through c's nonzeros (Gustavson's row-by-row product).
 
     For each s, ((s*b)*r)(v) = sum_u c[s,b,u] c[u,r,v] and
     (s*(t*r))(v) = sum_b c[t,r,b] c[s,b,v] are formed from the nonzeros of c[s]
     met with those of c grouped by first index and by third index. Each side is
     summed into its own n^3 accumulator, so the deviation is one subtraction of
-    two sums, as on the BLAS path; both are read and zeroed only at the keys
-    t*n^2 + r*n + v touched. O(P) time for the P products (see _sparse_pays)
-    and O(n^3) memory.
+    two sums; both are read and zeroed only at the keys t*n^2 + r*n + v
+    touched. O(P) time for the P products (see validate) and O(n^3) memory.
+    A non-finite c forms no products and gives nan at its first non-finite
+    entry (s, t, u): the dense sums would spread it through 0 * nan and
+    0 * inf, which no product of two nonzeros forms.
     """
+    if not np.isfinite(c).all():
+        return np.nan, _argmax_witness(~np.isfinite(c))
     n = c.shape[0]
     s_, t_, u_, val = _nonzeros(c)  # C order: grouped by first index
     first = np.searchsorted(s_, np.arange(n + 1))
@@ -454,9 +412,9 @@ def _associativity_sparse(c: np.ndarray) -> tuple:
         dev = np.abs(lhs[keys] - rhs[keys])
         lhs[left], rhs[right] = 0.0, 0.0
         top = dev.max(initial=0.0)
-        if np.isnan(top):  # c is finite here, so as in _associativity_blas
+        if np.isnan(top):  # c is finite, so overflowed products: inf - inf
             dev[np.isnan(dev)] = top = np.inf
-        if not top <= worst:  # as in _associativity_blas
+        if top > worst:  # ties keep the first in C order
             # every key off `keys` deviates by 0, so a top of 0 is first met at key 0
             key = keys[dev == top].min() if top != 0 else 0
             worst, witness = float(top), (s, *map(int, np.unravel_index(key, (n,) * 3)))

@@ -707,9 +707,10 @@ class TestWalkRounding:
 
 
 class TestSharedContraction:
-    """haar_net contracts f0 once and reuses it wherever the input equals f0
-    bitwise: for a constant f0 the first bump, the ones probe's bounds, f0's
-    bounds and v0.  Nothing it reports may change by a bit."""
+    """haar_net contracts each distinct input once and reuses it wherever an
+    input repeats bitwise: f0 for its bounds and v0, and the ones vector for the
+    ones probe's bounds and the first bump, symmetrize(1_X); a constant f0 is
+    both.  Nothing it reports may change by a bit."""
 
     @staticmethod
     def counted(monkeypatch):
@@ -733,10 +734,10 @@ class TestSharedContraction:
         probes = default_probes(h.n)
         calls = self.counted(monkeypatch)
         chi, trace = haar_net(h, cfg)
-        # the ones probe and the first bump equal f0 or share one contraction of their own
-        assert len(calls) == (1 if constant else 3)
-        shared_bounds = _bounds(h, f0, probes, approx._contraction(h, f0.v))
-        monkeypatch.setattr(approx, "_contraction", lambda h, f0: partial(_contract_u, h))
+        # f0, and the ones vector unless f0 is it
+        assert len(calls) == (1 if constant else 2)
+        shared_bounds = _bounds(h, f0, probes, approx._contraction(h))
+        monkeypatch.setattr(approx, "_contraction", lambda h: partial(_contract_u, h))
         fresh_chi, fresh_trace = haar_net(h, cfg)
         np.testing.assert_array_equal(shared_bounds, _bounds(h, f0, probes))
         np.testing.assert_array_equal(chi.w, fresh_chi.w)

@@ -21,14 +21,11 @@ from hyperhaar import (
 )
 from hyperhaar.core import (
     AXIOM_TOL,
-    _associativity_blas,
-    _associativity_sparse,
+    _associativity,
     _convolve_function_measure,
     _convolve_measure_function,
     _convolve_measures,
     _nonzeros,
-    _product_count,
-    _sparse_pays,
     translates,
 )
 from hyperhaar.oracles import (
@@ -256,6 +253,22 @@ def dense_deviation(c):
     return np.abs(np.einsum("stu,urv->strv", c, c) - np.einsum("tru,suv->strv", c, c))
 
 
+def blas_associativity(c):
+    """The worst of dense_deviation(c) and its first (s, t, r, v) in C order, from
+    two dense matrix products per s: O(n^5) time in O(n^3) memory, where the n^4
+    array would take 134 MB at n=64.  For a finite c whose products do not overflow."""
+    n = c.shape[0]
+    pairs, rows = c.reshape(n * n, n), c.reshape(n, n * n)
+    worst, witness = -np.inf, None
+    for s in range(n):
+        dev = np.abs(c[s] @ rows - (pairs @ c[s]).reshape(n, n * n)).reshape(n, n, n)
+        top = float(dev.max())
+        if top > worst:  # ties keep the first in C order
+            worst = top
+            witness = (s, *(int(i) for i in np.unravel_index(np.argmax(dev), dev.shape)))
+    return worst, witness
+
+
 def assert_outcome(deva, tol, passed, worst, witness):
     """passed, worst and witness are what the dense deviation array deva gives."""
     top = float(deva.max())
@@ -278,17 +291,20 @@ STREAM_BASES = {
 }
 
 
+# every cyclic, cosine-grid and product size up to 24, and the named families
+SMALL_SPECS = ([("cyclic", str(n)) for n in range(1, 25)]
+               + [("cosine-grid", str(n)) for n in range(2, 25)]
+               + [("theta2", "0.5"), ("conj-class", "s3"), ("conj-class", "s4")]
+               + [("product", f"cyclic:{a},cosine-grid:{b}")
+                  for a in range(2, 13) for b in range(2, 13) if a * b <= 24])
+
+
 class TestAssociativityStream:
-    """validate's streamed associativity check reports what the dense one does,
-    and so does its sparse path, called directly on every finite case."""
+    """validate's streamed associativity check reports what the dense one does."""
 
     def assert_matches_dense(self, h, tol=1e-9):
         got = validate(h, tol).checks["associativity"]
-        deva = dense_deviation(h.c)
-        assert_outcome(deva, tol, got.passed, got.worst, got.witness)
-        if np.isfinite(h.c).all():
-            worst, witness = _associativity_sparse(h.c)
-            assert_outcome(deva, tol, worst <= tol, worst, None if worst <= tol else witness)
+        assert_outcome(dense_deviation(h.c), tol, got.passed, got.worst, got.witness)
         return got
 
     @pytest.mark.parametrize("name", sorted(STREAM_BASES))
@@ -299,6 +315,16 @@ class TestAssociativityStream:
         self.assert_matches_dense(h)
         c = h.c * rng.uniform(0.9, 1.1, h.c.shape)
         self.assert_matches_dense(FiniteHypergroup(h.n, h.e, h.inv, c))
+
+    @pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda spec: ":".join(spec))
+    @pytest.mark.parametrize("scaled", [False, True], ids=["exact", "scaled"])
+    def test_small_documents(self, spec, scaled):
+        h = build_family(*spec)
+        c = h.c
+        if scaled:  # the nonzeros scaled, as in test_scaled_entries
+            c = c * np.random.default_rng(0).uniform(0.9, 1.1, c.shape)
+        got = self.assert_matches_dense(FiniteHypergroup(h.n, h.e, h.inv, c))
+        assert got.passed or scaled
 
     # On two points an additive perturbation leaves several deviations equal up
     # to rounding, so the summation order, not the tensor, would pick the witness.
@@ -329,25 +355,24 @@ class TestAssociativityStream:
         assert len(np.unique(tied[:, 0])) > 1  # the tie spans several s
         got = self.assert_matches_dense(FiniteHypergroup(4, 0, h.inv, c))
         assert got.witness == tuple(tied[0])
-        assert _associativity_sparse(c)[1] == tuple(tied[0])
 
-    @pytest.mark.parametrize("where", [(0, 0, 0), (2, 1, 3), (3, 3, 1)])
-    def test_nan_fails_with_first_nan_witness(self, where):
-        h = cyclic_hypergroup(4)
+    # A non-finite entry forms no products: nan at the first such entry (s, t, u)
+    # in C order, at whatever tolerance; a later one, at `also`, does not move it.
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("n,where,also", [(4, (0, 0, 0), (3, 3, 2)),
+                                              (4, (2, 1, 3), (3, 3, 2)),
+                                              (4, (3, 3, 1), (3, 3, 2)),
+                                              (64, (3, 5, 7), (40, 2, 9))],
+                             ids=["n4-first", "n4-middle", "n4-last", "n64"])
+    def test_non_finite_fails_at_first_non_finite_entry(self, value, n, where, also):
+        h = cyclic_hypergroup(n)
         c = h.c.copy()
-        c[where] = np.nan
-        got = self.assert_matches_dense(FiniteHypergroup(4, 0, h.inv, c))
+        c[where] = c[also] = value
+        report = validate(FiniteHypergroup(n, 0, h.inv, c), tol=np.inf)
+        got = report.checks["associativity"]
         assert not got.passed and np.isnan(got.worst)
-
-    @pytest.mark.parametrize("where", [(0, 0, 0), (3, 3, 1)])
-    def test_inf_in_c_fails_with_first_nan_witness(self, where):
-        # inf * 0 is NaN, so a stored inf reports as a stored NaN does
-        h = cyclic_hypergroup(4)
-        c = h.c.copy()
-        c[where] = np.inf
-        with np.errstate(invalid="ignore"):
-            got = self.assert_matches_dense(FiniteHypergroup(4, 0, h.inv, c))
-        assert not got.passed and np.isnan(got.worst)
+        assert got.witness == where
+        assert f"associativity: FAIL worst=nan witness={where}" in report.summary()
 
     @pytest.mark.parametrize("name", sorted(STREAM_BASES))
     @pytest.mark.parametrize("seed", range(3))
@@ -358,11 +383,9 @@ class TestAssociativityStream:
         c = h.c * 10.0 ** np.random.default_rng(seed).choice([0, 200], size=h.c.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             ref = np.unravel_index(np.argmax(~np.isfinite(dense_deviation(c))), c.shape + (h.n,))
-            paths = [_associativity_blas(c), _associativity_sparse(c)]
         got = validate(FiniteHypergroup(h.n, h.e, h.inv, c)).checks["associativity"]
-        for worst, witness in paths + [(got.worst, got.witness)]:
-            assert worst == np.inf
-            assert witness == tuple(int(i) for i in ref)
+        assert got.worst == np.inf
+        assert got.witness == tuple(int(i) for i in ref)
 
     @staticmethod
     def validate_peak(h):
@@ -374,18 +397,12 @@ class TestAssociativityStream:
         h = cosine_grid_hypergroup(48)
         assert self.validate_peak(h) < h.n ** 4 * 8
 
-    # both sizes take the sparse path: its accumulator and per-s products
+    # the two accumulators and the per-s products
     @pytest.mark.parametrize("n", [48, 96], ids=["cosine-grid-48", "cosine-grid-96"])
     def test_peak_memory_below_four_n3_arrays(self, n):
         # the axiom temporaries are gone before the associativity stream starts
         h = cosine_grid_hypergroup(n)
         assert self.validate_peak(h) < 4 * h.n ** 3 * 8
-
-    def test_blas_path_peak_memory_below_four_n3_arrays(self):
-        c = cosine_grid_hypergroup(48).c
-        (worst, _), peak = traced_peak(_associativity_blas, c)
-        assert worst == 0.0
-        assert peak < 4 * c.size * 8
 
 
 GRID64 = {
@@ -396,7 +413,8 @@ GRID64 = {
 
 
 class TestSparseAssociativity:
-    """The sparse path against the BLAS path at n=64, and the rule between them."""
+    """The associativity check against dense BLAS products at n=64, and the
+    nonzeros it reads."""
 
     @pytest.mark.parametrize("name", sorted(GRID64))
     @pytest.mark.parametrize("scaled", [False, True], ids=["exact", "scaled"])
@@ -404,46 +422,10 @@ class TestSparseAssociativity:
         c = GRID64[name]().c
         if scaled:  # the nonzeros scaled, so the tensor keeps its sparsity
             c = c * np.random.default_rng(0).uniform(0.9, 1.1, c.shape)
-        sparse, blas = _associativity_sparse(c), _associativity_blas(c)
-        assert (sparse[0] <= 1e-9) == (blas[0] <= 1e-9) == (not scaled)
-        assert abs(sparse[0] - blas[0]) <= 1e-15 * max(1.0, blas[0])
-        assert sparse[1] == blas[1]
-
-    @pytest.mark.parametrize("spec", [("cyclic", str(n)) for n in range(1, 25)]
-                             + [("cosine-grid", str(n)) for n in range(2, 25)]
-                             + [("theta2", "0.5"), ("conj-class", "s3"), ("conj-class", "s4")]
-                             + [("product", f"cyclic:{a},cosine-grid:{b}")
-                                for a in range(2, 13) for b in range(2, 13) if a * b <= 24],
-                             ids=lambda spec: ":".join(spec))
-    def test_small_documents_take_blas(self, spec):
-        assert not _sparse_pays(build_family(*spec).c)
-
-    @pytest.mark.parametrize("name", sorted(GRID64))
-    def test_grid64_documents_take_sparse(self, name):
-        assert _sparse_pays(GRID64[name]().c)
-
-    @pytest.mark.parametrize("spec", [("cyclic", "32"), ("cosine-grid", "32"),
-                                      ("cosine-grid", "48"), ("product", "cyclic:4,cosine-grid:8")],
-                             ids=lambda spec: ":".join(spec))
-    def test_rule_counts_the_products(self, spec):
-        c = build_family(*spec).c
-        n = c.shape[0]
-        assert _sparse_pays(c) == (200 * _product_count(c) + 350_000 * n < n ** 5)
-
-    @pytest.mark.parametrize("axis", [None, 0, 1, 2])
-    def test_product_count(self, axis):
-        c = cosine_grid_hypergroup(12).c.copy()
-        if axis is not None:  # one full slice, so the three counts differ
-            np.moveaxis(c, axis, 0)[3] = 0.25
-        nz = (c != 0).astype(int)
-        # per nonzero c[s, b, u]: one left product per nonzero c[u, ., .] and
-        # one right product per nonzero c[., ., b]
-        p = (nz * nz.sum(axis=(1, 2))).sum() + (nz * nz.sum(axis=(0, 1))[:, None]).sum()
-        assert _product_count(c) == p
-
-    def test_dense_tensor_takes_blas(self):
-        c = np.random.default_rng(0).uniform(0.5, 1.0, (32, 32, 32))
-        assert not _sparse_pays(c / c.sum(axis=2, keepdims=True))
+        got, blas = _associativity(c), blas_associativity(c)
+        assert (got[0] <= 1e-9) == (blas[0] <= 1e-9) == (not scaled)
+        assert abs(got[0] - blas[0]) <= 1e-15 * max(1.0, blas[0])
+        assert got[1] == blas[1]
 
     @pytest.mark.parametrize("name", sorted(GRID64))
     def test_nonzeros_match_np_nonzero(self, name):
@@ -455,12 +437,6 @@ class TestSparseAssociativity:
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
         assert (1, 2, 3) in zip(*got[:3]) and (0, 1, 2) not in zip(*got[:3])
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_tensor_takes_blas(self, value):
-        c = cyclic_hypergroup(64).c.copy()
-        c[3, 5, 7] = value
-        assert not _sparse_pays(c)
 
 
 class TestTolerancePolicy:
