@@ -24,11 +24,10 @@ _REFUSALS = (NoCover, H6Violation, ZeroDenominator, DegenerateNullspace, Negativ
 
 
 def _load(path: str):
-    # ValueError covers undecodable text and FiniteHypergroup's consistency checks;
-    # MemoryError an n whose n^3 tensor cannot be allocated
+    # ValueError covers undecodable text and FiniteHypergroup's consistency checks
     try:
         return parse_hypergroup(Path(path).read_text())
-    except (OSError, ValueError, ParseError, MemoryError) as exc:
+    except (OSError, ValueError, ParseError) as exc:
         raise SystemExit(f"hypergroup file {path}: {exc}") from None
 
 
@@ -119,12 +118,11 @@ def cmd_compare(args) -> int:
 
 def cmd_gen(args) -> int:
     # ValueError covers a malformed parameter or group table and undecodable text;
-    # MemoryError a size whose n^3 tensor cannot be allocated
+    # MemoryError a size whose entries, or n^3 tensor, cannot be allocated
     try:
-        h = build_family(args.family, args.param)
+        text = serialize_hypergroup(build_family(args.family, args.param))
     except (OSError, ValueError, MemoryError) as exc:
         raise SystemExit(f"gen --param {args.param}: {exc}") from None
-    text = serialize_hypergroup(h)
     if args.output:
         try:
             Path(args.output).write_text(text)
@@ -212,6 +210,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except _REFUSALS as exc:
         raise SystemExit(f"hypergroup file {args.file}: {type(exc).__name__}: {exc}") from None
+    except MemoryError as exc:  # numpy refused an array, such as the dense n^3 tensor
+        raise SystemExit(f"hypergroup file {args.file}: {str(exc) or 'out of memory'}") from None
 
 
 if __name__ == "__main__":

@@ -20,6 +20,9 @@ import numpy as np
 AXIOM_TOL = 1e-9  # validate's default and the invariance solve's clamp
 EXACT_TOL = 1e-12  # rounding of quantities exact in theory: the suites, the Cauchy stop
 CERTIFY_TOL = 1e-10  # the invariance residual that certifies haar_net's limit
+# Below this n, 8 n^3 bytes (the dense tensor) are addressable and the flat keys
+# of c's entries fit int64.
+MAX_N = 2 ** 20
 
 __all__ = [
     "AXIOM_TOL",
@@ -50,27 +53,87 @@ class NoCover(Exception):
 
 @dataclass(frozen=True)
 class FiniteHypergroup:
-    """Finite hypergroup: identity e, involution inv, structure tensor c."""
+    """Finite hypergroup: identity e, involution inv, structure tensor c.
+
+    c has two forms: the dense (n, n, n) array c, and its entries, the arrays
+    (s, t, u, value) in C order.  An instance is made from one of them; the
+    other is derived the first time it is read and kept.  from_entries makes
+    one that never forms the n^3 array unless a dense kernel reads h.c.
+    """
 
     n: int
     e: int
     inv: np.ndarray
     c: np.ndarray
 
+    @classmethod
+    def from_entries(cls, n: int, e: int, inv, s, t, u, value) -> "FiniteHypergroup":
+        """The hypergroup whose tensor has c[s[i], t[i], u[i]] = value[i], in any
+        order, and zeros elsewhere; an (s, t, u) listed twice is refused."""
+        h = object.__new__(cls)
+        for name, x in (("n", n), ("e", e), ("inv", inv), ("entries", (s, t, u, value))):
+            object.__setattr__(h, name, x)
+        h.__post_init__()
+        return h
+
     def __post_init__(self):
+        n = self.n
         object.__setattr__(self, "inv", np.asarray(self.inv, dtype=int))
-        object.__setattr__(self, "c", np.ascontiguousarray(self.c, dtype=float))
-        if not (0 <= self.e < self.n):
-            raise ValueError(f"identity index {self.e} out of range for n={self.n}")
-        if self.inv.shape != (self.n,):
+        if not (0 <= self.e < n):
+            raise ValueError(f"identity index {self.e} out of range for n={n}")
+        if self.inv.shape != (n,):
             raise ValueError("involution must be a permutation vector of length n")
-        if sorted(self.inv.tolist()) != list(range(self.n)):
+        if sorted(self.inv.tolist()) != list(range(n)):
             raise ValueError("involution is not a permutation")
-        if self.c.shape != (self.n, self.n, self.n):
-            raise ValueError(f"structure tensor must have shape {(self.n,) * 3}")
+        if "entries" not in self.__dict__:
+            object.__setattr__(self, "c", np.ascontiguousarray(self.c, dtype=float))
+            if self.c.shape != (n, n, n):
+                raise ValueError(f"structure tensor must have shape {(n,) * 3}")
+            return
+        if n >= MAX_N:
+            raise ValueError(f"n={n} is not below {MAX_N}: the n^3 tensor is not addressable")
+        if len(set(map(len, self.entries))) > 1:
+            raise ValueError("entries must list as many values as indices")
+        stu, value = np.array(self.entries[:3], dtype=np.intp), np.array(self.entries[3], float)
+        try:
+            keys = np.ravel_multi_index(stu, (n,) * 3)
+        except ValueError:
+            raise ValueError(f"entry indices must lie in 0..{n - 1}") from None
+        if not (keys[1:] > keys[:-1]).all():  # out of C order, or repeated
+            order = np.argsort(keys, kind="stable")
+            stu, value, keys = stu[:, order], value[order], keys[order]
+            if not (keys[1:] > keys[:-1]).all():
+                raise ValueError("an entry (s, t, u) is listed twice")
+        object.__setattr__(self, "entries", (*stu, value))
+
+    def __getattr__(self, name: str):
+        # Only a form of c not yet derived is missing from the instance.
+        if name == "c" and "entries" in self.__dict__:
+            s, t, u, value = self.entries
+            form = np.zeros((self.n,) * 3)
+            form[s, t, u] = value
+        elif name == "entries" and "c" in self.__dict__:
+            form = _nonzeros(self.c)
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, form)
+        return form
 
     def points(self) -> range:
         return range(self.n)
+
+
+def _gather(h: FiniteHypergroup, s, t, u) -> np.ndarray:
+    """c[s, t, u] read from the entries, one binary search per index; 0 where no
+    entry is listed."""
+    keys = np.ravel_multi_index(h.entries[:3], (h.n,) * 3)
+    want = np.ravel_multi_index((s, t, u), (h.n,) * 3)
+    i = np.searchsorted(keys, want)
+    hit = i < keys.size
+    hit[hit] = keys[i[hit]] == want[hit]
+    out = np.zeros(want.shape)
+    out[hit] = h.entries[3][i[hit]]
+    return out
 
 
 @dataclass(frozen=True)
@@ -353,7 +416,7 @@ def validate(h: FiniteHypergroup, tol: float = AXIOM_TOL) -> ValidationReport:
 
     checks["H7"] = AxiomCheck("H7", True, note="automatic (finite discrete)")
 
-    worst, witness = _associativity(c)
+    worst, witness = _associativity(h)
     checks["associativity"] = AxiomCheck("associativity", worst <= tol, worst,
                                          None if worst <= tol else witness)
 
@@ -373,7 +436,7 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
 
 
-def _associativity(c: np.ndarray) -> tuple:
+def _associativity(h: FiniteHypergroup) -> tuple:
     """Worst |((s*t)*r - s*(t*r))[v]| and its first (s, t, r, v) in C order,
     through c's nonzeros (Gustavson's row-by-row product).
 
@@ -387,10 +450,10 @@ def _associativity(c: np.ndarray) -> tuple:
     entry (s, t, u): the dense sums would spread it through 0 * nan and
     0 * inf, which no product of two nonzeros forms.
     """
-    if not np.isfinite(c).all():
-        return np.nan, _argmax_witness(~np.isfinite(c))
-    n = c.shape[0]
-    s_, t_, u_, val = _nonzeros(c)  # C order: grouped by first index
+    n, (s_, t_, u_, val) = h.n, h.entries  # C order: grouped by first index
+    if not np.isfinite(val).all():
+        i = int(np.argmin(np.isfinite(val)))
+        return np.nan, (int(s_[i]), int(t_[i]), int(u_[i]))
     first = np.searchsorted(s_, np.arange(n + 1))
     rv = t_ * n + u_  # the key part (r, v) of c[u, r, v]
     by_u = np.argsort(u_, kind="stable")

@@ -17,13 +17,12 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from itertools import compress
-from operator import not_
+from itertools import islice
 from typing import TextIO
 
 import numpy as np
 
-from .core import FiniteHypergroup, _nonzeros
+from .core import FiniteHypergroup
 from .approx import ConvergenceTrace
 
 __all__ = [
@@ -38,8 +37,9 @@ __all__ = [
 _MAGIC = "hypergroup v1"
 # fields on a line, the directive included; an inv line lists n entries
 _FIELDS = {"n": 2, "e": 2, "c": 5}
-# a 'c' line: the directive, s t u, and the value
-_ENTRY = np.dtype([("key", "U1"), ("s", np.int64), ("t", np.int64), ("u", np.int64),
+# a 'c' line: the directive, s t u, and the value; two characters of the
+# directive tell 'c' from any longer word
+_ENTRY = np.dtype([("key", "U2"), ("s", np.int64), ("t", np.int64), ("u", np.int64),
                    ("value", np.float64)])
 _TOKENS = ("index", "index", "index", "value")
 
@@ -59,60 +59,61 @@ class DuplicateEntry(ParseError):
 
 
 def parse_hypergroup(text: str) -> FiniteHypergroup:
-    """Parse a document; axiom validation is a separate, explicit step.
+    """Parse a document into c's entries; axiom validation is a separate,
+    explicit step, and no n^3 array is formed.
 
-    A document whose 'c' lines pass one bulk read is accepted from it.  On
-    any doubt the whole document is read again line by line, which reports
-    the first failing line.
+    A document whose trailing block of 'c' lines passes one bulk read is
+    accepted from it.  On any doubt the whole document is read again line by
+    line, which reports the first failing line.
     """
     lines = text.splitlines()
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
     try:
-        parts = _accept(lines)
-    except (ParseError, ValueError, DeprecationWarning, MemoryError):
-        parts = None  # the error of an earlier line may come first
-    n, e, inv, c = parts or _read_lines(enumerate(lines, start=1), len(lines))
-    return FiniteHypergroup(n, e, np.asarray(inv), c)
+        h = _accept(lines)
+    except (ParseError, ValueError, DeprecationWarning):
+        h = None  # the error of an earlier line may come first
+    if h is None:
+        n, e, inv, entries = _read_lines(enumerate(lines, start=1), len(lines))
+        stu = np.array(list(entries), dtype=np.intp).reshape(-1, 3).T
+        h = FiniteHypergroup.from_entries(n, e, inv, *stu, list(entries.values()))
+    return h
 
 
 def _accept(lines: list):
-    """n, e, inv and c, the 'c' lines read in bulk and the others line by line;
-    None, or an error, when a check fails."""
-    is_entry = [line.startswith("c ") or line.split(None, 1)[:1] == ["c"] for line in lines]
-    n, e, inv, c = _read_lines(compress(enumerate(lines, start=1), map(not_, is_entry)),
-                               len(lines))
-    rows = list(compress(lines, is_entry))
-    if rows and not any(line.split()[:1] == ["n"] for line in lines[:is_entry.index(True)]):
-        return None  # a 'c' line before 'n'
-    entries = _load(rows)
-    # raises ValueError on an index out of range
-    flat = np.ravel_multi_index((entries["s"], entries["t"], entries["u"]), c.shape)
-    keys = np.sort(flat)
-    if not np.isfinite(entries["value"]).all() or (keys[1:] == keys[:-1]).any():
+    """The hypergroup, its lines up to the first 'c' line read one at a time and
+    the rest in bulk; None, or an error, when a check fails."""
+    first = next((i for i, line in enumerate(lines) if line.split(None, 1)[:1] == ["c"]),
+                 len(lines))
+    n, e, inv, _ = _read_lines(enumerate(lines[:first], start=1), len(lines))
+    entries = _load(lines, first)
+    if not ((entries["key"] == "c").all() and np.isfinite(entries["value"]).all()):
         return None
-    np.put(c, flat, entries["value"])
-    return n, e, inv, c
+    # raises ValueError on an index out of range or a repeated entry
+    return FiniteHypergroup.from_entries(n, e, inv, entries["s"], entries["t"], entries["u"],
+                                         entries["value"])
 
 
-def _load(rows: list) -> np.ndarray:
-    if not rows:  # loadtxt warns on an empty input
+def _load(lines: list, first: int) -> np.ndarray:
+    """The rows of lines[first:], which begin with a 'c' line, read as entries."""
+    if first == len(lines):  # loadtxt warns on an empty input
         return np.empty(0, _ENTRY)
     # Older numpy (1.23 on) reads an int field such as '1.5' through float,
     # with a DeprecationWarning; as an error, it refuses the read as newer numpy does
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        return np.loadtxt(rows, dtype=_ENTRY, comments=None, ndmin=1)
+        return np.loadtxt(islice(lines, first, None), dtype=_ENTRY, comments=None, ndmin=1)
 
 
 def _read_lines(numbered, count: int):
-    """n, e, inv and c read one line at a time, or the error of the first
-    failing line: the only place a parse error is raised.
+    """n, e, inv and the entries, a dict (s, t, u) -> value in the document's
+    order, read one line at a time, or the error of the first failing line: the
+    only place a parse error is raised.
 
     numbered gives (line number, text) pairs; count is the document's length.
     """
-    n = e = inv = c = None
-    seen = set()
+    n = e = inv = None
+    seen = {}
     directives = {}  # directive -> its line
     body = [(lineno, line.strip()) for lineno, line in numbered if line.strip()]
     if not body or body[0][1] != _MAGIC:
@@ -142,8 +143,7 @@ def _read_lines(numbered, count: int):
                         raise RangeError(f"index {idx} out of range for n={n}", lineno)
                 if entry in seen:
                     raise DuplicateEntry(f"repeated entry {entry}", lineno)
-                seen.add(entry)
-                c[entry] = value
+                seen[entry] = value
             elif key in ("n", "e", "inv"):
                 if key in directives:
                     raise DuplicateEntry(f"repeated directive {key!r}", lineno)
@@ -152,7 +152,6 @@ def _read_lines(numbered, count: int):
                     n = int(fields[1])
                     if n < 1:
                         raise RangeError("n must be at least 1", lineno)
-                    c = np.zeros((n, n, n))
                 elif key == "e":
                     e = int(fields[1])
                 else:
@@ -174,7 +173,7 @@ def _read_lines(numbered, count: int):
     for idx in inv:
         if not (0 <= idx < n):
             raise RangeError(f"inv entry {idx} out of range for n={n}", directives["inv"])
-    return n, e, inv, c
+    return n, e, inv, seen
 
 
 def serialize_hypergroup(h: FiniteHypergroup) -> str:
@@ -184,7 +183,8 @@ def serialize_hypergroup(h: FiniteHypergroup) -> str:
     """
     lines = [_MAGIC, f"n {h.n}", f"e {h.e}", "inv " + " ".join(str(int(x)) for x in h.inv)]
     names = [str(i) for i in range(h.n)]
-    s, t, u, v = _nonzeros(h.c)
+    listed = h.entries[3] != 0  # a parsed document may list zeros
+    s, t, u, v = (a[listed] for a in h.entries)
     values, which = np.unique(v, return_inverse=True)
     texts = [f"{x:.17g}" for x in values.tolist()]
     lines += [f"c {names[a]} {names[b]} {names[d]} {texts[k]}"

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AXIOM_TOL, FiniteHypergroup, Measure
+from .core import AXIOM_TOL, FiniteHypergroup, Measure, _gather
 
 __all__ = [
     "H6Violation",
@@ -49,7 +49,7 @@ def jewett_haar(h: FiniteHypergroup) -> Measure:
 
     Returned unnormalized; callers rescale as needed.
     """
-    diag = h.c[np.arange(h.n), h.inv, h.e]
+    diag = _gather(h, np.arange(h.n), h.inv, h.e)
     if not np.all(diag > 0):
         t = int(np.argmin(diag))  # the first NaN, if there is one
         raise H6Violation(f"(dirac_{t} * dirac_{int(h.inv[t])})(e) = {diag[t]} "
@@ -73,37 +73,45 @@ def solve_invariance(h: FiniteHypergroup) -> Measure:
     uniqueness certificate for the returned measure. A is never formed.
     A x = 0 implies S x = 0 for the block sum S = sum_s (c[s].T - I), so
     null(A) = B null(A B), with B an orthonormal basis of S's numerical
-    nullspace from one n x n SVD, and A B is one contraction of c with the k
-    columns of B. Singular values of A B up to _RANK_CUT * sigma_hat count
+    nullspace from one n x n SVD, and A B is c contracted with the k columns
+    of B. Singular values of A B up to _RANK_CUT * sigma_hat count
     toward the nullity; sigma_hat is the largest of sigma_0(S) / sqrt(n),
     sigma_0(A B) and ||A||_F / sqrt(n), each a lower bound on sigma_0(A).
-    This costs O(k n^3) time and O(k n^2) extra memory, and k = 1 for a
-    hypergroup. A weight below -AXIOM_TOL is refused with NegativeSolution;
+    S, A B and ||A||_F are sums over c's nnz entries, so this costs O(k nnz)
+    time and O(nnz + k n^2) memory besides two SVDs of n^2 floats, and k = 1
+    for a hypergroup. A weight below -AXIOM_TOL is refused with NegativeSolution;
     smaller negative weights are clamped to 0.
     """
-    n, c = h.n, h.c
-    frobenius = np.sqrt(max(np.vdot(c, c) - 2.0 * np.einsum("stt->", c) + n * n, 0.0))
-    s = c.sum(axis=0).T
-    s[np.diag_indices(n)] -= n
-    _, sv_s, vt = np.linalg.svd(s)
+    n, (s, t, u, v) = h.n, h.entries
+    frobenius = np.sqrt(max(v @ v - 2.0 * v[t == u].sum() + n * n, 0.0))
+    # S[u, t] = sum_s c[s, t, u] - n [t == u], added over s in increasing order
+    block_sum = np.bincount(t * n + u, weights=v, minlength=n * n).reshape(n, n).T
+    block_sum[np.diag_indices(n)] -= n
+    sv_s, vt = np.linalg.svd(block_sum)[1:]
+    del block_sum  # n^2 floats; the O(nnz) temporaries of A B below set the peak without it
     # ||S x|| <= sqrt(n) ||A x||, so this cut keeps every direction that A's cut
     # below can count, even where S is rounding noise; one column at least, so
     # the nullity is always decided, and reported, on A B
     k = max(1, int(np.sum(sv_s <= np.sqrt(n) * _RANK_CUT * frobenius)))
     b = vt[n - k:]
     # row j of ab is column j of A B: sum_t b[j, t] c[s, t, u] - b[j, u] over (s, u)
-    ab = np.matmul(b, c)
-    ab -= b
-    u, sv, _ = np.linalg.svd(ab.swapaxes(0, 1).reshape(k, n * n), full_matrices=False)
+    su, ab = s * n, np.empty((k, n * n))
+    su += u
+    for j in range(k):
+        weights = b[j, t]
+        weights *= v
+        ab[j] = np.bincount(su, weights=weights, minlength=n * n)
+    ab -= np.tile(b, n)
+    left, sv, _ = np.linalg.svd(ab, full_matrices=False)
     threshold = _RANK_CUT * max(sv_s[0] / np.sqrt(n), sv[0], frobenius / np.sqrt(n))
     nullity = int(np.sum(sv <= threshold))
     if nullity != 1:
-        smallest = ", ".join(f"{v:.3e}" for v in sv[::-1][:3])
+        smallest = ", ".join(f"{sigma:.3e}" for sigma in sv[::-1][:3])
         raise DegenerateNullspace(
             f"invariance nullspace has dimension {nullity}, expected 1 "
             f"(threshold {_RANK_CUT:g}*sigma_hat = {threshold:.3e}; "
             f"smallest singular values of the reduced operator {smallest})")
-    x = b.T @ u[:, -1]
+    x = b.T @ left[:, -1]
     x /= x.sum()
     worst = int(np.argmin(x))
     if x[worst] < -AXIOM_TOL:
@@ -116,10 +124,9 @@ def cyclic_hypergroup(n: int) -> FiniteHypergroup:
     """Cyclic group Z_n as a hypergroup."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    c = np.zeros((n, n, n))
-    idx = np.arange(n)
-    c[idx[:, None], idx[None, :], (idx[:, None] + idx[None, :]) % n] = 1.0
-    return FiniteHypergroup(n, 0, (-idx) % n, c)
+    s, t = (a.ravel() for a in np.indices((n, n)))
+    return FiniteHypergroup.from_entries(n, 0, (-np.arange(n)) % n, s, t, (s + t) % n,
+                                         np.ones(n * n))
 
 
 def theta_hypergroup(theta: float) -> FiniteHypergroup:
@@ -184,11 +191,14 @@ def cosine_grid_hypergroup(m: int) -> FiniteHypergroup:
     """
     if m < 2:
         raise ValueError("m must be at least 2")
-    x, y = np.indices((m, m))
-    c = np.zeros((m, m, m))
-    c[x, y, np.abs(x - y)] += 0.5
-    c[x, y, np.minimum(x + y, 2 * (m - 1) - x - y)] += 0.5
-    return FiniteHypergroup(m, 0, np.arange(m), c)
+    x, y = (a.ravel() for a in np.indices((m, m)))
+    near, far = np.abs(x - y), np.minimum(x + y, 2 * (m - 1) - x - y)  # near <= far
+    # two halves in C order, or one entry of mass 1 where the targets coincide
+    split = near < far
+    u = np.column_stack([near, far])[np.column_stack([np.ones_like(split), split])]
+    count = 1 + split
+    return FiniteHypergroup.from_entries(m, 0, np.arange(m), x.repeat(count), y.repeat(count),
+                                         u, np.where(split, 0.5, 1.0).repeat(count))
 
 
 def product_hypergroup(h1: FiniteHypergroup, h2: FiniteHypergroup) -> FiniteHypergroup:

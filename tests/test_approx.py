@@ -700,6 +700,7 @@ class TestWalkRounding:
     def test_haar_net_holds_no_n3_temporary(self):
         # the walk, the bounds and v0 hold O(n^2) floats; a copy of c[inv] is n^3
         h = build_family("cosine-grid", "96")
+        h.c  # the dense view is the input's own storage, formed once before the trace
         cfg = ApproximantConfig(ones_measure(h.n), Function.ones(h.n), canonical_chain(h))
         (chi, trace), peak = traced_peak(haar_net, h, cfg)
         assert len(trace) == h.n

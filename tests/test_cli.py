@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -199,13 +200,20 @@ def z4_file(tmp_path):
     return str(path)
 
 
-def run_cli(*argv):
-    """The CLI in a fresh interpreter, as a user runs it."""
+def run_cli(*argv, cap=None):
+    """The CLI in a fresh interpreter, as a user runs it; with cap, its address
+    space is limited to cap bytes (RLIMIT_AS) and BLAS runs one thread."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "hyperhaar.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    limit = None
+    if cap is not None:
+        env["OPENBLAS_NUM_THREADS"] = "1"
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+    return subprocess.run([sys.executable, "-m", "hyperhaar.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=120, preexec_fn=limit)
 
 
 @pytest.mark.parametrize("weights,message", [
@@ -422,24 +430,44 @@ def _assert_one_line_refusal(proc, line):
     assert proc.stdout == ""
 
 
-# the n^3 tensor of n = 10^5 is 7 PiB: numpy refuses the allocation at once
+# The dense tensor of cyclic 512 is 1 GiB, so it cannot be formed under this
+# address-space cap, while parse, Jewett and the solve, which read c's entries,
+# fit under it.
+_CAP = 2 ** 30
+
+
+@pytest.fixture(scope="module")
+def cyclic512_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("capped") / "cyclic512.hg"
+    path.write_text(serialize_hypergroup(cyclic_hypergroup(512)))
+    return str(path)
+
+
 @pytest.mark.parametrize("argv", [
     ("validate",),
-    ("haar", "--method", "jewett"),
+    ("haar", "--method", "net"),
     ("compare",),
-], ids=["validate", "haar", "compare"])
-def test_unallocatable_document_is_one_line_diagnosis(tmp_path, argv):
-    path = tmp_path / "big.hg"
-    path.write_text("hypergroup v1\nn 100000\ne 0\n")
-    proc = run_cli(argv[0], str(path), *argv[1:])
+    ("check-lemmas", "--trials", "5"),
+], ids=["validate", "haar", "compare", "check-lemmas"])
+def test_unallocatable_document_is_one_line_diagnosis(cyclic512_file, argv):
+    proc = run_cli(argv[0], cyclic512_file, *argv[1:], cap=_CAP)
     [line] = proc.stderr.strip().splitlines()
-    assert line.startswith(f"hypergroup file {path}: Unable to allocate")
+    assert line.startswith(f"hypergroup file {cyclic512_file}: Unable to allocate 1.00 GiB")
     _assert_one_line_refusal(proc, line)
 
 
+@pytest.mark.parametrize("method", ["jewett", "solve"])
+def test_entry_routes_answer_under_the_cap(cyclic512_file, method):
+    proc = run_cli("haar", cyclic512_file, "--method", method, cap=_CAP)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    w = np.array(proc.stdout.split(), dtype=float)
+    np.testing.assert_allclose(w / w.sum(), np.full(512, 1 / 512), rtol=1e-12)
+
+
 def test_unallocatable_gen_is_one_line_diagnosis(tmp_path):
+    # cyclic 10^5 has 10^10 entries; the cap refuses them on any machine
     out = tmp_path / "out.hg"
-    proc = run_cli("gen", "--family", "cyclic", "--param", "100000", "-o", str(out))
+    proc = run_cli("gen", "--family", "cyclic", "--param", "100000", "-o", str(out), cap=_CAP)
     [line] = proc.stderr.strip().splitlines()
     assert line.startswith("gen --param 100000: Unable to allocate")
     _assert_one_line_refusal(proc, line)

@@ -21,6 +21,7 @@ from hyperhaar import (
 )
 from hyperhaar.core import (
     AXIOM_TOL,
+    MAX_N,
     _associativity,
     _convolve_function_measure,
     _convolve_measure_function,
@@ -389,6 +390,7 @@ class TestAssociativityStream:
 
     @staticmethod
     def validate_peak(h):
+        h.c  # the dense view is the input's own storage, formed once before the trace
         report, peak = traced_peak(validate, h, 1e-12)
         assert report.passed
         return peak
@@ -419,10 +421,11 @@ class TestSparseAssociativity:
     @pytest.mark.parametrize("name", sorted(GRID64))
     @pytest.mark.parametrize("scaled", [False, True], ids=["exact", "scaled"])
     def test_matches_blas_path(self, name, scaled):
-        c = GRID64[name]().c
+        h = GRID64[name]()
+        c = h.c
         if scaled:  # the nonzeros scaled, so the tensor keeps its sparsity
             c = c * np.random.default_rng(0).uniform(0.9, 1.1, c.shape)
-        got, blas = _associativity(c), blas_associativity(c)
+        got, blas = _associativity(dataclasses.replace(h, c=c)), blas_associativity(c)
         assert (got[0] <= 1e-9) == (blas[0] <= 1e-9) == (not scaled)
         assert abs(got[0] - blas[0]) <= 1e-15 * max(1.0, blas[0])
         assert got[1] == blas[1]
@@ -437,6 +440,75 @@ class TestSparseAssociativity:
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
         assert (1, 2, 3) in zip(*got[:3]) and (0, 1, 2) not in zip(*got[:3])
+
+
+def dense_cyclic(n):
+    """Z_n's tensor as cyclic_hypergroup wrote it before it built entries."""
+    c = np.zeros((n, n, n))
+    idx = np.arange(n)
+    c[idx[:, None], idx[None, :], (idx[:, None] + idx[None, :]) % n] = 1.0
+    return c
+
+
+def dense_cosine_grid(m):
+    """The cosine grid's tensor as cosine_grid_hypergroup wrote it before it built entries."""
+    x, y = np.indices((m, m))
+    c = np.zeros((m, m, m))
+    c[x, y, np.abs(x - y)] += 0.5
+    c[x, y, np.minimum(x + y, 2 * (m - 1) - x - y)] += 0.5
+    return c
+
+
+class TestEntries:
+    """c's two forms: the entries in C order and the dense view, each derived
+    from the other once."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 64])
+    def test_builders_write_the_dense_formulas_entries(self, n):
+        for h, dense in ((cyclic_hypergroup(n), dense_cyclic(n)),
+                         (cosine_grid_hypergroup(max(n, 2)), dense_cosine_grid(max(n, 2)))):
+            assert "c" not in vars(h)
+            for a, b in zip(h.entries, _nonzeros(dense)):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+            assert h.c.tobytes() == dense.tobytes()
+
+    def test_dense_view_formed_once(self):
+        h = cyclic_hypergroup(6)
+        assert h.c is h.c and vars(h)["c"] is h.c
+
+    def test_entries_of_a_dense_tensor_derived_once(self, bundled):
+        h = FiniteHypergroup(bundled.n, bundled.e, bundled.inv, bundled.c)
+        assert "entries" not in vars(h)
+        assert h.entries is h.entries
+        for a, b in zip(h.entries, _nonzeros(h.c)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_from_entries_sorts_into_c_order(self):
+        s, t, u, v = [2, 0, 1, 0], [0, 1, 1, 1], [1, 1, 0, 0], [1.0, -0.0, 2.0, 3.0]
+        h = FiniteHypergroup.from_entries(3, 0, [0, 1, 2], s, t, u, v)
+        np.testing.assert_array_equal(np.array(h.entries[:3]).T,
+                                      [[0, 1, 0], [0, 1, 1], [1, 1, 0], [2, 0, 1]])
+        assert np.array(h.entries[3]).tobytes() == np.array([3.0, -0.0, 2.0, 1.0]).tobytes()
+        expected = np.zeros((3, 3, 3))
+        expected[s, t, u] = v
+        assert h.c.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("entries,message", [
+        (([0, 1, 0], [1, 1, 1], [0, 0, 0], [1.0, 1.0, 2.0]), "listed twice"),
+        (([0], [3], [0], [1.0]), "indices must lie in 0..2"),
+        (([0], [0], [-1], [1.0]), "indices must lie in 0..2"),
+        (([0, 1], [0], [0], [1.0]), "as many values as indices"),
+    ], ids=["repeated", "too-large", "negative", "lengths"])
+    def test_from_entries_refuses(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            FiniteHypergroup.from_entries(3, 0, [0, 1, 2], *entries)
+
+    def test_from_entries_keeps_the_consistency_checks(self):
+        with pytest.raises(ValueError, match="^involution is not a permutation$"):
+            FiniteHypergroup.from_entries(2, 0, [0, 0], [], [], [], [])
+        with pytest.raises(ValueError, match="not below"):
+            FiniteHypergroup.from_entries(MAX_N, 0, np.arange(MAX_N), [], [], [], [])
 
 
 class TestTolerancePolicy:

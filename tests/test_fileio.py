@@ -20,7 +20,10 @@ from hyperhaar.approx import ApproximantConfig, canonical_chain, haar_net
 from hyperhaar.core import Function, Measure
 from hyperhaar.fileio import write_trace_csv
 from hyperhaar.oracles import (conjugacy_class_hypergroup, cosine_grid_hypergroup,
-                               cyclic_hypergroup, symmetric_group_table, theta_hypergroup)
+                               cyclic_hypergroup, jewett_haar, solve_invariance,
+                               symmetric_group_table, theta_hypergroup)
+
+from conftest import traced_peak
 
 THETA_DOC = """\
 hypergroup v1
@@ -145,6 +148,7 @@ class TestParse:
         loadtxt = np.loadtxt
 
         def loadtxt_through_float(rows, **kwargs):
+            rows = list(rows)  # loadtxt takes any iterable of lines; this reads them twice
             fields = [row.split() for row in rows]
             if not all(t.lstrip("+-").isdigit() for f in fields for t in f[1:4]):
                 warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
@@ -163,6 +167,18 @@ class TestParse:
     def test_unknown_directive(self):
         with pytest.raises(ParseError, match="unknown directive"):
             parse_hypergroup("hypergroup v1\nn 2\ne 0\ninv 0 1\nq 1\n")
+
+    @pytest.mark.parametrize("line,message", [
+        ("cx 2 0 0 1", "unknown directive 'cx'"),
+        ("cxyz 2 0 0 1", "unknown directive 'cxyz'"),
+        ("q 2 0 0 1", "unknown directive 'q'"),
+        ("inv 0 1 2 3", "repeated directive 'inv'"),
+    ], ids=["cx", "cxyz", "q", "inv"])
+    def test_five_field_line_among_entries(self, line, message):
+        # it has the shape of a 'c' line, so only its directive tells it apart
+        doc = f"hypergroup v1\nn 4\ne 0\ninv 0 1 2 3\nc 0 0 0 1\n{line}\nc 1 1 1 1\n"
+        with pytest.raises(ParseError, match=f"^line 6: {message}$"):
+            parse_hypergroup(doc)
 
 
 def _per_entry_serialize(h):
@@ -411,9 +427,10 @@ def test_subnormal_values_parse_exactly():
 
 
 def test_bad_line_before_unallocatable_n():
-    """numpy refuses the 7 PiB tensor of n = 10^5 at once; a bad line above
-    the 'n' line still comes first, as it does read line by line."""
-    with pytest.raises(MemoryError):
+    """Parse forms no n^3 tensor, so n = 10^5 (7 PiB dense) reads to the short
+    inv line; a bad line above the 'n' line still comes first, as it does read
+    line by line."""
+    with pytest.raises(ParseError, match="^line 4: inv must list 100000 entries, got 1$"):
         parse_hypergroup("hypergroup v1\nn 100000\ne 0\ninv 0\n")
     with pytest.raises(ParseError, match="^line 2: 'c' entry before 'n'$"):
         parse_hypergroup("hypergroup v1\nc 0 0 0 1\nn 100000\ne 0\ninv 0\n")
@@ -435,7 +452,11 @@ def _parse_line_by_line(doc, monkeypatch):
 
 
 def _assert_same_parse(doc, monkeypatch):
+    """The two readers give the same entries, bit for bit and -0.0 included,
+    and the same dense view."""
     bulk, lines = parse_hypergroup(doc), _parse_line_by_line(doc, monkeypatch)
+    assert [(a.dtype, a.tobytes()) for a in lines.entries] == [
+        (a.dtype, a.tobytes()) for a in bulk.entries]
     assert (lines.n, lines.e, lines.inv.tobytes(), lines.c.tobytes()) == (
         bulk.n, bulk.e, bulk.inv.tobytes(), bulk.c.tobytes())
 
@@ -448,6 +469,28 @@ def test_line_by_line_reader_matches_bulk_read(bundled, monkeypatch):
 def test_line_by_line_reader_matches_bulk_read_subnormal(value, monkeypatch):
     for token in (repr(value), "%.17g" % value):
         _assert_same_parse(f"hypergroup v1\nn 1\ne 0\ninv 0\nc 0 0 0 {token}\n", monkeypatch)
+
+
+def test_line_by_line_reader_matches_bulk_read_out_of_order(monkeypatch):
+    """Entries listed out of C order, zeros among them, blank lines between."""
+    _assert_same_parse("hypergroup v1\nn 2\ne 0\ninv 0 1\nc 1 1 0 0.5\n\nc 0 0 0 1\n"
+                       "c 1 0 1 -0.0\n  \nc 0 1 1 0\nc 1 1 1 0.5\n", monkeypatch)
+
+
+def test_entry_routes_never_form_the_dense_tensor():
+    """Parse, Jewett and the solve read c's entries only: on cyclic 512, whose
+    dense tensor alone is 1 GiB, they stay under 64 MB and never form it."""
+    text = serialize_hypergroup(cyclic_hypergroup(512))
+
+    def run():
+        h = parse_hypergroup(text)
+        return h, jewett_haar(h).w, solve_invariance(h).w
+
+    (h, jewett, solve), peak = traced_peak(run)
+    assert "c" not in vars(h)
+    assert peak < 64 * 2 ** 20
+    np.testing.assert_array_equal(jewett, np.ones(512))
+    np.testing.assert_allclose(solve, np.full(512, 1 / 512), rtol=1e-12)
 
 
 class TestTraceCsv:

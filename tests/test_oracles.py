@@ -197,6 +197,94 @@ class TestStreamedSolve:
         assert peak < 8 * h.n ** 2 * 8
 
 
+def dense_solve_invariance(h):
+    """solve_invariance as it ran on the dense tensor, kept as a reference: S
+    from c.sum(axis=0), A B from one matmul of B with c, ||A||_F from vdot."""
+    n, c = h.n, h.c
+    frobenius = np.sqrt(max(np.vdot(c, c) - 2.0 * np.einsum("stt->", c) + n * n, 0.0))
+    s = c.sum(axis=0).T
+    s[np.diag_indices(n)] -= n
+    _, sv_s, vt = np.linalg.svd(s)
+    k = max(1, int(np.sum(sv_s <= np.sqrt(n) * _RANK_CUT * frobenius)))
+    b = vt[n - k:]
+    ab = np.matmul(b, c)
+    ab -= b
+    u, sv, _ = np.linalg.svd(ab.swapaxes(0, 1).reshape(k, n * n), full_matrices=False)
+    threshold = _RANK_CUT * max(sv_s[0] / np.sqrt(n), sv[0], frobenius / np.sqrt(n))
+    nullity = int(np.sum(sv <= threshold))
+    if nullity != 1:
+        smallest = ", ".join(f"{v:.3e}" for v in sv[::-1][:3])
+        raise DegenerateNullspace(
+            f"invariance nullspace has dimension {nullity}, expected 1 "
+            f"(threshold {_RANK_CUT:g}*sigma_hat = {threshold:.3e}; "
+            f"smallest singular values of the reduced operator {smallest})")
+    x = b.T @ u[:, -1]
+    x /= x.sum()
+    worst = int(np.argmin(x))
+    if x[worst] < -AXIOM_TOL:
+        raise NegativeSolution(
+            f"weight {worst} is {x[worst]:.6g}, below -tol (tol = {AXIOM_TOL:g})")
+    return Measure(np.maximum(x, 0.0), nonneg=True)
+
+
+def two_point(c1):
+    """The two-point tensor with c[0] = I and c[1] = c1: TestSolveInvariance's
+    negative and clamped cases."""
+    return FiniteHypergroup(2, 0, [0, 1], np.stack([np.eye(2), c1]))
+
+
+class TestEntrySolve:
+    """The solve over c's entries against the dense route it replaced: the
+    same weights up to rounding, or the same refusal with the same message."""
+
+    @staticmethod
+    def check(h):
+        try:
+            want = dense_solve_invariance(h)
+        except (DegenerateNullspace, NegativeSolution) as exc:
+            with pytest.raises(type(exc)) as got:
+                solve_invariance(h)
+            assert str(got.value) == str(exc)
+            return
+        got = solve_invariance(h).w
+        np.testing.assert_allclose(got, want.w, rtol=1e-14, atol=0)
+
+    def test_bundled(self, bundled):
+        self.check(bundled)
+
+    @pytest.mark.parametrize("family,param", [
+        ("cyclic", "12"), ("cosine-grid", "16"), ("conj-class", "s4"),
+        ("product", "cyclic:3,cosine-grid:4"), ("cyclic", "64"), ("cosine-grid", "64"),
+    ])
+    def test_larger_families(self, family, param):
+        self.check(build_family(family, param))
+
+    @pytest.mark.parametrize("make", [
+        identity_translations, swap_translations,
+        lambda: two_point([[1.5, 0.0], [1.0, 1.0]]),
+        lambda: two_point([[1.0 + 5e-10, 0.0], [1.0, 1.0]]),
+        lambda: two_point([[1.0 + 2e-9, 0.0], [1.0, 1.0]]),
+        lambda: two_point([[2.0, 1.0], [1.0, 2.0]]),
+    ], ids=["identity", "swap", "negative", "clamped", "refused", "massless"])
+    def test_degenerate_and_negative(self, make):
+        self.check(make())
+
+    def test_block_sum_rounding_noise(self):
+        perms = np.eye(4)[list(permutations(range(4)))]
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            p, q = (np.einsum("k,kij->ij", rng.dirichlet(np.ones(24)), perms) for _ in range(2))
+            self.check(FiniteHypergroup(4, 0, [0, 1, 2, 3],
+                                        np.stack([np.eye(4), p, q, 3 * np.eye(4) - p - q])))
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-6])
+    def test_perturbed(self, eps):
+        base = build_family("conj-class", "s3")
+        for seed in range(10):
+            noise = np.random.default_rng(seed).standard_normal(base.c.shape)
+            self.check(FiniteHypergroup(base.n, base.e, base.inv, base.c + eps * noise))
+
+
 class TestBlockSumReduction:
     """The solve reduces A through its block sum S = sum_s (c[s].T - I); these
     inputs are the ones where S alone says little."""
