@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
 from typing import List, Sequence
 
 import numpy as np
@@ -189,34 +188,28 @@ def symmetrize(h: FiniteHypergroup, g: Function) -> Function:
     return Function(0.5 * (g.v + g.v[h.inv]))
 
 
-def _contraction(h: FiniteHypergroup):
-    """_contract_u(h, .) that contracts each distinct input once: an input
-    bitwise equal to an earlier one gets that one's contraction back."""
-    cache = {}
-
-    def contract(f: np.ndarray) -> np.ndarray:
-        key = f.tobytes()
-        if key not in cache:
-            cache[key] = _contract_u(h, f)
-        return cache[key]
-    return contract
-
-
-def _walk(h: FiniteHypergroup, mu0: Measure, bumps: Sequence[Function], contract=None):
+def _walk(h: FiniteHypergroup, mu0: Measure, bumps: Sequence[Function]):
     """Yield, bump by bump, the translate matrix K[s, t] = (dirac_s * g)(t) and the
     approximant weights mu0 / (mu0 * g) derived from it.
 
     K is linear in the bump: one contraction gives the first bump's K, and each
-    later K adds d_p c[inv, :, p] for every point p where the bump changed by d_p,
-    O(n^2) a changed point.  A change with full support costs O(n^3), as a
-    contraction does.  contract, _contract_u(h, .) by default, gives the first K.
+    later K adds d_p c[inv[s], t, p] to K[s, t] for every entry of c with u = p,
+    at every point p where the bump changed by d_p, in increasing p: a copy of K
+    and one term per entry met, O(nnz) at most, as a contraction.
     """
-    k = (contract or partial(_contract_u, h))(bumps[0].v)[h.inv]
+    s, t, u, value = h.entries
+    k = _contract_u(h, bumps[0].v)[h.inv]
     for i, g in enumerate(bumps):
+        if i == 1:  # the entries grouped by u, for the updates; a single bump needs none
+            by_u = np.argsort(u, kind="stable")
+            first = np.searchsorted(u[by_u], np.arange(h.n + 1))
+            row, col, mass = np.argsort(h.inv)[s[by_u]], t[by_u], value[by_u]
         if i:
             d = g.v - bumps[i - 1].v
+            k = k.copy()
             for p in np.flatnonzero(d):
-                k = k + d[p] * h.c[h.inv, :, p]
+                j = slice(first[p], first[p + 1])
+                k[row[j], col[j]] += d[p] * mass[j]  # row r of K reads c[inv[r]]
         denom = mu0.w @ k
         if np.any(denom <= 0):
             t = int(np.argmin(denom))
@@ -297,8 +290,7 @@ def sandwich_ratio(h: FiniteHypergroup, mu0: Measure, g: Function,
     return float(_ratio(h, _step(h, mu0, g)[1], f.v[None], mu.w[None])[0, 0])
 
 
-def _bounds(h: FiniteHypergroup, f0: Function, fs: Sequence[Function],
-            contract=None) -> np.ndarray:
+def _bounds(h: FiniteHypergroup, f0: Function, fs: Sequence[Function]) -> np.ndarray:
     """Rows a, b: bounds on <f, normalized approximant> for each f in fs from greedy
     dominating measures; they hold for every bump.
 
@@ -306,11 +298,9 @@ def _bounds(h: FiniteHypergroup, f0: Function, fs: Sequence[Function],
     find_dominating_measure(h, f0, f) and find_dominating_measure(h, f, f0) do,
     and a failure is raised for the first f, a's before b's.  The translates of an
     indicator probe 1_j are the slices c[inv, :, j], so _indicator_peaks serves
-    all of them in one pass over the tensor; any other f costs a contraction,
-    made by contract, _contract_u(h, .) by default.
+    all of them in one pass over c's entries; any other f costs a contraction.
     """
     n = h.n
-    contract = contract or partial(_contract_u, h)
     f = np.array([probe.v for probe in fs]).reshape(len(fs), n)
     indicator = ((f == 1.0).sum(axis=1) == 1) & ((f == 0.0).sum(axis=1) == n - 1)
     s_a, best_a = np.zeros(f.shape, dtype=int), np.zeros(f.shape)
@@ -319,9 +309,9 @@ def _bounds(h: FiniteHypergroup, f0: Function, fs: Sequence[Function],
         j = np.argmax(f[indicator], axis=1)
         s_a[indicator], best_a[indicator] = s_ind[j], best_ind[j]
     for i in np.flatnonzero(~indicator):
-        s_a[i], best_a[i] = _peaks(contract(fs[i].v)[h.inv])
+        s_a[i], best_a[i] = _peaks(_contract_u(h, fs[i].v)[h.inv])
     w_a, uncovered_a = _cover(s_a, best_a, np.broadcast_to(f0.v, f.shape))
-    w_b, uncovered_b = _cover(*_peaks(contract(f0.v)[h.inv]), f)
+    w_b, uncovered_b = _cover(*_peaks(_contract_u(h, f0.v)[h.inv]), f)
     invalid = ~((f >= 0).all(axis=1) & (np.abs(f).max(axis=1) > 0))
     failed = np.hstack([invalid[:, None], uncovered_a, uncovered_b])
     if failed.any():
@@ -340,19 +330,18 @@ def bounds_certificate(h: FiniteHypergroup, cfg: ApproximantConfig,
     return BoundsCertificate(a, b, value, a < value < b)
 
 
-def _net_steps(h: FiniteHypergroup, cfg: ApproximantConfig, contract=None):
+def _net_steps(h: FiniteHypergroup, cfg: ApproximantConfig):
     """Yield, bump by bump down cfg.chain, the normalized approximant's weights,
     its default-probe values, the gap over the default probes and rho, all
     derived from _walk's K in O(n^2).
 
     rho = <f0, uniform * chi_t> / chi_t(f0), the sandwich ratio of the uniform
     measure, and <f0, uniform * chi_t> = v0 . chi_t for v0 = uniform . (c
-    contracted with f0), formed by contract, _contraction(h) by default.
+    contracted with f0).
     """
-    contract = contract or _contraction(h)
     p = np.array([f.v for f in default_probes(h.n)])
-    v0 = Measure.uniform(h.n).w @ contract(cfg.f0.v)
-    for k, chi_t in _walk(h, cfg.mu0, cfg.chain.bumps, contract):
+    v0 = Measure.uniform(h.n).w @ _contract_u(h, cfg.f0.v)
+    for k, chi_t in _walk(h, cfg.mu0, cfg.chain.bumps):
         z = cfg.f0.v @ chi_t
         yield chi_t / z, p @ (chi_t / z), _probe_gap(k, chi_t), float(v0 @ chi_t / z)
 
@@ -365,15 +354,12 @@ def haar_net(h: FiniteHypergroup, cfg: ApproximantConfig):
     raises NotConverged if the limit's invariance residual exceeds CERTIFY_TOL.
     """
     cfg.chain.check(h)
-    # inputs repeat: canonical_chain's first bump symmetrize(1_X) is the ones probe,
-    # and a constant f0 is both
-    contract = _contraction(h)
-    a, b = _bounds(h, cfg.f0, default_probes(h.n), contract)
+    a, b = _bounds(h, cfg.f0, default_probes(h.n))
 
     steps = []
     chi = None
     prev_vals = None
-    walk = _net_steps(h, cfg, contract)
+    walk = _net_steps(h, cfg)
     for step, (u, (w, vals, gap, rho)) in enumerate(zip(cfg.chain.neighborhoods, walk)):
         chi = Measure(w, nonneg=True)
         bounds_ok = bool(np.all((a < vals) & (vals < b)))

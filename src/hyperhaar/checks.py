@@ -17,8 +17,7 @@ from .core import (
     _convolve_measure_function,
     _convolve_measures,
 )
-from .approx import (_bounds, _contraction, _probe_gap, _ratio, _step, _walk, canonical_chain,
-                     default_probes)
+from .approx import _bounds, _probe_gap, _ratio, _step, _walk, canonical_chain, default_probes
 
 __all__ = ["SuiteResult", "identity_suite", "terminal_gap_suite",
            "terminal_ratio_suite", "bounds_suite", "run_all_suites"]
@@ -101,18 +100,13 @@ def terminal_ratio_suite(h: FiniteHypergroup) -> SuiteResult:
 
 
 def bounds_suite(h: FiniteHypergroup) -> SuiteResult:
-    """Greedy two-sided bounds hold at every chain step for every probe.
-
-    f0, the ones probe and the first bump are all the ones vector: one
-    contraction serves the three.
-    """
+    """Greedy two-sided bounds hold at every chain step for every probe."""
     mu0 = Measure(np.ones(h.n))
     f0 = Function.ones(h.n)
     probes = default_probes(h.n)
-    contract = _contraction(h)
-    a, b = _bounds(h, f0, probes, contract)
+    a, b = _bounds(h, f0, probes)
     p = np.array([f.v for f in probes])
-    chis = (chi_t for _, chi_t in _walk(h, mu0, canonical_chain(h).bumps, contract))
+    chis = (chi_t for _, chi_t in _walk(h, mu0, canonical_chain(h).bumps))
     vals = np.array([p @ (chi_t / (f0.v @ chi_t)) for chi_t in chis])
     return SuiteResult("dominating-measure bounds", bool(np.all((a < vals) & (vals < b))),
                        float(np.minimum(vals - a, b - vals).min()), "min margin to either bound")

@@ -118,7 +118,7 @@ def cmd_compare(args) -> int:
 
 def cmd_gen(args) -> int:
     # ValueError covers a malformed parameter or group table and undecodable text;
-    # MemoryError a size whose entries, or n^3 tensor, cannot be allocated
+    # MemoryError a size whose entries cannot be allocated
     try:
         text = serialize_hypergroup(build_family(args.family, args.param))
     except (OSError, ValueError, MemoryError) as exc:

@@ -51,14 +51,14 @@ class NoCover(Exception):
     """No finite positive combination of translates dominates the target."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class FiniteHypergroup:
     """Finite hypergroup: identity e, involution inv, structure tensor c.
 
-    c has two forms: the dense (n, n, n) array c, and its entries, the arrays
-    (s, t, u, value) in C order.  An instance is made from one of them; the
-    other is derived the first time it is read and kept.  from_entries makes
-    one that never forms the n^3 array unless a dense kernel reads h.c.
+    c is stored as its entries, the arrays (s, t, u, value) in C order, which
+    from_entries takes and FiniteHypergroup(n, e, inv, c) lists from a dense
+    tensor.  The dense view h.c is formed from them the first time a dense
+    kernel reads it, and kept.  Equality is identity, which forms no view.
     """
 
     n: int
@@ -86,10 +86,11 @@ class FiniteHypergroup:
         if sorted(self.inv.tolist()) != list(range(n)):
             raise ValueError("involution is not a permutation")
         if "entries" not in self.__dict__:
-            object.__setattr__(self, "c", np.ascontiguousarray(self.c, dtype=float))
-            if self.c.shape != (n, n, n):
+            c = np.asarray(self.c, dtype=float)
+            if c.shape != (n, n, n):
                 raise ValueError(f"structure tensor must have shape {(n,) * 3}")
-            return
+            object.__delattr__(self, "c")
+            object.__setattr__(self, "entries", _nonzeros(c))
         if n >= MAX_N:
             raise ValueError(f"n={n} is not below {MAX_N}: the n^3 tensor is not addressable")
         if len(set(map(len, self.entries))) > 1:
@@ -107,17 +108,17 @@ class FiniteHypergroup:
         object.__setattr__(self, "entries", (*stu, value))
 
     def __getattr__(self, name: str):
-        # Only a form of c not yet derived is missing from the instance.
-        if name == "c" and "entries" in self.__dict__:
-            s, t, u, value = self.entries
-            form = np.zeros((self.n,) * 3)
-            form[s, t, u] = value
-        elif name == "entries" and "c" in self.__dict__:
-            form = _nonzeros(self.c)
-        else:
+        # Only the dense view, until it is first read, is missing from the instance.
+        if name != "c":
             raise AttributeError(name)
-        object.__setattr__(self, name, form)
-        return form
+        s, t, u, value = self.entries
+        c = np.zeros((self.n,) * 3)
+        c[s, t, u] = value
+        object.__setattr__(self, "c", c)
+        return c
+
+    def __repr__(self) -> str:
+        return f"FiniteHypergroup(n={self.n}, e={self.e}, nnz={np.count_nonzero(self.entries[3])})"
 
     def points(self) -> range:
         return range(self.n)
@@ -219,22 +220,31 @@ def _check_size(h: FiniteHypergroup, *objs) -> None:
 def _convolve_measures(h: FiniteHypergroup, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
     """(mu * nu)[..., u] = sum_{s,t} mu[..., s] nu[..., t] c[s, t, u].
 
-    mu and nu are (..., n) stacks whose leading batch axes broadcast.  One BLAS
-    product contracts mu with c viewed as n x n^2, a temporary of n^2 floats
-    per row of mu; a single nu is contracted first instead, so a stack of mu
-    against one nu needs n^2 floats in all.
+    mu and nu are (..., n) stacks whose leading batch axes broadcast.  A single
+    nu is summed over c's entries first, so a stack of mu against it needs n^2
+    floats in all; a stack of nu takes one BLAS product of mu with the dense
+    view as n x n^2, a temporary of n^2 floats per row of mu.
     """
     n = h.n
     if nu.ndim == 1:
-        return mu @ (nu @ h.c)
+        return mu @ _dirac_convolutions(h, nu)
     left = (mu @ h.c.reshape(n, n * n)).reshape(*mu.shape[:-1], n, n)
     return (nu[..., None, :] @ left)[..., 0, :]
 
 
+def _dirac_convolutions(h: FiniteHypergroup, nu: np.ndarray) -> np.ndarray:
+    """m[s, u] = (dirac_s * nu)[u] = sum_t c[s, t, u] nu[t] for one vector nu,
+    summed over c's entries in C order: O(nnz)."""
+    n, (s, t, u, value) = h.n, h.entries
+    return np.bincount(s * n + u, weights=value * nu[t], minlength=n * n).reshape(n, n)
+
+
 def _contract_u(h: FiniteHypergroup, f: np.ndarray) -> np.ndarray:
-    """k[..., a, b] = sum_u c[a, b, u] f[..., u]: one BLAS product for a (..., n)
-    stack of functions, with n^2 floats of output per row of f."""
-    n = h.n
+    """k[..., a, b] = sum_u c[a, b, u] f[..., u]: a sum over c's entries in C order
+    for one f, one BLAS product with the dense view for a (..., n) stack."""
+    n, (s, t, u, value) = h.n, h.entries
+    if f.ndim == 1:
+        return np.bincount(s * n + t, weights=value * f[u], minlength=n * n).reshape(n, n)
     return (f @ h.c.reshape(n * n, n).T).reshape(*f.shape[:-1], n, n)
 
 
@@ -308,10 +318,9 @@ def support_product(h: FiniteHypergroup, a: Iterable[int], b: Iterable[int]) -> 
     for p in a + b:
         if not (0 <= p < h.n):
             raise ValueError(f"point index {p} out of range for n={h.n}")
-    if not a or not b:
-        return frozenset()
-    mass = h.c[np.ix_(a, b)].max(axis=(0, 1))
-    return frozenset(np.flatnonzero(mass > 0).tolist())
+    s, t, u, value = h.entries
+    hit = np.isin(s, a) & np.isin(t, b) & (value > 0)
+    return frozenset(np.unique(u[hit]).tolist())
 
 
 @dataclass(frozen=True)
@@ -529,13 +538,17 @@ def _cover(s: np.ndarray, best: np.ndarray, f: np.ndarray) -> tuple:
 def _indicator_peaks(h: FiniteHypergroup) -> tuple:
     """_peaks of translates(h, 1_j) for every j, as (n, n) arrays indexed [j, t].
 
-    Those translates are the slices c[inv, :, j]; one pass over the tensor, one
-    (n, n) slab c[inv[s]] at a time, finds all their peaks with no n^3 temporary.
+    The translate of 1_j is K[r, t] = c[inv[r], t, j], so the peak of its
+    column t is the largest positive value among c's entries (inv[r], t, j),
+    and s the first r that reaches it; O(nnz).  A column with no positive entry
+    gets best 0 and s n - 1, which _cover never reads.
     """
-    best = h.c[h.inv[0]].copy()
-    s = np.zeros((h.n, h.n), dtype=int)
-    for i in range(1, h.n):
-        slab = h.c[h.inv[i]]
-        np.copyto(s, i, where=slab > best)
-        np.maximum(best, slab, out=best)
-    return s.T, best.T
+    n, (s, t, u, value) = h.n, h.entries
+    pos = value > 0
+    r, t, u, value = np.argsort(h.inv)[s[pos]], t[pos], u[pos], value[pos]
+    best = np.zeros((n, n))
+    np.maximum.at(best, (u, t), value)
+    top = value == best[u, t]
+    first = np.full((n, n), n - 1)
+    np.minimum.at(first, (u[top], t[top]), r[top])
+    return first, best

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AXIOM_TOL, FiniteHypergroup, Measure, _gather
+from .core import AXIOM_TOL, FiniteHypergroup, Measure, _dirac_convolutions, _gather
 
 __all__ = [
     "H6Violation",
@@ -62,7 +62,7 @@ def invariance_residual(h: FiniteHypergroup, chi: Measure) -> float:
     |sum_t c[inv[s], t, u] chi_t - chi_u|."""
     if chi.n != h.n:
         raise ValueError(f"dimension mismatch: {chi.n} vs {h.n}")
-    return float(np.abs((chi.w @ h.c)[h.inv] - chi.w).max())
+    return float(np.abs(_dirac_convolutions(h, chi.w)[h.inv] - chi.w).max())
 
 
 def solve_invariance(h: FiniteHypergroup) -> Measure:
@@ -133,13 +133,10 @@ def theta_hypergroup(theta: float) -> FiniteHypergroup:
     """Two-point family: dirac_1 * dirac_1 = theta dirac_0 + (1-theta) dirac_1."""
     if not (0 <= theta <= 1):
         raise ValueError("theta must lie in [0, 1]")
-    c = np.zeros((2, 2, 2))
-    c[0, 0, 0] = 1.0
-    c[0, 1, 1] = 1.0
-    c[1, 0, 1] = 1.0
-    c[1, 1, 0] = theta
-    c[1, 1, 1] = 1.0 - theta
-    return FiniteHypergroup(2, 0, [0, 1], c)
+    stu = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0], [1, 1, 1]]).T
+    value = np.array([1.0, 1.0, 1.0, theta, 1.0 - theta])
+    listed = value != 0  # theta 0 or 1 leaves one of the two masses at 1 1 empty
+    return FiniteHypergroup.from_entries(2, 0, [0, 1], *stu[:, listed], value[listed])
 
 
 def _check_group_table(table: np.ndarray) -> int:
@@ -177,10 +174,11 @@ def conjugacy_class_hypergroup(table) -> FiniteHypergroup:
     m = len(reps)
     # one count per product x y at (class of x, class of y, class of x y)
     idx = (class_of[:, None] * m + class_of[None, :]) * m + class_of[table]
-    counts = np.bincount(idx.ravel(), minlength=m ** 3)
+    keys, counts = np.unique(idx, return_counts=True)
+    s, t, u = np.unravel_index(keys, (m,) * 3)
     sizes = np.bincount(class_of).astype(float)
-    c = counts.reshape(m, m, m) / (sizes[:, None, None] * sizes[None, :, None])
-    return FiniteHypergroup(m, int(class_of[ge]), class_of[ginv[reps]], c)
+    return FiniteHypergroup.from_entries(m, int(class_of[ge]), class_of[ginv[reps]], s, t, u,
+                                         counts / (sizes[s] * sizes[t]))
 
 
 def cosine_grid_hypergroup(m: int) -> FiniteHypergroup:
@@ -203,10 +201,11 @@ def cosine_grid_hypergroup(m: int) -> FiniteHypergroup:
 
 def product_hypergroup(h1: FiniteHypergroup, h2: FiniteHypergroup) -> FiniteHypergroup:
     """Tensor product; point (i, j) maps to index i * h2.n + j."""
-    n1, n2 = h1.n, h2.n
-    c = np.einsum("abc,xyz->axbycz", h1.c, h2.c).reshape(n1 * n2, n1 * n2, n1 * n2)
-    inv = (h1.inv[:, None] * n2 + h2.inv[None, :]).reshape(-1)
-    return FiniteHypergroup(n1 * n2, h1.e * n2 + h2.e, inv, c)
+    n2 = h2.n
+    stu = [np.add.outer(a * n2, b).ravel() for a, b in zip(h1.entries[:3], h2.entries[:3])]
+    inv = np.add.outer(h1.inv * n2, h2.inv).ravel()
+    return FiniteHypergroup.from_entries(h1.n * n2, h1.e * n2 + h2.e, inv, *stu,
+                                         np.multiply.outer(h1.entries[3], h2.entries[3]).ravel())
 
 
 def symmetric_group_table(k: int) -> np.ndarray:

@@ -1,9 +1,8 @@
-from functools import partial
+import warnings
 
 import numpy as np
 import pytest
 
-from hyperhaar import approx
 from hyperhaar import (
     ApproximantConfig,
     FiniteHypergroup,
@@ -30,7 +29,7 @@ from hyperhaar import (
 from hyperhaar.approx import (_bounds, _gap, _net_steps, _probe_gap, _ratio, _step, _walk,
                               default_probes)
 from hyperhaar.checks import terminal_ratio_suite
-from hyperhaar.core import _contract_u, convolve_measures, translates
+from hyperhaar.core import convolve_measures, translates
 from hyperhaar.oracles import (
     conjugacy_class_hypergroup,
     cyclic_hypergroup,
@@ -549,6 +548,15 @@ class TestHaarNet:
         with pytest.raises(NotConverged, match="^invariance residual nan above"):
             self.run(FiniteHypergroup(2, 0, [0, 1], c))
 
+    def test_nan_entry_warns_nothing(self):
+        # the entry readers skip a NaN where they take maxima over positive values
+        c = theta_hypergroup(0.5).c.copy()
+        c[1, 1, 1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotConverged):
+                self.run(FiniteHypergroup(2, 0, [0, 1], c))
+
 
 class TestProbeDerivations:
     """The O(n^2) forms of the default probes' gap and bounds against the general ones."""
@@ -640,7 +648,8 @@ class TestWalkRounding:
 
     def check(self, h, mu0, f0, chain):
         n = h.n
-        habs = FiniteHypergroup(n, h.e, h.inv, np.abs(h.c))
+        s, t, u, value = h.entries
+        habs = FiniteHypergroup.from_entries(n, h.e, h.inv, s, t, u, np.abs(value))
         cfg = ApproximantConfig(mu0, f0, chain)
         walked = list(zip(_walk(h, mu0, chain.bumps), _net_steps(h, cfg)))
         fresh = list(fresh_walk(h, mu0, f0, chain.bumps))
@@ -684,10 +693,12 @@ class TestWalkRounding:
         assert any(not np.array_equal(k, ref[0]) for ((k, _), _), ref in zip(walked, fresh))
 
     @pytest.mark.parametrize("family,param", [("cyclic", "6"), ("conj-class", "s4"),
-                                              ("product", "cyclic:3,theta2:0.3")])
+                                              ("product", "cyclic:3,theta2:0.3"),
+                                              ("cosine-grid", "24")])
     def test_full_support_deltas(self, family, param):
         # symmetric non-indicator bumps on the whole space: every change between
-        # consecutive bumps has full support, so every update is a full contraction
+        # consecutive bumps has full support, so every update adds a term for
+        # every entry of c, and no reader forms the dense view
         h = build_family(family, param)
         rng = np.random.default_rng(24)
         bumps = [symmetrize(h, Function(rng.uniform(0.2, 1.0, h.n))) for _ in range(4)]
@@ -696,58 +707,16 @@ class TestWalkRounding:
         for a, b in zip(bumps, bumps[1:]):
             assert np.all(a.v != b.v)
         self.check(h, ones_measure(h.n), Function.ones(h.n), chain)
+        assert "c" not in vars(h)
 
     def test_haar_net_holds_no_n3_temporary(self):
-        # the walk, the bounds and v0 hold O(n^2) floats; a copy of c[inv] is n^3
+        # the walk, the bounds and v0 hold O(n^2) floats and read c's entries
         h = build_family("cosine-grid", "96")
-        h.c  # the dense view is the input's own storage, formed once before the trace
         cfg = ApproximantConfig(ones_measure(h.n), Function.ones(h.n), canonical_chain(h))
         (chi, trace), peak = traced_peak(haar_net, h, cfg)
         assert len(trace) == h.n
         assert peak < 0.25 * 8 * h.n ** 3
-
-
-class TestSharedContraction:
-    """haar_net contracts each distinct input once and reuses it wherever an
-    input repeats bitwise: f0 for its bounds and v0, and the ones vector for the
-    ones probe's bounds and the first bump, symmetrize(1_X); a constant f0 is
-    both.  Nothing it reports may change by a bit."""
-
-    @staticmethod
-    def counted(monkeypatch):
-        calls = []
-
-        def contract(h, f):
-            calls.append(f)
-            return _contract_u(h, f)
-        monkeypatch.setattr(approx, "_contract_u", contract)
-        return calls
-
-    @pytest.mark.parametrize("family,param", [("cosine-grid", "24"), ("conj-class", "s4"),
-                                              ("product", "cyclic:3,theta2:0.3")])
-    @pytest.mark.parametrize("constant", [True, False], ids=["ones", "random"])
-    def test_bit_identical_to_fresh_contractions(self, monkeypatch, family, param, constant):
-        h = build_family(family, param)
-        rng = np.random.default_rng(25)
-        f0 = Function.ones(h.n) if constant else Function(rng.uniform(0.1, 1.0, h.n))
-        cfg = ApproximantConfig(Measure(rng.uniform(0.5, 2.0, h.n), nonneg=True), f0,
-                                canonical_chain(h))
-        probes = default_probes(h.n)
-        calls = self.counted(monkeypatch)
-        chi, trace = haar_net(h, cfg)
-        # f0, and the ones vector unless f0 is it
-        assert len(calls) == (1 if constant else 2)
-        shared_bounds = _bounds(h, f0, probes, approx._contraction(h))
-        monkeypatch.setattr(approx, "_contraction", lambda h: partial(_contract_u, h))
-        fresh_chi, fresh_trace = haar_net(h, cfg)
-        np.testing.assert_array_equal(shared_bounds, _bounds(h, f0, probes))
-        np.testing.assert_array_equal(chi.w, fresh_chi.w)
-        assert len(trace) == len(fresh_trace)
-        for a, b in zip(trace.steps, fresh_trace.steps):
-            np.testing.assert_array_equal(a.chi_probe, b.chi_probe)
-            np.testing.assert_array_equal([a.step, a.u_size, a.gap, a.rho, a.cauchy_diff],
-                                          [b.step, b.u_size, b.gap, b.rho, b.cauchy_diff])
-            assert a.bounds_ok == b.bounds_ok
+        assert "c" not in vars(h)
 
 
 def reference_net(h, mu0, f0, chain, conv_tol=1e-12):

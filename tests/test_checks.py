@@ -1,17 +1,14 @@
 """The lemma suites: identity_suite and run_all_suites against the per-trial loop
 they replaced, and the memory the suites take."""
 
-from functools import partial
-
 import numpy as np
 import pytest
 
-from hyperhaar import FiniteHypergroup, build_family
-from hyperhaar import approx, checks
+from hyperhaar import FiniteHypergroup, build_family, checks
 from hyperhaar.approx import _gap, _step, default_probes
 from hyperhaar.checks import (bounds_suite, identity_suite, run_all_suites, terminal_gap_suite,
                              terminal_ratio_suite)
-from hyperhaar.core import EXACT_TOL, Function, Measure, _contract_u
+from hyperhaar.core import EXACT_TOL, Function, Measure
 from hyperhaar.oracles import cyclic_hypergroup
 
 from conftest import BUNDLED, traced_peak
@@ -174,31 +171,7 @@ def test_terminal_ratio_suite_peak_below_quarter_n3():
     # n diracs against one approximant: the kernel contracts the approximant
     # first instead of holding n^2 floats per dirac
     h = build_family("cosine-grid", "48")
-    h.c  # the dense view is the input's own storage, formed once before the trace
     result, peak = traced_peak(terminal_ratio_suite, h)
     assert result.passed
     assert peak < 0.25 * 8 * h.n ** 3
-
-
-class TestBoundsSuiteContraction:
-    """bounds_suite's f0, ones probe and first bump are all the ones vector: it
-    contracts it once, and its result does not change by a bit."""
-
-    @pytest.mark.parametrize("family,param", [("cosine-grid", "24"), ("conj-class", "s4"),
-                                              ("product", "cyclic:3,theta2:0.3")])
-    def test_one_contraction_bit_identical(self, monkeypatch, family, param):
-        h = build_family(family, param)
-        calls = []
-
-        def contract(h, f):
-            calls.append(f)
-            return _contract_u(h, f)
-        monkeypatch.setattr(approx, "_contract_u", contract)
-        shared = bounds_suite(h)
-        assert len(calls) == 1
-        np.testing.assert_array_equal(calls[0], np.ones(h.n))
-        monkeypatch.setattr(checks, "_contraction", lambda h: partial(contract, h))
-        fresh = bounds_suite(h)
-        assert len(calls) == 1 + 3
-        assert (shared.passed, shared.worst, shared.detail) == (fresh.passed, fresh.worst,
-                                                                fresh.detail)
+    assert "c" not in vars(h)

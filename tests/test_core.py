@@ -26,11 +26,14 @@ from hyperhaar.core import (
     _convolve_function_measure,
     _convolve_measure_function,
     _convolve_measures,
+    _cover,
+    _indicator_peaks,
     _nonzeros,
     translates,
 )
 from hyperhaar.oracles import (
     conjugacy_class_hypergroup,
+    invariance_residual,
     cosine_grid_hypergroup,
     cyclic_hypergroup,
     symmetric_group_table,
@@ -460,8 +463,8 @@ def dense_cosine_grid(m):
 
 
 class TestEntries:
-    """c's two forms: the entries in C order and the dense view, each derived
-    from the other once."""
+    """c is stored as its entries in C order; the dense view is derived from them
+    once, when a dense kernel first reads it."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 64])
     def test_builders_write_the_dense_formulas_entries(self, n):
@@ -478,11 +481,26 @@ class TestEntries:
         assert h.c is h.c and vars(h)["c"] is h.c
 
     def test_entries_of_a_dense_tensor_derived_once(self, bundled):
-        h = FiniteHypergroup(bundled.n, bundled.e, bundled.inv, bundled.c)
-        assert "entries" not in vars(h)
+        # the constructor lists the input's nonzeros and keeps no dense form
+        c = bundled.c
+        h = FiniteHypergroup(bundled.n, bundled.e, bundled.inv, c)
+        assert "c" not in vars(h)
         assert h.entries is h.entries
-        for a, b in zip(h.entries, _nonzeros(h.c)):
+        for a, b in zip(h.entries, _nonzeros(c)):
             np.testing.assert_array_equal(a, b)
+        assert h.c is not c and h.c.tobytes() == c.tobytes()
+
+    def test_repr_and_equality_read_no_dense_view(self):
+        h = cosine_grid_hypergroup(96)
+        assert repr(h) == f"FiniteHypergroup(n=96, e=0, nnz={h.entries[3].size})"
+        assert h == h and h != cosine_grid_hypergroup(96)
+        assert len({h, h}) == 1
+        assert "c" not in vars(h)
+
+    def test_repr_counts_nonzero_values(self):
+        h = FiniteHypergroup.from_entries(2, 0, [0, 1], [0, 0, 1], [0, 1, 1], [0, 1, 0],
+                                          [1.0, 0.0, 1.0])
+        assert repr(h) == "FiniteHypergroup(n=2, e=0, nnz=2)"
 
     def test_from_entries_sorts_into_c_order(self):
         s, t, u, v = [2, 0, 1, 0], [0, 1, 1, 1], [1, 1, 0, 0], [1.0, -0.0, 2.0, 3.0]
@@ -509,6 +527,91 @@ class TestEntries:
             FiniteHypergroup.from_entries(2, 0, [0, 0], [], [], [], [])
         with pytest.raises(ValueError, match="not below"):
             FiniteHypergroup.from_entries(MAX_N, 0, np.arange(MAX_N), [], [], [], [])
+
+
+def slab_peaks(h):
+    """_indicator_peaks as the loop over the slabs c[inv[s]] wrote them."""
+    best = h.c[h.inv[0]].copy()
+    s = np.zeros((h.n, h.n), dtype=int)
+    for i in range(1, h.n):
+        slab = h.c[h.inv[i]]
+        np.copyto(s, i, where=slab > best)
+        np.maximum(best, slab, out=best)
+    return s.T, best.T
+
+
+def signed_tensor(seed, n=5):
+    """A tensor with negative entries, some columns of translates all <= 0, and ties:
+    not a hypergroup, but every reader of c is defined on it."""
+    rng = np.random.default_rng(seed)
+    c = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(n, n, n), p=[0.2, 0.1, 0.4, 0.2, 0.1])
+    return FiniteHypergroup(n, 0, [0, 2, 1, 3, 4][:n], c)
+
+
+class TestEntryReaders:
+    """The readers of one vector, one column or one diagonal of c, which go through
+    c's entries, against the dense one-liners they replaced."""
+
+    def peaks_match(self, h):
+        s, best = _indicator_peaks(h)
+        s_ref, best_ref = slab_peaks(h)
+        pos = best_ref > 0
+        np.testing.assert_array_equal(best[pos], best_ref[pos])
+        np.testing.assert_array_equal(s[pos], s_ref[pos])
+        # a column with no positive entry is uncovered either way, and _cover skips it
+        assert np.all(best[~pos] <= 0)
+        return pos
+
+    def test_indicator_peaks_bundled(self, bundled):
+        self.peaks_match(bundled)
+
+    @pytest.mark.parametrize("family,param", [("conj-class", "s4"), ("cosine-grid", "24"),
+                                              ("product", "cyclic:3,theta2:0.3")])
+    def test_indicator_peaks_families(self, family, param):
+        self.peaks_match(build_family(family, param))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_indicator_peaks_negative_entries(self, seed):
+        pos = self.peaks_match(signed_tensor(seed))
+        assert not pos.all()
+
+    def test_cover_never_reads_peaks_of_nonpositive_columns(self):
+        best = np.array([0.5, 0.0, -1.0])
+        for s in (np.array([1, 0, 2]), np.array([1, 99, -99])):
+            w, uncovered = _cover(s, best, np.ones((1, 3)))
+            np.testing.assert_array_equal(w, [[0.0, 4.0, 0.0]])
+            np.testing.assert_array_equal(uncovered, [[False, True, True]])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_support_product_against_dense(self, bundled, seed):
+        rng = np.random.default_rng(seed)
+        for h in (bundled, signed_tensor(seed)):
+            a = rng.choice(h.n, size=rng.integers(1, h.n + 1), replace=False).tolist()
+            b = rng.choice(h.n, size=rng.integers(1, h.n + 1), replace=False).tolist()
+            ref = frozenset(np.flatnonzero(h.c[np.ix_(a, b)].max(axis=(0, 1)) > 0).tolist())
+            assert support_product(h, a, b) == ref
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_invariance_residual_against_dense(self, bundled, seed):
+        rng = np.random.default_rng(seed)
+        for h in (bundled, signed_tensor(seed)):
+            w = rng.uniform(-1.0, 1.0, h.n)
+            ref = float(np.abs((w @ h.c)[h.inv] - w).max())
+            got = invariance_residual(h, Measure(w))
+            assert abs(got - ref) <= 1e-15 * max(1.0, ref)
+
+    def test_single_vector_kernels_read_no_dense_view(self):
+        h = cosine_grid_hypergroup(32)
+        rng = np.random.default_rng(7)
+        mu, f = Measure(rng.uniform(-1, 1, h.n)), Function(rng.uniform(-1, 1, h.n))
+        convolve_measures(h, mu, mu)
+        convolve_measure_function(h, mu, f)
+        convolve_function_measure(h, f, mu)
+        find_dominating_measure(h, Function.ones(h.n), Function.indicator(h.n, [1]))
+        support_product(h, [1, 2], [3])
+        invariance_residual(h, mu)
+        _indicator_peaks(h)
+        assert "c" not in vars(h)
 
 
 class TestTolerancePolicy:

@@ -527,6 +527,62 @@ class TestBuildersMatchDefinition:
             conjugacy_class_hypergroup(table)
 
 
+def assert_same_entries(got, ref):
+    for a, b in zip(got.entries, ref.entries):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+def reference_theta(theta):
+    c = np.zeros((2, 2, 2))
+    c[0, 0, 0] = c[0, 1, 1] = c[1, 0, 1] = 1.0
+    c[1, 1, 0], c[1, 1, 1] = theta, 1.0 - theta
+    return FiniteHypergroup(2, 0, [0, 1], c)
+
+
+def reference_product(h1, h2):
+    """The product's dense tensor as one einsum of the factors' dense views."""
+    n = h1.n * h2.n
+    c = np.einsum("abc,xyz->axbycz", h1.c, h2.c).reshape(n, n, n)
+    inv = (h1.inv[:, None] * h2.n + h2.inv[None, :]).reshape(-1)
+    return FiniteHypergroup(n, h1.e * h2.n + h2.e, inv, c)
+
+
+class TestBuildersMakeEntries:
+    """Every builder makes c's entries and no dense view; the entries are the
+    nonzeros of the dense tensor the definition gives."""
+
+    @pytest.mark.parametrize("family,param", [
+        ("cyclic", "12"), ("theta2", "0.3"), ("conj-class", "s4"), ("cosine-grid", "12"),
+        ("product", "conj-class:s3,cosine-grid:4")])
+    def test_no_dense_view(self, family, param):
+        assert "c" not in vars(build_family(family, param))
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 1 / 3, 1.0])
+    def test_theta(self, theta):
+        got = theta_hypergroup(theta)
+        assert_same_entries(got, reference_theta(theta))
+        assert_same_hypergroup(got, reference_theta(theta))
+
+    @pytest.mark.parametrize("table", [symmetric_group_table(3), symmetric_group_table(4),
+                                       dihedral_table(5), dihedral_table(6)],
+                             ids=["s3", "s4", "d5", "d6"])
+    def test_class_hypergroup_is_counts_over_class_sizes(self, table):
+        got = conjugacy_class_hypergroup(table)
+        assert "c" not in vars(got)
+        assert_same_entries(got, reference_class_hypergroup(table))
+
+    @pytest.mark.parametrize("left", sorted(BUNDLED))
+    @pytest.mark.parametrize("right", ["Z4", "theta-1", "S3-classes", "cosine-5"])
+    def test_product_is_the_einsum(self, left, right):
+        h1, h2 = build_family(*BUNDLED[left]), build_family(*BUNDLED[right])
+        got = product_hypergroup(h1, h2)
+        assert "c" not in vars(h1) and "c" not in vars(h2) and "c" not in vars(got)
+        ref = reference_product(h1, h2)
+        assert_same_entries(got, ref)
+        assert_same_hypergroup(got, ref)
+
+
 class TestOracleAgreement:
     def test_bundled(self, bundled):
         j = jewett_haar(bundled)
