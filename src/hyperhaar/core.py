@@ -57,8 +57,10 @@ class FiniteHypergroup:
 
     c is stored as its entries, the arrays (s, t, u, value) in C order, which
     from_entries takes and FiniteHypergroup(n, e, inv, c) lists from a dense
-    tensor.  The dense view h.c is formed from them the first time a dense
-    kernel reads it, and kept.  Equality is identity, which forms no view.
+    tensor.  The dense view h.c is formed from them the first time it is read,
+    and kept; only the stacked BLAS branches of _contract_u and
+    _convolve_measures, which the identity suite reaches, read it.  Equality
+    is identity, which forms no view.
     """
 
     n: int
@@ -357,9 +359,25 @@ def _argmax_witness(arr: np.ndarray) -> tuple:
     return tuple(int(i) for i in np.unravel_index(int(np.argmax(arr)), arr.shape))
 
 
+def _first_key(keys: np.ndarray, dev: np.ndarray, top: float) -> int:
+    """Where np.argmax finds top in an n^3 array that is dev at keys and 0
+    elsewhere: the least key whose dev is top (nan, for a nan top), and key 0
+    for a top of 0."""
+    if top == 0:
+        return 0
+    return int(keys[np.isnan(dev) if np.isnan(top) else dev == top].min())
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is reported as inf, not warned
 def validate(h: FiniteHypergroup, tol: float = AXIOM_TOL) -> ValidationReport:
     """Check the hypergroup axioms; failures become report content, not errors.
+
+    H1-H6 read c's entries in O(nnz + n^2): H1's row sums are summed over
+    the entries in C order, H4 and H6 read the n x n slabs c[e], c[:, e, :]
+    and c[:, :, e], and H5 compares each entry with c at its image. Each worst
+    and witness is what the dense check reports: the largest deviation over
+    all n^3 points, nan if any is, at the first point in C order that reaches
+    it. They form no dense view of c.
 
     The associativity check sets the cost. Its worst is the largest
     |((s*t)*r - s*(t*r))(v)| over all points, where s*t is dirac_s * dirac_t,
@@ -372,7 +390,7 @@ def validate(h: FiniteHypergroup, tol: float = AXIOM_TOL) -> ValidationReport:
     deviation. A non-finite c forms no products: the worst is nan and the
     witness is c's first non-finite entry (s, t, u).
     """
-    n, e, inv, c = h.n, h.e, h.inv, h.c
+    n, e, inv = h.n, h.e, h.inv
     checks = {}
 
     bad = inv[inv] != np.arange(n)
@@ -384,32 +402,27 @@ def validate(h: FiniteHypergroup, tol: float = AXIOM_TOL) -> ValidationReport:
         witness = (e,)
     checks["involution"] = AxiomCheck("involution", inv_ok, 0.0, witness)
 
-    neg = np.maximum(-c, 0.0)
-    rowdev = np.abs(c.sum(axis=2) - 1.0)
-    worst = max(float(neg.max()), float(rowdev.max()))
-    passed = worst <= tol
-    witness = _argmax_witness(neg) if neg.max() > rowdev.max() else _argmax_witness(rowdev)
-    checks["H1"] = AxiomCheck("H1 row-stochastic", passed, worst, None if passed else witness)
-    del neg  # n^3 floats; the associativity stream below sets the peak without it
+    worst, witness = _row_stochastic(h)
+    checks["H1"] = AxiomCheck("H1 row-stochastic", worst <= tol, worst,
+                              None if worst <= tol else witness)
 
     checks["H2"] = AxiomCheck("H2", True, note="automatic (finite discrete)")
     checks["H3"] = AxiomCheck("H3", True, note="automatic (finite discrete)")
 
+    slab = _identity_slabs(h)
     eye = np.eye(n)
-    dev4 = np.maximum(np.abs(c[e] - eye), np.abs(c[:, e, :] - eye))
+    dev4 = np.maximum(np.abs(slab[0] - eye), np.abs(slab[1] - eye))
     worst = float(dev4.max())
     checks["H4"] = AxiomCheck("H4 identity", worst <= tol, worst,
                               None if worst <= tol else _argmax_witness(dev4))
 
-    dev5 = np.abs(c - c[np.ix_(inv, inv, inv)].transpose(1, 0, 2))
-    worst = float(dev5.max())
+    worst, witness = _anti_homomorphism(h)
     checks["H5"] = AxiomCheck("H5 anti-homomorphism", worst <= tol, worst,
-                              None if worst <= tol else _argmax_witness(dev5))
-    del dev5  # n^3 floats, as neg above
+                              None if worst <= tol else witness)
 
     # c[t, inv[s], e] > tol iff t == s
-    diag = c[np.arange(n), inv, e]
-    off = c[:, inv, e].copy()
+    diag = slab[2, np.arange(n), inv]
+    off = slab[2][:, inv]
     np.fill_diagonal(off, 0.0)
     h6_ok = bool(np.all(diag > tol) and np.all(off <= tol))
     worst = 0.0
@@ -432,6 +445,49 @@ def validate(h: FiniteHypergroup, tol: float = AXIOM_TOL) -> ValidationReport:
     return ValidationReport(checks)
 
 
+def _row_stochastic(h: FiniteHypergroup) -> tuple:
+    """H1's worst, the larger of max(-c) and max |sum_u c[s, t, u] - 1|, and its
+    witness: the first entry (s, t, u) that reaches the first, else the first
+    (s, t) that reaches the second.  The row sums run over the entries in C order."""
+    n, (s, t, u, value) = h.n, h.entries
+    neg = np.maximum(-value, 0.0)
+    rowdev = np.abs(np.bincount(s * n + t, value, n * n).reshape(n, n) - 1.0)
+    negmax, rowmax = neg.max(initial=0.0), rowdev.max()
+    if negmax > rowmax:
+        i = int(np.argmax(neg))
+        return float(negmax), (int(s[i]), int(t[i]), int(u[i]))
+    return max(float(negmax), float(rowmax)), _argmax_witness(rowdev)
+
+
+def _identity_slabs(h: FiniteHypergroup) -> np.ndarray:
+    """c[e], c[:, e, :] and c[:, :, e] as one (3, n, n) array, scattered from
+    the entries whose s, t or u is e."""
+    (s, t, u, value), slab = h.entries, np.zeros((3, h.n, h.n))
+    for k, (at, a, b) in enumerate(((s, t, u), (t, s, u), (u, s, t))):
+        on = at == h.e
+        slab[k, a[on], b[on]] = value[on]
+    return slab
+
+
+def _anti_homomorphism(h: FiniteHypergroup) -> tuple:
+    """H5's worst, max |c[s, t, u] - c[inv t, inv s, inv u]|, and the first
+    (s, t, u) that reaches it.  The deviation is read at each entry, whose image
+    is found among the entries by binary search, and at each point off the
+    entries whose image is an entry, where c is 0; it is 0 everywhere else."""
+    n, inv, (s, t, u, value) = h.n, h.inv, h.entries
+    keys, back = (s * n + t) * n + u, np.argsort(inv)
+    img = (inv[t] * n + inv[s]) * n + inv[u]
+    pre = (back[t] * n + back[s]) * n + back[u]  # the points whose image is an entry
+    want = np.concatenate([img, pre])
+    i = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+    hit, m = keys[i] == want, keys.size
+    dev = np.concatenate([np.abs(value - np.where(hit[:m], value[i[:m]], 0.0)),
+                          np.abs(value[~hit[m:]])])
+    worst = float(dev.max(initial=0.0))
+    key = _first_key(np.concatenate([keys, pre[~hit[m:]]]), dev, worst)
+    return worst, tuple(map(int, np.unravel_index(key, (n,) * 3)))
+
+
 def _nonzeros(c: np.ndarray) -> tuple:
     """The indices s, t, u and the values of c's nonzeros (NaNs included), in C
     order, through one boolean mask: np.nonzero on the float tensor is slower."""
@@ -452,9 +508,10 @@ def _associativity(h: FiniteHypergroup) -> tuple:
     For each s, ((s*b)*r)(v) = sum_u c[s,b,u] c[u,r,v] and
     (s*(t*r))(v) = sum_b c[t,r,b] c[s,b,v] are formed from the nonzeros of c[s]
     met with those of c grouped by first index and by third index. Each side is
-    summed into its own n^3 accumulator, so the deviation is one subtraction of
-    two sums; both are read and zeroed only at the keys t*n^2 + r*n + v
-    touched. O(P) time for the P products (see validate) and O(n^3) memory.
+    summed in turn into one n^3 accumulator, read at the keys t*n^2 + r*n + v
+    that either side touches and zeroed at those it touched, so the deviation
+    is one subtraction of two sums. O(P) time for the P products (see
+    validate) and n^3 floats of memory, plus the products of one s.
     A non-finite c forms no products and gives nan at its first non-finite
     entry (s, t, u): the dense sums would spread it through 0 * nan and
     0 * inf, which no product of two nonzeros forms.
@@ -468,27 +525,28 @@ def _associativity(h: FiniteHypergroup) -> tuple:
     by_u = np.argsort(u_, kind="stable")
     third = np.searchsorted(u_[by_u], np.arange(n + 1))
     tr, val_u = (s_ * n + t_)[by_u] * n, val[by_u]  # the key part (t, r) of c[t, r, b]
-    lhs, rhs = np.zeros(n ** 3), np.zeros(n ** 3)
+    acc = np.zeros(n ** 3)
     worst, witness = -np.inf, None
     for s in range(n):
         b, u, x = (a[first[s]:first[s + 1]] for a in (t_, u_, val))  # c[s, b, u] = x
         k = first[u + 1] - first[u]  # c[s,b,u] c[u,r,v] goes to key (b, r, v)
         j = _ranges(first[u], k)
         left = np.repeat(b * n * n, k) + rv[j]
-        np.add.at(lhs, left, np.repeat(x, k) * val[j])
+        np.add.at(acc, left, np.repeat(x, k) * val[j])
         k = third[b + 1] - third[b]  # c[t,r,b] c[s,b,u] goes to key (t, r, u)
         j = _ranges(third[b], k)
         right = tr[j] + np.repeat(u, k)
-        np.add.at(rhs, right, val_u[j] * np.repeat(x, k))
         keys = np.concatenate([left, right])
-        dev = np.abs(lhs[keys] - rhs[keys])
-        lhs[left], rhs[right] = 0.0, 0.0
+        lhs = acc[keys]
+        acc[left] = 0.0
+        np.add.at(acc, right, val_u[j] * np.repeat(x, k))
+        dev = np.abs(lhs - acc[keys])
+        acc[right] = 0.0
         top = dev.max(initial=0.0)
         if np.isnan(top):  # c is finite, so overflowed products: inf - inf
             dev[np.isnan(dev)] = top = np.inf
         if top > worst:  # ties keep the first in C order
-            # every key off `keys` deviates by 0, so a top of 0 is first met at key 0
-            key = keys[dev == top].min() if top != 0 else 0
+            key = _first_key(keys, dev, top)
             worst, witness = float(top), (s, *map(int, np.unravel_index(key, (n,) * 3)))
     return worst, witness
 

@@ -31,6 +31,7 @@ from hyperhaar.core import (
     _nonzeros,
     translates,
 )
+from hyperhaar.fileio import parse_hypergroup
 from hyperhaar.oracles import (
     conjugacy_class_hypergroup,
     invariance_residual,
@@ -393,21 +394,26 @@ class TestAssociativityStream:
 
     @staticmethod
     def validate_peak(h):
-        h.c  # the dense view is the input's own storage, formed once before the trace
         report, peak = traced_peak(validate, h, 1e-12)
         assert report.passed
+        assert "c" not in vars(h)  # validate never forms the dense view
         return peak
 
     def test_peak_memory_below_one_n4_array(self):
         h = cosine_grid_hypergroup(48)
         assert self.validate_peak(h) < h.n ** 4 * 8
 
-    # the two accumulators and the per-s products
-    @pytest.mark.parametrize("n", [48, 96], ids=["cosine-grid-48", "cosine-grid-96"])
+    # the accumulator, the per-s products and the entries' index arrays, which
+    # weigh 2.3 n^3 floats at n=48 and 1.7 and 1.5 at n=96 and n=128
+    @pytest.mark.parametrize("n", [48], ids=["cosine-grid-48"])
     def test_peak_memory_below_four_n3_arrays(self, n):
-        # the axiom temporaries are gone before the associativity stream starts
         h = cosine_grid_hypergroup(n)
         assert self.validate_peak(h) < 4 * h.n ** 3 * 8
+
+    @pytest.mark.parametrize("n", [96, 128], ids=["cosine-grid-96", "cosine-grid-128"])
+    def test_peak_memory_below_two_n3_arrays(self, n):
+        h = cosine_grid_hypergroup(n)
+        assert self.validate_peak(h) < 2 * h.n ** 3 * 8
 
 
 GRID64 = {
@@ -443,6 +449,152 @@ class TestSparseAssociativity:
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
         assert (1, 2, 3) in zip(*got[:3]) and (0, 1, 2) not in zip(*got[:3])
+
+
+def argmax_witness(arr):
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(arr)), arr.shape))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def dense_axioms(c, e, inv, tol):
+    """H1, H4, H5 and H6 as (passed, worst, witness), from the one-liners over the
+    dense tensor c and its n^3 temporaries that validate used before it read c's
+    entries."""
+    n = c.shape[0]
+    out = {}
+    neg = np.maximum(-c, 0.0)
+    rowdev = np.abs(c.sum(axis=2) - 1.0)
+    worst = max(float(neg.max()), float(rowdev.max()))
+    witness = argmax_witness(neg) if neg.max() > rowdev.max() else argmax_witness(rowdev)
+    out["H1"] = (worst <= tol, worst, None if worst <= tol else witness)
+    eye = np.eye(n)
+    dev4 = np.maximum(np.abs(c[e] - eye), np.abs(c[:, e, :] - eye))
+    worst = float(dev4.max())
+    out["H4"] = (worst <= tol, worst, None if worst <= tol else argmax_witness(dev4))
+    dev5 = np.abs(c - c[np.ix_(inv, inv, inv)].transpose(1, 0, 2))
+    worst = float(dev5.max())
+    out["H5"] = (worst <= tol, worst, None if worst <= tol else argmax_witness(dev5))
+    diag = c[np.arange(n), inv, e]
+    off = c[:, inv, e].copy()
+    np.fill_diagonal(off, 0.0)
+    if not np.all(diag > tol):
+        t = int(np.argmin(diag))
+        out["H6"] = (False, float(diag[t]), (t, t))
+    elif not np.all(off <= tol):
+        out["H6"] = (False, float(off.max()), argmax_witness(off))
+    else:
+        out["H6"] = (True, 0.0, None)
+    return out
+
+
+class TestAxiomsThroughEntries:
+    """H1-H6 read c's entries and report what the dense one-liners report:
+    pass/fail, witness, and worst within 1e-15 relative."""
+
+    @staticmethod
+    def assert_matches_dense(h, tol=1e-9):
+        report = validate(h, tol)
+        assert "c" not in vars(h)  # checked before the reference forms the view
+        ref = dense_axioms(h.c, h.e, h.inv, tol)
+        for name, (passed, worst, witness) in ref.items():
+            got = report.checks[name]
+            assert (got.passed, got.witness) == (passed, witness), name
+            if np.isnan(worst):
+                assert np.isnan(got.worst), name
+            elif got.worst != worst:  # inf matches inf only here
+                assert abs(got.worst - worst) <= 1e-15 * max(1.0, abs(worst)), name
+        return report
+
+    @staticmethod
+    def dense(c, base):
+        return FiniteHypergroup(base.n, base.e, base.inv, c)
+
+    @pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda spec: ":".join(spec))
+    def test_small_documents(self, spec):
+        assert self.assert_matches_dense(build_family(*spec)).passed
+
+    def test_bundled_families(self, bundled):
+        self.assert_matches_dense(bundled, 1e-12)
+
+    @pytest.mark.parametrize("name", sorted(STREAM_BASES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scaled_filled_and_dirichlet(self, name, seed):
+        h = STREAM_BASES[name]()
+        rng = np.random.default_rng(seed)
+        c = h.c
+        self.assert_matches_dense(self.dense(c * rng.uniform(0.9, 1.1, c.shape), h))
+        self.assert_matches_dense(self.dense(c + rng.uniform(0.0, 1e-3, c.shape), h))
+        row = c.copy()
+        s, t = rng.integers(h.n, size=2)
+        row[s, t] = rng.dirichlet(np.ones(h.n))
+        self.assert_matches_dense(self.dense(row, h))
+        signed = c * rng.choice([-1.0, 0.0, 1.0, 2.0], size=c.shape)
+        self.assert_matches_dense(self.dense(signed, h))
+        balanced = c.copy()  # mass moved within a row: H1 fails on its negative part alone
+        a, b = rng.choice(h.n, size=2, replace=False)
+        moved = rng.uniform(1.5, 2.0)
+        balanced[s, t, a] -= moved
+        balanced[s, t, b] += moved
+        self.assert_matches_dense(self.dense(balanced, h))
+
+    def test_negative_entry_outweighs_the_row_sums(self):
+        c = cyclic_hypergroup(4).c.copy()
+        c[1, 1] = [-0.5, 0.0, 1.0, 0.5]  # sums to 1
+        check = self.assert_matches_dense(self.dense(c, cyclic_hypergroup(4))).checks["H1"]
+        assert (check.worst, check.witness) == (0.5, (1, 1, 0))
+
+    @pytest.mark.parametrize("name", sorted(STREAM_BASES))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_permutation_that_is_not_an_involution(self, name, seed):
+        base = STREAM_BASES[name]()
+        inv = np.random.default_rng(seed).permutation(base.n)  # an involution only by chance
+        h = FiniteHypergroup.from_entries(base.n, base.e, inv, *base.entries)
+        self.assert_matches_dense(h)
+        c = h.c * np.random.default_rng(seed).uniform(0.9, 1.1, h.c.shape)
+        self.assert_matches_dense(self.dense(c, h))
+
+    def test_three_cycle_inv(self):
+        h = FiniteHypergroup.from_entries(3, 0, [1, 2, 0], *cyclic_hypergroup(3).entries)
+        assert not self.assert_matches_dense(h).checks["H5"].passed
+
+    def test_h5_worst_at_a_zero_entry_with_a_nonzero_image(self):
+        # on Z4, (1, 2, 0) is no entry and its image (inv 2, inv 1, inv 0) = (2, 3, 0)
+        # is given 5, so both deviate by 5 and the zero entry comes first in C order
+        c = cyclic_hypergroup(4).c.copy()
+        c[2, 3, 0] = 5.0
+        h = FiniteHypergroup(4, 0, [0, 3, 2, 1], c)
+        check = self.assert_matches_dense(h).checks["H5"]
+        assert (check.worst, check.witness) == (5.0, (1, 2, 0))
+        assert (1, 2, 0) not in zip(*map(list, h.entries[:3]))
+
+    # Non-finite entries anywhere, on the slabs of e too: the worst is nan (or
+    # inf) and the witness the first nan in C order, as np.argmax gives it.
+    @pytest.mark.parametrize("name", sorted(STREAM_BASES))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_non_finite_entries(self, name, seed):
+        base = STREAM_BASES[name]()
+        rng = np.random.default_rng(seed)
+        n = base.n
+        for _ in range(25):
+            c = base.c.copy()
+            for _ in range(rng.integers(1, 4)):
+                where = tuple(rng.integers(n, size=3))
+                if rng.random() < 0.3:
+                    where = (rng.choice([where[0], base.e]), base.e, where[2])
+                c[where] = rng.choice([np.nan, np.inf, -np.inf])
+                if rng.random() < 0.5:  # the image too, so inf meets inf in H5
+                    s, t, u = where
+                    c[base.inv[t], base.inv[s], base.inv[u]] = rng.choice([np.inf, -np.inf])
+            self.assert_matches_dense(self.dense(c, base), tol=rng.choice([1e-9, np.inf]))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_document_without_entries(self, n):
+        h = parse_hypergroup(f"hypergroup v1\nn {n}\ne 0\ninv {' '.join(map(str, range(n)))}\n")
+        report = self.assert_matches_dense(h)
+        lines = report.summary().splitlines()
+        assert "H1 row-stochastic: FAIL worst=1.000e+00 witness=(0, 0)" in lines
+        assert "H4 identity: FAIL worst=1.000e+00 witness=(0, 0)" in lines
+        assert "H6: FAIL witness=(0, 0)" in lines
 
 
 def dense_cyclic(n):
