@@ -24,8 +24,8 @@ from .core import (
     NoCover,
     _check_size,
     _contract_u,
-    _convolve_measures,
     _cover,
+    _dirac_convolutions,
     _indicator_peaks,
     _peaks,
     pair,
@@ -273,7 +273,7 @@ def main_identity_gap(h: FiniteHypergroup, mu0: Measure, g: Function, f: Functio
 def _ratio(h: FiniteHypergroup, chi_t: np.ndarray, fs: np.ndarray, mus: np.ndarray) -> np.ndarray:
     """R[i, j] = <f_i, mu_j * chi_t> / (|mu_j| chi_t(f_i)) over the rows f_i of fs
     and mu_j of mus, for approximant weights chi_t."""
-    conv = _convolve_measures(h, mus, chi_t)
+    conv = mus @ _dirac_convolutions(h, chi_t)  # row j is mu_j * chi_t
     denom = np.abs(mus).sum(axis=1) * (fs @ chi_t)[:, None]
     if np.any(denom == 0.0):
         raise ZeroDenominator("approximant pairs to zero against f")

@@ -3,19 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import List
 
 import numpy as np
 
 from .core import (
+    _BLOCK_FLOATS,
     EXACT_TOL,
     FiniteHypergroup,
     Function,
     Measure,
-    _convolve_function_measure,
-    _convolve_measure_function,
-    _convolve_measures,
+    _contract_s_stack,
+    _contract_u_stack,
 )
 from .approx import _bounds, _probe_gap, _ratio, _step, _walk, canonical_chain, default_probes
 
@@ -31,52 +30,60 @@ class SuiteResult:
     detail: str = ""
 
 
-# Temporaries of one block of identity_suite trials stay below this many floats.
-_BLOCK_FLOATS = 2 ** 21
-
-
 def identity_suite(h: FiniteHypergroup, rng: np.random.Generator,
                    trials: int = 1000, tol: float = EXACT_TOL) -> List[SuiteResult]:
     """Involution and pairing identities of the convolution algebra,
     checked on random signed measures and functions.
 
     Trials are stacked into blocks of b rows, b set by _BLOCK_FLOATS (a trial
-    holds one n x n kernel temporary and at most 48 n-vectors), and each block
-    is drawn as one (b, 4, n) array: the same generator stream as drawing mu,
-    nu, sigma and f one trial at a time.  A NaN on either side of an identity
-    makes its worst NaN, which fails.
+    holds at most two n x n contractions, or a contraction and the product of
+    one slab of c, and 48 n-vectors), and each block is drawn as one (b, 4, n)
+    array: the same generator stream as drawing mu, nu, sigma and f one trial
+    at a time.  A NaN on either side of an identity makes its worst NaN, which
+    fails.
     """
-    n, inv = h.n, h.inv
-    mm, mf, fm = (partial(kernel, h) for kernel in (
-        _convolve_measures, _convolve_measure_function, _convolve_function_measure))
-
-    def dot(a, b):
-        return (a * b).sum(axis=1)
-
     worst = dict.fromkeys((
         "(mu*f)ck = fck*muck", "(f*mu)ck = muck*fck", "<mu*f,nu> = <nu*fck,mu>",
         "<mu*f,sigma> = <f,muck*sigma>", "<f*mu,sigma> = <f,sigma*muck>",
         "(mu*nu)*f = mu*(nu*f)", "f*(mu*nu) = (f*mu)*nu",
         "(mu*nu)ck = nuck*muck"), 0.0)
-    block = max(1, _BLOCK_FLOATS // (n * (n + 48)))
+    block = max(1, _BLOCK_FLOATS // (h.n * (2 * h.n + 48)))
     for start in range(0, trials, block):
-        draws = rng.uniform(-1, 1, (min(block, trials - start), 4, n))
-        mu, nu, sigma, f = draws.transpose(1, 0, 2)
-        muck, nuck, fck = mu[:, inv], nu[:, inv], f[:, inv]
-        muf, fmu, munu = mf(mu, f), fm(f, mu), mm(mu, nu)
-        sides = (
-            (muf[:, inv], fm(fck, muck)),
-            (fmu[:, inv], mf(muck, fck)),
-            (dot(muf, nu), dot(mf(nu, fck), mu)),
-            (dot(muf, sigma), dot(f, mm(muck, sigma))),
-            (dot(fmu, sigma), dot(f, mm(sigma, muck))),
-            (mf(munu, f), mf(mu, mf(nu, f))),
-            (fm(f, munu), fm(fmu, nu)),
-            (munu[:, inv], mm(nuck, muck)),
-        )
-        for key, (a, b) in zip(worst, sides):
+        draws = rng.uniform(-1, 1, (min(block, trials - start), 4, h.n))
+        for key, (a, b) in zip(worst, _identity_sides(h, *draws.transpose(1, 0, 2))):
             worst[key] = float(np.maximum(worst[key], np.abs(a - b).max()))
     return [SuiteResult(k, v <= tol, v) for k, v in worst.items()]
+
+
+def _identity_sides(h: FiniteHypergroup, mu, nu, sigma, f) -> tuple:
+    """Both sides of each identity for the rows of the (b, n) stacks mu, nu, sigma
+    and f, from eight contractions of c with one stack each: over s for the left
+    factors of the four measure products, over u for f, fck, f * mu and nu * f."""
+    inv, back = h.inv, np.argsort(h.inv)  # m[inv[s]] = mu[s] for m = mu[:, back]
+    muck, nuck, fck = mu[:, inv], nu[:, inv], f[:, inv]
+
+    def mf(mu, k):  # mu * f, from the contraction k of f over u
+        return (mu[:, back][:, None, :] @ k)[:, 0, :]
+
+    def fm(k, mu):  # f * mu
+        return (k @ mu[:, back][:, :, None])[:, :, 0]
+
+    munu, muck_sigma, sigma_muck, nuck_muck = (  # x * y: x contracted over s, then with y
+        (y[:, None, :] @ _contract_s_stack(h, x))[:, 0, :]
+        for x, y in ((mu, nu), (muck, sigma), (sigma, muck), (nuck, muck)))
+    k_f, k_fck = _contract_u_stack(h, f), _contract_u_stack(h, fck)
+    muf, fmu, nuf, munu_f, f_munu = mf(mu, k_f), fm(k_f, mu), mf(nu, k_f), mf(munu, k_f), fm(k_f, munu)
+    fck_muck, muck_fck, nu_fck = fm(k_fck, muck), mf(muck, k_fck), mf(nu, k_fck)
+    del k_f, k_fck  # a trial holds two n x n contractions at once, not four
+    k_fmu, k_nuf = _contract_u_stack(h, fmu), _contract_u_stack(h, nuf)
+    return ((muf[:, inv], fck_muck),
+            (fmu[:, inv], muck_fck),
+            ((muf * nu).sum(axis=1), (nu_fck * mu).sum(axis=1)),
+            ((muf * sigma).sum(axis=1), (f * muck_sigma).sum(axis=1)),
+            ((fmu * sigma).sum(axis=1), (f * sigma_muck).sum(axis=1)),
+            (munu_f, mf(mu, k_nuf)),
+            (f_munu, fm(k_fmu, nu)),
+            (munu[:, inv], nuck_muck))
 
 
 def terminal_gap_suite(h: FiniteHypergroup) -> SuiteResult:
@@ -112,6 +119,7 @@ def bounds_suite(h: FiniteHypergroup) -> SuiteResult:
                        float(np.minimum(vals - a, b - vals).min()), "min margin to either bound")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow shows as an inf or nan worst
 def run_all_suites(h: FiniteHypergroup, seed: int = 0, trials: int = 1000) -> List[SuiteResult]:
     results = identity_suite(h, np.random.default_rng(seed), trials)
     results.append(terminal_gap_suite(h))

@@ -23,6 +23,9 @@ CERTIFY_TOL = 1e-10  # the invariance residual that certifies haar_net's limit
 # Below this n, 8 n^3 bytes (the dense tensor) are addressable and the flat keys
 # of c's entries fit int64.
 MAX_N = 2 ** 20
+# A dense slab of c, and the temporaries of one block of identity-suite trials,
+# stay below this many floats.
+_BLOCK_FLOATS = 2 ** 21
 
 __all__ = [
     "AXIOM_TOL",
@@ -57,10 +60,8 @@ class FiniteHypergroup:
 
     c is stored as its entries, the arrays (s, t, u, value) in C order, which
     from_entries takes and FiniteHypergroup(n, e, inv, c) lists from a dense
-    tensor.  The dense view h.c is formed from them the first time it is read,
-    and kept; only the stacked BLAS branches of _contract_u and
-    _convolve_measures, which the identity suite reaches, read it.  Equality
-    is identity, which forms no view.
+    tensor; the dense c is not kept.  Only _slabs forms dense slabs of c, one
+    bounded slab at a time.  Equality is identity.
     """
 
     n: int
@@ -108,16 +109,6 @@ class FiniteHypergroup:
             if not (keys[1:] > keys[:-1]).all():
                 raise ValueError("an entry (s, t, u) is listed twice")
         object.__setattr__(self, "entries", (*stu, value))
-
-    def __getattr__(self, name: str):
-        # Only the dense view, until it is first read, is missing from the instance.
-        if name != "c":
-            raise AttributeError(name)
-        s, t, u, value = self.entries
-        c = np.zeros((self.n,) * 3)
-        c[s, t, u] = value
-        object.__setattr__(self, "c", c)
-        return c
 
     def __repr__(self) -> str:
         return f"FiniteHypergroup(n={self.n}, e={self.e}, nnz={np.count_nonzero(self.entries[3])})"
@@ -219,21 +210,6 @@ def _check_size(h: FiniteHypergroup, *objs) -> None:
             raise ValueError(f"dimension mismatch: hypergroup has n={h.n}, got {o.n}")
 
 
-def _convolve_measures(h: FiniteHypergroup, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """(mu * nu)[..., u] = sum_{s,t} mu[..., s] nu[..., t] c[s, t, u].
-
-    mu and nu are (..., n) stacks whose leading batch axes broadcast.  A single
-    nu is summed over c's entries first, so a stack of mu against it needs n^2
-    floats in all; a stack of nu takes one BLAS product of mu with the dense
-    view as n x n^2, a temporary of n^2 floats per row of mu.
-    """
-    n = h.n
-    if nu.ndim == 1:
-        return mu @ _dirac_convolutions(h, nu)
-    left = (mu @ h.c.reshape(n, n * n)).reshape(*mu.shape[:-1], n, n)
-    return (nu[..., None, :] @ left)[..., 0, :]
-
-
 def _dirac_convolutions(h: FiniteHypergroup, nu: np.ndarray) -> np.ndarray:
     """m[s, u] = (dirac_s * nu)[u] = sum_t c[s, t, u] nu[t] for one vector nu,
     summed over c's entries in C order: O(nnz)."""
@@ -242,38 +218,52 @@ def _dirac_convolutions(h: FiniteHypergroup, nu: np.ndarray) -> np.ndarray:
 
 
 def _contract_u(h: FiniteHypergroup, f: np.ndarray) -> np.ndarray:
-    """k[..., a, b] = sum_u c[a, b, u] f[..., u]: a sum over c's entries in C order
-    for one f, one BLAS product with the dense view for a (..., n) stack."""
+    """k[a, b] = sum_u c[a, b, u] f[u] for one vector f, summed over c's entries
+    in C order: O(nnz)."""
     n, (s, t, u, value) = h.n, h.entries
-    if f.ndim == 1:
-        return np.bincount(s * n + t, weights=value * f[u], minlength=n * n).reshape(n, n)
-    return (f @ h.c.reshape(n * n, n).T).reshape(*f.shape[:-1], n, n)
+    return np.bincount(s * n + t, weights=value * f[u], minlength=n * n).reshape(n, n)
 
 
-def _convolve_measure_function(h: FiniteHypergroup, mu: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """(mu * f)[..., t] = sum_s mu[..., s] sum_u c[inv[s], t, u] f[..., u].
+def _slabs(h: FiniteHypergroup):
+    """Yield (lo, slab), slab the dense c[lo:lo + len(slab)], for lo = 0, rows,
+    2 rows, ...: as many s-rows as fit in _BLOCK_FLOATS floats, at least one,
+    scattered from their run of C-order entries.  The slabs share one buffer,
+    cleared at those entries when the next is drawn."""
+    n, (s, t, u, value) = h.n, h.entries
+    rows = max(1, _BLOCK_FLOATS // (n * n))
+    buf = np.zeros((min(rows, n), n, n))
+    for lo in range(0, n, rows):
+        j = slice(*np.searchsorted(s, [lo, lo + rows]))
+        slab, at = buf[:min(rows, n - lo)], (s[j] - lo, t[j], u[j])
+        slab[at] = value[j]
+        yield lo, slab
+        slab[at] = 0.0
 
-    mu and f are (..., n) stacks whose leading batch axes broadcast; the
-    temporary holds n^2 floats per row of f.
-    """
-    m = mu[..., np.argsort(h.inv)]  # m[inv[s]] = mu[s]
-    return (m[..., None, :] @ _contract_u(h, f))[..., 0, :]
+
+def _contract_u_stack(h: FiniteHypergroup, f: np.ndarray) -> np.ndarray:
+    """k[r, a, b] = sum_u c[a, b, u] f[r, u] for the rows of an (m, n) stack f:
+    one BLAS product per slab of c, written into k[:, slab's rows]."""
+    n = h.n
+    k = np.empty((len(f), n * n))
+    for lo, slab in _slabs(h):
+        np.matmul(f, slab.reshape(-1, n).T, out=k[:, lo * n:(lo + len(slab)) * n])
+    return k.reshape(len(f), n, n)
 
 
-def _convolve_function_measure(h: FiniteHypergroup, f: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """(f * mu)[..., t] = sum_s mu[..., s] sum_u c[t, inv[s], u] f[..., u].
-
-    f and mu are (..., n) stacks whose leading batch axes broadcast; the
-    temporary holds n^2 floats per row of f.
-    """
-    m = mu[..., np.argsort(h.inv)]  # m[inv[s]] = mu[s]
-    return (_contract_u(h, f) @ m[..., :, None])[..., 0]
+def _contract_s_stack(h: FiniteHypergroup, mu: np.ndarray) -> np.ndarray:
+    """l[r, t, u] = sum_s mu[r, s] c[s, t, u] for the rows of an (m, n) stack mu:
+    one BLAS product per slab of c, each added to l and dropped in slab order."""
+    n, l = h.n, None
+    for lo, slab in _slabs(h):
+        x = mu[:, lo:lo + len(slab)], slab.reshape(len(slab), n * n)
+        l = np.matmul(*x) if l is None else np.add(l, np.matmul(*x), out=l)
+    return l.reshape(len(mu), n, n)
 
 
 def convolve_measures(h: FiniteHypergroup, mu: Measure, nu: Measure) -> Measure:
     """(mu * nu)[u] = sum_{s,t} mu_s nu_t c[s,t,u]."""
     _check_size(h, mu, nu)
-    return Measure(_convolve_measures(h, mu.w, nu.w), nonneg=mu.nonneg and nu.nonneg)
+    return Measure(mu.w @ _dirac_convolutions(h, nu.w), nonneg=mu.nonneg and nu.nonneg)
 
 
 def involute_measure(h: FiniteHypergroup, mu: Measure) -> Measure:
@@ -304,13 +294,13 @@ def translates(h: FiniteHypergroup, f: Function) -> np.ndarray:
 def convolve_measure_function(h: FiniteHypergroup, mu: Measure, f: Function) -> Function:
     """(mu * f)(t) = sum_s mu_s sum_u c[inv[s], t, u] f(u)."""
     _check_size(h, mu, f)
-    return Function(_convolve_measure_function(h, mu.w, f.v))
+    return Function(mu.w[np.argsort(h.inv)] @ _contract_u(h, f.v))  # m[inv[s]] = mu[s]
 
 
 def convolve_function_measure(h: FiniteHypergroup, f: Function, mu: Measure) -> Function:
     """(f * mu)(t) = sum_s mu_s sum_u c[t, inv[s], u] f(u)."""
     _check_size(h, mu, f)
-    return Function(_convolve_function_measure(h, f.v, mu.w))
+    return Function(_contract_u(h, f.v) @ mu.w[np.argsort(h.inv)])  # m[inv[s]] = mu[s]
 
 
 def support_product(h: FiniteHypergroup, a: Iterable[int], b: Iterable[int]) -> frozenset:

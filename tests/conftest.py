@@ -19,6 +19,15 @@ def s3_table():
     return table, elems, index
 
 
+def dense(h):
+    """h's structure tensor as one n^3 array, scattered from its entries: a test
+    reference only."""
+    c = np.zeros((h.n,) * 3)
+    s, t, u, value = h.entries
+    c[s, t, u] = value
+    return c
+
+
 def traced_peak(fn, *args):
     """fn(*args) and the peak bytes tracemalloc saw while it ran."""
     tracemalloc.start()

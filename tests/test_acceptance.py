@@ -31,7 +31,7 @@ from hyperhaar.checks import identity_suite
 from hyperhaar.core import FiniteHypergroup, convolve_function_measure, convolve_measures
 from hyperhaar.oracles import cyclic_hypergroup, product_hypergroup, theta_hypergroup
 
-from conftest import BUNDLED
+from conftest import BUNDLED, dense
 
 
 def _report(name, ok):
@@ -215,7 +215,7 @@ def test_criterion_9_negative_controls():
     ok &= not report.checks["H6"].passed
     ok &= report.checks["H6"].witness == (1, 1)
     z4 = cyclic_hypergroup(4)
-    c = z4.c.copy()
+    c = dense(z4)
     c[1, 1, 2] = 0.9
     report = validate(FiniteHypergroup(4, 0, z4.inv, c))
     ok &= not report.checks["H1"].passed

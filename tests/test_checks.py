@@ -11,7 +11,7 @@ from hyperhaar.checks import (bounds_suite, identity_suite, run_all_suites, term
 from hyperhaar.core import EXACT_TOL, Function, Measure
 from hyperhaar.oracles import cyclic_hypergroup
 
-from conftest import BUNDLED, traced_peak
+from conftest import BUNDLED, dense, traced_peak
 
 IDENTITIES = [
     "(mu*f)ck = fck*muck", "(f*mu)ck = muck*fck", "<mu*f,nu> = <nu*fck,mu>",
@@ -22,7 +22,7 @@ IDENTITIES = [
 def reference_identity_suite(h, rng, trials=1000, tol=1e-12):
     """The per-trial loop identity_suite used to be, each convolution written as
     the single-vector formula it had then."""
-    n, c, inv = h.n, h.c, h.inv
+    n, c, inv = h.n, dense(h), h.inv
 
     def mm(mu, nu):
         return np.einsum("s,t,stu->u", mu, nu, c)
@@ -62,7 +62,7 @@ def reference_all_suites(h, seed, trials):
     chi_t = _step(h, Measure(np.ones(h.n)), Function.indicator(h.n, [h.e]))[1]
     p = np.array([f.v for f in default_probes(h.n)])
     mus = np.vstack([np.eye(h.n), rng.uniform(0.0, 1.0, (25, h.n)) + 1e-3])
-    conv = np.einsum("js,t,stu->ju", mus, chi_t, h.c)
+    conv = np.einsum("js,t,stu->ju", mus, chi_t, dense(h))
     ratio = (p @ conv.T) / (mus.sum(axis=1) * (p @ chi_t)[:, None])
     worst = float(np.abs(ratio - 1.0).max())
     bounds = bounds_suite(h)
@@ -73,7 +73,7 @@ def reference_all_suites(h, seed, trials):
 
 def perturbed_z4():
     h = cyclic_hypergroup(4)
-    c = h.c * np.random.default_rng(20).uniform(0.9, 1.1, h.c.shape)
+    c = dense(h) * np.random.default_rng(20).uniform(0.9, 1.1, (h.n,) * 3)
     return FiniteHypergroup(4, 0, h.inv, c)
 
 
@@ -109,7 +109,7 @@ class TestIdentitySuite:
     def test_nan_entry_fails_every_identity(self):
         # every identity convolves on both sides, and every convolution reads all of c
         h = cyclic_hypergroup(4)
-        c = h.c.copy()
+        c = dense(h)
         c[1, 2, 3] = np.nan
         results = identity_suite(FiniteHypergroup(4, 0, h.inv, c), np.random.default_rng(0), 20)
         assert [r.name for r in results] == IDENTITIES
@@ -124,7 +124,7 @@ class TestIdentitySuite:
         h = build_family("cosine-grid", "5")
         one = np.random.default_rng(4)
         whole = identity_suite(h, one, trials=20)
-        monkeypatch.setattr(checks, "_BLOCK_FLOATS", block * h.n * (h.n + 48))
+        monkeypatch.setattr(checks, "_BLOCK_FLOATS", block * h.n * (2 * h.n + 48))
         split = np.random.default_rng(4)
         assert identity_suite(h, split, trials=20) == whole
         assert split.bit_generator.state == one.bit_generator.state
@@ -143,6 +143,13 @@ class TestIdentitySuite:
                  for trials in (1000, 4000)]
         assert peaks[1] <= 1.05 * peaks[0]
         assert max(peaks) <= 8 * checks._BLOCK_FLOATS
+
+    def test_peak_below_half_an_n3_array_when_c_spans_slabs(self):
+        # c is 8 slabs at n = 256; the suite holds one slab and the block's stacks
+        h = build_family("cosine-grid", "256")
+        results, peak = traced_peak(identity_suite, h, np.random.default_rng(0), 20)
+        assert all(r.passed for r in results)
+        assert peak < 0.5 * 8 * h.n ** 3
 
 
 # dirac_1 * dirac_e != dirac_1 (H4 fails), so the terminal gap is 0.4, not 0
@@ -174,4 +181,3 @@ def test_terminal_ratio_suite_peak_below_quarter_n3():
     result, peak = traced_peak(terminal_ratio_suite, h)
     assert result.passed
     assert peak < 0.25 * 8 * h.n ** 3
-    assert "c" not in vars(h)

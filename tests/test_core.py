@@ -6,6 +6,7 @@ import pytest
 from hyperhaar import (
     FiniteHypergroup,
     Function,
+    core,
     Measure,
     NoCover,
     convolve_function_measure,
@@ -23,12 +24,13 @@ from hyperhaar.core import (
     AXIOM_TOL,
     MAX_N,
     _associativity,
-    _convolve_function_measure,
-    _convolve_measure_function,
-    _convolve_measures,
+    _contract_s_stack,
+    _contract_u,
+    _contract_u_stack,
     _cover,
     _indicator_peaks,
     _nonzeros,
+    _slabs,
     translates,
 )
 from hyperhaar.fileio import parse_hypergroup
@@ -41,7 +43,7 @@ from hyperhaar.oracles import (
     theta_hypergroup,
 )
 
-from conftest import BUNDLED, s3_table, traced_peak
+from conftest import BUNDLED, dense, s3_table, traced_peak
 
 
 def brute_force_class_product(i, j):
@@ -158,7 +160,7 @@ class TestMeasureFunctionConvolution:
         rng = np.random.default_rng(8)
         mu = Measure(rng.uniform(-1, 1, bundled.n))
         f = Function(rng.uniform(-1, 1, bundled.n))
-        n, c, inv = bundled.n, bundled.c, bundled.inv
+        n, c, inv = bundled.n, dense(bundled), bundled.inv
         left = np.zeros(n)
         right = np.zeros(n)
         for t in range(n):
@@ -228,7 +230,7 @@ class TestValidate:
     @pytest.mark.parametrize("where,witness", [((1, 1, 0), (1, 1)), ((0, 1, 0), (0, 1))],
                              ids=["diagonal", "off-diagonal"])
     def test_nan_fails_h6_with_witness(self, where, witness):
-        c = theta_hypergroup(0.5).c.copy()
+        c = dense(theta_hypergroup(0.5))
         c[where] = np.nan
         check = validate(FiniteHypergroup(2, 0, [0, 1], c)).checks["H6"]
         assert not check.passed
@@ -237,7 +239,7 @@ class TestValidate:
 
     def test_perturbed_z4_fails_h1_and_associativity(self):
         h = cyclic_hypergroup(4)
-        c = h.c.copy()
+        c = dense(h)
         c[1, 1, 2] = 0.9
         broken = FiniteHypergroup(4, 0, h.inv, c)
         report = validate(broken)
@@ -309,7 +311,7 @@ class TestAssociativityStream:
 
     def assert_matches_dense(self, h, tol=1e-9):
         got = validate(h, tol).checks["associativity"]
-        assert_outcome(dense_deviation(h.c), tol, got.passed, got.worst, got.witness)
+        assert_outcome(dense_deviation(dense(h)), tol, got.passed, got.worst, got.witness)
         return got
 
     @pytest.mark.parametrize("name", sorted(STREAM_BASES))
@@ -318,14 +320,14 @@ class TestAssociativityStream:
         h = STREAM_BASES[name]()
         rng = np.random.default_rng(seed)
         self.assert_matches_dense(h)
-        c = h.c * rng.uniform(0.9, 1.1, h.c.shape)
+        c = dense(h) * rng.uniform(0.9, 1.1, (h.n,) * 3)
         self.assert_matches_dense(FiniteHypergroup(h.n, h.e, h.inv, c))
 
     @pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda spec: ":".join(spec))
     @pytest.mark.parametrize("scaled", [False, True], ids=["exact", "scaled"])
     def test_small_documents(self, spec, scaled):
         h = build_family(*spec)
-        c = h.c
+        c = dense(h)
         if scaled:  # the nonzeros scaled, as in test_scaled_entries
             c = c * np.random.default_rng(0).uniform(0.9, 1.1, c.shape)
         got = self.assert_matches_dense(FiniteHypergroup(h.n, h.e, h.inv, c))
@@ -338,7 +340,7 @@ class TestAssociativityStream:
     def test_filled_zeros(self, name, seed):
         h = STREAM_BASES[name]()
         rng = np.random.default_rng(seed)
-        c = h.c + rng.uniform(0.0, 1e-3, h.c.shape)
+        c = dense(h) + rng.uniform(0.0, 1e-3, (h.n,) * 3)
         self.assert_matches_dense(FiniteHypergroup(h.n, h.e, h.inv, c))
 
     @pytest.mark.parametrize("name", sorted(STREAM_BASES))
@@ -346,14 +348,14 @@ class TestAssociativityStream:
     def test_dirichlet_row(self, name, seed):
         h = STREAM_BASES[name]()
         rng = np.random.default_rng(seed)
-        c = h.c.copy()
+        c = dense(h)
         s, t = rng.integers(h.n, size=2)
         c[s, t] = rng.dirichlet(np.ones(h.n))
         self.assert_matches_dense(FiniteHypergroup(h.n, h.e, h.inv, c))
 
     def test_exact_tie_keeps_first_witness(self):
         h = cyclic_hypergroup(4)
-        c = h.c.copy()
+        c = dense(h)
         c[1, 1] = [0.0, 0.0, 0.5, 0.5]
         deva = dense_deviation(c)
         tied = np.argwhere(deva == deva.max())
@@ -371,7 +373,7 @@ class TestAssociativityStream:
                              ids=["n4-first", "n4-middle", "n4-last", "n64"])
     def test_non_finite_fails_at_first_non_finite_entry(self, value, n, where, also):
         h = cyclic_hypergroup(n)
-        c = h.c.copy()
+        c = dense(h)
         c[where] = c[also] = value
         report = validate(FiniteHypergroup(n, 0, h.inv, c), tol=np.inf)
         got = report.checks["associativity"]
@@ -385,7 +387,7 @@ class TestAssociativityStream:
         # entries of 1e200 overflow where two of them meet in a product and
         # nowhere else, so both paths and the dense form agree on where
         h = STREAM_BASES[name]()
-        c = h.c * 10.0 ** np.random.default_rng(seed).choice([0, 200], size=h.c.shape)
+        c = dense(h) * 10.0 ** np.random.default_rng(seed).choice([0, 200], size=(h.n,) * 3)
         with np.errstate(over="ignore", invalid="ignore"):
             ref = np.unravel_index(np.argmax(~np.isfinite(dense_deviation(c))), c.shape + (h.n,))
         got = validate(FiniteHypergroup(h.n, h.e, h.inv, c)).checks["associativity"]
@@ -396,7 +398,6 @@ class TestAssociativityStream:
     def validate_peak(h):
         report, peak = traced_peak(validate, h, 1e-12)
         assert report.passed
-        assert "c" not in vars(h)  # validate never forms the dense view
         return peak
 
     def test_peak_memory_below_one_n4_array(self):
@@ -431,7 +432,7 @@ class TestSparseAssociativity:
     @pytest.mark.parametrize("scaled", [False, True], ids=["exact", "scaled"])
     def test_matches_blas_path(self, name, scaled):
         h = GRID64[name]()
-        c = h.c
+        c = dense(h)
         if scaled:  # the nonzeros scaled, so the tensor keeps its sparsity
             c = c * np.random.default_rng(0).uniform(0.9, 1.1, c.shape)
         got, blas = _associativity(dataclasses.replace(h, c=c)), blas_associativity(c)
@@ -441,7 +442,7 @@ class TestSparseAssociativity:
 
     @pytest.mark.parametrize("name", sorted(GRID64))
     def test_nonzeros_match_np_nonzero(self, name):
-        c = GRID64[name]().c.copy()
+        c = dense(GRID64[name]())
         c[0, 1, 2], c[1, 2, 3], c[2, 3, 4], c[3, 4, 5] = -0.0, np.nan, -np.inf, 5e-324
         nz = np.nonzero(c)
         got = _nonzeros(c)
@@ -494,8 +495,7 @@ class TestAxiomsThroughEntries:
     @staticmethod
     def assert_matches_dense(h, tol=1e-9):
         report = validate(h, tol)
-        assert "c" not in vars(h)  # checked before the reference forms the view
-        ref = dense_axioms(h.c, h.e, h.inv, tol)
+        ref = dense_axioms(dense(h), h.e, h.inv, tol)
         for name, (passed, worst, witness) in ref.items():
             got = report.checks[name]
             assert (got.passed, got.witness) == (passed, witness), name
@@ -521,7 +521,7 @@ class TestAxiomsThroughEntries:
     def test_scaled_filled_and_dirichlet(self, name, seed):
         h = STREAM_BASES[name]()
         rng = np.random.default_rng(seed)
-        c = h.c
+        c = dense(h)
         self.assert_matches_dense(self.dense(c * rng.uniform(0.9, 1.1, c.shape), h))
         self.assert_matches_dense(self.dense(c + rng.uniform(0.0, 1e-3, c.shape), h))
         row = c.copy()
@@ -538,7 +538,7 @@ class TestAxiomsThroughEntries:
         self.assert_matches_dense(self.dense(balanced, h))
 
     def test_negative_entry_outweighs_the_row_sums(self):
-        c = cyclic_hypergroup(4).c.copy()
+        c = dense(cyclic_hypergroup(4))
         c[1, 1] = [-0.5, 0.0, 1.0, 0.5]  # sums to 1
         check = self.assert_matches_dense(self.dense(c, cyclic_hypergroup(4))).checks["H1"]
         assert (check.worst, check.witness) == (0.5, (1, 1, 0))
@@ -550,7 +550,7 @@ class TestAxiomsThroughEntries:
         inv = np.random.default_rng(seed).permutation(base.n)  # an involution only by chance
         h = FiniteHypergroup.from_entries(base.n, base.e, inv, *base.entries)
         self.assert_matches_dense(h)
-        c = h.c * np.random.default_rng(seed).uniform(0.9, 1.1, h.c.shape)
+        c = dense(h) * np.random.default_rng(seed).uniform(0.9, 1.1, (h.n,) * 3)
         self.assert_matches_dense(self.dense(c, h))
 
     def test_three_cycle_inv(self):
@@ -560,7 +560,7 @@ class TestAxiomsThroughEntries:
     def test_h5_worst_at_a_zero_entry_with_a_nonzero_image(self):
         # on Z4, (1, 2, 0) is no entry and its image (inv 2, inv 1, inv 0) = (2, 3, 0)
         # is given 5, so both deviate by 5 and the zero entry comes first in C order
-        c = cyclic_hypergroup(4).c.copy()
+        c = dense(cyclic_hypergroup(4))
         c[2, 3, 0] = 5.0
         h = FiniteHypergroup(4, 0, [0, 3, 2, 1], c)
         check = self.assert_matches_dense(h).checks["H5"]
@@ -576,7 +576,7 @@ class TestAxiomsThroughEntries:
         rng = np.random.default_rng(seed)
         n = base.n
         for _ in range(25):
-            c = base.c.copy()
+            c = dense(base)
             for _ in range(rng.integers(1, 4)):
                 where = tuple(rng.integers(n, size=3))
                 if rng.random() < 0.3:
@@ -615,39 +615,32 @@ def dense_cosine_grid(m):
 
 
 class TestEntries:
-    """c is stored as its entries in C order; the dense view is derived from them
-    once, when a dense kernel first reads it."""
+    """c is stored as its entries in C order, and nothing else: no dense form."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 64])
     def test_builders_write_the_dense_formulas_entries(self, n):
-        for h, dense in ((cyclic_hypergroup(n), dense_cyclic(n)),
-                         (cosine_grid_hypergroup(max(n, 2)), dense_cosine_grid(max(n, 2)))):
-            assert "c" not in vars(h)
-            for a, b in zip(h.entries, _nonzeros(dense)):
+        for h, ref in ((cyclic_hypergroup(n), dense_cyclic(n)),
+                       (cosine_grid_hypergroup(max(n, 2)), dense_cosine_grid(max(n, 2)))):
+            for a, b in zip(h.entries, _nonzeros(ref)):
                 assert a.dtype == b.dtype
                 np.testing.assert_array_equal(a, b)
-            assert h.c.tobytes() == dense.tobytes()
-
-    def test_dense_view_formed_once(self):
-        h = cyclic_hypergroup(6)
-        assert h.c is h.c and vars(h)["c"] is h.c
+            assert dense(h).tobytes() == ref.tobytes()
 
     def test_entries_of_a_dense_tensor_derived_once(self, bundled):
         # the constructor lists the input's nonzeros and keeps no dense form
-        c = bundled.c
+        c = dense(bundled)
         h = FiniteHypergroup(bundled.n, bundled.e, bundled.inv, c)
-        assert "c" not in vars(h)
+        assert set(vars(h)) == {"n", "e", "inv", "entries"}
         assert h.entries is h.entries
         for a, b in zip(h.entries, _nonzeros(c)):
             np.testing.assert_array_equal(a, b)
-        assert h.c is not c and h.c.tobytes() == c.tobytes()
+        assert dense(h).tobytes() == c.tobytes()
 
     def test_repr_and_equality_read_no_dense_view(self):
         h = cosine_grid_hypergroup(96)
         assert repr(h) == f"FiniteHypergroup(n=96, e=0, nnz={h.entries[3].size})"
         assert h == h and h != cosine_grid_hypergroup(96)
         assert len({h, h}) == 1
-        assert "c" not in vars(h)
 
     def test_repr_counts_nonzero_values(self):
         h = FiniteHypergroup.from_entries(2, 0, [0, 1], [0, 0, 1], [0, 1, 1], [0, 1, 0],
@@ -662,7 +655,7 @@ class TestEntries:
         assert np.array(h.entries[3]).tobytes() == np.array([3.0, -0.0, 2.0, 1.0]).tobytes()
         expected = np.zeros((3, 3, 3))
         expected[s, t, u] = v
-        assert h.c.tobytes() == expected.tobytes()
+        assert dense(h).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("entries,message", [
         (([0, 1, 0], [1, 1, 1], [0, 0, 0], [1.0, 1.0, 2.0]), "listed twice"),
@@ -683,10 +676,11 @@ class TestEntries:
 
 def slab_peaks(h):
     """_indicator_peaks as the loop over the slabs c[inv[s]] wrote them."""
-    best = h.c[h.inv[0]].copy()
+    c = dense(h)
+    best = c[h.inv[0]].copy()
     s = np.zeros((h.n, h.n), dtype=int)
     for i in range(1, h.n):
-        slab = h.c[h.inv[i]]
+        slab = c[h.inv[i]]
         np.copyto(s, i, where=slab > best)
         np.maximum(best, slab, out=best)
     return s.T, best.T
@@ -740,7 +734,7 @@ class TestEntryReaders:
         for h in (bundled, signed_tensor(seed)):
             a = rng.choice(h.n, size=rng.integers(1, h.n + 1), replace=False).tolist()
             b = rng.choice(h.n, size=rng.integers(1, h.n + 1), replace=False).tolist()
-            ref = frozenset(np.flatnonzero(h.c[np.ix_(a, b)].max(axis=(0, 1)) > 0).tolist())
+            ref = frozenset(np.flatnonzero(dense(h)[np.ix_(a, b)].max(axis=(0, 1)) > 0).tolist())
             assert support_product(h, a, b) == ref
 
     @pytest.mark.parametrize("seed", range(6))
@@ -748,22 +742,26 @@ class TestEntryReaders:
         rng = np.random.default_rng(seed)
         for h in (bundled, signed_tensor(seed)):
             w = rng.uniform(-1.0, 1.0, h.n)
-            ref = float(np.abs((w @ h.c)[h.inv] - w).max())
+            ref = float(np.abs((w @ dense(h))[h.inv] - w).max())
             got = invariance_residual(h, Measure(w))
             assert abs(got - ref) <= 1e-15 * max(1.0, ref)
 
     def test_single_vector_kernels_read_no_dense_view(self):
-        h = cosine_grid_hypergroup(32)
+        # each reads c's entries and holds O(nnz + n^2) floats, no slab of c
+        h = cosine_grid_hypergroup(96)
         rng = np.random.default_rng(7)
         mu, f = Measure(rng.uniform(-1, 1, h.n)), Function(rng.uniform(-1, 1, h.n))
-        convolve_measures(h, mu, mu)
-        convolve_measure_function(h, mu, f)
-        convolve_function_measure(h, f, mu)
-        find_dominating_measure(h, Function.ones(h.n), Function.indicator(h.n, [1]))
-        support_product(h, [1, 2], [3])
-        invariance_residual(h, mu)
-        _indicator_peaks(h)
-        assert "c" not in vars(h)
+
+        def run():
+            convolve_measures(h, mu, mu)
+            convolve_measure_function(h, mu, f)
+            convolve_function_measure(h, f, mu)
+            find_dominating_measure(h, Function.ones(h.n), Function.indicator(h.n, [1]))
+            support_product(h, [1, 2], [3])
+            invariance_residual(h, mu)
+            _indicator_peaks(h)
+
+        assert traced_peak(run)[1] < 0.25 * 8 * h.n ** 3
 
 
 class TestTolerancePolicy:
@@ -773,7 +771,7 @@ class TestTolerancePolicy:
     @pytest.mark.parametrize("excess", [5e-10, 2e-9], ids=["within", "beyond"])
     def test_validate_defaults_to_the_axiom_tolerance(self, excess):
         h = theta_hypergroup(0.5)
-        c = h.c.copy()
+        c = dense(h)
         c[1, 1, 0] += excess  # row (1, 1) now sums to 1 + excess
         h = FiniteHypergroup(2, 0, h.inv, c)
         assert validate(h).checks["H1"].passed == (excess <= AXIOM_TOL)
@@ -852,8 +850,48 @@ def kernel_case(request):
     return build_family(*BUNDLED[request.param])
 
 
+def set_slab_rows(monkeypatch, n, kind):
+    """Set the slab budget to one s-row per slab ("one-row") or to a row count
+    that leaves a short last slab ("uneven"; one slab when n = 2), or keep the
+    real one ("budget"); returns the s-rows per slab."""
+    if kind == "budget":
+        return max(1, core._BLOCK_FLOATS // (n * n))
+    rows = 1 if kind == "one-row" else next(r for r in range(2, n + 2) if n % r)
+    monkeypatch.setattr(core, "_BLOCK_FLOATS", rows * n * n)
+    return rows
+
+
+def tensor_with_empty_row():
+    """Z4's entries without s-row 2: a slab of c may hold no entry."""
+    s, t, u, value = cyclic_hypergroup(4).entries
+    keep = s != 2
+    return FiniteHypergroup.from_entries(4, 0, [0, 3, 2, 1], s[keep], t[keep], u[keep], value[keep])
+
+
+def tensor_with_non_finite_entries():
+    c = dense(cyclic_hypergroup(5))
+    c[0, 1, 1], c[2, 3, 0], c[4, 4, 3], c[4, 0, 2] = np.nan, np.inf, -np.inf, -0.0
+    return FiniteHypergroup(5, 0, [0, 4, 3, 2, 1], c)
+
+
+@pytest.mark.parametrize("kind", ["budget", "one-row", "uneven"])
+@pytest.mark.parametrize("make", [
+    lambda: build_family("product", "cyclic:3,cosine-grid:4"), three_cycle_tensor,
+    tensor_with_empty_row, tensor_with_non_finite_entries],
+    ids=["product-Z3xcosine-4", "three-cycle-inv", "empty-s-row", "non-finite"])
+def test_slabs_concatenate_to_c(monkeypatch, make, kind):
+    h = make()
+    rows = set_slab_rows(monkeypatch, h.n, kind)
+    los, slabs = zip(*((lo, slab.copy()) for lo, slab in _slabs(h)))  # a slab lives until the next
+    assert list(los) == list(range(0, h.n, rows))
+    assert [len(slab) for slab in slabs] == [min(rows, h.n - lo) for lo in los]
+    assert all(slab.size <= max(core._BLOCK_FLOATS, h.n ** 2) for slab in slabs)
+    assert np.concatenate(slabs).tobytes() == dense(h).tobytes()
+
+
 class TestBatchedKernels:
-    """The three private convolution kernels over stacked (..., n) operands."""
+    """The two stacked contractions of c, summed slab by slab, and the three
+    single-vector kernels, against the defining sums over the dense c."""
 
     def draws(self, h, rows=5):
         rng = np.random.default_rng(32)
@@ -864,32 +902,35 @@ class TestBatchedKernels:
         assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
 
     def test_stacked_equals_row_by_row(self, kernel_case):
+        # the stacked contractions against the sums over c's entries of one vector
         h = kernel_case
         a, b = self.draws(h)
-        self.assert_close(_convolve_measures(h, a, b), np.array(
+        self.assert_close(_contract_u_stack(h, a), np.array([_contract_u(h, x) for x in a]))
+        self.assert_close((b[:, None, :] @ _contract_s_stack(h, a))[:, 0, :], np.array(
             [convolve_measures(h, Measure(x), Measure(y)).w for x, y in zip(a, b)]))
-        self.assert_close(_convolve_measure_function(h, a, b), np.array(
-            [convolve_measure_function(h, Measure(x), Function(y)).v for x, y in zip(a, b)]))
-        self.assert_close(_convolve_function_measure(h, a, b), np.array(
-            [convolve_function_measure(h, Function(x), Measure(y)).v for x, y in zip(a, b)]))
 
-    def test_defining_sums(self, kernel_case):
-        # sum_s mu_s c[inv[s], ...], not a gather of mu with inv: the two differ
-        # exactly when inv is not an involution
-        h = kernel_case
-        a, b = self.draws(h)
-        for got, ref in (
-                (_convolve_measures(h, a, b), np.einsum("js,jt,stu->ju", a, b, h.c)),
-                (_convolve_measure_function(h, a, b), np.einsum("js,stu,ju->jt", a, h.c[h.inv], b)),
-                (_convolve_function_measure(h, a, b), np.einsum("ju,tsu,js->jt", a, h.c[:, h.inv], b))):
+    def assert_defining_sums(self, h):
+        a, c = self.draws(h)[0], dense(h)
+        for got, ref in ((_contract_u_stack(h, a), np.einsum("stu,ru->rst", c, a)),
+                         (_contract_s_stack(h, a), np.einsum("rs,stu->rtu", a, c))):
             np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-14)
 
-    def test_leading_axes_broadcast(self, kernel_case):
+    def test_defining_sums(self, kernel_case):
+        # the single-vector kernels sum mu_s c[inv[s], ...], not a gather of mu
+        # with inv: the two differ exactly when inv is not an involution
         h = kernel_case
-        a, b = self.draws(h, rows=6)
-        stacked = a.reshape(2, 3, h.n)
-        for kernel in (_convolve_measures, _convolve_measure_function, _convolve_function_measure):
-            full = kernel(h, a, np.broadcast_to(b[0], a.shape))
-            self.assert_close(kernel(h, stacked, b[0]).reshape(6, h.n), full)
-            full = kernel(h, np.broadcast_to(b[0], a.shape), a)
-            self.assert_close(kernel(h, b[0], stacked).reshape(6, h.n), full)
+        self.assert_defining_sums(h)
+        c = dense(h)
+        for x, y in zip(*self.draws(h)):
+            for got, ref in (
+                    (convolve_measures(h, Measure(x), Measure(y)).w, np.einsum("s,t,stu->u", x, y, c)),
+                    (convolve_measure_function(h, Measure(x), Function(y)).v,
+                     np.einsum("s,stu,u->t", x, c[h.inv], y)),
+                    (convolve_function_measure(h, Function(x), Measure(y)).v,
+                     np.einsum("u,tsu,s->t", x, c[:, h.inv], y))):
+                np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-14)
+
+    @pytest.mark.parametrize("kind", ["one-row", "uneven"])
+    def test_defining_sums_through_small_slabs(self, monkeypatch, kernel_case, kind):
+        set_slab_rows(monkeypatch, kernel_case.n, kind)
+        self.assert_defining_sums(kernel_case)
