@@ -41,6 +41,7 @@ from .oracles import (
     jewett_haar,
     solve_invariance,
 )
-from .fileio import DuplicateEntry, ParseError, RangeError, parse_hypergroup, serialize_hypergroup
+from .fileio import (DuplicateEntry, ParseError, RangeError, parse_hypergroup, read_hypergroup,
+                     serialize_hypergroup)
 
 __version__ = "0.1.0"

@@ -131,9 +131,12 @@ def _symmetric(h: FiniteHypergroup, g: Function) -> bool:
 
 def default_probes(n: int) -> List[Function]:
     """Coordinate indicators plus the constant-one function."""
-    probes = [Function.indicator(n, [t]) for t in range(n)]
-    probes.append(Function.ones(n))
-    return probes
+    return [Function(f) for f in _probes(n)]
+
+
+def _probes(n: int) -> np.ndarray:
+    """The default probes as the rows of one (n + 1) x n matrix."""
+    return np.vstack([np.eye(n), np.ones((1, n))])
 
 
 @dataclass(frozen=True)
@@ -236,19 +239,30 @@ def normalized_approximant(h: FiniteHypergroup, cfg: ApproximantConfig, g: Funct
 def canonical_chain(h: FiniteHypergroup) -> ShrinkingChain:
     """Shrink from the whole space down to {e}, one involution-orbit at a time:
     orbits keyed by their smallest member, removed in descending key order.
-    Raises NoChain when inv is not an involution fixing e."""
+    Raises NoChain when inv is not an involution fixing e.
+
+    When it is one, each neighborhood is a union of orbits that holds e and
+    its bump, the symmetrized indicator, is the indicator itself, so the
+    chain is valid by construction; ShrinkingChain.check names the failure
+    otherwise.
+    """
+    inv = h.inv.tolist()
     current = set(h.points())
     neighborhoods = [frozenset(current)]
-    for p in sorted({min(p, int(h.inv[p])) for p in h.points() if p != h.e}, reverse=True):
-        current.discard(p)
-        current.discard(int(h.inv[p]))
+    for p in sorted({min(p, inv[p]) for p in h.points() if p != h.e}, reverse=True):
+        current.difference_update((p, inv[p]))
         neighborhoods.append(frozenset(current))
-    bumps = [symmetrize(h, Function.indicator(h.n, u)) for u in neighborhoods]
-    chain = ShrinkingChain(tuple(neighborhoods), tuple(bumps))
-    try:
-        chain.check(h)
-    except ValueError as exc:
-        raise NoChain(str(exc)) from None
+    sizes = [len(u) for u in neighborhoods]
+    member = np.zeros((len(neighborhoods), h.n))
+    member[np.repeat(np.arange(len(sizes)), sizes),
+           np.fromiter(itertools.chain.from_iterable(neighborhoods), int, sum(sizes))] = 1.0
+    bumps = 0.5 * (member + member[:, h.inv])  # symmetrize, row by row
+    chain = ShrinkingChain(tuple(neighborhoods), tuple(Function(g) for g in bumps))
+    if inv[h.e] != h.e or any(inv[q] != p for p, q in enumerate(inv)):
+        try:
+            chain.check(h)
+        except ValueError as exc:
+            raise NoChain(str(exc)) from None
     return chain
 
 
@@ -290,9 +304,9 @@ def sandwich_ratio(h: FiniteHypergroup, mu0: Measure, g: Function,
     return float(_ratio(h, _step(h, mu0, g)[1], f.v[None], mu.w[None])[0, 0])
 
 
-def _bounds(h: FiniteHypergroup, f0: Function, fs: Sequence[Function]) -> np.ndarray:
-    """Rows a, b: bounds on <f, normalized approximant> for each f in fs from greedy
-    dominating measures; they hold for every bump.
+def _bounds(h: FiniteHypergroup, f0: Function, f: np.ndarray) -> np.ndarray:
+    """Rows a, b: bounds on <f, normalized approximant> for each row f of the
+    (m, n) matrix f from greedy dominating measures; they hold for every bump.
 
     a covers f0 by the translates of f, b covers f by the translates of f0, as
     find_dominating_measure(h, f0, f) and find_dominating_measure(h, f, f0) do,
@@ -301,7 +315,6 @@ def _bounds(h: FiniteHypergroup, f0: Function, fs: Sequence[Function]) -> np.nda
     all of them in one pass over c's entries; any other f costs a contraction.
     """
     n = h.n
-    f = np.array([probe.v for probe in fs]).reshape(len(fs), n)
     indicator = ((f == 1.0).sum(axis=1) == 1) & ((f == 0.0).sum(axis=1) == n - 1)
     s_a, best_a = np.zeros(f.shape, dtype=int), np.zeros(f.shape)
     if indicator.any():
@@ -309,7 +322,7 @@ def _bounds(h: FiniteHypergroup, f0: Function, fs: Sequence[Function]) -> np.nda
         j = np.argmax(f[indicator], axis=1)
         s_a[indicator], best_a[indicator] = s_ind[j], best_ind[j]
     for i in np.flatnonzero(~indicator):
-        s_a[i], best_a[i] = _peaks(_contract_u(h, fs[i].v)[h.inv])
+        s_a[i], best_a[i] = _peaks(_contract_u(h, f[i])[h.inv])
     w_a, uncovered_a = _cover(s_a, best_a, np.broadcast_to(f0.v, f.shape))
     w_b, uncovered_b = _cover(*_peaks(_contract_u(h, f0.v)[h.inv]), f)
     invalid = ~((f >= 0).all(axis=1) & (np.abs(f).max(axis=1) > 0))
@@ -325,7 +338,7 @@ def _bounds(h: FiniteHypergroup, f0: Function, fs: Sequence[Function]) -> np.nda
 def bounds_certificate(h: FiniteHypergroup, cfg: ApproximantConfig,
                        g: Function, f: Function) -> BoundsCertificate:
     """Two-sided bounds on the normalized approximant via greedy dominating measures."""
-    a, b = _bounds(h, cfg.f0, [f]).ravel().tolist()
+    a, b = _bounds(h, cfg.f0, f.v[None]).ravel().tolist()
     value = pair(f, normalized_approximant(h, cfg, g))
     return BoundsCertificate(a, b, value, a < value < b)
 
@@ -339,7 +352,7 @@ def _net_steps(h: FiniteHypergroup, cfg: ApproximantConfig):
     measure, and <f0, uniform * chi_t> = v0 . chi_t for v0 = uniform . (c
     contracted with f0).
     """
-    p = np.array([f.v for f in default_probes(h.n)])
+    p = _probes(h.n)
     v0 = Measure.uniform(h.n).w @ _contract_u(h, cfg.f0.v)
     for k, chi_t in _walk(h, cfg.mu0, cfg.chain.bumps):
         z = cfg.f0.v @ chi_t
@@ -354,7 +367,7 @@ def haar_net(h: FiniteHypergroup, cfg: ApproximantConfig):
     raises NotConverged if the limit's invariance residual exceeds CERTIFY_TOL.
     """
     cfg.chain.check(h)
-    a, b = _bounds(h, cfg.f0, default_probes(h.n))
+    a, b = _bounds(h, cfg.f0, _probes(h.n))
 
     steps = []
     chi = None

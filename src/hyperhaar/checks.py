@@ -16,7 +16,7 @@ from .core import (
     _contract_s_stack,
     _contract_u_stack,
 )
-from .approx import _bounds, _probe_gap, _ratio, _step, _walk, canonical_chain, default_probes
+from .approx import _bounds, _probe_gap, _probes, _ratio, _step, _walk, canonical_chain
 
 __all__ = ["SuiteResult", "identity_suite", "terminal_gap_suite",
            "terminal_ratio_suite", "bounds_suite", "run_all_suites"]
@@ -101,7 +101,7 @@ def terminal_ratio_suite(h: FiniteHypergroup) -> SuiteResult:
     worst dirac.
     """
     chi_t = _step(h, Measure(np.ones(h.n)), Function.indicator(h.n, [h.e]))[1]
-    p = np.array([f.v for f in default_probes(h.n)])
+    p = _probes(h.n)
     worst = float(np.abs(_ratio(h, chi_t, p, np.eye(h.n)) - 1.0).max())
     return SuiteResult("terminal sandwich ratio", worst <= EXACT_TOL, worst)
 
@@ -110,9 +110,8 @@ def bounds_suite(h: FiniteHypergroup) -> SuiteResult:
     """Greedy two-sided bounds hold at every chain step for every probe."""
     mu0 = Measure(np.ones(h.n))
     f0 = Function.ones(h.n)
-    probes = default_probes(h.n)
-    a, b = _bounds(h, f0, probes)
-    p = np.array([f.v for f in probes])
+    p = _probes(h.n)
+    a, b = _bounds(h, f0, p)
     chis = (chi_t for _, chi_t in _walk(h, mu0, canonical_chain(h).bumps))
     vals = np.array([p @ (chi_t / (f0.v @ chi_t)) for chi_t in chis])
     return SuiteResult("dominating-measure bounds", bool(np.all((a < vals) & (vals < b))),

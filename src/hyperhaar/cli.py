@@ -14,7 +14,7 @@ from .core import AXIOM_TOL, CERTIFY_TOL, EXACT_TOL, Function, Measure, NoCover,
 from .approx import (ApproximantConfig, NoChain, NotConverged, ZeroDenominator, canonical_chain,
                      haar_net)
 from .checks import run_all_suites
-from .fileio import ParseError, parse_hypergroup, serialize_hypergroup, write_trace_csv
+from .fileio import ParseError, read_hypergroup, serialize_hypergroup, write_trace_csv
 from .oracles import (_FAMILIES, DegenerateNullspace, H6Violation, NegativeSolution,
                       build_family, invariance_residual, jewett_haar, solve_invariance)
 
@@ -26,7 +26,7 @@ _REFUSALS = (NoCover, H6Violation, ZeroDenominator, DegenerateNullspace, Negativ
 def _load(path: str):
     # ValueError covers undecodable text and FiniteHypergroup's consistency checks
     try:
-        return parse_hypergroup(Path(path).read_text())
+        return read_hypergroup(path)
     except (OSError, ValueError, ParseError) as exc:
         raise SystemExit(f"hypergroup file {path}: {exc}") from None
 

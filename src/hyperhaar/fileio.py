@@ -10,14 +10,29 @@ once each:
     c <s> <t> <u> <float>        # sparse, finite; unlisted entries are zero
 
 The tokens of a 'c' line are ASCII decimals: no underscores, no other digits.
+
+parse_hypergroup(text) is the one authority on a document: it reads the lines
+above the first 'c' line one at a time and the 'c' block in one np.loadtxt
+call, and reads the whole document again line by line on any doubt, which
+alone writes an error.  The CLI reads a file with read_hypergroup(path): the
+text once, for the header and any fallback, and the 'c' block a second time,
+by np.loadtxt from the file itself, which numpy reads with its C reader
+instead of one Python line at a time.  Where that second read could differ
+from the text (a pipe or a device, a file changed in between, a compressed
+name, or text on whose lines or fields numpy's tokenizer and str.splitlines /
+str.split disagree) the text goes to parse_hypergroup instead.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
+import os
+import stat
 import warnings
-from itertools import islice
+from itertools import islice, takewhile
+from pathlib import Path
 from typing import TextIO
 
 import numpy as np
@@ -30,6 +45,7 @@ __all__ = [
     "RangeError",
     "DuplicateEntry",
     "parse_hypergroup",
+    "read_hypergroup",
     "serialize_hypergroup",
     "write_trace_csv",
 ]
@@ -69,10 +85,13 @@ def parse_hypergroup(text: str) -> FiniteHypergroup:
     lines = text.splitlines()
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
-    try:
-        h = _accept(lines)
-    except (ParseError, ValueError, DeprecationWarning):
-        h = None  # the error of an earlier line may come first
+    first = next((i for i, line in enumerate(lines) if _is_entry(line)), len(lines))
+    h = None
+    if "\0" not in text:  # a 'U2' key drops a trailing NUL
+        try:
+            h = _bulk(lines[:first], islice(lines, first, None))
+        except _DOUBT:
+            pass  # the error of an earlier line may come first
     if h is None:
         n, e, inv, entries = _read_lines(enumerate(lines, start=1), len(lines))
         stu = np.array(list(entries), dtype=np.intp).reshape(-1, 3).T
@@ -80,29 +99,70 @@ def parse_hypergroup(text: str) -> FiniteHypergroup:
     return h
 
 
-def _accept(lines: list):
-    """The hypergroup, its lines up to the first 'c' line read one at a time and
-    the rest in bulk; None, or an error, when a check fails."""
-    first = next((i for i, line in enumerate(lines) if line.split(None, 1)[:1] == ["c"]),
-                 len(lines))
-    n, e, inv, _ = _read_lines(enumerate(lines[:first], start=1), len(lines))
-    entries = _load(lines, first)
+def read_hypergroup(path) -> FiniteHypergroup:
+    """The document in the file at path: parse_hypergroup of its text, with
+    the 'c' block read a second time by np.loadtxt from the file itself.
+
+    Only a regular file, unchanged between the two reads, is read twice; a
+    pipe or a device is read once.  The name must not end in a suffix numpy
+    decompresses, and the text must be ASCII without the characters of
+    _UNSPLIT ('c 1 1\\f0 1' is two lines to the parser, one to numpy).  Any
+    other document, and any doubt, goes to parse_hypergroup(text), which
+    alone writes an error.
+    """
+    path = Path(path)
+    with path.open() as f:
+        before = os.fstat(f.fileno())
+        text = f.read()
+    if (stat.S_ISREG(before.st_mode) and path.suffix not in _COMPRESSED and text.isascii()
+            and not any(ch in text for ch in _UNSPLIT)):
+        # reading in text mode left '\n' the one line break, to StringIO and to numpy
+        header = list(takewhile(lambda line: not _is_entry(line), io.StringIO(text)))
+        try:
+            h = _bulk(header, str(path), skiprows=len(header))
+            if h is not None and _identity(os.stat(path)) == _identity(before):
+                return h
+        except _DOUBT:
+            pass
+    return parse_hypergroup(text)
+
+
+# Read failures that send a document to the line-by-line reader.
+_DOUBT = (ParseError, ValueError, OSError, Warning)
+# Characters on which np.loadtxt and the line-by-line reader disagree in text
+# that has no other line break than '\n': NUL, which a 'U2' key drops ('c\0'
+# reads as 'c'), the line breaks of str.splitlines that numpy splits fields at,
+# and '#', which parse_hypergroup strips as a comment and loadtxt reads as data.
+_UNSPLIT = "\0\x0b\x0c\x1c\x1d\x1e#"
+# numpy's file reader decompresses files so named
+_COMPRESSED = {".gz", ".bz2", ".xz", ".lzma"}
+
+
+def _identity(st: os.stat_result) -> tuple:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _is_entry(line: str) -> bool:
+    return line.split(None, 1)[:1] == ["c"]
+
+
+def _bulk(header: list, rows, **where) -> FiniteHypergroup | None:
+    """The hypergroup whose header lines, those above the first 'c' line, are
+    read one at a time and whose 'c' block np.loadtxt reads in one go from rows
+    (lines, or a file path with the header skipped); None, or an error, when a
+    check fails.  Its errors are never shown: the document is read again."""
+    n, e, inv, _ = _read_lines(enumerate(header, start=1), len(header))
+    # As errors, loadtxt's warnings refuse the read: "input contained no data",
+    # and older numpy's (1.23 on) DeprecationWarning on an int field such as
+    # '1.5', which it reads through float; newer numpy refuses that read
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        entries = np.loadtxt(rows, dtype=_ENTRY, comments=None, ndmin=1, **where)
     if not ((entries["key"] == "c").all() and np.isfinite(entries["value"]).all()):
         return None
     # raises ValueError on an index out of range or a repeated entry
     return FiniteHypergroup.from_entries(n, e, inv, entries["s"], entries["t"], entries["u"],
                                          entries["value"])
-
-
-def _load(lines: list, first: int) -> np.ndarray:
-    """The rows of lines[first:], which begin with a 'c' line, read as entries."""
-    if first == len(lines):  # loadtxt warns on an empty input
-        return np.empty(0, _ENTRY)
-    # Older numpy (1.23 on) reads an int field such as '1.5' through float,
-    # with a DeprecationWarning; as an error, it refuses the read as newer numpy does
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        return np.loadtxt(islice(lines, first, None), dtype=_ENTRY, comments=None, ndmin=1)
 
 
 def _read_lines(numbered, count: int):

@@ -491,7 +491,7 @@ class TestBoundsCertificate:
     def test_bounds_equal_per_probe_dominating_measures(self, bundled):
         f0 = Function(np.random.default_rng(3).uniform(0.5, 1.5, bundled.n))
         probes = default_probes(bundled.n)
-        a, b = _bounds(bundled, f0, probes)
+        a, b = _bounds(bundled, f0, np.array([f.v for f in probes]))
         np.testing.assert_array_equal(
             a, [1.0 / (2.0 * find_dominating_measure(bundled, f0, f).norm) for f in probes])
         np.testing.assert_array_equal(
@@ -503,7 +503,7 @@ class TestBoundsCertificate:
         c[0, 0, 0] = c[0, 1, 1] = c[1, 0, 1] = c[1, 1, 1] = 1.0
         h = FiniteHypergroup(2, 0, [0, 1], c)
         with pytest.raises(NoCover, match="^no translate of f0 reaches point 1$"):
-            _bounds(h, Function([1.0, 0.0]), [Function([0.0, 1.0])])
+            _bounds(h, Function([1.0, 0.0]), np.array([[0.0, 1.0]]))
 
 
 class TestHaarNet:
@@ -581,7 +581,7 @@ class TestProbeDerivations:
         h = build_family(family, param)
         f0 = Function(np.random.default_rng(26).uniform(0.5, 1.5, h.n))
         probes = default_probes(h.n)
-        a, b = _bounds(h, f0, probes)
+        a, b = _bounds(h, f0, np.array([f.v for f in probes]))
         np.testing.assert_array_equal(
             a, [1.0 / (2.0 * find_dominating_measure(h, f0, f).norm) for f in probes])
         np.testing.assert_array_equal(
@@ -590,9 +590,9 @@ class TestProbeDerivations:
     def test_invalid_probe_refused_before_later_cover_failure(self):
         h = theta_hypergroup(0.0)  # no translate of an f0 on point 0 reaches point 1
         with pytest.raises(ValueError, match="^f0 must be nonnegative and nonzero$"):
-            _bounds(h, Function.ones(2), [Function([1.0, -1.0]), Function([0.0, 1.0])])
+            _bounds(h, Function.ones(2), np.array([[1.0, -1.0], [0.0, 1.0]]))
         with pytest.raises(NoCover, match="^no translate of f0 reaches point 1$"):
-            _bounds(h, Function.ones(2), [Function([1.0, 0.0]), Function([1.0, -1.0])])
+            _bounds(h, Function.ones(2), np.array([[1.0, 0.0], [1.0, -1.0]]))
 
 
 class TestApproximantConfigRefusals:

@@ -202,9 +202,10 @@ def z4_file(tmp_path):
     return str(path)
 
 
-def run_cli(*argv, cap=None):
+def run_cli(*argv, cap=None, stdin=None):
     """The CLI in a fresh interpreter, as a user runs it; with cap, its address
-    space is limited to cap bytes (RLIMIT_AS) and BLAS runs one thread."""
+    space is limited to cap bytes (RLIMIT_AS) and BLAS runs one thread; stdin
+    is the text written to its standard input, a pipe."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -215,7 +216,27 @@ def run_cli(*argv, cap=None):
         def limit():
             resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
     return subprocess.run([sys.executable, "-m", "hyperhaar.cli", *argv], capture_output=True,
-                          text=True, env=env, timeout=120, preexec_fn=limit)
+                          text=True, env=env, timeout=120, preexec_fn=limit, input=stdin)
+
+
+@pytest.mark.parametrize("method", ["jewett", "solve"])
+def test_document_on_standard_input(z4_file, method):
+    """A document piped to /dev/stdin is read once, as the file is read."""
+    proc = run_cli("haar", "/dev/stdin", "--method", method, stdin=Path(z4_file).read_text())
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run_cli("haar", z4_file, "--method", method).stdout
+
+
+def test_form_feed_in_an_entry_is_one_line_diagnosis(tmp_path):
+    """str.splitlines breaks a line at a form feed, which numpy's reader takes
+    for a space: the line-by-line reader refuses the document."""
+    path = tmp_path / "formfeed.hg"
+    path.write_text("hypergroup v1\nn 2\ne 0\ninv 0 1\nc 0 0 0 1\nc 0 1 1 1\nc 1 0 1 1\n"
+                    "c 1 1\f0 1\n")
+    proc = run_cli("validate", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines() == [
+        f"hypergroup file {path}: line 8: 'c' line has 2 fields, expected 4"]
 
 
 @pytest.mark.parametrize("weights,message", [

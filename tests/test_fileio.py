@@ -1,6 +1,8 @@
 import io
 import math
+import os
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -14,6 +16,7 @@ from hyperhaar import (
     ParseError,
     RangeError,
     parse_hypergroup,
+    read_hypergroup,
     serialize_hypergroup,
 )
 from hyperhaar.approx import ApproximantConfig, canonical_chain, haar_net
@@ -278,9 +281,10 @@ _FIELDS = {"n": 2, "e": 2, "c": 5}
 
 
 def _reference_parse(text):
-    """The line-by-line parser that parse_hypergroup replaced, kept as a reference."""
-    n = e = inv = c = None
-    seen = set()
+    """The line-by-line parser that parse_hypergroup replaced, kept as a reference;
+    it keeps the entries as the document lists them, -0.0 and other zeros included."""
+    n = e = inv = None
+    seen = {}
     directives = {}  # directive -> its line
     lines = text.splitlines()
     body = []
@@ -310,8 +314,7 @@ def _reference_parse(text):
                         raise RangeError(f"index {idx} out of range for n={n}", lineno)
                 if entry in seen:
                     raise DuplicateEntry(f"repeated entry {entry}", lineno)
-                seen.add(entry)
-                c[entry] = value
+                seen[entry] = value
             elif key in ("n", "e", "inv"):
                 if key in directives:
                     raise DuplicateEntry(f"repeated directive {key!r}", lineno)
@@ -320,7 +323,6 @@ def _reference_parse(text):
                     n = int(fields[1])
                     if n < 1:
                         raise RangeError("n must be at least 1", lineno)
-                    c = np.zeros((n, n, n))
                 elif key == "e":
                     e = int(fields[1])
                 else:
@@ -342,7 +344,8 @@ def _reference_parse(text):
     for idx in inv:
         if not (0 <= idx < n):
             raise RangeError(f"inv entry {idx} out of range for n={n}", directives["inv"])
-    return FiniteHypergroup(n, e, np.asarray(inv), c)
+    stu = np.array(list(seen), dtype=np.intp).reshape(-1, 3).T
+    return FiniteHypergroup.from_entries(n, e, np.asarray(inv), *stu, list(seen.values()))
 
 
 def _outcome(parse, doc):
@@ -353,7 +356,7 @@ def _outcome(parse, doc):
         return type(exc), exc.line, str(exc)
     except ValueError as exc:  # FiniteHypergroup's consistency checks, after every line
         return ValueError, math.inf, str(exc)
-    return h.n, h.e, h.inv.tobytes(), dense(h).tobytes()
+    return h.n, h.e, h.inv.tobytes(), tuple(a.tobytes() for a in h.entries)
 
 
 _GRAMMAR = re.compile(r"line (\d+): (?:index|value) '(.*)' must be written in ASCII digits "
@@ -366,8 +369,9 @@ def _assert_same_outcome(doc):
         return
     # The one change: a 'c' token with an underscore or a non-ASCII character,
     # which Python's int or float read, is refused at its line.
+    assert got[0] is ParseError, (got, expected)
     refused = _GRAMMAR.fullmatch(got[2])
-    assert got[0] is ParseError and refused, (got, expected)
+    assert refused, (got, expected)
     token = refused.group(2)
     assert "_" in token or not token.isascii()
     assert token in doc.splitlines()[got[1] - 1].split()
@@ -476,6 +480,142 @@ def test_line_by_line_reader_matches_bulk_read_out_of_order(monkeypatch):
     """Entries listed out of C order, zeros among them, blank lines between."""
     _assert_same_parse("hypergroup v1\nn 2\ne 0\ninv 0 1\nc 1 1 0 0.5\n\nc 0 0 0 1\n"
                        "c 1 0 1 -0.0\n  \nc 0 1 1 0\nc 1 1 1 0.5\n", monkeypatch)
+
+
+# Separators of documents read from a file.  Within a line, str.split takes
+# all of them for whitespace; str.splitlines breaks a line at every one of
+# _BREAKS, numpy's file reader only at the first three.
+_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_GAPS = ["\t", "  ", "\x1f", "\xa0", *_BREAKS[3:]]
+_ENDS = [*_BREAKS[1:], "\n\n", "\n \t\n", "#\n", " # c 0 0 0 1\n", "\t#x\r\n"]
+_good_line = _good_entry.map(lambda f: " ".join(["c", *f]))
+
+
+@st.composite
+def _separated_documents(draw):
+    """A good header and up to ten 'c' lines, at most two of them drawn from
+    _entry or _lines; fields are joined by spaces and lines ended by '\n',
+    or by a few other separators, line breaks and comments drawn per document."""
+    n = draw(st.sampled_from([4, 4, 4, 2]))
+    lines = draw(st.lists(_good_line, max_size=10, unique_by=lambda line: line[:8]))
+    for bad in draw(st.lists(st.one_of(_entry, _lines), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    gaps = [" "] * 8 + draw(st.lists(st.sampled_from(_GAPS), max_size=2))
+    ends = ["\n"] * 8 + draw(st.lists(st.sampled_from(_ENDS), max_size=2))
+    text = ""
+    for line in ["hypergroup v1", f"n {n}", "e 0", "inv " + " ".join(map(str, range(n))), *lines]:
+        fields = line.split(" ")
+        text += fields[0] + "".join(draw(st.sampled_from(gaps)) + field for field in fields[1:])
+        text += draw(st.sampled_from(ends))
+    return text
+
+
+def _assert_read_is_parse(path, text):
+    """read_hypergroup(path) gives parse_hypergroup(text)'s outcome, and neither warns."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _outcome(read_hypergroup, path) == _outcome(parse_hypergroup, text)
+    assert not caught
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("read") / "doc.hg"
+
+
+@given(doc=_separated_documents())
+@settings(max_examples=300, deadline=None)
+def test_read_matches_parse_of_the_text(doc_path, doc):
+    """Reading the c block from the file gives the outcome of parsing the
+    file's text: the same arrays byte for byte, or the same error class,
+    line and message."""
+    doc_path.write_bytes(doc.encode())
+    _assert_read_is_parse(doc_path, doc_path.read_text())
+
+
+@pytest.mark.parametrize("doc", [
+    serialize_hypergroup(cosine_grid_hypergroup(6)),
+    "hypergroup v1\nn 1\ne 0\ninv 0\n",
+    "hypergroup v1\nn 1\ne 0\ninv 0\nc 0 0 0 1\fc 0 0 0 1\n",
+    "hypergroup v1\nn 2\ne 0\ninv 0 1\nc 0 0 0 1\nc 1 1\f0 1\n",
+    "hypergroup v1\nn 2\ne 0\ninv 0 1\nc 0 0 0 1\nc\0 1 1 1 1\n",
+], ids=["grid", "no-entries", "formfeed-break", "formfeed-field", "nul-key"])
+@pytest.mark.parametrize("name", ["doc.hg", "doc.gz", "doc.xz"])
+def test_read_matches_parse_of_the_text_awkward(tmp_path, doc, name):
+    path = tmp_path / name
+    path.write_text(doc)
+    _assert_read_is_parse(path, doc)
+
+
+def test_nul_key_is_an_unknown_directive(tmp_path):
+    """A 'U2' key drops a trailing NUL, so a document holding one is read line by line."""
+    doc = "hypergroup v1\nn 2\ne 0\ninv 0 1\nc 0 0 0 1\nc\0 1 1 1 1\n"
+    with pytest.raises(ParseError, match=r"^line 6: unknown directive 'c\\x00'$"):
+        parse_hypergroup(doc)
+
+
+def _spy_loadtxt(monkeypatch, before=lambda: None):
+    """Record the rows and skiprows of each np.loadtxt call, running before() first."""
+    calls, loadtxt = [], np.loadtxt
+
+    def spy(rows, **kwargs):
+        calls.append((rows, kwargs.get("skiprows")))
+        before()
+        return loadtxt(rows, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return calls
+
+
+def test_read_takes_the_c_block_from_the_file(tmp_path, monkeypatch):
+    """numpy reads a regular file's c block from the file, by name, past the header."""
+    path = tmp_path / "grid.hg"
+    path.write_text(serialize_hypergroup(cosine_grid_hypergroup(6)))
+    calls = _spy_loadtxt(monkeypatch)
+    h = read_hypergroup(path)
+    assert calls == [(str(path), 4)]
+    assert h.entries[3].tobytes() == parse_hypergroup(path.read_text()).entries[3].tobytes()
+
+
+def test_read_of_a_file_that_changes_parses_the_text(tmp_path, monkeypatch):
+    """A file rewritten between the two reads gives the first read's text."""
+    path = tmp_path / "theta.hg"
+    text = serialize_hypergroup(theta_hypergroup(0.5))
+    path.write_text(text)
+    calls = _spy_loadtxt(monkeypatch, lambda: path.write_text(text.replace("0.5", "0.25")))
+    h = read_hypergroup(path)
+    assert calls[0] == (str(path), 4)
+    np.testing.assert_array_equal(dense(h), dense(theta_hypergroup(0.5)))
+
+
+@pytest.mark.parametrize("kind", ["fifo", "pipe"])
+@pytest.mark.parametrize("doc", [
+    serialize_hypergroup(cyclic_hypergroup(4)),
+    "hypergroup v1\nn 2\ne 0\ninv 0 1\nc 0 0 0 1\nc 1 1 1 x\n",
+], ids=["z4", "bad-value"])
+def test_read_of_a_fifo_or_pipe_reads_it_once(tmp_path, kind, doc):
+    """A FIFO, or the /dev/fd/N of a pipe, gives its text's outcome; it cannot be read twice."""
+    if kind == "fifo":
+        path = write_end = str(tmp_path / "doc.fifo")
+        os.mkfifo(path)
+    else:
+        r, write_end = os.pipe()
+        path = f"/dev/fd/{r}"
+
+    def write():
+        with open(write_end, "w") as f:
+            f.write(doc)
+
+    # a FIFO opened a second time would wait for a writer: read in a thread
+    outcome = []
+    reader = threading.Thread(target=lambda: outcome.append(_outcome(read_hypergroup, path)),
+                              daemon=True)
+    threading.Thread(target=write, daemon=True).start()
+    reader.start()
+    reader.join(timeout=30)
+    if kind == "pipe":
+        os.close(r)
+    assert outcome == [_outcome(parse_hypergroup, doc)]
 
 
 def test_entry_routes_never_form_the_dense_tensor():
