@@ -42,6 +42,6 @@ from .oracles import (
     solve_invariance,
 )
 from .fileio import (DuplicateEntry, ParseError, RangeError, parse_hypergroup, read_hypergroup,
-                     serialize_hypergroup)
+                     serialize_hypergroup, write_hypergroup)
 
 __version__ = "0.1.0"

@@ -5,6 +5,8 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from .core import AXIOM_TOL, CERTIFY_TOL, EXACT_TOL, Function, Measure, NoCover,
 from .approx import (ApproximantConfig, NoChain, NotConverged, ZeroDenominator, canonical_chain,
                      haar_net)
 from .checks import run_all_suites
-from .fileio import ParseError, read_hypergroup, serialize_hypergroup, write_trace_csv
+from .fileio import ParseError, read_hypergroup, write_hypergroup, write_trace_csv
 from .oracles import (_FAMILIES, DegenerateNullspace, H6Violation, NegativeSolution,
                       build_family, invariance_residual, jewett_haar, solve_invariance)
 
@@ -116,20 +118,33 @@ def cmd_compare(args) -> int:
     return 0 if ok else 1
 
 
+def _reason(exc: Exception) -> str:
+    return str(exc) or "out of memory"  # str(MemoryError()) is ''
+
+
 def cmd_gen(args) -> int:
     # ValueError covers a malformed parameter or group table and undecodable text;
     # MemoryError a size whose entries cannot be allocated
     try:
-        text = serialize_hypergroup(build_family(args.family, args.param))
+        h = build_family(args.family, args.param)
     except (OSError, ValueError, MemoryError) as exc:
-        raise SystemExit(f"gen --param {args.param}: {exc}") from None
-    if args.output:
-        try:
-            Path(args.output).write_text(text)
-        except OSError as exc:
-            raise SystemExit(f"gen -o {args.output}: {exc}") from None
-    else:
-        sys.stdout.write(text)
+        raise SystemExit(f"gen --param {args.param}: {_reason(exc)}") from None
+    # the file is opened only once h is built, and removed if the write fails
+    try:
+        if not args.output:
+            write_hypergroup(h, sys.stdout)
+            return 0
+        with open(args.output, "w") as out:
+            try:
+                write_hypergroup(h, out)
+                out.flush()
+            except BaseException:
+                if stat.S_ISREG(os.fstat(out.fileno()).st_mode):  # not a device or a pipe
+                    os.unlink(args.output)
+                raise
+    except (OSError, MemoryError) as exc:
+        where = f" -o {args.output}" if args.output else ""
+        raise SystemExit(f"gen{where}: {_reason(exc)}") from None
     return 0
 
 
@@ -206,12 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Exit codes: 0 success, 1 a failed check or a refused input, 2 a usage error."""
     args = build_parser().parse_args(argv)
+    # gen reads no document, so its command is named instead
+    subject = f"hypergroup file {args.file}" if "file" in args else args.command
     try:
         return args.func(args)
     except _REFUSALS as exc:
-        raise SystemExit(f"hypergroup file {args.file}: {type(exc).__name__}: {exc}") from None
+        raise SystemExit(f"{subject}: {type(exc).__name__}: {exc}") from None
     except MemoryError as exc:  # numpy refused an array, such as the dense n^3 tensor
-        raise SystemExit(f"hypergroup file {args.file}: {str(exc) or 'out of memory'}") from None
+        raise SystemExit(f"{subject}: {_reason(exc)}") from None
 
 
 if __name__ == "__main__":

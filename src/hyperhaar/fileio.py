@@ -21,6 +21,10 @@ instead of one Python line at a time.  Where that second read could differ
 from the text (a pipe or a device, a file changed in between, a compressed
 name, or text on whose lines or fields numpy's tokenizer and str.splitlines /
 str.split disagree) the text goes to parse_hypergroup instead.
+
+write_hypergroup(h, out) writes a document to a text stream in blocks of
+'c' lines, so its memory does not grow with the document;
+serialize_hypergroup(h) is that writer into a string.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ __all__ = [
     "parse_hypergroup",
     "read_hypergroup",
     "serialize_hypergroup",
+    "write_hypergroup",
     "write_trace_csv",
 ]
 
@@ -236,20 +241,36 @@ def _read_lines(numbered, count: int):
     return n, e, inv, seen
 
 
-def serialize_hypergroup(h: FiniteHypergroup) -> str:
-    """Emit the sparse text form; floats at 17 significant digits.
+# c's entries that write_hypergroup formats and writes at once
+_BLOCK = 2 ** 14
 
-    Each index and each distinct value is formatted once.
+
+def write_hypergroup(h: FiniteHypergroup, out: TextIO) -> None:
+    """Write the sparse text form to out; floats at 17 significant digits.
+
+    The 'c' lines are formatted and written in blocks of _BLOCK (2^14) of c's
+    entries: each index is formatted once, and each distinct value once per
+    block, so the writer holds c's entries and one block of lines however long
+    the document is.
     """
-    lines = [_MAGIC, f"n {h.n}", f"e {h.e}", "inv " + " ".join(str(int(x)) for x in h.inv)]
+    out.write(f"{_MAGIC}\nn {h.n}\ne {h.e}\ninv {' '.join(map(str, h.inv.tolist()))}\n")
     names = [str(i) for i in range(h.n)]
-    listed = h.entries[3] != 0  # a parsed document may list zeros
-    s, t, u, v = (a[listed] for a in h.entries)
-    values, which = np.unique(v, return_inverse=True)
-    texts = [f"{x:.17g}" for x in values.tolist()]
-    lines += [f"c {names[a]} {names[b]} {names[d]} {texts[k]}"
-              for a, b, d, k in zip(s.tolist(), t.tolist(), u.tolist(), which.tolist())]
-    return "\n".join(lines) + "\n"
+    for start in range(0, len(h.entries[3]), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        listed = h.entries[3][block] != 0  # a parsed document may list zeros
+        s, t, u, v = (a[block][listed] for a in h.entries)
+        values, which = np.unique(v, return_inverse=True)
+        texts = [f"{x:.17g}" for x in values.tolist()]
+        rows = zip(s.tolist(), t.tolist(), u.tolist(), which.tolist())
+        out.write("".join([f"c {names[a]} {names[b]} {names[d]} {texts[k]}\n"
+                           for a, b, d, k in rows]))
+
+
+def serialize_hypergroup(h: FiniteHypergroup) -> str:
+    """The sparse text form, as write_hypergroup writes it."""
+    out = io.StringIO()
+    write_hypergroup(h, out)
+    return out.getvalue()
 
 
 def write_trace_csv(trace: ConvergenceTrace, out: TextIO) -> None:

@@ -1,13 +1,16 @@
+import argparse
 import os
 import resource
 import subprocess
 import sys
+import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hyperhaar import FiniteHypergroup
+from hyperhaar import FiniteHypergroup, cli, fileio
 from hyperhaar.cli import build_parser, main
 from hyperhaar.core import AXIOM_TOL, validate
 from hyperhaar.fileio import parse_hypergroup, serialize_hypergroup
@@ -562,3 +565,79 @@ def test_unwritable_gen_output_is_one_line_diagnosis(tmp_path):
     proc = run_cli("gen", "--family", "cyclic", "--param", "4", "-o", str(out))
     _assert_one_line_refusal(proc, f"gen -o {out}: [Errno 2] No such file or directory: '{out}'")
     assert not out.parent.exists()
+
+
+def _gen_refusal(argv, capsys):
+    """gen's exit message, which the interpreter prints as one stderr line; the
+    command writes nothing else."""
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", *argv])
+    assert capsys.readouterr().err == ""
+    assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+    return exc.value.code
+
+
+class _FailingStream:
+    """Passes its first `writes` writes on to out (gen's header, then one block
+    each), then raises MemoryError(), as a refused allocation does."""
+
+    def __init__(self, out, writes):
+        self.out, self.writes = out, writes
+
+    def write(self, text):
+        if self.writes == 0:
+            raise MemoryError()
+        self.writes -= 1
+        self.out.write(text)
+
+
+def _fail_after(monkeypatch, writes):
+    monkeypatch.setattr(cli, "write_hypergroup",
+                        lambda h, out: fileio.write_hypergroup(h, _FailingStream(out, writes)))
+
+
+def test_gen_out_of_memory_in_the_build_blames_the_parameter(tmp_path, monkeypatch, capsys):
+    def build_family(family, param):
+        raise MemoryError()
+    monkeypatch.setattr(cli, "build_family", build_family)
+    out = tmp_path / "out.hg"
+    argv = ["--family", "cosine-grid", "--param", "1024", "-o", str(out)]
+    assert _gen_refusal(argv, capsys) == "gen --param 1024: out of memory"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("output", [True, False], ids=["file", "stdout"])
+def test_gen_out_of_memory_after_the_first_block(tmp_path, monkeypatch, capsys, output):
+    monkeypatch.setattr(fileio, "_BLOCK", 4)
+    _fail_after(monkeypatch, 2)
+    out = tmp_path / "out.hg"
+    argv = ["--family", "cyclic", "--param", "4"] + (["-o", str(out)] if output else [])
+    if output:
+        assert _gen_refusal(argv, capsys) == f"gen -o {out}: out of memory"
+        assert list(tmp_path.iterdir()) == []  # the partial document is removed
+    else:
+        assert _gen_refusal(argv, capsys) == "gen: out of memory"
+
+
+def test_gen_failure_leaves_a_fifo_alone(tmp_path, monkeypatch, capsys):
+    _fail_after(monkeypatch, 1)
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_text()), daemon=True)
+    reader.start()
+    argv = ["--family", "cyclic", "--param", "4", "-o", str(fifo)]
+    assert _gen_refusal(argv, capsys) == f"gen -o {fifo}: out of memory"
+    reader.join(timeout=30)
+    assert read == ["hypergroup v1\nn 4\ne 0\ninv 0 3 2 1\n"]
+    assert fifo.is_fifo()
+
+
+def test_memory_error_names_a_command_without_a_document(monkeypatch):
+    def func(args):
+        raise MemoryError()
+    args = argparse.Namespace(command="gen", func=func)
+    monkeypatch.setattr(cli, "build_parser", lambda: SimpleNamespace(parse_args=lambda argv: args))
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == "gen: out of memory"

@@ -19,9 +19,10 @@ from hyperhaar import (
     read_hypergroup,
     serialize_hypergroup,
 )
+from hyperhaar import fileio
 from hyperhaar.approx import ApproximantConfig, canonical_chain, haar_net
 from hyperhaar.core import Function, Measure
-from hyperhaar.fileio import write_trace_csv
+from hyperhaar.fileio import write_hypergroup, write_trace_csv
 from hyperhaar.oracles import (conjugacy_class_hypergroup, cosine_grid_hypergroup,
                                cyclic_hypergroup, jewett_haar, solve_invariance,
                                symmetric_group_table, theta_hypergroup)
@@ -194,6 +195,23 @@ def _per_entry_serialize(h):
     return "\n".join(lines) + "\n"
 
 
+# Awkward values of c, indexed (s, t, u) at n = 3
+_AWKWARD = {
+    "negative-zero": {(0, 0, 0): 1.0, (0, 1, 1): -0.0, (1, 1, 0): -0.0, (2, 2, 2): 0.5},
+    "subnormal-negative-third": {
+        (0, 0, 1): 5e-324, (0, 2, 1): -5e-324, (1, 0, 2): -2.5, (1, 1, 1): 1 / 3,
+        (2, 0, 0): 1 / 3, (2, 2, 0): -1 / 3, (2, 2, 1): 2.2250738585072014e-308},
+    "inf-nan": {(0, 0, 0): np.inf, (0, 1, 0): -np.inf, (1, 0, 1): np.nan, (1, 2, 2): -np.nan,
+                (2, 1, 0): np.nan, (2, 2, 2): 1.0},
+    "empty": {},
+}
+# Entries as a parsed document may list them: zeros of either sign among
+# repeated values, NaNs and subnormals
+_LISTED = {(0, 0, 0): 1 / 3, (0, 0, 1): -0.0, (0, 0, 2): 1 / 3, (0, 1, 0): np.nan,
+           (0, 1, 1): 0.0, (0, 1, 2): -np.nan, (0, 2, 0): 5e-324, (0, 2, 1): 5e-324,
+           (1, 0, 0): 1 / 3, (1, 1, 1): -0.0, (2, 2, 2): 5e-324}
+
+
 class TestRoundTrip:
     def test_s3_round_trip_is_stable(self):
         h = conjugacy_class_hypergroup(symmetric_group_table(3))
@@ -214,14 +232,7 @@ class TestRoundTrip:
     def test_serialize_matches_per_entry_reference_large(self, h):
         assert serialize_hypergroup(h) == _per_entry_serialize(h)
 
-    @pytest.mark.parametrize("entries", [
-        {(0, 0, 0): 1.0, (0, 1, 1): -0.0, (1, 1, 0): -0.0, (2, 2, 2): 0.5},
-        {(0, 0, 1): 5e-324, (0, 2, 1): -5e-324, (1, 0, 2): -2.5, (1, 1, 1): 1 / 3,
-         (2, 0, 0): 1 / 3, (2, 2, 0): -1 / 3, (2, 2, 1): 2.2250738585072014e-308},
-        {(0, 0, 0): np.inf, (0, 1, 0): -np.inf, (1, 0, 1): np.nan, (1, 2, 2): -np.nan,
-         (2, 1, 0): np.nan, (2, 2, 2): 1.0},
-        {},
-    ], ids=["negative-zero", "subnormal-negative-third", "inf-nan", "empty"])
+    @pytest.mark.parametrize("entries", list(_AWKWARD.values()), ids=list(_AWKWARD))
     def test_serialize_matches_per_entry_reference_awkward(self, entries):
         c = np.zeros((3, 3, 3))
         for key, value in entries.items():
@@ -231,6 +242,31 @@ class TestRoundTrip:
         # -0.0 is omitted as 0.0 is; every NaN, whatever its sign, reads 'nan'
         assert doc.count("\nc ") == sum(1 for v in entries.values() if v != 0)
         assert "-0\n" not in doc and "-nan" not in doc
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("entries", list(_AWKWARD.values()) + [_LISTED],
+                             ids=list(_AWKWARD) + ["listed-zeros"])
+    def test_blocks_match_per_entry_reference(self, entries, block, monkeypatch):
+        """Whatever falls on a block boundary, the blocks write the document."""
+        s, t, u = np.array(list(entries), dtype=int).reshape(-1, 3).T
+        h = FiniteHypergroup.from_entries(3, 0, [0, 2, 1], s, t, u, list(entries.values()))
+        monkeypatch.setattr(fileio, "_BLOCK", block)
+        assert serialize_hypergroup(h) == _per_entry_serialize(h)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("h", [theta_hypergroup(1 / 3), cosine_grid_hypergroup(16)],
+                             ids=["theta-1/3", "cosine-grid-16"])
+    def test_blocks_match_per_entry_reference_families(self, h, block, monkeypatch):
+        monkeypatch.setattr(fileio, "_BLOCK", block)
+        assert serialize_hypergroup(h) == _per_entry_serialize(h)
+
+    def test_write_holds_one_block_of_lines(self):
+        """Writing cosine-grid 512 (an 8.6 MB document) holds c's entries and
+        one block of lines; the whole text built first peaked at 97 MB."""
+        h = cosine_grid_hypergroup(512)
+        with open(os.devnull, "w") as out:
+            _, peak = traced_peak(write_hypergroup, h, out)
+        assert peak < 4 * 2 ** 20
 
     @pytest.mark.parametrize("build", [cyclic_hypergroup, cosine_grid_hypergroup],
                              ids=["cyclic-256", "cosine-grid-256"])
