@@ -29,6 +29,7 @@ from .core import (
     _indicator_peaks,
     _peaks,
     pair,
+    translates,
 )
 from .oracles import invariance_residual
 
@@ -201,7 +202,7 @@ def _walk(h: FiniteHypergroup, mu0: Measure, bumps: Sequence[Function]):
     and one term per entry met, O(nnz) at most, as a contraction.
     """
     s, t, u, value = h.entries
-    k = _contract_u(h, bumps[0].v)[h.inv]
+    k = translates(h, bumps[0])
     for i, g in enumerate(bumps):
         if i == 1:  # the entries grouped by u, for the updates; a single bump needs none
             by_u = np.argsort(u, kind="stable")
@@ -322,9 +323,9 @@ def _bounds(h: FiniteHypergroup, f0: Function, f: np.ndarray) -> np.ndarray:
         j = np.argmax(f[indicator], axis=1)
         s_a[indicator], best_a[indicator] = s_ind[j], best_ind[j]
     for i in np.flatnonzero(~indicator):
-        s_a[i], best_a[i] = _peaks(_contract_u(h, f[i])[h.inv])
+        s_a[i], best_a[i] = _peaks(translates(h, Function(f[i])))
     w_a, uncovered_a = _cover(s_a, best_a, np.broadcast_to(f0.v, f.shape))
-    w_b, uncovered_b = _cover(*_peaks(_contract_u(h, f0.v)[h.inv]), f)
+    w_b, uncovered_b = _cover(*_peaks(translates(h, f0)), f)
     invalid = ~((f >= 0).all(axis=1) & (np.abs(f).max(axis=1) > 0))
     failed = np.hstack([invalid[:, None], uncovered_a, uncovered_b])
     if failed.any():
@@ -359,12 +360,16 @@ def _net_steps(h: FiniteHypergroup, cfg: ApproximantConfig):
         yield chi_t / z, p @ (chi_t / z), _probe_gap(k, chi_t), float(v0 @ chi_t / z)
 
 
+@np.errstate(all="ignore")  # an overflow is an inf or a nan in the trace and the residual
 def haar_net(h: FiniteHypergroup, cfg: ApproximantConfig):
     """Drive the normalized approximants down the chain; certify the limit.
 
     Returns the final measure together with the full per-step trace.  Stops
     early once successive probe values differ by less than conv_tol, and
     raises NotConverged if the limit's invariance residual exceeds CERTIFY_TOL.
+    A tensor whose contractions overflow writes no warning: the overflow
+    shows as an inf or a nan, and an answer whose residual is not finite is
+    refused with NotConverged.
     """
     cfg.chain.check(h)
     a, b = _bounds(h, cfg.f0, _probes(h.n))

@@ -129,11 +129,11 @@ def cmd_gen(args) -> int:
         h = build_family(args.family, args.param)
     except (OSError, ValueError, MemoryError) as exc:
         raise SystemExit(f"gen --param {args.param}: {_reason(exc)}") from None
+    if not args.output:
+        write_hypergroup(h, sys.stdout)  # main reports a failed write
+        return 0
     # the file is opened only once h is built, and removed if the write fails
     try:
-        if not args.output:
-            write_hypergroup(h, sys.stdout)
-            return 0
         with open(args.output, "w") as out:
             try:
                 write_hypergroup(h, out)
@@ -143,8 +143,7 @@ def cmd_gen(args) -> int:
                     os.unlink(args.output)
                 raise
     except (OSError, MemoryError) as exc:
-        where = f" -o {args.output}" if args.output else ""
-        raise SystemExit(f"gen{where}: {_reason(exc)}") from None
+        raise SystemExit(f"gen -o {args.output}: {_reason(exc)}") from None
     return 0
 
 
@@ -219,16 +218,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Exit codes: 0 success, 1 a failed check or a refused input, 2 a usage error."""
+    """Exit codes: 0 success, 1 a failed check, a refused input or a failed write
+    to stdout, 2 a usage error."""
     args = build_parser().parse_args(argv)
     # gen reads no document, so its command is named instead
     subject = f"hypergroup file {args.file}" if "file" in args else args.command
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a failed write fails here, not in the interpreter's flush at exit
+        return code
     except _REFUSALS as exc:
         raise SystemExit(f"{subject}: {type(exc).__name__}: {exc}") from None
     except MemoryError as exc:  # numpy refused an array, such as the dense n^3 tensor
         raise SystemExit(f"{subject}: {_reason(exc)}") from None
+    except OSError as exc:  # the commands report the files they open, so stdout failed
+        if sys.stdout is sys.__stdout__:  # not an in-process caller's stream, such as a StringIO
+            # the text still buffered goes to /dev/null when the interpreter flushes it at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(f"{args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

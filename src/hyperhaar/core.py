@@ -439,9 +439,9 @@ def _row_stochastic(h: FiniteHypergroup) -> tuple:
     """H1's worst, the larger of max(-c) and max |sum_u c[s, t, u] - 1|, and its
     witness: the first entry (s, t, u) that reaches the first, else the first
     (s, t) that reaches the second.  The row sums run over the entries in C order."""
-    n, (s, t, u, value) = h.n, h.entries
+    s, t, u, value = h.entries
     neg = np.maximum(-value, 0.0)
-    rowdev = np.abs(np.bincount(s * n + t, value, n * n).reshape(n, n) - 1.0)
+    rowdev = np.abs(_contract_u(h, np.ones(h.n)) - 1.0)
     negmax, rowmax = neg.max(initial=0.0), rowdev.max()
     if negmax > rowmax:
         i = int(np.argmax(neg))

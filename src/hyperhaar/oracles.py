@@ -37,7 +37,8 @@ class H6Violation(Exception):
 
 
 class DegenerateNullspace(Exception):
-    """The invariance system does not have a one-dimensional solution space."""
+    """The invariance system does not have a one-dimensional solution space, or
+    overflows before its nullspace can be decided."""
 
 
 class NegativeSolution(Exception):
@@ -59,10 +60,11 @@ def jewett_haar(h: FiniteHypergroup) -> Measure:
 
 def invariance_residual(h: FiniteHypergroup, chi: Measure) -> float:
     """Worst violation of left invariance, max over s, u of
-    |sum_t c[inv[s], t, u] chi_t - chi_u|."""
+    |sum_t c[inv[s], t, u] chi_t - chi_u|; inv permutes s, so the max runs
+    over the rows c[s] in stored order."""
     if chi.n != h.n:
         raise ValueError(f"dimension mismatch: {chi.n} vs {h.n}")
-    return float(np.abs(_dirac_convolutions(h, chi.w)[h.inv] - chi.w).max())
+    return float(np.abs(_dirac_convolutions(h, chi.w) - chi.w).max())
 
 
 def solve_invariance(h: FiniteHypergroup) -> Measure:
@@ -81,9 +83,19 @@ def solve_invariance(h: FiniteHypergroup) -> Measure:
     time and O(nnz + k n^2) memory besides two SVDs of n^2 floats, and k = 1
     for a hypergroup. A weight below -AXIOM_TOL is refused with NegativeSolution;
     smaller negative weights are clamped to 0.
+
+    An ||A||_F that is not finite, as when c's squares overflow, is refused
+    with DegenerateNullspace before any SVD, which may not return on an
+    infinite matrix. A finite ||A||_F is below sqrt of the largest float, and
+    so is every entry of A; S and A B, sums of at most n such entries with
+    weights of at most 1 in magnitude, are then finite too.
     """
-    n, (s, t, u, v) = h.n, h.entries
-    frobenius = np.sqrt(max(v @ v - 2.0 * v[t == u].sum() + n * n, 0.0))
+    n, (_, t, u, v) = h.n, h.entries
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        frobenius = np.sqrt(max(v @ v - 2.0 * v[t == u].sum() + n * n, 0.0))
+    if not np.isfinite(frobenius):
+        raise DegenerateNullspace("the invariance operator overflows: ||A||_F is not finite, "
+                                  "so its nullspace cannot be decided")
     # S[u, t] = sum_s c[s, t, u] - n [t == u], added over s in increasing order
     block_sum = np.bincount(t * n + u, weights=v, minlength=n * n).reshape(n, n).T
     block_sum[np.diag_indices(n)] -= n
@@ -95,13 +107,7 @@ def solve_invariance(h: FiniteHypergroup) -> Measure:
     k = max(1, int(np.sum(sv_s <= np.sqrt(n) * _RANK_CUT * frobenius)))
     b = vt[n - k:]
     # row j of ab is column j of A B: sum_t b[j, t] c[s, t, u] - b[j, u] over (s, u)
-    su, ab = s * n, np.empty((k, n * n))
-    su += u
-    for j in range(k):
-        weights = b[j, t]
-        weights *= v
-        ab[j] = np.bincount(su, weights=weights, minlength=n * n)
-    ab -= np.tile(b, n)
+    ab = np.array([_dirac_convolutions(h, row).ravel() - np.tile(row, n) for row in b])
     left, sv, _ = np.linalg.svd(ab, full_matrices=False)
     threshold = _RANK_CUT * max(sv_s[0] / np.sqrt(n), sv[0], frobenius / np.sqrt(n))
     nullity = int(np.sum(sv <= threshold))

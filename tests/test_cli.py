@@ -205,10 +205,11 @@ def z4_file(tmp_path):
     return str(path)
 
 
-def run_cli(*argv, cap=None, stdin=None):
+def run_cli(*argv, cap=None, stdin=None, stdout=subprocess.PIPE):
     """The CLI in a fresh interpreter, as a user runs it; with cap, its address
     space is limited to cap bytes (RLIMIT_AS) and BLAS runs one thread; stdin
-    is the text written to its standard input, a pipe."""
+    is the text written to its standard input, a pipe; stdout is where its
+    standard output goes, captured by default."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -218,8 +219,9 @@ def run_cli(*argv, cap=None, stdin=None):
 
         def limit():
             resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-    return subprocess.run([sys.executable, "-m", "hyperhaar.cli", *argv], capture_output=True,
-                          text=True, env=env, timeout=120, preexec_fn=limit, input=stdin)
+    return subprocess.run([sys.executable, "-m", "hyperhaar.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+                          preexec_fn=limit, input=stdin)
 
 
 @pytest.mark.parametrize("method", ["jewett", "solve"])
@@ -386,6 +388,18 @@ NEGATIVE_DOC = ("hypergroup v1\nn 2\ne 0\ninv 0 1\n"
 # dirac_1 * dirac_e != dirac_1 (H4 fails): the chain runs, but its limit is not invariant
 NOT_INVARIANT_DOC = ("hypergroup v1\nn 2\ne 0\ninv 0 1\nc 0 0 0 1\nc 0 1 1 1\n"
                      "c 1 0 0 0.2\nc 1 0 1 0.8\nc 1 1 0 0.5\nc 1 1 1 0.5\n")
+# Z3 with four masses at 1e308 (not a hypergroup): ||A||_F and the block sum
+# overflow, and an SVD of that block sum does not return
+HANG_DOC = ("hypergroup v1\nn 3\ne 0\ninv 0 2 1\nc 0 0 0 1e308\nc 0 1 1 1e308\nc 0 2 2 1\n"
+            "c 1 0 0 1e308\nc 1 0 1 1\nc 1 1 2 1\nc 1 2 0 1\nc 2 0 2 1\nc 2 1 0 1\n"
+            "c 2 1 1 1e308\nc 2 2 1 1\n")
+# Z3 with c[0, 1, 1] = 1e308 and an added c[1, 1, 1] = 1e308: the net's first
+# denominator overflows too
+OVERFLOW_DOC = ("hypergroup v1\nn 3\ne 0\ninv 0 2 1\nc 0 0 0 1\nc 0 1 1 1e308\nc 0 2 2 1\n"
+                "c 1 0 1 1\nc 1 1 1 1e308\nc 1 1 2 1\nc 1 2 0 1\nc 2 0 2 1\nc 2 1 0 1\n"
+                "c 2 2 1 1\n")
+OVERFLOW_REFUSAL = ("DegenerateNullspace: the invariance operator overflows: ||A||_F is not "
+                    "finite, so its nullspace cannot be decided")
 # Z3's table with inv a three-cycle (1 2 0): a permutation, but not an involution
 THREE_CYCLE_DOC = ("hypergroup v1\nn 3\ne 0\ninv 1 2 0\n" + "".join(
     f"c {s} {t} {(s + t) % 3} 1\n" for s in range(3) for t in range(3)))
@@ -405,6 +419,8 @@ MOVED_IDENTITY_DOC = THREE_CYCLE_DOC.replace("inv 1 2 0", "inv 1 0 2")
      "0.000e+00, 0.000e+00)"),
     (NEGATIVE_DOC, ("haar", "--method", "solve"),
      "NegativeSolution: weight 1 is -1, below -tol (tol = 1e-09)"),
+    (HANG_DOC, ("haar", "--method", "solve"), OVERFLOW_REFUSAL),
+    (OVERFLOW_DOC, ("haar", "--method", "solve"), OVERFLOW_REFUSAL),
     (NOT_INVARIANT_DOC, ("haar", "--method", "net"),
      "NotConverged: invariance residual 1.176e-01 above 1.000e-10 after exhausting the chain"),
     (THREE_CYCLE_DOC, ("haar", "--method", "net"),
@@ -418,7 +434,8 @@ MOVED_IDENTITY_DOC = THREE_CYCLE_DOC.replace("inv 1 2 0", "inv 1 0 2")
     (MOVED_IDENTITY_DOC, ("check-lemmas", "--trials", "5"),
      "NoChain: neighborhood 2 does not contain the identity"),
 ], ids=["net-NoCover", "compare-NoCover", "jewett-H6Violation", "lemmas-ZeroDenominator",
-        "solve-DegenerateNullspace", "solve-NegativeSolution", "net-NotConverged",
+        "solve-DegenerateNullspace", "solve-NegativeSolution",
+        "solve-DegenerateNullspace-hang", "solve-DegenerateNullspace-overflow", "net-NotConverged",
         "net-NoChain", "compare-NoChain", "lemmas-NoChain",
         "net-NoChain-identity", "compare-NoChain-identity", "lemmas-NoChain-identity"])
 def test_refusal_is_one_line_diagnosis(tmp_path, doc, argv, message):
@@ -457,6 +474,49 @@ def test_check_lemmas_overflow_fails_without_warnings(tmp_path, capsys):
     assert len(lines) == 11
     assert "(mu*nu)*f = mu*(nu*f): FAIL worst=inf" in lines
     assert "terminal sandwich ratio: FAIL worst=inf" in lines
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("doc", [HANG_DOC, OVERFLOW_DOC], ids=["hang", "overflow"])
+@pytest.mark.parametrize("argv", [
+    ("haar", "--method", "net"),
+    ("haar", "--method", "jewett"),
+    ("haar", "--method", "solve"),
+    ("compare",),
+], ids=["net", "jewett", "solve", "compare"])
+def test_overflowing_document_writes_no_warning(tmp_path, capsys, doc, argv):
+    path = tmp_path / "overflow.hg"
+    path.write_text(doc)
+    try:
+        main([argv[0], str(path), *argv[1:]])
+    except SystemExit as exc:
+        assert exc.code.startswith(f"hypergroup file {path}: ") and "\n" not in exc.code
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ("validate", "{doc}"),
+    ("haar", "{doc}", "--method", "net"),
+    ("compare", "{doc}"),
+    ("check-lemmas", "{doc}", "--trials", "5"),
+    ("gen", "--family", "cyclic", "--param", "4"),
+], ids=["validate", "haar", "compare", "check-lemmas", "gen"])
+def test_closed_stdout_is_one_line_diagnosis(z4_file, monkeypatch, argv, buffered):
+    """A write to a pipe whose reader has exited fails, in print or in the
+    final flush, whenever the command makes it."""
+    if buffered:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_cli(*(a.format(doc=z4_file) for a in argv), stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"{argv[0]}: [Errno 32] Broken pipe"]
 
 
 def test_usage_error_exits_2(z4_file):

@@ -1,7 +1,11 @@
 import gc
+import os
 import re
+import subprocess
+import sys
 import warnings
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +154,29 @@ class TestSolveInvariance:
         else:
             with pytest.raises(NegativeSolution, match=r"below -tol \(tol = 1e-09\)$"):
                 solve_invariance(h)
+
+    def test_infinite_tensor_refused_before_any_svd(self):
+        # Z3 with c[0, 0, 0] = c[0, 1, 1] = inf: an SVD of its infinite block sum
+        # need not return, so the solve runs in a fresh interpreter with a timeout
+        code = ("import numpy as np\n"
+                "from hyperhaar import DegenerateNullspace, FiniteHypergroup, solve_invariance\n"
+                "from hyperhaar.oracles import cyclic_hypergroup\n"
+                "h = cyclic_hypergroup(3)\n"
+                "s, t, u, v = h.entries\n"
+                "v = v.copy()\n"
+                "v[:2] = np.inf\n"
+                "try:\n"
+                "    solve_invariance(FiniteHypergroup.from_entries(3, 0, h.inv, s, t, u, v))\n"
+                "except DegenerateNullspace as exc:\n"
+                "    print(exc)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == ("the invariance operator overflows: ||A||_F is not finite, "
+                               "so its nullspace cannot be decided\n")
 
     def test_null_vector_without_mass_refused(self):
         # c[1].T - I = [[1, 1], [1, 1]]: the only null vector is (1, -1), of mass 0,
