@@ -220,10 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Exit codes: 0 success, 1 a failed check, a refused input or a failed write
     to stdout, 2 a usage error."""
-    args = build_parser().parse_args(argv)
-    # gen reads no document, so its command is named instead
-    subject = f"hypergroup file {args.file}" if "file" in args else args.command
+    command = "hyperhaar"  # names a failed write to stdout until a command is parsed
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        finally:  # --help prints, then exits from inside parse_args
+            sys.stdout.flush()
+        command = args.command
+        # gen reads no document, so its command is named instead
+        subject = f"hypergroup file {args.file}" if "file" in args else command
         code = args.func(args)
         sys.stdout.flush()  # a failed write fails here, not in the interpreter's flush at exit
         return code
@@ -235,7 +240,7 @@ def main(argv=None) -> int:
         if sys.stdout is sys.__stdout__:  # not an in-process caller's stream, such as a StringIO
             # the text still buffered goes to /dev/null when the interpreter flushes it at exit
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise SystemExit(f"{args.command}: {exc}") from None
+        raise SystemExit(f"{command}: {exc}") from None
 
 
 if __name__ == "__main__":

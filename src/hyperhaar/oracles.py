@@ -67,25 +67,89 @@ def invariance_residual(h: FiniteHypergroup, chi: Measure) -> float:
     return float(np.abs(_dirac_convolutions(h, chi.w) - chi.w).max())
 
 
+def _doeblin_margin(total: np.ndarray) -> float:
+    """alpha - epsilon for M = total.T / n, where total[u, t] = sum_s c[s, t, u]:
+    alpha = sum_u min_t M[t, u] is Doeblin's coefficient and epsilon =
+    max_t |sum_u M[t, u] - 1| how far M's rows are from mass 1.
+
+    For y of sum 0, M^T y = R^T y with R[t, u] = M[t, u] - min_t' M[t', u] >= 0,
+    so ||M^T y||_1 <= (1 + epsilon - alpha) ||y||_1 (Seneta 1981, ch. 3). Then
+    S = n (M^T - I) has ||S y||_2 >= sqrt(n) (alpha - epsilon) ||y||_2, and by
+    Courant-Fischer sigma_{n-2}(S) >= sqrt(n) (alpha - epsilon).
+    """
+    n = len(total)
+    return float(total.min(axis=1).sum() - np.abs(total.sum(axis=0) - n).max()) / n
+
+
+def _translation_sum(h: FiniteHypergroup) -> np.ndarray:
+    """total[u, t] = sum_s c[s, t, u], added over s in increasing order as a dense
+    c.sum(axis=0).T adds: S + n I for the invariance operator's block sum S."""
+    n, (_, t, u, v) = h.n, h.entries
+    return np.bincount(t * n + u, weights=v, minlength=n * n).reshape(n, n).T
+
+
+def _certified_solve(h: FiniteHypergroup, frobenius: float):
+    """The solve's mass-one weights, or None where the SVD path must decide.
+
+    When the Doeblin margin exceeds 2 _RANK_CUT ||A||_F, sigma_{n-2}(S) is above
+    twice the SVD path's cut on S, so that path's k is 1; the factor 2 is a
+    margin for rounding. S's null vector x is then one LU solve of
+    [[S, 1], [1^T, 0]] [x; l] = [0; 1], and it is returned when
+    ||A x|| <= _RANK_CUT ||A||_F / sqrt(n) ||x||, below the SVD path's
+    threshold, and no weight is below -AXIOM_TOL.
+    """
+    n = h.n
+    total = _translation_sum(h)
+    # read before n is taken off the diagonal: adding n back would not be exact
+    if _doeblin_margin(total) <= 2 * _RANK_CUT * frobenius:
+        return None
+    bordered = np.ones((n + 1, n + 1))
+    bordered[n, n] = 0.0
+    bordered[:n, :n] = total
+    del total
+    bordered[np.diag_indices(n)] -= n
+    rhs = np.zeros(n + 1)
+    rhs[n] = 1.0
+    try:
+        x = np.linalg.solve(bordered, rhs)[:n]
+    except np.linalg.LinAlgError:  # an exactly zero pivot
+        return None
+    del bordered  # (n+1)^2 floats; the O(nnz) temporaries of A x below set the peak without it
+    with np.errstate(all="ignore"):  # a nearly singular system may overflow; nan fails below
+        x /= x.sum()
+        ax = _dirac_convolutions(h, x)
+        ax -= x
+        residual = np.linalg.norm(ax) / np.linalg.norm(x)
+    if residual <= _RANK_CUT * frobenius / np.sqrt(n) and x.min() >= -AXIOM_TOL:
+        return x
+    return None
+
+
 def solve_invariance(h: FiniteHypergroup) -> Measure:
     """The left-invariant measure of mass 1, from the invariance operator's nullspace.
 
     The n^2 x n operator A has the blocks c[s].T - I in some row order (inv
     permutes the points). Its nullspace must be one-dimensional: that is the
     uniqueness certificate for the returned measure. A is never formed.
-    A x = 0 implies S x = 0 for the block sum S = sum_s (c[s].T - I), so
-    null(A) = B null(A B), with B an orthonormal basis of S's numerical
-    nullspace from one n x n SVD, and A B is c contracted with the k columns
-    of B. Singular values of A B up to _RANK_CUT * sigma_hat count
-    toward the nullity; sigma_hat is the largest of sigma_0(S) / sqrt(n),
-    sigma_0(A B) and ||A||_F / sqrt(n), each a lower bound on sigma_0(A).
-    S, A B and ||A||_F are sums over c's nnz entries, so this costs O(k nnz)
-    time and O(nnz + k n^2) memory besides two SVDs of n^2 floats, and k = 1
-    for a hypergroup. A weight below -AXIOM_TOL is refused with NegativeSolution;
-    smaller negative weights are clamped to 0.
+    A x = 0 implies S x = 0 for the block sum S = sum_s (c[s].T - I).
+
+    The certified path, _certified_solve, answers on the hypergroups: their
+    _doeblin_margin is positive, as every entry of M is (Jewett 1975). It
+    costs O(nnz) time for the sums and n^3 / 3 multiply-adds for one LU, in
+    O(nnz + n^2) memory.
+
+    Otherwise the SVD path decides: null(A) = B null(A B), with B an
+    orthonormal basis of S's numerical nullspace from one n x n SVD, and A B
+    is c contracted with the k columns of B. Singular values of A B up to
+    _RANK_CUT * sigma_hat count toward the nullity; sigma_hat is the largest
+    of sigma_0(S) / sqrt(n), sigma_0(A B) and ||A||_F / sqrt(n), each a lower
+    bound on sigma_0(A). S, A B and ||A||_F are sums over c's nnz entries, so
+    this costs O(k nnz) time and O(nnz + k n^2) memory besides two SVDs of n^2
+    floats. A weight below -AXIOM_TOL is refused with NegativeSolution;
+    smaller negative weights are clamped to 0, on either path.
 
     An ||A||_F that is not finite, as when c's squares overflow, is refused
-    with DegenerateNullspace before any SVD, which may not return on an
+    with DegenerateNullspace before any solve, and an SVD may not return on an
     infinite matrix. A finite ||A||_F is below sqrt of the largest float, and
     so is every entry of A; S and A B, sums of at most n such entries with
     weights of at most 1 in magnitude, are then finite too.
@@ -96,8 +160,10 @@ def solve_invariance(h: FiniteHypergroup) -> Measure:
     if not np.isfinite(frobenius):
         raise DegenerateNullspace("the invariance operator overflows: ||A||_F is not finite, "
                                   "so its nullspace cannot be decided")
-    # S[u, t] = sum_s c[s, t, u] - n [t == u], added over s in increasing order
-    block_sum = np.bincount(t * n + u, weights=v, minlength=n * n).reshape(n, n).T
+    x = _certified_solve(h, frobenius)
+    if x is not None:
+        return Measure(np.maximum(x, 0.0), nonneg=True)
+    block_sum = _translation_sum(h)
     block_sum[np.diag_indices(n)] -= n
     sv_s, vt = np.linalg.svd(block_sum)[1:]
     del block_sum  # n^2 floats; the O(nnz) temporaries of A B below set the peak without it
@@ -107,7 +173,7 @@ def solve_invariance(h: FiniteHypergroup) -> Measure:
     k = max(1, int(np.sum(sv_s <= np.sqrt(n) * _RANK_CUT * frobenius)))
     b = vt[n - k:]
     # row j of ab is column j of A B: sum_t b[j, t] c[s, t, u] - b[j, u] over (s, u)
-    ab = np.array([_dirac_convolutions(h, row).ravel() - np.tile(row, n) for row in b])
+    ab = np.array([(_dirac_convolutions(h, row) - row).ravel() for row in b])
     left, sv, _ = np.linalg.svd(ab, full_matrices=False)
     threshold = _RANK_CUT * max(sv_s[0] / np.sqrt(n), sv[0], frobenius / np.sqrt(n))
     nullity = int(np.sum(sv <= threshold))

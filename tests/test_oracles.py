@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperhaar import (
     DegenerateNullspace,
@@ -25,6 +27,8 @@ from hyperhaar import (
 from hyperhaar.core import AXIOM_TOL
 from hyperhaar.oracles import (
     _RANK_CUT,
+    _doeblin_margin,
+    _translation_sum,
     conjugacy_class_hypergroup,
     cosine_grid_hypergroup,
     cyclic_hypergroup,
@@ -260,6 +264,29 @@ def two_point(c1):
     return FiniteHypergroup(2, 0, [0, 1], np.stack([np.eye(2), c1]))
 
 
+def block_sum_zero():
+    """[I, Q, 2I - Q] with Q row-stochastic: it sums to 3I, so S = 0 and every
+    direction reaches the reduced operator."""
+    q = np.random.default_rng(5).uniform(0.1, 1.0, (3, 3))
+    q /= q.sum(axis=1, keepdims=True)
+    return FiniteHypergroup(3, 0, [0, 1, 2], np.stack([np.eye(3), q, 2 * np.eye(3) - q]))
+
+
+def doubly_stochastic_sum(seed):
+    """[I, P, Q, 3I - P - Q] with P, Q doubly stochastic: S is 0 up to rounding."""
+    perms = np.eye(4)[list(permutations(range(4)))]
+    rng = np.random.default_rng(seed)
+    p, q = (np.einsum("k,kij->ij", rng.dirichlet(np.ones(24)), perms) for _ in range(2))
+    return FiniteHypergroup(4, 0, [0, 1, 2, 3], np.stack([np.eye(4), p, q, 3 * np.eye(4) - p - q]))
+
+
+def no_fixed_vector():
+    """Two row-stochastic translations that share no fixed vector: the Doeblin
+    margin is 0.7, so S's nullity is certified, and A still has no null vector."""
+    return FiniteHypergroup(2, 0, [0, 1], np.array([[[0.9, 0.1], [0.1, 0.9]],
+                                                    [[0.2, 0.8], [0.4, 0.6]]]))
+
+
 class TestEntrySolve:
     """The solve over c's entries against the dense route it replaced: the
     same weights up to rounding, or the same refusal with the same message."""
@@ -292,17 +319,16 @@ class TestEntrySolve:
         lambda: two_point([[1.0 + 5e-10, 0.0], [1.0, 1.0]]),
         lambda: two_point([[1.0 + 2e-9, 0.0], [1.0, 1.0]]),
         lambda: two_point([[2.0, 1.0], [1.0, 2.0]]),
-    ], ids=["identity", "swap", "negative", "clamped", "refused", "massless"])
+        no_fixed_vector,
+        lambda: two_point([[1.2, -0.2], [0.3, 0.7]]),
+    ], ids=["identity", "swap", "negative", "clamped", "refused", "massless", "no-fixed-vector",
+            "certified-negative"])
     def test_degenerate_and_negative(self, make):
         self.check(make())
 
     def test_block_sum_rounding_noise(self):
-        perms = np.eye(4)[list(permutations(range(4)))]
         for seed in range(40):
-            rng = np.random.default_rng(seed)
-            p, q = (np.einsum("k,kij->ij", rng.dirichlet(np.ones(24)), perms) for _ in range(2))
-            self.check(FiniteHypergroup(4, 0, [0, 1, 2, 3],
-                                        np.stack([np.eye(4), p, q, 3 * np.eye(4) - p - q])))
+            self.check(doubly_stochastic_sum(seed))
 
     @pytest.mark.parametrize("eps", [1e-12, 1e-6])
     def test_perturbed(self, eps):
@@ -317,11 +343,9 @@ class TestBlockSumReduction:
     inputs are the ones where S alone says little."""
 
     def test_block_sum_zero(self):
-        # [I, Q, 2I - Q] sums to 3I, so S = 0 and every direction reaches the
-        # reduced operator; A x = 0 says Q^T x = x, one stationary vector
-        q = np.random.default_rng(5).uniform(0.1, 1.0, (3, 3))
-        q /= q.sum(axis=1, keepdims=True)
-        h = FiniteHypergroup(3, 0, [0, 1, 2], np.stack([np.eye(3), q, 2 * np.eye(3) - q]))
+        # A x = 0 says Q^T x = x, one stationary vector
+        h = block_sum_zero()
+        q = dense(h)[1]
         assert np.array_equal(dense(h).sum(axis=0), 3 * np.eye(3))
         _, nullity, x = dense_invariance(h)
         assert nullity == 1
@@ -330,15 +354,10 @@ class TestBlockSumReduction:
         np.testing.assert_allclose(got @ q, got, rtol=0, atol=1e-12)
 
     def test_block_sum_rounding_noise(self):
-        # [I, P, Q, 3I - P - Q] with P, Q doubly stochastic: S is 0 up to rounding,
-        # so a cut relative to sigma_0(S) alone would keep a random subspace
-        perms = np.eye(4)[list(permutations(range(4)))]
+        # a cut relative to sigma_0(S) alone would keep a random subspace
         noisy = 0
         for seed in range(40):
-            rng = np.random.default_rng(seed)
-            p, q = (np.einsum("k,kij->ij", rng.dirichlet(np.ones(24)), perms) for _ in range(2))
-            c = np.stack([np.eye(4), p, q, 3 * np.eye(4) - p - q])
-            h = FiniteHypergroup(4, 0, [0, 1, 2, 3], c)
+            h = doubly_stochastic_sum(seed)
             noisy += not np.array_equal(dense(h).sum(axis=0), 4 * np.eye(4))
             _, nullity, x = dense_invariance(h)
             assert nullity == 1
@@ -365,6 +384,109 @@ class TestBlockSumReduction:
             theta = np.linalg.norm(dense_operator(h) @ got) / np.linalg.norm(got) / sv[-2]
             bound = 1e-12 + 2 * (1 + np.sqrt(h.n)) * theta * np.linalg.norm(x)
             assert np.abs(got - x).max() <= bound
+
+
+def stochastic(n, seed):
+    """A nonnegative tensor with rows of mass 1, sparse for small Dirichlet weights."""
+    return np.random.default_rng(seed).dirichlet(np.full(n, 0.3), size=(n, n))
+
+
+def perturbed(name, log_eps, seed):
+    """A bundled tensor with every entry moved by up to 10**log_eps either way."""
+    c = dense(build_family(*BUNDLED[name]))
+    return c + 10.0 ** log_eps * np.random.default_rng(seed).uniform(-1.0, 1.0, c.shape)
+
+
+def signed(n, seed):
+    """A tensor with negative entries; its rows keep mass 1 for every other seed."""
+    rng = np.random.default_rng(seed)
+    c = stochastic(n, seed) + rng.uniform(-1.0, 1.0, (n, n, n))
+    return c - (c.sum(axis=2, keepdims=True) - 1.0) / n if seed % 2 else c
+
+
+seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
+sizes = st.integers(min_value=2, max_value=6)
+
+
+def svd_calls(monkeypatch):
+    """The shapes of the matrices np.linalg.svd is called on from here on."""
+    calls, svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+class TestCertifiedSolve:
+    """The Doeblin margin proves the block sum's numerical nullity at most 1,
+    and one bordered LU solve finds its null vector; every other input runs
+    the SVD path."""
+
+    @given(st.one_of(st.builds(stochastic, sizes, seeds),
+                     st.builds(perturbed, st.sampled_from(sorted(BUNDLED)),
+                               st.floats(min_value=-12.0, max_value=-3.0), seeds),
+                     st.builds(signed, sizes, seeds)))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_margin_bounds_second_smallest_singular_value(self, c):
+        n = len(c)
+        total = c.sum(axis=0).T
+        sv = np.linalg.svd(total - n * np.eye(n), compute_uv=False)
+        assert np.sqrt(n) * _doeblin_margin(total) <= sv[n - 2] + 1e-12 * (1.0 + sv[0])
+
+    def test_bundled_takes_certified_path(self, bundled, monkeypatch):
+        calls = svd_calls(monkeypatch)
+        solve_invariance(bundled)
+        assert calls == []
+
+    @pytest.mark.parametrize("family", ["cyclic", "cosine-grid"])
+    def test_256_takes_certified_path(self, family, monkeypatch):
+        h = build_family(family, "256")
+        calls = svd_calls(monkeypatch)
+        got = solve_invariance(h).w
+        assert calls == []
+        want = jewett_haar(h).w
+        np.testing.assert_allclose(got, want / want.sum(), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("make", [
+        identity_translations, swap_translations,
+        lambda: two_point([[1.5, 0.0], [1.0, 1.0]]),
+        lambda: two_point([[1.0 + 5e-10, 0.0], [1.0, 1.0]]),
+        block_sum_zero,
+        lambda: doubly_stochastic_sum(0),
+    ], ids=["identity", "swap", "negative", "clamped", "block-sum-zero", "block-sum-noise"])
+    def test_uncertified_inputs_take_svd_path(self, make, monkeypatch):
+        h = make()
+        assert _doeblin_margin(_translation_sum(h)) < 1e-12
+        calls = svd_calls(monkeypatch)
+        try:
+            solve_invariance(h)
+        except (DegenerateNullspace, NegativeSolution):
+            pass
+        assert calls[0] == (h.n, h.n)
+
+    @pytest.mark.parametrize("make,margin,error,message", [
+        (no_fixed_vector, 0.7, DegenerateNullspace,
+         "invariance nullspace has dimension 0, expected 1 (threshold 1e-08*sigma_hat = "
+         "1.030e-08; smallest singular values of the reduced operator 7.770e-02)"),
+        # c[1] fixes (3, -2) / 1, of mass 1; M = [[1.1, -0.1], [0.15, 0.85]]
+        (lambda: two_point([[1.2, -0.2], [0.3, 0.7]]), 0.05, NegativeSolution,
+         "weight 1 is -2, below -tol (tol = 1e-09)"),
+    ], ids=["no-fixed-vector", "negative"])
+    def test_certified_but_refused(self, make, margin, error, message, monkeypatch):
+        # the bordered solve declines, and the SVD path refuses as it always has
+        h = make()
+        assert _doeblin_margin(_translation_sum(h)) == pytest.approx(margin, abs=1e-15)
+        with pytest.raises(error) as want:
+            dense_solve_invariance(h)
+        assert str(want.value) == message
+        calls = svd_calls(monkeypatch)
+        with pytest.raises(error) as got:
+            solve_invariance(h)
+        assert str(got.value) == message
+        assert calls == [(2, 2), (1, 4)]
 
 
 class TestInvarianceResidual:
