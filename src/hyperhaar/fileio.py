@@ -15,9 +15,10 @@ parse_hypergroup(text) is the one authority on a document: it reads the lines
 above the first 'c' line one at a time and the 'c' block in one np.loadtxt
 call, and reads the whole document again line by line on any doubt, which
 alone writes an error.  The CLI reads a file with read_hypergroup(path): the
-text once, for the header and any fallback, and the 'c' block a second time,
-by np.loadtxt from the file itself, which numpy reads with its C reader
-instead of one Python line at a time.  Where that second read could differ
+text once, for the header and any fallback, and, in a document of 16 KB or
+more, the 'c' block a second time, by np.loadtxt from the file itself, which
+numpy reads with its C reader instead of one Python line at a time.  A
+shorter document is parsed from its text.  Where that second read could differ
 from the text (a pipe or a device, a file changed in between, a compressed
 name, or text on whose lines or fields numpy's tokenizer and str.splitlines /
 str.split disagree) the text goes to parse_hypergroup instead.
@@ -106,7 +107,8 @@ def parse_hypergroup(text: str) -> FiniteHypergroup:
 
 def read_hypergroup(path) -> FiniteHypergroup:
     """The document in the file at path: parse_hypergroup of its text, with
-    the 'c' block read a second time by np.loadtxt from the file itself.
+    the 'c' block of a document of _FILE_READ_BYTES or more read a second time
+    by np.loadtxt from the file itself.
 
     Only a regular file, unchanged between the two reads, is read twice; a
     pipe or a device is read once.  The name must not end in a suffix numpy
@@ -119,7 +121,8 @@ def read_hypergroup(path) -> FiniteHypergroup:
     with path.open() as f:
         before = os.fstat(f.fileno())
         text = f.read()
-    if (stat.S_ISREG(before.st_mode) and path.suffix not in _COMPRESSED and text.isascii()
+    if (len(text) >= _FILE_READ_BYTES and stat.S_ISREG(before.st_mode)
+            and path.suffix not in _COMPRESSED and text.isascii()
             and not any(ch in text for ch in _UNSPLIT)):
         # reading in text mode left '\n' the one line break, to StringIO and to numpy
         header = list(takewhile(lambda line: not _is_entry(line), io.StringIO(text)))
@@ -132,6 +135,11 @@ def read_hypergroup(path) -> FiniteHypergroup:
     return parse_hypergroup(text)
 
 
+# A shorter document is parsed from its text: np.loadtxt on a path pays numpy's
+# _datasource.open, which costs more than parsing the text up to about 20 KB
+# (0.4-0.86 of the file read's time up to 14.5 KB, one core of a 2-core x86-64).
+# The size is in bytes: the file read takes ASCII text only.
+_FILE_READ_BYTES = 2 ** 14
 # Read failures that send a document to the line-by-line reader.
 _DOUBT = (ParseError, ValueError, OSError, Warning)
 # Characters on which np.loadtxt and the line-by-line reader disagree in text

@@ -276,6 +276,44 @@ def blas_associativity(c):
     return worst, witness
 
 
+def rowwise_associativity(h):
+    """_associativity one left factor s at a time, with one n^3 accumulator: the
+    per-s loop the block shapes must reproduce bit for bit."""
+    n, (s_, t_, u_, val) = h.n, h.entries
+    if not np.isfinite(val).all():
+        i = int(np.argmin(np.isfinite(val)))
+        return np.nan, (int(s_[i]), int(t_[i]), int(u_[i]))
+    first = np.searchsorted(s_, np.arange(n + 1))
+    rv = t_ * n + u_
+    by_u = np.argsort(u_, kind="stable")
+    third = np.searchsorted(u_[by_u], np.arange(n + 1))
+    tr, val_u = (s_ * n + t_)[by_u] * n, val[by_u]
+    acc = np.zeros(n ** 3)
+    worst, witness = -np.inf, None
+    for s in range(n):
+        b, u, x = (a[first[s]:first[s + 1]] for a in (t_, u_, val))
+        k = first[u + 1] - first[u]
+        j = core._ranges(first[u], k)
+        left = np.repeat(b * n * n, k) + rv[j]
+        np.add.at(acc, left, np.repeat(x, k) * val[j])
+        k = third[b + 1] - third[b]
+        j = core._ranges(third[b], k)
+        right = tr[j] + np.repeat(u, k)
+        keys = np.concatenate([left, right])
+        lhs = acc[keys]
+        acc[left] = 0.0
+        np.add.at(acc, right, val_u[j] * np.repeat(x, k))
+        dev = np.abs(lhs - acc[keys])
+        acc[right] = 0.0
+        top = dev.max(initial=0.0)
+        if np.isnan(top):
+            dev[np.isnan(dev)] = top = np.inf
+        if top > worst:
+            key = core._first_key(keys, dev, top)
+            worst, witness = float(top), (s, *map(int, np.unravel_index(key, (n,) * 3)))
+    return worst, witness
+
+
 def assert_outcome(deva, tol, passed, worst, witness):
     """passed, worst and witness are what the dense deviation array deva gives."""
     top = float(deva.max())
@@ -416,6 +454,14 @@ class TestAssociativityStream:
         h = cosine_grid_hypergroup(n)
         assert self.validate_peak(h) < 2 * h.n ** 3 * 8
 
+    def test_peak_memory_bounded_by_the_block_budget(self):
+        # cyclic 256's n^3 floats are 8 budgets: the accumulator holds ranges of
+        # t, one budget, beside index arrays of O(nnz + n^2); the n^3
+        # accumulator peaked at 137 MB
+        h = cyclic_hypergroup(256)
+        assert h.n ** 3 > core._BLOCK_FLOATS
+        assert self.validate_peak(h) < 2 * 8 * core._BLOCK_FLOATS
+
 
 GRID64 = {
     "cyclic-64": lambda: cyclic_hypergroup(64),
@@ -450,6 +496,101 @@ class TestSparseAssociativity:
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
         assert (1, 2, 3) in zip(*got[:3]) and (0, 1, 2) not in zip(*got[:3])
+
+
+# The budgets that force each block shape of _associativity on n points; "budget"
+# keeps the real ones, which merge 4 or more s-rows a block at n <= 24.
+BLOCK_SHAPES = {
+    "budget": lambda n: {},
+    "merged-rows": lambda n: {"_CACHE_FLOATS": 3 * n ** 3},
+    "one-row": lambda n: {"_CACHE_FLOATS": 0},
+    "t-ranges-of-1": lambda n: {"_BLOCK_FLOATS": n * n},
+    "t-ranges-of-3": lambda n: {"_BLOCK_FLOATS": 3 * n * n},
+}
+
+
+def block_of(n, s, t):
+    """The block that holds the pair (s, t) under core's budgets: whole s-rows, or
+    one s and a range of t."""
+    if n ** 3 <= core._BLOCK_FLOATS:
+        return s // max(1, core._CACHE_FLOATS // n ** 3), 0
+    return s, t // max(1, core._BLOCK_FLOATS // n ** 2)
+
+
+def block_shapes(monkeypatch, n):
+    """Yield each name of BLOCK_SHAPES with core's budgets set to force it."""
+    for shape, budgets in BLOCK_SHAPES.items():
+        with monkeypatch.context() as m:
+            for name, value in budgets(n).items():
+                m.setattr(core, name, value)
+            yield shape
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def assert_rowwise_in_every_block_shape(monkeypatch, h):
+    worst, witness = rowwise_associativity(h)
+    for shape in block_shapes(monkeypatch, h.n):
+        got = _associativity(h)
+        assert got[1] == witness, shape
+        assert got[0] == worst or np.isnan(got[0]) and np.isnan(worst), shape
+
+
+def dirichlet_row(c, rng):
+    c = c.copy()
+    s, t = rng.integers(len(c), size=2)
+    c[s, t] = rng.dirichlet(np.ones(len(c)))
+    return c
+
+
+def non_finite_entry(c, rng):
+    c = c.copy()
+    c[tuple(rng.integers(len(c), size=3))] = rng.choice([np.nan, np.inf, -np.inf])
+    return c
+
+
+# the perturbations of TestAssociativityStream, on STREAM_BASES
+PERTURBATIONS = {
+    "filled-zeros": lambda c, rng: c + rng.uniform(0.0, 1e-3, c.shape),
+    "dirichlet-row": dirichlet_row,
+    "non-finite": non_finite_entry,
+    "overflow": lambda c, rng: c * 10.0 ** rng.choice([0, 200], size=c.shape),
+}
+
+
+class TestBlockShapes:
+    """_associativity over blocks of (s, t) pairs, in every shape the budgets
+    give, has the worst and witness of the per-s loop, bit for bit."""
+
+    @pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda spec: ":".join(spec))
+    @pytest.mark.parametrize("scaled", [False, True], ids=["exact", "scaled"])
+    def test_small_documents(self, monkeypatch, spec, scaled):
+        h = build_family(*spec)
+        if scaled:  # the nonzeros scaled, as in TestAssociativityStream
+            c = dense(h) * np.random.default_rng(0).uniform(0.9, 1.1, (h.n,) * 3)
+            h = FiniteHypergroup(h.n, h.e, h.inv, c)
+        assert_rowwise_in_every_block_shape(monkeypatch, h)
+
+    @pytest.mark.parametrize("perturb", sorted(PERTURBATIONS))
+    @pytest.mark.parametrize("name", sorted(STREAM_BASES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_perturbed_tensors(self, monkeypatch, perturb, name, seed):
+        h = STREAM_BASES[name]()
+        c = PERTURBATIONS[perturb](dense(h), np.random.default_rng(seed))
+        assert_rowwise_in_every_block_shape(monkeypatch, FiniteHypergroup(h.n, h.e, h.inv, c))
+
+    def test_exact_tie_across_a_block_boundary(self, monkeypatch):
+        # the tie of test_exact_tie_keeps_first_witness: s = 1, 2, 3, and t = 1,
+        # 2, 3 within s = 1
+        h = cyclic_hypergroup(4)
+        c = dense(h)
+        c[1, 1] = [0.0, 0.0, 0.5, 0.5]
+        deva = dense_deviation(c)
+        tied = np.argwhere(deva == deva.max())
+        h = FiniteHypergroup(4, 0, h.inv, c)
+        for shape in block_shapes(monkeypatch, h.n):
+            if shape != "budget":  # which puts all of Z4 in one block
+                assert len({block_of(4, s, t) for s, t, _, _ in tied}) > 1, shape
+            assert _associativity(h) == (0.5, tuple(tied[0]))
 
 
 def argmax_witness(arr):

@@ -566,7 +566,9 @@ def test_read_matches_parse_of_the_text(doc_path, doc):
     file's text: the same arrays byte for byte, or the same error class,
     line and message."""
     doc_path.write_bytes(doc.encode())
-    _assert_read_is_parse(doc_path, doc_path.read_text())
+    with pytest.MonkeyPatch.context() as m:  # the file read, however short the document
+        m.setattr(fileio, "_FILE_READ_BYTES", 0)
+        _assert_read_is_parse(doc_path, doc_path.read_text())
 
 
 @pytest.mark.parametrize("doc", [
@@ -577,7 +579,8 @@ def test_read_matches_parse_of_the_text(doc_path, doc):
     "hypergroup v1\nn 2\ne 0\ninv 0 1\nc 0 0 0 1\nc\0 1 1 1 1\n",
 ], ids=["grid", "no-entries", "formfeed-break", "formfeed-field", "nul-key"])
 @pytest.mark.parametrize("name", ["doc.hg", "doc.gz", "doc.xz"])
-def test_read_matches_parse_of_the_text_awkward(tmp_path, doc, name):
+def test_read_matches_parse_of_the_text_awkward(tmp_path, monkeypatch, doc, name):
+    monkeypatch.setattr(fileio, "_FILE_READ_BYTES", 0)
     path = tmp_path / name
     path.write_text(doc)
     _assert_read_is_parse(path, doc)
@@ -605,6 +608,7 @@ def _spy_loadtxt(monkeypatch, before=lambda: None):
 
 def test_read_takes_the_c_block_from_the_file(tmp_path, monkeypatch):
     """numpy reads a regular file's c block from the file, by name, past the header."""
+    monkeypatch.setattr(fileio, "_FILE_READ_BYTES", 0)
     path = tmp_path / "grid.hg"
     path.write_text(serialize_hypergroup(cosine_grid_hypergroup(6)))
     calls = _spy_loadtxt(monkeypatch)
@@ -615,6 +619,7 @@ def test_read_takes_the_c_block_from_the_file(tmp_path, monkeypatch):
 
 def test_read_of_a_file_that_changes_parses_the_text(tmp_path, monkeypatch):
     """A file rewritten between the two reads gives the first read's text."""
+    monkeypatch.setattr(fileio, "_FILE_READ_BYTES", 0)
     path = tmp_path / "theta.hg"
     text = serialize_hypergroup(theta_hypergroup(0.5))
     path.write_text(text)
@@ -622,6 +627,21 @@ def test_read_of_a_file_that_changes_parses_the_text(tmp_path, monkeypatch):
     h = read_hypergroup(path)
     assert calls[0] == (str(path), 4)
     np.testing.assert_array_equal(dense(h), dense(theta_hypergroup(0.5)))
+
+
+@pytest.mark.parametrize("n", [4, 64], ids=["cyclic-4", "cyclic-64"])
+def test_read_of_a_short_document_parses_its_text(tmp_path, monkeypatch, n):
+    """Below _FILE_READ_BYTES a document is parsed from its text, so numpy never
+    opens the file; at or above it the c block is read from the file."""
+    path = tmp_path / "doc.hg"
+    path.write_text(serialize_hypergroup(cyclic_hypergroup(n)))
+    calls = _spy_loadtxt(monkeypatch)
+    h = read_hypergroup(path)
+    short = path.stat().st_size < fileio._FILE_READ_BYTES
+    assert short == (n == 4)
+    # parse_hypergroup's bulk read hands np.loadtxt the lines, never the path
+    assert [rows == str(path) for rows, _ in calls] == [not short]
+    assert h.entries[3].tobytes() == parse_hypergroup(path.read_text()).entries[3].tobytes()
 
 
 @pytest.mark.parametrize("kind", ["fifo", "pipe"])
