@@ -24,7 +24,9 @@ name, or text on whose lines or fields numpy's tokenizer and str.splitlines /
 str.split disagree) the text goes to parse_hypergroup instead.
 
 write_hypergroup(h, out) writes a document to a text stream in blocks of
-'c' lines, so its memory does not grow with the document;
+'c' lines, so its memory does not grow with the document; a block's lines are
+gathered from byte cells of the index and value texts, NUL-padded to whole
+64-bit words, and written once their padding is dropped.
 serialize_hypergroup(h) is that writer into a string.
 """
 
@@ -256,22 +258,33 @@ _BLOCK = 2 ** 14
 def write_hypergroup(h: FiniteHypergroup, out: TextIO) -> None:
     """Write the sparse text form to out; floats at 17 significant digits.
 
-    The 'c' lines are formatted and written in blocks of _BLOCK (2^14) of c's
-    entries: each index is formatted once, and each distinct value once per
-    block, so the writer holds c's entries and one block of lines however long
-    the document is.
+    The 'c' lines are formed and written in blocks of _BLOCK (2^14) of c's
+    entries, one out.write a block.  Each index text is a cell, 'c <s> ' for
+    the first field and '<i> ' for t and u, formatted once; each distinct
+    value of a block is a cell '<v>\\n', formatted once per block.  A line is
+    its four cells, gathered as whole words, with their NUL padding dropped,
+    so the writer holds c's entries and one block of lines however long the
+    document is.
     """
     out.write(f"{_MAGIC}\nn {h.n}\ne {h.e}\ninv {' '.join(map(str, h.inv.tolist()))}\n")
-    names = [str(i) for i in range(h.n)]
+    first = _cells([f"c {i} " for i in range(h.n)])
+    names = _cells([f"{i} " for i in range(h.n)])
     for start in range(0, len(h.entries[3]), _BLOCK):
         block = slice(start, start + _BLOCK)
         listed = h.entries[3][block] != 0  # a parsed document may list zeros
         s, t, u, v = (a[block][listed] for a in h.entries)
         values, which = np.unique(v, return_inverse=True)
-        texts = [f"{x:.17g}" for x in values.tolist()]
-        rows = zip(s.tolist(), t.tolist(), u.tolist(), which.tolist())
-        out.write("".join([f"c {names[a]} {names[b]} {names[d]} {texts[k]}\n"
-                           for a, b, d, k in rows]))
+        texts = _cells([f"{x:.17g}\n" for x in values.tolist()])
+        lines = np.concatenate([first.take(s, axis=0), names.take(t, axis=0),
+                                names.take(u, axis=0), texts.take(which, axis=0)], axis=1)
+        out.write(lines.tobytes().translate(None, b"\0").decode("ascii"))
+
+
+def _cells(texts: list) -> np.ndarray:
+    """texts as rows of uint64 words: each text's ASCII bytes NUL-padded to
+    the longest text's length rounded up to a multiple of 8 bytes."""
+    width = -(-max(map(len, texts), default=1) // 8)
+    return np.array(texts, dtype=f"S{8 * width}").view(np.uint64).reshape(len(texts), width)
 
 
 def serialize_hypergroup(h: FiniteHypergroup) -> str:

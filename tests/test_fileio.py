@@ -21,7 +21,7 @@ from hyperhaar import (
 )
 from hyperhaar import fileio
 from hyperhaar.approx import ApproximantConfig, canonical_chain, haar_net
-from hyperhaar.core import Function, Measure
+from hyperhaar.core import MAX_N, Function, Measure
 from hyperhaar.fileio import write_hypergroup, write_trace_csv
 from hyperhaar.oracles import (conjugacy_class_hypergroup, cosine_grid_hypergroup,
                                cyclic_hypergroup, jewett_haar, solve_invariance,
@@ -186,12 +186,14 @@ class TestParse:
 
 
 def _per_entry_serialize(h):
-    """The text form written one numpy scalar at a time, as a reference."""
+    """The text form written one entry at a time, in (s, t, u) order, as a
+    reference; it reads c's entries, not a dense tensor, so it serves any n."""
     lines = ["hypergroup v1", f"n {h.n}", f"e {h.e}",
              "inv " + " ".join(str(int(x)) for x in h.inv)]
-    c = dense(h)
-    for s, t, u in zip(*np.nonzero(c)):
-        lines.append(f"c {s} {t} {u} {c[s, t, u]:.17g}")
+    s, t, u, value = (a.tolist() for a in h.entries)
+    for (a, b, d), v in sorted(zip(zip(s, t, u), value)):
+        if v != 0:
+            lines.append(f"c {a} {b} {d} {v:.17g}")
     return "\n".join(lines) + "\n"
 
 
@@ -260,9 +262,69 @@ class TestRoundTrip:
         monkeypatch.setattr(fileio, "_BLOCK", block)
         assert serialize_hypergroup(h) == _per_entry_serialize(h)
 
+    @pytest.mark.parametrize("top", [9, 99_999, 999_999, 1_000_000, MAX_N - 2])
+    def test_cells_match_per_entry_reference(self, top, monkeypatch):
+        """Index and value texts on either side of a cell's 8-byte boundaries,
+        in blocks of 1, 3 and 2^14 entries: 'c <s> ' is 8 bytes at s = 99 999
+        and '<i> ' at i = 1 000 000; the value cells '1234567\\n' and
+        '4.9406564584124654e-324\\n' (5e-324) fill whole words and
+        '-1.7976931348623157e+308\\n' spills into a fourth.  top is the
+        largest index; MAX_N - 2 is the largest that n allows."""
+        n, a, b, c, d = top + 1, 0, min(9, top - 2), top - 1, top
+        keys = [(a, a, a), (d, d, d), (b, c, a), (c, b, d), (d, a, b), (a, d, c),
+                (c, c, b), (b, b, d)]
+        finite = [1.0, 0.5, 1234567.0, 0.1, -1.7976931348623157e+308, 5e-324]
+        s, t, u = np.array(keys).T
+        h = FiniteHypergroup.from_entries(n, 0, np.arange(n), s, t, u,
+                                          finite + [math.nan, -math.inf])
+        reference = _per_entry_serialize(h)
+        for block in (1, 3, 2 ** 14):
+            monkeypatch.setattr(fileio, "_BLOCK", block)
+            assert serialize_hypergroup(h) == reference
+        # its finite lines read back bit for bit
+        again = parse_hypergroup("".join(line for line in reference.splitlines(True)
+                                         if not line.endswith(("nan\n", "inf\n"))))
+        h = FiniteHypergroup.from_entries(n, 0, np.arange(n), s[:6], t[:6], u[:6], finite)
+        assert (again.n, again.e) == (n, 0)
+        for x, y in zip(again.entries, h.entries):
+            assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 3, 2 ** 14])
+    def test_cells_match_per_entry_reference_n1(self, block, monkeypatch):
+        monkeypatch.setattr(fileio, "_BLOCK", block)
+        h = FiniteHypergroup(1, 0, [0], np.ones((1, 1, 1)))
+        doc = serialize_hypergroup(h)
+        assert doc == _per_entry_serialize(h) == "hypergroup v1\nn 1\ne 0\ninv 0\nc 0 0 0 1\n"
+        assert serialize_hypergroup(parse_hypergroup(doc)) == doc
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 2 ** 14])
+    def test_one_write_for_the_header_and_one_per_block(self, block, monkeypatch):
+        """A block whose listed values are all zero is written too, as ''."""
+        class Recording:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+        entries = {(0, 0, 0): 1.0, (0, 1, 1): 0.5, (0, 1, 2): 0.0, (0, 2, 0): -0.0,
+                   (1, 0, 1): 1.0, (2, 0, 2): 0.0, (2, 2, 2): 0.0}
+        s, t, u = np.array(list(entries)).T
+        h = FiniteHypergroup.from_entries(3, 0, [0, 2, 1], s, t, u, list(entries.values()))
+        monkeypatch.setattr(fileio, "_BLOCK", block)
+        out = Recording()
+        write_hypergroup(h, out)
+        assert len(out.writes) == 1 + math.ceil(len(entries) / block)
+        assert out.writes[0] == "hypergroup v1\nn 3\ne 0\ninv 0 2 1\n"
+        assert "".join(out.writes) == _per_entry_serialize(h)
+        values = list(entries.values())
+        for k, text in enumerate(out.writes[1:]):
+            assert (text == "") == (not any(values[k * block:(k + 1) * block]))
+
     def test_write_holds_one_block_of_lines(self):
         """Writing cosine-grid 512 (an 8.6 MB document) holds c's entries and
-        one block of lines; the whole text built first peaked at 97 MB."""
+        one block of lines, 2.3 MB at its peak; the whole text built first
+        peaked at 97 MB."""
         h = cosine_grid_hypergroup(512)
         with open(os.devnull, "w") as out:
             _, peak = traced_peak(write_hypergroup, h, out)
