@@ -27,8 +27,8 @@ __all__ = [
 ]
 
 
-# Singular values up to this fraction of the largest (or of a lower bound on
-# it) count toward the invariance nullspace.
+# The solve's relative bars: the Doeblin margin must exceed 2 * _RANK_CUT * ||A||_F,
+# and ||A x|| / ||x|| must be at most _RANK_CUT * ||A||_F / sqrt(n).
 _RANK_CUT = 1e-8
 
 
@@ -37,8 +37,9 @@ class H6Violation(Exception):
 
 
 class DegenerateNullspace(Exception):
-    """The invariance system does not have a one-dimensional solution space, or
-    overflows before its nullspace can be decided."""
+    """The invariance system is not certified to have a one-dimensional solution
+    space: its Doeblin margin or the residual of its null vector misses its bar,
+    or it overflows before its nullspace can be decided."""
 
 
 class NegativeSolution(Exception):
@@ -88,21 +89,42 @@ def _translation_sum(h: FiniteHypergroup) -> np.ndarray:
     return np.bincount(t * n + u, weights=v, minlength=n * n).reshape(n, n).T
 
 
-def _certified_solve(h: FiniteHypergroup, frobenius: float):
-    """The solve's mass-one weights, or None where the SVD path must decide.
+def solve_invariance(h: FiniteHypergroup) -> Measure:
+    """The left-invariant measure of mass 1, from the invariance operator's nullspace.
 
-    When the Doeblin margin exceeds 2 _RANK_CUT ||A||_F, sigma_{n-2}(S) is above
-    twice the SVD path's cut on S, so that path's k is 1; the factor 2 is a
-    margin for rounding. S's null vector x is then one LU solve of
-    [[S, 1], [1^T, 0]] [x; l] = [0; 1], and it is returned when
-    ||A x|| <= _RANK_CUT ||A||_F / sqrt(n) ||x||, below the SVD path's
-    threshold, and no weight is below -AXIOM_TOL.
+    The n^2 x n operator A has the blocks c[s].T - I in some row order (inv
+    permutes the points); it is never formed. Its nullspace must be
+    one-dimensional: that is the uniqueness certificate for the returned
+    measure. A x = 0 implies S x = 0 for the block sum S = sum_s (c[s].T - I).
+
+    The _doeblin_margin of M = (S.T + n I) / n certifies that S's numerical
+    nullity is at most 1 when it exceeds 2 _RANK_CUT ||A||_F; a hypergroup's
+    margin is positive, as every entry of M is (Jewett 1975). S's mass-one
+    null vector x is then one LU solve of [[S, 1], [1^T, 0]] [x; l] = [0; 1],
+    and x spans A's nullspace when ||A x|| <= _RANK_CUT ||A||_F / sqrt(n) ||x||.
+    Any other input is refused with DegenerateNullspace: a margin that is not
+    above the bar, NaN included, a singular bordered system, or a residual
+    above its bar. A weight below -AXIOM_TOL is refused with NegativeSolution;
+    smaller negative weights are clamped to 0. This costs O(nnz) time for the
+    sums and n^3 / 3 multiply-adds for the LU, in O(nnz + n^2) memory.
+
+    An ||A||_F that is not finite, as when c's squares overflow, is refused
+    first. A finite ||A||_F is below sqrt of the largest float, and so is every
+    entry of A; S, a sum of n such entries, is then finite too.
     """
-    n = h.n
+    n, (_, t, u, v) = h.n, h.entries
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        frobenius = np.sqrt(max(v @ v - 2.0 * v[t == u].sum() + n * n, 0.0))
+    if not np.isfinite(frobenius):
+        raise DegenerateNullspace("the invariance operator overflows: ||A||_F is not finite, "
+                                  "so its nullspace cannot be decided")
     total = _translation_sum(h)
     # read before n is taken off the diagonal: adding n back would not be exact
-    if _doeblin_margin(total) <= 2 * _RANK_CUT * frobenius:
-        return None
+    margin, bar = _doeblin_margin(total), 2 * _RANK_CUT * frobenius
+    if not margin > bar:
+        raise DegenerateNullspace(
+            f"Doeblin margin {margin:.3e} is not above {2 * _RANK_CUT:g}*||A||_F = {bar:.3e}, "
+            "so the invariance nullspace is not certified one-dimensional")
     bordered = np.ones((n + 1, n + 1))
     bordered[n, n] = 0.0
     bordered[:n, :n] = total
@@ -113,78 +135,19 @@ def _certified_solve(h: FiniteHypergroup, frobenius: float):
     try:
         x = np.linalg.solve(bordered, rhs)[:n]
     except np.linalg.LinAlgError:  # an exactly zero pivot
-        return None
+        raise DegenerateNullspace("the bordered invariance system [[S, 1], [1^T, 0]] is "
+                                  "singular, so no null vector of mass 1 is found") from None
     del bordered  # (n+1)^2 floats; the O(nnz) temporaries of A x below set the peak without it
-    with np.errstate(all="ignore"):  # a nearly singular system may overflow; nan fails below
+    with np.errstate(all="ignore"):  # a nearly singular system may overflow; nan is refused below
         x /= x.sum()
         ax = _dirac_convolutions(h, x)
         ax -= x
         residual = np.linalg.norm(ax) / np.linalg.norm(x)
-    if residual <= _RANK_CUT * frobenius / np.sqrt(n) and x.min() >= -AXIOM_TOL:
-        return x
-    return None
-
-
-def solve_invariance(h: FiniteHypergroup) -> Measure:
-    """The left-invariant measure of mass 1, from the invariance operator's nullspace.
-
-    The n^2 x n operator A has the blocks c[s].T - I in some row order (inv
-    permutes the points). Its nullspace must be one-dimensional: that is the
-    uniqueness certificate for the returned measure. A is never formed.
-    A x = 0 implies S x = 0 for the block sum S = sum_s (c[s].T - I).
-
-    The certified path, _certified_solve, answers on the hypergroups: their
-    _doeblin_margin is positive, as every entry of M is (Jewett 1975). It
-    costs O(nnz) time for the sums and n^3 / 3 multiply-adds for one LU, in
-    O(nnz + n^2) memory.
-
-    Otherwise the SVD path decides: null(A) = B null(A B), with B an
-    orthonormal basis of S's numerical nullspace from one n x n SVD, and A B
-    is c contracted with the k columns of B. Singular values of A B up to
-    _RANK_CUT * sigma_hat count toward the nullity; sigma_hat is the largest
-    of sigma_0(S) / sqrt(n), sigma_0(A B) and ||A||_F / sqrt(n), each a lower
-    bound on sigma_0(A). S, A B and ||A||_F are sums over c's nnz entries, so
-    this costs O(k nnz) time and O(nnz + k n^2) memory besides two SVDs of n^2
-    floats. A weight below -AXIOM_TOL is refused with NegativeSolution;
-    smaller negative weights are clamped to 0, on either path.
-
-    An ||A||_F that is not finite, as when c's squares overflow, is refused
-    with DegenerateNullspace before any solve, and an SVD may not return on an
-    infinite matrix. A finite ||A||_F is below sqrt of the largest float, and
-    so is every entry of A; S and A B, sums of at most n such entries with
-    weights of at most 1 in magnitude, are then finite too.
-    """
-    n, (_, t, u, v) = h.n, h.entries
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        frobenius = np.sqrt(max(v @ v - 2.0 * v[t == u].sum() + n * n, 0.0))
-    if not np.isfinite(frobenius):
-        raise DegenerateNullspace("the invariance operator overflows: ||A||_F is not finite, "
-                                  "so its nullspace cannot be decided")
-    x = _certified_solve(h, frobenius)
-    if x is not None:
-        return Measure(np.maximum(x, 0.0), nonneg=True)
-    block_sum = _translation_sum(h)
-    block_sum[np.diag_indices(n)] -= n
-    sv_s, vt = np.linalg.svd(block_sum)[1:]
-    del block_sum  # n^2 floats; the O(nnz) temporaries of A B below set the peak without it
-    # ||S x|| <= sqrt(n) ||A x||, so this cut keeps every direction that A's cut
-    # below can count, even where S is rounding noise; one column at least, so
-    # the nullity is always decided, and reported, on A B
-    k = max(1, int(np.sum(sv_s <= np.sqrt(n) * _RANK_CUT * frobenius)))
-    b = vt[n - k:]
-    # row j of ab is column j of A B: sum_t b[j, t] c[s, t, u] - b[j, u] over (s, u)
-    ab = np.array([(_dirac_convolutions(h, row) - row).ravel() for row in b])
-    left, sv, _ = np.linalg.svd(ab, full_matrices=False)
-    threshold = _RANK_CUT * max(sv_s[0] / np.sqrt(n), sv[0], frobenius / np.sqrt(n))
-    nullity = int(np.sum(sv <= threshold))
-    if nullity != 1:
-        smallest = ", ".join(f"{sigma:.3e}" for sigma in sv[::-1][:3])
+    bar = _RANK_CUT * frobenius / np.sqrt(n)
+    if not residual <= bar:
         raise DegenerateNullspace(
-            f"invariance nullspace has dimension {nullity}, expected 1 "
-            f"(threshold {_RANK_CUT:g}*sigma_hat = {threshold:.3e}; "
-            f"smallest singular values of the reduced operator {smallest})")
-    x = b.T @ left[:, -1]
-    x /= x.sum()
+            f"invariance residual ||A x||/||x|| = {residual:.3e} is above "
+            f"{_RANK_CUT:g}*||A||_F/sqrt(n) = {bar:.3e}: the translations share no fixed vector")
     worst = int(np.argmin(x))
     if x[worst] < -AXIOM_TOL:
         raise NegativeSolution(

@@ -379,17 +379,19 @@ def test_non_ascii_entry_is_one_line_diagnosis(tmp_path):
 
 # theta = 0: dirac_1 * dirac_1 = dirac_1, so (dirac_1 * dirac_1)(e) = 0 (H6 fails)
 THETA0_DOC = "hypergroup v1\nn 2\ne 0\ninv 0 1\nc 0 0 0 1\nc 0 1 1 1\nc 1 0 1 1\nc 1 1 1 1\n"
-# every left translation is the identity map: the invariance nullspace is 2-d
+# every left translation is the identity map: the invariance nullspace is 2-d, and
+# the Doeblin margin is 0
 IDENTITY_TRANSLATIONS_DOC = ("hypergroup v1\nn 2\ne 0\ninv 0 1\n"
                              "c 0 0 0 1\nc 1 0 0 1\nc 0 1 1 1\nc 1 1 1 1\n")
-# c[1] is not row-stochastic; the mass-one invariance solution is (2, -1)
-NEGATIVE_DOC = ("hypergroup v1\nn 2\ne 0\ninv 0 1\n"
-                "c 0 0 0 1\nc 0 1 1 1\nc 1 0 0 1.5\nc 1 1 0 1\nc 1 1 1 1\n")
+# c[1] = [[1.2, -0.2], [0.3, 0.7]] has rows of mass 1 and the Doeblin margin 0.05;
+# the mass-one invariance solution is (3, -2)
+NEGATIVE_DOC = ("hypergroup v1\nn 2\ne 0\ninv 0 1\nc 0 0 0 1\nc 0 1 1 1\n"
+                "c 1 0 0 1.2\nc 1 0 1 -0.2\nc 1 1 0 0.3\nc 1 1 1 0.7\n")
 # dirac_1 * dirac_e != dirac_1 (H4 fails): the chain runs, but its limit is not invariant
 NOT_INVARIANT_DOC = ("hypergroup v1\nn 2\ne 0\ninv 0 1\nc 0 0 0 1\nc 0 1 1 1\n"
                      "c 1 0 0 0.2\nc 1 0 1 0.8\nc 1 1 0 0.5\nc 1 1 1 0.5\n")
 # Z3 with four masses at 1e308 (not a hypergroup): ||A||_F and the block sum
-# overflow, and an SVD of that block sum does not return
+# overflow, and a factorization of that block sum need not return
 HANG_DOC = ("hypergroup v1\nn 3\ne 0\ninv 0 2 1\nc 0 0 0 1e308\nc 0 1 1 1e308\nc 0 2 2 1\n"
             "c 1 0 0 1e308\nc 1 0 1 1\nc 1 1 2 1\nc 1 2 0 1\nc 2 0 2 1\nc 2 1 0 1\n"
             "c 2 1 1 1e308\nc 2 2 1 1\n")
@@ -414,11 +416,10 @@ MOVED_IDENTITY_DOC = THREE_CYCLE_DOC.replace("inv 1 2 0", "inv 1 0 2")
      "H6Violation: (dirac_1 * dirac_1)(e) = 0.0 <= 0"),
     (THETA0_DOC, ("check-lemmas",), "ZeroDenominator: (mu0 * g)(1) = 0.0 <= 0"),
     (IDENTITY_TRANSLATIONS_DOC, ("haar", "--method", "solve"),
-     "DegenerateNullspace: invariance nullspace has dimension 2, expected 1 (threshold "
-     "1e-08*sigma_hat = 0.000e+00; smallest singular values of the reduced operator "
-     "0.000e+00, 0.000e+00)"),
+     "DegenerateNullspace: Doeblin margin 0.000e+00 is not above 2e-08*||A||_F = 0.000e+00, "
+     "so the invariance nullspace is not certified one-dimensional"),
     (NEGATIVE_DOC, ("haar", "--method", "solve"),
-     "NegativeSolution: weight 1 is -1, below -tol (tol = 1e-09)"),
+     "NegativeSolution: weight 1 is -2, below -tol (tol = 1e-09)"),
     (HANG_DOC, ("haar", "--method", "solve"), OVERFLOW_REFUSAL),
     (OVERFLOW_DOC, ("haar", "--method", "solve"), OVERFLOW_REFUSAL),
     (NOT_INVARIANT_DOC, ("haar", "--method", "net"),

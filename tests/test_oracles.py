@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperhaar import (
@@ -121,47 +121,54 @@ class TestSolveInvariance:
         assert solve_invariance(bundled).w.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_nullspace(self):
-        with pytest.raises(DegenerateNullspace, match=(
-                r"^invariance nullspace has dimension 2, expected 1 \(threshold "
-                r"1e-08\*sigma_hat = 0\.000e\+00; smallest singular values of the "
-                r"reduced operator 0\.000e\+00, 0\.000e\+00\)$")):
+        # every translation is the identity map: A = 0, M = I and the margin is 0
+        message = ("Doeblin margin 0.000e+00 is not above 2e-08*||A||_F = 0.000e+00, so the "
+                   "invariance nullspace is not certified one-dimensional")
+        with pytest.raises(DegenerateNullspace, match=f"^{re.escape(message)}$"):
             solve_invariance(identity_translations())
 
     def test_degenerate_nullspace_names_threshold_and_spectrum_head(self):
-        # S = 2 (swap - I) has sigma_0 = 4, so sigma_hat = 4 / sqrt 3; the reduced
-        # operator has two columns, the nullspace itself, and both values vanish
-        pattern = (r"^invariance nullspace has dimension 2, expected 1 \(threshold "
-                   r"1e-08\*sigma_hat = 2\.309e-08; smallest singular values of the "
-                   r"reduced operator (\S+), (\S+)\)$")
+        # ||A||_F = sqrt 8 sets the bar; the margin named bounds sigma_1(S) / sqrt 3
+        # from below, and S = 2 (swap - I) has sigma_0 = 4 and sigma_1 = sigma_2 = 0
+        h = swap_translations()
+        pattern = (r"^Doeblin margin (\S+) is not above 2e-08\*\|\|A\|\|_F = 5\.657e-08, so "
+                   r"the invariance nullspace is not certified one-dimensional$")
         with pytest.raises(DegenerateNullspace, match=pattern) as info:
-            solve_invariance(swap_translations())
-        head = re.match(pattern, str(info.value)).groups()
-        assert all(float(v) < 1e-12 for v in head)
+            solve_invariance(h)
+        margin = float(re.match(pattern, str(info.value)).group(1))
+        sv = np.linalg.svd(dense(h).sum(axis=0).T - 3 * np.eye(3), compute_uv=False)
+        np.testing.assert_allclose(sv, [4.0, 0.0, 0.0], rtol=0, atol=1e-15)
+        assert margin <= sv[1] / np.sqrt(3)
 
     def test_negative_solution(self):
-        # c[1] is not row-stochastic; the operator's only nonzero row is
-        # 0.5 x0 + x1 = 0, so the mass-one solution is (2, -1)
-        c = np.stack([np.eye(2), [[1.5, 0.0], [1.0, 1.0]]])
+        # c[1] has rows of mass 1 and the Doeblin margin 0.05; its one fixed vector
+        # of mass 1 is (3, -2)
         with pytest.raises(NegativeSolution,
-                           match=r"^weight 1 is -1, below -tol \(tol = 1e-09\)$"):
-            solve_invariance(FiniteHypergroup(2, 0, [0, 1], c))
+                           match=r"^weight 1 is -2, below -tol \(tol = 1e-09\)$"):
+            solve_invariance(two_point([[1.2, -0.2], [0.3, 0.7]]))
+        # c[1] is not row-stochastic: the operator's only nonzero row is
+        # 0.5 x0 + x1 = 0, so the mass-one solution is (2, -1), but the margin
+        # is 0 and the input is refused before any solve
+        with pytest.raises(DegenerateNullspace, match=r"^Doeblin margin 0\.000e\+00 is not above"):
+            solve_invariance(two_point([[1.5, 0.0], [1.0, 1.0]]))
 
     @pytest.mark.parametrize("excess", [5e-10, 2e-9], ids=["clamped", "refused"])
     def test_clamp_at_axiom_tolerance(self, excess):
-        # as above with 1 + excess for 1.5: the solution is (1, -excess) / (1 - excess),
-        # its second weight clamped to 0 within AXIOM_TOL and refused beyond it
-        c = np.stack([np.eye(2), [[1.0 + excess, 0.0], [1.0, 1.0]]])
-        h = FiniteHypergroup(2, 0, [0, 1], c)
+        # c[1] = [[1 + p, -p], [1, 0]] has rows of mass 1 and the margin (1 - p) / 2;
+        # it fixes (1, -p) / (1 - p), whose second weight is clamped to 0 within
+        # AXIOM_TOL and refused beyond it
+        h = two_point([[1.0 + excess, -excess], [1.0, 0.0]])
         if excess < AXIOM_TOL:
             np.testing.assert_allclose(solve_invariance(h).w, [1.0 / (1.0 - excess), 0.0],
                                        rtol=1e-12)
         else:
-            with pytest.raises(NegativeSolution, match=r"below -tol \(tol = 1e-09\)$"):
+            with pytest.raises(NegativeSolution,
+                               match=r"^weight 1 is -2e-09, below -tol \(tol = 1e-09\)$"):
                 solve_invariance(h)
 
     def test_infinite_tensor_refused_before_any_svd(self):
-        # Z3 with c[0, 0, 0] = c[0, 1, 1] = inf: an SVD of its infinite block sum
-        # need not return, so the solve runs in a fresh interpreter with a timeout
+        # Z3 with c[0, 0, 0] = c[0, 1, 1] = inf: a factorization of its infinite block
+        # sum need not return, so the solve runs in a fresh interpreter with a timeout
         code = ("import numpy as np\n"
                 "from hyperhaar import DegenerateNullspace, FiniteHypergroup, solve_invariance\n"
                 "from hyperhaar.oracles import cyclic_hypergroup\n"
@@ -184,10 +191,10 @@ class TestSolveInvariance:
 
     def test_null_vector_without_mass_refused(self):
         # c[1].T - I = [[1, 1], [1, 1]]: the only null vector is (1, -1), of mass 0,
-        # so no mass-one solution exists (the stacked least squares gives (1/6, 1/6))
-        c = np.stack([np.eye(2), [[2.0, 1.0], [1.0, 2.0]]])
-        with pytest.raises(NegativeSolution):
-            solve_invariance(FiniteHypergroup(2, 0, [0, 1], c))
+        # so no mass-one solution exists (the stacked least squares gives (1/6, 1/6));
+        # the rows of c[1] have mass 3, and the margin 0 refuses it
+        with pytest.raises(DegenerateNullspace, match=r"^Doeblin margin 0\.000e\+00 is not above"):
+            solve_invariance(two_point([[2.0, 1.0], [1.0, 2.0]]))
 
 
 class TestStreamedSolve:
@@ -287,105 +294,6 @@ def no_fixed_vector():
                                                     [[0.2, 0.8], [0.4, 0.6]]]))
 
 
-class TestEntrySolve:
-    """The solve over c's entries against the dense route it replaced: the
-    same weights up to rounding, or the same refusal with the same message."""
-
-    @staticmethod
-    def check(h):
-        try:
-            want = dense_solve_invariance(h)
-        except (DegenerateNullspace, NegativeSolution) as exc:
-            with pytest.raises(type(exc)) as got:
-                solve_invariance(h)
-            assert str(got.value) == str(exc)
-            return
-        got = solve_invariance(h).w
-        np.testing.assert_allclose(got, want.w, rtol=1e-14, atol=0)
-
-    def test_bundled(self, bundled):
-        self.check(bundled)
-
-    @pytest.mark.parametrize("family,param", [
-        ("cyclic", "12"), ("cosine-grid", "16"), ("conj-class", "s4"),
-        ("product", "cyclic:3,cosine-grid:4"), ("cyclic", "64"), ("cosine-grid", "64"),
-    ])
-    def test_larger_families(self, family, param):
-        self.check(build_family(family, param))
-
-    @pytest.mark.parametrize("make", [
-        identity_translations, swap_translations,
-        lambda: two_point([[1.5, 0.0], [1.0, 1.0]]),
-        lambda: two_point([[1.0 + 5e-10, 0.0], [1.0, 1.0]]),
-        lambda: two_point([[1.0 + 2e-9, 0.0], [1.0, 1.0]]),
-        lambda: two_point([[2.0, 1.0], [1.0, 2.0]]),
-        no_fixed_vector,
-        lambda: two_point([[1.2, -0.2], [0.3, 0.7]]),
-    ], ids=["identity", "swap", "negative", "clamped", "refused", "massless", "no-fixed-vector",
-            "certified-negative"])
-    def test_degenerate_and_negative(self, make):
-        self.check(make())
-
-    def test_block_sum_rounding_noise(self):
-        for seed in range(40):
-            self.check(doubly_stochastic_sum(seed))
-
-    @pytest.mark.parametrize("eps", [1e-12, 1e-6])
-    def test_perturbed(self, eps):
-        base = build_family("conj-class", "s3")
-        for seed in range(10):
-            noise = np.random.default_rng(seed).standard_normal((base.n,) * 3)
-            self.check(FiniteHypergroup(base.n, base.e, base.inv, dense(base) + eps * noise))
-
-
-class TestBlockSumReduction:
-    """The solve reduces A through its block sum S = sum_s (c[s].T - I); these
-    inputs are the ones where S alone says little."""
-
-    def test_block_sum_zero(self):
-        # A x = 0 says Q^T x = x, one stationary vector
-        h = block_sum_zero()
-        q = dense(h)[1]
-        assert np.array_equal(dense(h).sum(axis=0), 3 * np.eye(3))
-        _, nullity, x = dense_invariance(h)
-        assert nullity == 1
-        got = solve_invariance(h).w
-        np.testing.assert_allclose(got, x, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(got @ q, got, rtol=0, atol=1e-12)
-
-    def test_block_sum_rounding_noise(self):
-        # a cut relative to sigma_0(S) alone would keep a random subspace
-        noisy = 0
-        for seed in range(40):
-            h = doubly_stochastic_sum(seed)
-            noisy += not np.array_equal(dense(h).sum(axis=0), 4 * np.eye(4))
-            _, nullity, x = dense_invariance(h)
-            assert nullity == 1
-            np.testing.assert_allclose(solve_invariance(h).w, x, rtol=0, atol=1e-12)
-        assert noisy > 0
-
-    @pytest.mark.parametrize("eps", [1e-12, 1e-10, 1e-6, 1e-3])
-    @pytest.mark.parametrize("name", ["Z4", "S3-classes"])
-    def test_perturbed_matches_dense(self, name, eps):
-        base = build_family(*BUNDLED[name])
-        for seed in range(10):
-            noise = np.random.default_rng(seed).standard_normal((base.n,) * 3)
-            h = FiniteHypergroup(base.n, base.e, base.inv, dense(base) + eps * noise)
-            sv, nullity, x = dense_invariance(h)
-            if nullity != 1:
-                with pytest.raises(DegenerateNullspace, match=f"dimension {nullity},"):
-                    solve_invariance(h)
-                continue
-            got = solve_invariance(h).w
-            # A has no exact null vector here: the reduced solve returns S's, the
-            # reference A's least-squares one; by the residual over the gap their
-            # angle is at most theta, which moves mass-one weights by at most
-            # (1 + sqrt n) theta |x|_2 to first order
-            theta = np.linalg.norm(dense_operator(h) @ got) / np.linalg.norm(got) / sv[-2]
-            bound = 1e-12 + 2 * (1 + np.sqrt(h.n)) * theta * np.linalg.norm(x)
-            assert np.abs(got - x).max() <= bound
-
-
 def stochastic(n, seed):
     """A nonnegative tensor with rows of mass 1, sparse for small Dirichlet weights."""
     return np.random.default_rng(seed).dirichlet(np.full(n, 0.3), size=(n, n))
@@ -408,6 +316,140 @@ seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 sizes = st.integers(min_value=2, max_value=6)
 
 
+class TestEntrySolve:
+    """The solve over c's entries against the dense route it replaced, one way:
+    where the solve answers, the reference gives the same weights up to
+    rounding, and where the reference refuses, so does the solve. The solve
+    also refuses tensors that are not hypergroups and that the reference
+    answers."""
+
+    @staticmethod
+    def check(h):
+        """solve_invariance's weights, or None where it refuses, checked against
+        dense_solve_invariance."""
+        try:
+            want = dense_solve_invariance(h).w
+        except (DegenerateNullspace, NegativeSolution):
+            want = None
+        try:
+            got = solve_invariance(h).w
+        except (DegenerateNullspace, NegativeSolution):
+            return None
+        assert want is not None
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        return got
+
+    def test_bundled(self, bundled):
+        assert self.check(bundled) is not None
+
+    @pytest.mark.parametrize("family,param", [
+        ("cyclic", "12"), ("cosine-grid", "16"), ("conj-class", "s4"),
+        ("product", "cyclic:3,cosine-grid:4"), ("cyclic", "64"), ("cosine-grid", "64"),
+    ])
+    def test_larger_families(self, family, param):
+        assert self.check(build_family(family, param)) is not None
+
+    @pytest.mark.parametrize("make,refusal", [
+        (identity_translations, "Doeblin margin"),
+        (swap_translations, "Doeblin margin"),
+        (lambda: two_point([[1.5, 0.0], [1.0, 1.0]]), "Doeblin margin"),
+        (lambda: two_point([[1.0 + 5e-10, 0.0], [1.0, 1.0]]), "Doeblin margin"),
+        (lambda: two_point([[1.0 + 2e-9, 0.0], [1.0, 1.0]]), "Doeblin margin"),
+        (lambda: two_point([[2.0, 1.0], [1.0, 2.0]]), "Doeblin margin"),
+        (no_fixed_vector, "invariance residual"),
+        (lambda: two_point([[1.2, -0.2], [0.3, 0.7]]), "weight 1 is -2,"),
+    ], ids=["identity", "swap", "negative", "clamped", "refused", "massless", "no-fixed-vector",
+            "certified-negative"])
+    def test_degenerate_and_negative(self, make, refusal):
+        # the first six have the Doeblin margin 0; the reference answers "clamped"
+        h = make()
+        assert self.check(h) is None
+        with pytest.raises((DegenerateNullspace, NegativeSolution), match=f"^{refusal}"):
+            solve_invariance(h)
+
+    def test_block_sum_rounding_noise(self):
+        # the reference answers; M = I up to rounding, so the margin refuses
+        for seed in range(40):
+            h = doubly_stochastic_sum(seed)
+            assert self.check(h) is None
+            with pytest.raises(DegenerateNullspace, match="^Doeblin margin"):
+                solve_invariance(h)
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-6])
+    def test_perturbed(self, eps):
+        # noise of 1e-6 leaves entries of -1e-6 and no common fixed vector: the
+        # reference answers, and the residual refuses
+        base = build_family("conj-class", "s3")
+        for seed in range(10):
+            noise = np.random.default_rng(seed).standard_normal((base.n,) * 3)
+            h = FiniteHypergroup(base.n, base.e, base.inv, dense(base) + eps * noise)
+            got = self.check(h)
+            if eps < AXIOM_TOL:
+                assert got is not None
+                continue
+            assert got is None
+            with pytest.raises(DegenerateNullspace, match="^invariance residual"):
+                solve_invariance(h)
+
+    @given(st.sampled_from(sorted(BUNDLED)), st.floats(min_value=-16.0, max_value=-10.0), seeds)
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_validated_tensors_answer(self, name, log_eps, seed):
+        # every entry moved by up to 1e-10, zeros included: a tensor validate
+        # accepts is certified, and its weights are the bundled family's up to
+        # the perturbation
+        base = build_family(*BUNDLED[name])
+        h = FiniteHypergroup(base.n, base.e, base.inv, perturbed(name, log_eps, seed))
+        assume(validate(h).passed)
+        got = solve_invariance(h).w
+        np.testing.assert_allclose(got, solve_invariance(base).w, rtol=0, atol=1e-8)
+
+
+class TestBlockSumReduction:
+    """The solve reduces A through its block sum S = sum_s (c[s].T - I); these
+    inputs are the ones where S alone says little."""
+
+    def test_block_sum_zero(self):
+        # A x = 0 says Q^T x = x, one stationary vector; but 2I - Q is signed, M = I,
+        # and the margin 0 refuses the tensor
+        h = block_sum_zero()
+        assert np.array_equal(dense(h).sum(axis=0), 3 * np.eye(3))
+        assert dense_invariance(h)[1] == 1
+        with pytest.raises(DegenerateNullspace, match="^Doeblin margin 0.000e"):
+            solve_invariance(h)
+
+    def test_block_sum_rounding_noise(self):
+        # S is 0 up to rounding, and the margin refuses every seed
+        noisy = 0
+        for seed in range(40):
+            h = doubly_stochastic_sum(seed)
+            noisy += not np.array_equal(dense(h).sum(axis=0), 4 * np.eye(4))
+            assert dense_invariance(h)[1] == 1
+            with pytest.raises(DegenerateNullspace, match="^Doeblin margin"):
+                solve_invariance(h)
+        assert noisy > 0
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-10, 1e-6, 1e-3])
+    @pytest.mark.parametrize("name", ["Z4", "S3-classes"])
+    def test_perturbed_matches_dense(self, name, eps):
+        base = build_family(*BUNDLED[name])
+        for seed in range(10):
+            noise = np.random.default_rng(seed).standard_normal((base.n,) * 3)
+            h = FiniteHypergroup(base.n, base.e, base.inv, dense(base) + eps * noise)
+            sv, nullity, x = dense_invariance(h)
+            if nullity != 1:
+                with pytest.raises(DegenerateNullspace, match="^invariance residual"):
+                    solve_invariance(h)
+                continue
+            got = solve_invariance(h).w
+            # A has no exact null vector here: the solve returns S's, the
+            # reference A's least-squares one; by the residual over the gap their
+            # angle is at most theta, which moves mass-one weights by at most
+            # (1 + sqrt n) theta |x|_2 to first order
+            theta = np.linalg.norm(dense_operator(h) @ got) / np.linalg.norm(got) / sv[-2]
+            bound = 1e-12 + 2 * (1 + np.sqrt(h.n)) * theta * np.linalg.norm(x)
+            assert np.abs(got - x).max() <= bound
+
+
 def svd_calls(monkeypatch):
     """The shapes of the matrices np.linalg.svd is called on from here on."""
     calls, svd = [], np.linalg.svd
@@ -422,8 +464,8 @@ def svd_calls(monkeypatch):
 
 class TestCertifiedSolve:
     """The Doeblin margin proves the block sum's numerical nullity at most 1,
-    and one bordered LU solve finds its null vector; every other input runs
-    the SVD path."""
+    and one bordered LU solve finds its null vector; every other input is
+    refused, and no path computes an SVD."""
 
     @given(st.one_of(st.builds(stochastic, sizes, seeds),
                      st.builds(perturbed, st.sampled_from(sorted(BUNDLED)),
@@ -458,35 +500,45 @@ class TestCertifiedSolve:
         lambda: doubly_stochastic_sum(0),
     ], ids=["identity", "swap", "negative", "clamped", "block-sum-zero", "block-sum-noise"])
     def test_uncertified_inputs_take_svd_path(self, make, monkeypatch):
+        # there is no SVD path: the margin refuses these inputs without one
         h = make()
         assert _doeblin_margin(_translation_sum(h)) < 1e-12
         calls = svd_calls(monkeypatch)
-        try:
+        with pytest.raises(DegenerateNullspace, match="^Doeblin margin .* is not above 2e-08"):
             solve_invariance(h)
-        except (DegenerateNullspace, NegativeSolution):
-            pass
-        assert calls[0] == (h.n, h.n)
+        assert calls == []
 
     @pytest.mark.parametrize("make,margin,error,message", [
         (no_fixed_vector, 0.7, DegenerateNullspace,
-         "invariance nullspace has dimension 0, expected 1 (threshold 1e-08*sigma_hat = "
-         "1.030e-08; smallest singular values of the reduced operator 7.770e-02)"),
+         "invariance residual ||A x||/||x|| = 7.770e-02 is above 1e-08*||A||_F/sqrt(n) = "
+         "9.055e-09: the translations share no fixed vector"),
         # c[1] fixes (3, -2) / 1, of mass 1; M = [[1.1, -0.1], [0.15, 0.85]]
         (lambda: two_point([[1.2, -0.2], [0.3, 0.7]]), 0.05, NegativeSolution,
          "weight 1 is -2, below -tol (tol = 1e-09)"),
     ], ids=["no-fixed-vector", "negative"])
     def test_certified_but_refused(self, make, margin, error, message, monkeypatch):
-        # the bordered solve declines, and the SVD path refuses as it always has
+        # the margin certifies S, and the bordered solve's null vector is refused;
+        # the reference refuses with the same class
         h = make()
         assert _doeblin_margin(_translation_sum(h)) == pytest.approx(margin, abs=1e-15)
-        with pytest.raises(error) as want:
+        with pytest.raises(error):
             dense_solve_invariance(h)
-        assert str(want.value) == message
         calls = svd_calls(monkeypatch)
         with pytest.raises(error) as got:
             solve_invariance(h)
         assert str(got.value) == message
-        assert calls == [(2, 2), (1, 4)]
+        assert calls == []
+
+    def test_singular_bordered_system_refused(self, monkeypatch):
+        # an exactly zero LU pivot, which np.linalg.solve reports, is refused in one line
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        message = ("the bordered invariance system [[S, 1], [1^T, 0]] is singular, so no "
+                   "null vector of mass 1 is found")
+        with pytest.raises(DegenerateNullspace, match=f"^{re.escape(message)}$"):
+            solve_invariance(theta_hypergroup(0.5))
 
 
 class TestInvarianceResidual:
