@@ -36,11 +36,13 @@ def identity_suite(h: FiniteHypergroup, rng: np.random.Generator,
     checked on random signed measures and functions.
 
     Trials are stacked into blocks of b rows, b set by _BLOCK_FLOATS (a trial
-    holds at most two n x n contractions, or a contraction and the product of
-    one slab of c, and 48 n-vectors), and each block is drawn as one (b, 4, n)
-    array: the same generator stream as drawing mu, nu, sigma and f one trial
-    at a time.  A NaN on either side of an identity makes its worst NaN, which
-    fails.
+    holds at most two n x n contractions and 48 n-vectors), and each block is
+    drawn as one (b, 4, n) array: the same generator stream as drawing mu, nu,
+    sigma and f one trial at a time.  Each of a block's eight contractions is
+    one BLAS product with the dense c while c's n^3 floats fit in _BLOCK_FLOATS
+    (n <= 128), and past that a sum over c's entries, O(nnz) a trial, with no
+    n^3 term in time or memory.  A NaN on either side of an identity makes its
+    worst NaN, which fails.
     """
     worst = dict.fromkeys((
         "(mu*f)ck = fck*muck", "(f*mu)ck = muck*fck", "<mu*f,nu> = <nu*fck,mu>",

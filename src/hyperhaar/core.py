@@ -23,13 +23,15 @@ CERTIFY_TOL = 1e-10  # the invariance residual that certifies haar_net's limit
 # Below this n, 8 n^3 bytes (the dense tensor) are addressable and the flat keys
 # of c's entries fit int64.
 MAX_N = 2 ** 20
-# The memory model.  A dense slab of c, the temporaries of one block of
-# identity-suite trials, and the associativity accumulator over one block of
-# (s, t) pairs, n^2 floats a pair, stay below _BLOCK_FLOATS floats.  Whole s-rows
-# of that accumulator are merged while they fit in _CACHE_FLOATS, a cache-sized
-# budget; past _BLOCK_FLOATS an s-row is split into ranges of t.  Of 2^12 to
-# 2^18, 2^16 checked the 100 small-mix documents of seed 0 fastest (49-51 ms
-# on one core of a 2-core x86-64; 64-69 ms at 2^14 and 64-70 ms at 2^18).
+# The memory model.  The temporaries of one block of identity-suite trials and
+# the associativity accumulator over one block of (s, t) pairs, n^2 floats a
+# pair, stay below _BLOCK_FLOATS floats.  The identity suite's contractions form
+# the dense c only while its n^3 floats fit in that budget, and past it sum over
+# c's entries.  Whole s-rows of the accumulator are merged while they fit in
+# _CACHE_FLOATS, a cache-sized budget; past _BLOCK_FLOATS an s-row is split into
+# ranges of t.  Of 2^12 to 2^18, 2^16 checked the 100 small-mix documents of
+# seed 0 fastest (49-51 ms on one core of a 2-core x86-64; 64-69 ms at 2^14 and
+# 64-70 ms at 2^18).
 _BLOCK_FLOATS = 2 ** 21
 _CACHE_FLOATS = 2 ** 16
 
@@ -66,8 +68,8 @@ class FiniteHypergroup:
 
     c is stored as its entries, the arrays (s, t, u, value) in C order, which
     from_entries takes and FiniteHypergroup(n, e, inv, c) lists from a dense
-    tensor; the dense c is not kept.  Only _slabs forms dense slabs of c, one
-    bounded slab at a time.  Equality is identity.
+    tensor; the dense c is not kept.  Only _contract_stack forms the dense c,
+    and only while its n^3 floats fit in _BLOCK_FLOATS.  Equality is identity.
     """
 
     n: int
@@ -121,19 +123,6 @@ class FiniteHypergroup:
 
     def points(self) -> range:
         return range(self.n)
-
-
-def _gather(h: FiniteHypergroup, s, t, u) -> np.ndarray:
-    """c[s, t, u] read from the entries, one binary search per index; 0 where no
-    entry is listed."""
-    keys = np.ravel_multi_index(h.entries[:3], (h.n,) * 3)
-    want = np.ravel_multi_index((s, t, u), (h.n,) * 3)
-    i = np.searchsorted(keys, want)
-    hit = i < keys.size
-    hit[hit] = keys[i[hit]] == want[hit]
-    out = np.zeros(want.shape)
-    out[hit] = h.entries[3][i[hit]]
-    return out
 
 
 @dataclass(frozen=True)
@@ -230,40 +219,33 @@ def _contract_u(h: FiniteHypergroup, f: np.ndarray) -> np.ndarray:
     return np.bincount(s * n + t, weights=value * f[u], minlength=n * n).reshape(n, n)
 
 
-def _slabs(h: FiniteHypergroup):
-    """Yield (lo, slab), slab the dense c[lo:lo + len(slab)], for lo = 0, rows,
-    2 rows, ...: as many s-rows as fit in _BLOCK_FLOATS floats, at least one,
-    scattered from their run of C-order entries.  The slabs share one buffer,
-    cleared at those entries when the next is drawn."""
-    n, (s, t, u, value) = h.n, h.entries
-    rows = max(1, _BLOCK_FLOATS // (n * n))
-    buf = np.zeros((min(rows, n), n, n))
-    for lo in range(0, n, rows):
-        j = slice(*np.searchsorted(s, [lo, lo + rows]))
-        slab, at = buf[:min(rows, n - lo)], (s[j] - lo, t[j], u[j])
-        slab[at] = value[j]
-        yield lo, slab
-        slab[at] = 0.0
+def _contract_stack(h: FiniteHypergroup, x: np.ndarray, axis: int) -> np.ndarray:
+    """The sums of c over its axis 0 (s) or 2 (u) against each row of the (m, n)
+    stack x, the other two axes kept in order: an (m, n, n) array.  While c's
+    n^3 floats fit in _BLOCK_FLOATS, one BLAS product with the dense c scattered
+    from the entries; past that, one bincount over the entries a row, O(m nnz)
+    with no n^3 term.  A row's n^2 sums stay in cache; one bincount over all m
+    rows, offset by row, scatters over m n^2 and took about twice as long."""
+    n, m, (s, t, u, value) = h.n, len(x), h.entries
+    if n ** 3 <= _BLOCK_FLOATS:
+        c = np.zeros((n,) * 3)
+        c[s, t, u] = value
+        return (x @ (c.reshape(n, -1) if axis == 0 else c.reshape(-1, n).T)).reshape(m, n, n)
+    (a, b), at = ((t, u), s) if axis == 0 else ((s, t), u)
+    keys, out = a * n + b, np.empty((m, n * n))
+    for r, row in enumerate(x):
+        out[r] = np.bincount(keys, value * row[at], n * n)
+    return out.reshape(m, n, n)
 
 
 def _contract_u_stack(h: FiniteHypergroup, f: np.ndarray) -> np.ndarray:
-    """k[r, a, b] = sum_u c[a, b, u] f[r, u] for the rows of an (m, n) stack f:
-    one BLAS product per slab of c, written into k[:, slab's rows]."""
-    n = h.n
-    k = np.empty((len(f), n * n))
-    for lo, slab in _slabs(h):
-        np.matmul(f, slab.reshape(-1, n).T, out=k[:, lo * n:(lo + len(slab)) * n])
-    return k.reshape(len(f), n, n)
+    """k[r, a, b] = sum_u c[a, b, u] f[r, u] for the rows of an (m, n) stack f."""
+    return _contract_stack(h, f, 2)
 
 
 def _contract_s_stack(h: FiniteHypergroup, mu: np.ndarray) -> np.ndarray:
-    """l[r, t, u] = sum_s mu[r, s] c[s, t, u] for the rows of an (m, n) stack mu:
-    one BLAS product per slab of c, each added to l and dropped in slab order."""
-    n, l = h.n, None
-    for lo, slab in _slabs(h):
-        x = mu[:, lo:lo + len(slab)], slab.reshape(len(slab), n * n)
-        l = np.matmul(*x) if l is None else np.add(l, np.matmul(*x), out=l)
-    return l.reshape(len(mu), n, n)
+    """l[r, t, u] = sum_s mu[r, s] c[s, t, u] for the rows of an (m, n) stack mu."""
+    return _contract_stack(h, mu, 0)
 
 
 def convolve_measures(h: FiniteHypergroup, mu: Measure, nu: Measure) -> Measure:
@@ -369,7 +351,7 @@ def validate(h: FiniteHypergroup, tol: float = AXIOM_TOL) -> ValidationReport:
     """Check the hypergroup axioms; failures become report content, not errors.
 
     H1-H6 read c's entries in O(nnz + n^2): H1's row sums are summed over
-    the entries in C order, H4 and H6 read the n x n slabs c[e], c[:, e, :]
+    the entries in C order, H4 and H6 read the n x n planes c[e], c[:, e, :]
     and c[:, :, e], and H5 compares each entry with c at its image. Each worst
     and witness is what the dense check reports: the largest deviation over
     all n^3 points, nan if any is, at the first point in C order that reaches
@@ -407,9 +389,9 @@ def validate(h: FiniteHypergroup, tol: float = AXIOM_TOL) -> ValidationReport:
     checks["H2"] = AxiomCheck("H2", True, note="automatic (finite discrete)")
     checks["H3"] = AxiomCheck("H3", True, note="automatic (finite discrete)")
 
-    slab = _identity_slabs(h)
+    planes = _identity_planes(h)
     eye = np.eye(n)
-    dev4 = np.maximum(np.abs(slab[0] - eye), np.abs(slab[1] - eye))
+    dev4 = np.maximum(np.abs(planes[0] - eye), np.abs(planes[1] - eye))
     worst = float(dev4.max())
     checks["H4"] = AxiomCheck("H4 identity", worst <= tol, worst,
                               None if worst <= tol else _argmax_witness(dev4))
@@ -419,8 +401,8 @@ def validate(h: FiniteHypergroup, tol: float = AXIOM_TOL) -> ValidationReport:
                               None if worst <= tol else witness)
 
     # c[t, inv[s], e] > tol iff t == s
-    diag = slab[2, np.arange(n), inv]
-    off = slab[2][:, inv]
+    diag = planes[2, np.arange(n), inv]
+    off = planes[2][:, inv]
     np.fill_diagonal(off, 0.0)
     h6_ok = bool(np.all(diag > tol) and np.all(off <= tol))
     worst = 0.0
@@ -457,14 +439,14 @@ def _row_stochastic(h: FiniteHypergroup) -> tuple:
     return max(float(negmax), float(rowmax)), _argmax_witness(rowdev)
 
 
-def _identity_slabs(h: FiniteHypergroup) -> np.ndarray:
+def _identity_planes(h: FiniteHypergroup) -> np.ndarray:
     """c[e], c[:, e, :] and c[:, :, e] as one (3, n, n) array, scattered from
     the entries whose s, t or u is e."""
-    (s, t, u, value), slab = h.entries, np.zeros((3, h.n, h.n))
+    (s, t, u, value), planes = h.entries, np.zeros((3, h.n, h.n))
     for k, (at, a, b) in enumerate(((s, t, u), (t, s, u), (u, s, t))):
         on = at == h.e
-        slab[k, a[on], b[on]] = value[on]
-    return slab
+        planes[k, a[on], b[on]] = value[on]
+    return planes
 
 
 def _anti_homomorphism(h: FiniteHypergroup) -> tuple:

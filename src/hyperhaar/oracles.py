@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AXIOM_TOL, FiniteHypergroup, Measure, _dirac_convolutions, _gather
+from .core import AXIOM_TOL, FiniteHypergroup, Measure, _dirac_convolutions, _identity_planes
 
 __all__ = [
     "H6Violation",
@@ -51,7 +51,7 @@ def jewett_haar(h: FiniteHypergroup) -> Measure:
 
     Returned unnormalized; callers rescale as needed.
     """
-    diag = _gather(h, np.arange(h.n), h.inv, h.e)
+    diag = _identity_planes(h)[2, np.arange(h.n), h.inv]  # c[t, inv t, e], as H6 reads it
     if not np.all(diag > 0):
         t = int(np.argmin(diag))  # the first NaN, if there is one
         raise H6Violation(f"(dirac_{t} * dirac_{int(h.inv[t])})(e) = {diag[t]} "

@@ -4,7 +4,7 @@ they replaced, and the memory the suites take."""
 import numpy as np
 import pytest
 
-from hyperhaar import FiniteHypergroup, build_family, checks
+from hyperhaar import FiniteHypergroup, build_family, checks, core
 from hyperhaar.approx import _gap, _step, default_probes
 from hyperhaar.checks import (bounds_suite, identity_suite, run_all_suites, terminal_gap_suite,
                              terminal_ratio_suite)
@@ -104,6 +104,14 @@ class TestCheckLemmasParity:
         assert not all(r.passed for r in got)
         assert_parity(got, reference_all_suites(h, seed, 1000))
 
+    @pytest.mark.parametrize("name,spec,seed", PARITY, ids=[p[0] for p in PARITY])
+    def test_entry_sums_match_the_dense_product(self, monkeypatch, name, spec, seed):
+        # a budget below n^3 sends each contraction through the sums over c's entries
+        h = build_family(*spec)
+        ref = [(r.name, r.passed, r.worst) for r in run_all_suites(h, seed, 1000)]
+        monkeypatch.setattr(core, "_BLOCK_FLOATS", h.n ** 3 - 1)
+        assert_parity(run_all_suites(h, seed, 1000), ref)
+
 
 class TestIdentitySuite:
     def test_nan_entry_fails_every_identity(self):
@@ -145,11 +153,30 @@ class TestIdentitySuite:
         assert max(peaks) <= 8 * checks._BLOCK_FLOATS
 
     def test_peak_below_half_an_n3_array_when_c_spans_slabs(self):
-        # c is 8 slabs at n = 256; the suite holds one slab and the block's stacks
+        # c spans 8 slabs of _BLOCK_FLOATS floats at n = 256, so the suite sums
+        # over c's entries and forms no slab of it
         h = build_family("cosine-grid", "256")
         results, peak = traced_peak(identity_suite, h, np.random.default_rng(0), 20)
         assert all(r.passed for r in results)
         assert peak < 0.5 * 8 * h.n ** 3
+
+    def test_cyclic_512_worst_values_are_the_dense_products(self):
+        # the worst values of BLAS products with the dense c, bit for bit: on a
+        # group each sum over c's entries has one term, as has each product
+        results = identity_suite(build_family("cyclic", "512"), np.random.default_rng(0), 8)
+        assert [r.worst.hex() for r in results] == [
+            "0x1.c000000000000p-46", "0x1.8000000000000p-46", "0x1.0000000000000p-43",
+            "0x1.a000000000000p-44", "0x1.8000000000000p-44", "0x1.8000000000000p-42",
+            "0x1.4800000000000p-42", "0x1.0000000000000p-45"]
+
+    def test_peak_past_the_budget_does_not_grow_with_blocks(self):
+        # one block of trials against eight, each block 3 trials at n = 512
+        h = build_family("cyclic", "512")
+        block = checks._BLOCK_FLOATS // (h.n * (2 * h.n + 48))
+        peaks = [traced_peak(identity_suite, h, np.random.default_rng(0), trials)[1]
+                 for trials in (block, 8 * block)]
+        assert peaks[1] <= 1.05 * peaks[0]
+        assert max(peaks) < 32 * len(h.entries[3]) + 16 * core._BLOCK_FLOATS
 
 
 # dirac_1 * dirac_e != dirac_1 (H4 fails), so the terminal gap is 0.4, not 0

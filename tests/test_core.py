@@ -30,7 +30,6 @@ from hyperhaar.core import (
     _cover,
     _indicator_peaks,
     _nonzeros,
-    _slabs,
     translates,
 )
 from hyperhaar.fileio import parse_hypergroup
@@ -991,19 +990,18 @@ def kernel_case(request):
     return build_family(*BUNDLED[request.param])
 
 
-def set_slab_rows(monkeypatch, n, kind):
-    """Set the slab budget to one s-row per slab ("one-row") or to a row count
-    that leaves a short last slab ("uneven"; one slab when n = 2), or keep the
-    real one ("budget"); returns the s-rows per slab."""
-    if kind == "budget":
-        return max(1, core._BLOCK_FLOATS // (n * n))
-    rows = 1 if kind == "one-row" else next(r for r in range(2, n + 2) if n % r)
-    monkeypatch.setattr(core, "_BLOCK_FLOATS", rows * n * n)
-    return rows
+def set_budget_rows(monkeypatch, n, kind):
+    """Keep the real budget ("budget"), or set it to the floats of one s-row of c
+    ("one-row") or of a row count that does not divide n ("uneven").  Both are
+    below c's n^3 floats, so the stacked contractions sum over c's entries,
+    except "uneven" at n = 2."""
+    if kind != "budget":
+        rows = 1 if kind == "one-row" else next(r for r in range(2, n + 2) if n % r)
+        monkeypatch.setattr(core, "_BLOCK_FLOATS", rows * n * n)
 
 
 def tensor_with_empty_row():
-    """Z4's entries without s-row 2: a slab of c may hold no entry."""
+    """Z4's entries without s-row 2: an s-row of c may hold no entry."""
     s, t, u, value = cyclic_hypergroup(4).entries
     keep = s != 2
     return FiniteHypergroup.from_entries(4, 0, [0, 3, 2, 1], s[keep], t[keep], u[keep], value[keep])
@@ -1015,24 +1013,24 @@ def tensor_with_non_finite_entries():
     return FiniteHypergroup(5, 0, [0, 4, 3, 2, 1], c)
 
 
-@pytest.mark.parametrize("kind", ["budget", "one-row", "uneven"])
 @pytest.mark.parametrize("make", [
     lambda: build_family("product", "cyclic:3,cosine-grid:4"), three_cycle_tensor,
     tensor_with_empty_row, tensor_with_non_finite_entries],
     ids=["product-Z3xcosine-4", "three-cycle-inv", "empty-s-row", "non-finite"])
-def test_slabs_concatenate_to_c(monkeypatch, make, kind):
+def test_dense_path_is_one_product_with_c(make):
+    # while c fits the budget, each stacked contraction is one BLAS product with
+    # the c scattered from the entries: byte for byte the product with dense(h)
     h = make()
-    rows = set_slab_rows(monkeypatch, h.n, kind)
-    los, slabs = zip(*((lo, slab.copy()) for lo, slab in _slabs(h)))  # a slab lives until the next
-    assert list(los) == list(range(0, h.n, rows))
-    assert [len(slab) for slab in slabs] == [min(rows, h.n - lo) for lo in los]
-    assert all(slab.size <= max(core._BLOCK_FLOATS, h.n ** 2) for slab in slabs)
-    assert np.concatenate(slabs).tobytes() == dense(h).tobytes()
+    assert h.n ** 3 <= core._BLOCK_FLOATS
+    x, c = np.random.default_rng(32).uniform(-1, 1, (5, h.n)), dense(h)
+    assert _contract_u_stack(h, x).tobytes() == (x @ c.reshape(-1, h.n).T).tobytes()
+    assert _contract_s_stack(h, x).tobytes() == (x @ c.reshape(h.n, -1)).tobytes()
 
 
 class TestBatchedKernels:
-    """The two stacked contractions of c, summed slab by slab, and the three
-    single-vector kernels, against the defining sums over the dense c."""
+    """The two stacked contractions of c, as one product with the dense c and as
+    sums over its entries, and the three single-vector kernels, against the
+    defining sums over the dense c."""
 
     def draws(self, h, rows=5):
         rng = np.random.default_rng(32)
@@ -1073,5 +1071,22 @@ class TestBatchedKernels:
 
     @pytest.mark.parametrize("kind", ["one-row", "uneven"])
     def test_defining_sums_through_small_slabs(self, monkeypatch, kernel_case, kind):
-        set_slab_rows(monkeypatch, kernel_case.n, kind)
+        # a budget below n^3 (but "uneven" at n = 2): the sums over c's entries
+        set_budget_rows(monkeypatch, kernel_case.n, kind)
         self.assert_defining_sums(kernel_case)
+
+    @pytest.mark.parametrize("kind", ["budget", "one-row"])
+    @pytest.mark.parametrize("make", [tensor_with_empty_row, tensor_with_non_finite_entries],
+                             ids=["empty-s-row", "non-finite"])
+    def test_defining_sums_of_empty_and_non_finite_rows(self, monkeypatch, make, kind):
+        h = make()
+        set_budget_rows(monkeypatch, h.n, kind)
+        assert (h.n ** 3 <= core._BLOCK_FLOATS) == (kind == "budget")
+        self.assert_defining_sums(h)
+
+    def test_u_stack_past_the_budget_is_the_single_vector_sum(self, monkeypatch, kernel_case):
+        # past the budget a row of the u-stack is _contract_u's bincount, bit for bit
+        h = kernel_case
+        set_budget_rows(monkeypatch, h.n, "one-row")
+        a = self.draws(h)[0]
+        assert _contract_u_stack(h, a).tobytes() == np.array([_contract_u(h, x) for x in a]).tobytes()
