@@ -23,9 +23,8 @@ from .core import (
     Measure,
     NoCover,
     _check_size,
-    _contract_u,
+    _contract,
     _cover,
-    _dirac_convolutions,
     _indicator_peaks,
     _peaks,
     pair,
@@ -288,7 +287,7 @@ def main_identity_gap(h: FiniteHypergroup, mu0: Measure, g: Function, f: Functio
 def _ratio(h: FiniteHypergroup, chi_t: np.ndarray, fs: np.ndarray, mus: np.ndarray) -> np.ndarray:
     """R[i, j] = <f_i, mu_j * chi_t> / (|mu_j| chi_t(f_i)) over the rows f_i of fs
     and mu_j of mus, for approximant weights chi_t."""
-    conv = mus @ _dirac_convolutions(h, chi_t)  # row j is mu_j * chi_t
+    conv = mus @ _contract(h, chi_t, 1)  # row j is mu_j * chi_t
     denom = np.abs(mus).sum(axis=1) * (fs @ chi_t)[:, None]
     if np.any(denom == 0.0):
         raise ZeroDenominator("approximant pairs to zero against f")
@@ -351,10 +350,10 @@ def _net_steps(h: FiniteHypergroup, cfg: ApproximantConfig):
 
     rho = <f0, uniform * chi_t> / chi_t(f0), the sandwich ratio of the uniform
     measure, and <f0, uniform * chi_t> = v0 . chi_t for v0 = uniform . (c
-    contracted with f0).
+    contracted over u with f0).
     """
     p = _probes(h.n)
-    v0 = Measure.uniform(h.n).w @ _contract_u(h, cfg.f0.v)
+    v0 = Measure.uniform(h.n).w @ _contract(h, cfg.f0.v, 2)
     for k, chi_t in _walk(h, cfg.mu0, cfg.chain.bumps):
         z = cfg.f0.v @ chi_t
         yield chi_t / z, p @ (chi_t / z), _probe_gap(k, chi_t), float(v0 @ chi_t / z)

@@ -13,8 +13,7 @@ from .core import (
     FiniteHypergroup,
     Function,
     Measure,
-    _contract_s_stack,
-    _contract_u_stack,
+    _contract,
 )
 from .approx import _bounds, _probe_gap, _probes, _ratio, _step, _walk, canonical_chain
 
@@ -39,10 +38,10 @@ def identity_suite(h: FiniteHypergroup, rng: np.random.Generator,
     holds at most two n x n contractions and 48 n-vectors), and each block is
     drawn as one (b, 4, n) array: the same generator stream as drawing mu, nu,
     sigma and f one trial at a time.  Each of a block's eight contractions is
-    one BLAS product with the dense c while c's n^3 floats fit in _BLOCK_FLOATS
-    (n <= 128), and past that a sum over c's entries, O(nnz) a trial, with no
-    n^3 term in time or memory.  A NaN on either side of an identity makes its
-    worst NaN, which fails.
+    one _contract of a stack: one BLAS product with the dense c while c's n^3
+    floats fit in _BLOCK_FLOATS (n <= 128), and past that a sum over c's
+    entries, O(nnz) a trial, with no n^3 term in time or memory.  A NaN on
+    either side of an identity makes its worst NaN, which fails.
     """
     worst = dict.fromkeys((
         "(mu*f)ck = fck*muck", "(f*mu)ck = muck*fck", "<mu*f,nu> = <nu*fck,mu>",
@@ -71,13 +70,13 @@ def _identity_sides(h: FiniteHypergroup, mu, nu, sigma, f) -> tuple:
         return (k @ mu[:, back][:, :, None])[:, :, 0]
 
     munu, muck_sigma, sigma_muck, nuck_muck = (  # x * y: x contracted over s, then with y
-        (y[:, None, :] @ _contract_s_stack(h, x))[:, 0, :]
+        (y[:, None, :] @ _contract(h, x, 0))[:, 0, :]
         for x, y in ((mu, nu), (muck, sigma), (sigma, muck), (nuck, muck)))
-    k_f, k_fck = _contract_u_stack(h, f), _contract_u_stack(h, fck)
+    k_f, k_fck = _contract(h, f, 2), _contract(h, fck, 2)
     muf, fmu, nuf, munu_f, f_munu = mf(mu, k_f), fm(k_f, mu), mf(nu, k_f), mf(munu, k_f), fm(k_f, munu)
     fck_muck, muck_fck, nu_fck = fm(k_fck, muck), mf(muck, k_fck), mf(nu, k_fck)
     del k_f, k_fck  # a trial holds two n x n contractions at once, not four
-    k_fmu, k_nuf = _contract_u_stack(h, fmu), _contract_u_stack(h, nuf)
+    k_fmu, k_nuf = _contract(h, fmu, 2), _contract(h, nuf, 2)
     return ((muf[:, inv], fck_muck),
             (fmu[:, inv], muck_fck),
             ((muf * nu).sum(axis=1), (nu_fck * mu).sum(axis=1)),

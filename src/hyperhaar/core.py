@@ -25,9 +25,9 @@ CERTIFY_TOL = 1e-10  # the invariance residual that certifies haar_net's limit
 MAX_N = 2 ** 20
 # The memory model.  The temporaries of one block of identity-suite trials and
 # the associativity accumulator over one block of (s, t) pairs, n^2 floats a
-# pair, stay below _BLOCK_FLOATS floats.  The identity suite's contractions form
-# the dense c only while its n^3 floats fit in that budget, and past it sum over
-# c's entries.  Whole s-rows of the accumulator are merged while they fit in
+# pair, stay below _BLOCK_FLOATS floats.  _contract forms the dense c, for a
+# stack of vectors only, while its n^3 floats fit in that budget, and past it sums
+# over c's entries.  Whole s-rows of the accumulator are merged while they fit in
 # _CACHE_FLOATS, a cache-sized budget; past _BLOCK_FLOATS an s-row is split into
 # ranges of t.  Of 2^12 to 2^18, 2^16 checked the 100 small-mix documents of
 # seed 0 fastest (49-51 ms on one core of a 2-core x86-64; 64-69 ms at 2^14 and
@@ -68,8 +68,9 @@ class FiniteHypergroup:
 
     c is stored as its entries, the arrays (s, t, u, value) in C order, which
     from_entries takes and FiniteHypergroup(n, e, inv, c) lists from a dense
-    tensor; the dense c is not kept.  Only _contract_stack forms the dense c,
-    and only while its n^3 floats fit in _BLOCK_FLOATS.  Equality is identity.
+    tensor; the dense c is not kept.  Only _contract forms the dense c, for a
+    stack of vectors while its n^3 floats fit in _BLOCK_FLOATS.  Equality is
+    identity.
     """
 
     n: int
@@ -205,53 +206,34 @@ def _check_size(h: FiniteHypergroup, *objs) -> None:
             raise ValueError(f"dimension mismatch: hypergroup has n={h.n}, got {o.n}")
 
 
-def _dirac_convolutions(h: FiniteHypergroup, nu: np.ndarray) -> np.ndarray:
-    """m[s, u] = (dirac_s * nu)[u] = sum_t c[s, t, u] nu[t] for one vector nu,
-    summed over c's entries in C order: O(nnz)."""
+def _contract(h: FiniteHypergroup, x: np.ndarray, axis: int) -> np.ndarray:
+    """The sums of c over its axis 0 (s), 1 (t) or 2 (u) against x, the other two
+    axes kept in order: an (n, n) array for a vector x, an (m, n, n) array for an
+    (m, n) stack.  A vector is one bincount over c's entries in C order, O(nnz).
+    A stack is one BLAS product with the dense c scattered from the entries while
+    c's n^3 floats fit in _BLOCK_FLOATS, and past that one such bincount a row,
+    O(m nnz) with no n^3 term; a row's n^2 sums stay in cache, where one bincount
+    over all m rows, offset by row, took about twice as long."""
     n, (s, t, u, value) = h.n, h.entries
-    return np.bincount(s * n + u, weights=value * nu[t], minlength=n * n).reshape(n, n)
-
-
-def _contract_u(h: FiniteHypergroup, f: np.ndarray) -> np.ndarray:
-    """k[a, b] = sum_u c[a, b, u] f[u] for one vector f, summed over c's entries
-    in C order: O(nnz)."""
-    n, (s, t, u, value) = h.n, h.entries
-    return np.bincount(s * n + t, weights=value * f[u], minlength=n * n).reshape(n, n)
-
-
-def _contract_stack(h: FiniteHypergroup, x: np.ndarray, axis: int) -> np.ndarray:
-    """The sums of c over its axis 0 (s) or 2 (u) against each row of the (m, n)
-    stack x, the other two axes kept in order: an (m, n, n) array.  While c's
-    n^3 floats fit in _BLOCK_FLOATS, one BLAS product with the dense c scattered
-    from the entries; past that, one bincount over the entries a row, O(m nnz)
-    with no n^3 term.  A row's n^2 sums stay in cache; one bincount over all m
-    rows, offset by row, scatters over m n^2 and took about twice as long."""
-    n, m, (s, t, u, value) = h.n, len(x), h.entries
-    if n ** 3 <= _BLOCK_FLOATS:
+    if x.ndim == 2 and n ** 3 <= _BLOCK_FLOATS:
         c = np.zeros((n,) * 3)
         c[s, t, u] = value
-        return (x @ (c.reshape(n, -1) if axis == 0 else c.reshape(-1, n).T)).reshape(m, n, n)
-    (a, b), at = ((t, u), s) if axis == 0 else ((s, t), u)
-    keys, out = a * n + b, np.empty((m, n * n))
+        return (x @ np.moveaxis(c, axis, 0).reshape(n, -1)).reshape(len(x), n, n)
+    kept = [s, t, u]
+    at = kept.pop(axis)
+    keys = kept[0] * n + kept[1]
+    if x.ndim == 1:
+        return np.bincount(keys, weights=value * x[at], minlength=n * n).reshape(n, n)
+    out = np.empty((len(x), n * n))
     for r, row in enumerate(x):
         out[r] = np.bincount(keys, value * row[at], n * n)
-    return out.reshape(m, n, n)
-
-
-def _contract_u_stack(h: FiniteHypergroup, f: np.ndarray) -> np.ndarray:
-    """k[r, a, b] = sum_u c[a, b, u] f[r, u] for the rows of an (m, n) stack f."""
-    return _contract_stack(h, f, 2)
-
-
-def _contract_s_stack(h: FiniteHypergroup, mu: np.ndarray) -> np.ndarray:
-    """l[r, t, u] = sum_s mu[r, s] c[s, t, u] for the rows of an (m, n) stack mu."""
-    return _contract_stack(h, mu, 0)
+    return out.reshape(len(x), n, n)
 
 
 def convolve_measures(h: FiniteHypergroup, mu: Measure, nu: Measure) -> Measure:
     """(mu * nu)[u] = sum_{s,t} mu_s nu_t c[s,t,u]."""
     _check_size(h, mu, nu)
-    return Measure(mu.w @ _dirac_convolutions(h, nu.w), nonneg=mu.nonneg and nu.nonneg)
+    return Measure(mu.w @ _contract(h, nu.w, 1), nonneg=mu.nonneg and nu.nonneg)
 
 
 def involute_measure(h: FiniteHypergroup, mu: Measure) -> Measure:
@@ -276,19 +258,19 @@ def pair(f: Function, mu: Measure) -> float:
 def translates(h: FiniteHypergroup, f: Function) -> np.ndarray:
     """Translate matrix K[s, t] = (dirac_s * f)(t) = sum_u c[inv[s], t, u] f(u)."""
     _check_size(h, f)
-    return _contract_u(h, f.v)[h.inv]
+    return _contract(h, f.v, 2)[h.inv]
 
 
 def convolve_measure_function(h: FiniteHypergroup, mu: Measure, f: Function) -> Function:
     """(mu * f)(t) = sum_s mu_s sum_u c[inv[s], t, u] f(u)."""
     _check_size(h, mu, f)
-    return Function(mu.w[np.argsort(h.inv)] @ _contract_u(h, f.v))  # m[inv[s]] = mu[s]
+    return Function(mu.w[np.argsort(h.inv)] @ _contract(h, f.v, 2))  # m[inv[s]] = mu[s]
 
 
 def convolve_function_measure(h: FiniteHypergroup, f: Function, mu: Measure) -> Function:
     """(f * mu)(t) = sum_s mu_s sum_u c[t, inv[s], u] f(u)."""
     _check_size(h, mu, f)
-    return Function(_contract_u(h, f.v) @ mu.w[np.argsort(h.inv)])  # m[inv[s]] = mu[s]
+    return Function(_contract(h, f.v, 2) @ mu.w[np.argsort(h.inv)])  # m[inv[s]] = mu[s]
 
 
 def support_product(h: FiniteHypergroup, a: Iterable[int], b: Iterable[int]) -> frozenset:
@@ -431,7 +413,7 @@ def _row_stochastic(h: FiniteHypergroup) -> tuple:
     (s, t) that reaches the second.  The row sums run over the entries in C order."""
     s, t, u, value = h.entries
     neg = np.maximum(-value, 0.0)
-    rowdev = np.abs(_contract_u(h, np.ones(h.n)) - 1.0)
+    rowdev = np.abs(_contract(h, np.ones(h.n), 2) - 1.0)
     negmax, rowmax = neg.max(initial=0.0), rowdev.max()
     if negmax > rowmax:
         i = int(np.argmax(neg))

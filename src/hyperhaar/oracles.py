@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AXIOM_TOL, FiniteHypergroup, Measure, _dirac_convolutions, _identity_planes
+from .core import AXIOM_TOL, FiniteHypergroup, Measure, _contract, _identity_planes
 
 __all__ = [
     "H6Violation",
@@ -65,7 +65,7 @@ def invariance_residual(h: FiniteHypergroup, chi: Measure) -> float:
     over the rows c[s] in stored order."""
     if chi.n != h.n:
         raise ValueError(f"dimension mismatch: {chi.n} vs {h.n}")
-    return float(np.abs(_dirac_convolutions(h, chi.w) - chi.w).max())
+    return float(np.abs(_contract(h, chi.w, 1) - chi.w).max())
 
 
 def _doeblin_margin(total: np.ndarray) -> float:
@@ -80,13 +80,6 @@ def _doeblin_margin(total: np.ndarray) -> float:
     """
     n = len(total)
     return float(total.min(axis=1).sum() - np.abs(total.sum(axis=0) - n).max()) / n
-
-
-def _translation_sum(h: FiniteHypergroup) -> np.ndarray:
-    """total[u, t] = sum_s c[s, t, u], added over s in increasing order as a dense
-    c.sum(axis=0).T adds: S + n I for the invariance operator's block sum S."""
-    n, (_, t, u, v) = h.n, h.entries
-    return np.bincount(t * n + u, weights=v, minlength=n * n).reshape(n, n).T
 
 
 def solve_invariance(h: FiniteHypergroup) -> Measure:
@@ -105,8 +98,9 @@ def solve_invariance(h: FiniteHypergroup) -> Measure:
     Any other input is refused with DegenerateNullspace: a margin that is not
     above the bar, NaN included, a singular bordered system, or a residual
     above its bar. A weight below -AXIOM_TOL is refused with NegativeSolution;
-    smaller negative weights are clamped to 0. This costs O(nnz) time for the
-    sums and n^3 / 3 multiply-adds for the LU, in O(nnz + n^2) memory.
+    smaller negative weights are clamped to 0. S + n I and A x are _contract's
+    sums of c over s against the ones vector and over t against x, O(nnz) time
+    each; the LU takes n^3 / 3 multiply-adds, in O(nnz + n^2) memory.
 
     An ||A||_F that is not finite, as when c's squares overflow, is refused
     first. A finite ||A||_F is below sqrt of the largest float, and so is every
@@ -118,7 +112,7 @@ def solve_invariance(h: FiniteHypergroup) -> Measure:
     if not np.isfinite(frobenius):
         raise DegenerateNullspace("the invariance operator overflows: ||A||_F is not finite, "
                                   "so its nullspace cannot be decided")
-    total = _translation_sum(h)
+    total = _contract(h, np.ones(n), 0).T  # total[u, t] = sum_s c[s, t, u]: S + n I
     # read before n is taken off the diagonal: adding n back would not be exact
     margin, bar = _doeblin_margin(total), 2 * _RANK_CUT * frobenius
     if not margin > bar:
@@ -140,7 +134,7 @@ def solve_invariance(h: FiniteHypergroup) -> Measure:
     del bordered  # (n+1)^2 floats; the O(nnz) temporaries of A x below set the peak without it
     with np.errstate(all="ignore"):  # a nearly singular system may overflow; nan is refused below
         x /= x.sum()
-        ax = _dirac_convolutions(h, x)
+        ax = _contract(h, x, 1)
         ax -= x
         residual = np.linalg.norm(ax) / np.linalg.norm(x)
     bar = _RANK_CUT * frobenius / np.sqrt(n)

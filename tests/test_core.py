@@ -24,9 +24,7 @@ from hyperhaar.core import (
     AXIOM_TOL,
     MAX_N,
     _associativity,
-    _contract_s_stack,
-    _contract_u,
-    _contract_u_stack,
+    _contract,
     _cover,
     _indicator_peaks,
     _nonzeros,
@@ -900,6 +898,8 @@ class TestEntryReaders:
             support_product(h, [1, 2], [3])
             invariance_residual(h, mu)
             _indicator_peaks(h)
+            for axis in range(3):
+                _contract(h, f.v, axis)
 
         assert traced_peak(run)[1] < 0.25 * 8 * h.n ** 3
 
@@ -1023,13 +1023,45 @@ def test_dense_path_is_one_product_with_c(make):
     h = make()
     assert h.n ** 3 <= core._BLOCK_FLOATS
     x, c = np.random.default_rng(32).uniform(-1, 1, (5, h.n)), dense(h)
-    assert _contract_u_stack(h, x).tobytes() == (x @ c.reshape(-1, h.n).T).tobytes()
-    assert _contract_s_stack(h, x).tobytes() == (x @ c.reshape(h.n, -1)).tobytes()
+    assert _contract(h, x, 2).tobytes() == (x @ c.reshape(-1, h.n).T).tobytes()
+    assert _contract(h, x, 0).tobytes() == (x @ c.reshape(h.n, -1)).tobytes()
+
+
+def deleted_kernels(h, x):
+    """The bincounts of the per-axis kernels that _contract replaced, summed over
+    c's entries in C order for one vector x: over s (the stack's row, and at
+    x = 1 the solve's block sum before its transpose), over t (the convolutions
+    with a measure) and over u (the contractions with a function)."""
+    n, (s, t, u, value) = h.n, h.entries
+    return (np.bincount(t * n + u, weights=value * x[s], minlength=n * n).reshape(n, n),
+            np.bincount(s * n + u, weights=value * x[t], minlength=n * n).reshape(n, n),
+            np.bincount(s * n + t, weights=value * x[u], minlength=n * n).reshape(n, n))
+
+
+def assert_vector_is_the_deleted_kernels(h):
+    n, (_, t, u, value) = h.n, h.entries
+    for x in (*np.random.default_rng(33).uniform(-1, 1, (3, n)), np.ones(n)):
+        for axis, ref in enumerate(deleted_kernels(h, x)):
+            assert _contract(h, x, axis).tobytes() == ref.tobytes()
+    # the solve's block sum, whose weights were value, not value * 1
+    total = np.bincount(t * n + u, weights=value, minlength=n * n).reshape(n, n).T
+    assert _contract(h, np.ones(n), 0).T.tobytes() == total.tobytes()
+
+
+def test_vector_is_the_deleted_kernels(kernel_case):
+    # each single-vector sum is the bincount it replaced, byte for byte
+    assert_vector_is_the_deleted_kernels(kernel_case)
+
+
+@pytest.mark.parametrize("make", [tensor_with_empty_row, tensor_with_non_finite_entries],
+                         ids=["empty-s-row", "non-finite"])
+def test_vector_of_empty_and_non_finite_rows_is_the_deleted_kernels(make):
+    assert_vector_is_the_deleted_kernels(make())
 
 
 class TestBatchedKernels:
-    """The two stacked contractions of c, as one product with the dense c and as
-    sums over its entries, and the three single-vector kernels, against the
+    """The stacked contractions of c, as one product with the dense c and as
+    sums over its entries, and the single-vector contractions, against the
     defining sums over the dense c."""
 
     def draws(self, h, rows=5):
@@ -1044,14 +1076,14 @@ class TestBatchedKernels:
         # the stacked contractions against the sums over c's entries of one vector
         h = kernel_case
         a, b = self.draws(h)
-        self.assert_close(_contract_u_stack(h, a), np.array([_contract_u(h, x) for x in a]))
-        self.assert_close((b[:, None, :] @ _contract_s_stack(h, a))[:, 0, :], np.array(
+        self.assert_close(_contract(h, a, 2), np.array([_contract(h, x, 2) for x in a]))
+        self.assert_close((b[:, None, :] @ _contract(h, a, 0))[:, 0, :], np.array(
             [convolve_measures(h, Measure(x), Measure(y)).w for x, y in zip(a, b)]))
 
     def assert_defining_sums(self, h):
         a, c = self.draws(h)[0], dense(h)
-        for got, ref in ((_contract_u_stack(h, a), np.einsum("stu,ru->rst", c, a)),
-                         (_contract_s_stack(h, a), np.einsum("rs,stu->rtu", a, c))):
+        for got, ref in ((_contract(h, a, 2), np.einsum("stu,ru->rst", c, a)),
+                         (_contract(h, a, 0), np.einsum("rs,stu->rtu", a, c))):
             np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-14)
 
     def test_defining_sums(self, kernel_case):
@@ -1085,8 +1117,11 @@ class TestBatchedKernels:
         self.assert_defining_sums(h)
 
     def test_u_stack_past_the_budget_is_the_single_vector_sum(self, monkeypatch, kernel_case):
-        # past the budget a row of the u-stack is _contract_u's bincount, bit for bit
+        # past the budget a row of the u-stack, and of the s-stack, is the vector
+        # path's bincount, bit for bit
         h = kernel_case
         set_budget_rows(monkeypatch, h.n, "one-row")
         a = self.draws(h)[0]
-        assert _contract_u_stack(h, a).tobytes() == np.array([_contract_u(h, x) for x in a]).tobytes()
+        for axis in (2, 0):
+            rows = np.array([_contract(h, x, axis) for x in a])
+            assert _contract(h, a, axis).tobytes() == rows.tobytes()

@@ -24,11 +24,10 @@ from hyperhaar import (
     solve_invariance,
     validate,
 )
-from hyperhaar.core import AXIOM_TOL
+from hyperhaar.core import AXIOM_TOL, _contract
 from hyperhaar.oracles import (
     _RANK_CUT,
     _doeblin_margin,
-    _translation_sum,
     conjugacy_class_hypergroup,
     cosine_grid_hypergroup,
     cyclic_hypergroup,
@@ -502,7 +501,7 @@ class TestCertifiedSolve:
     def test_uncertified_inputs_take_svd_path(self, make, monkeypatch):
         # there is no SVD path: the margin refuses these inputs without one
         h = make()
-        assert _doeblin_margin(_translation_sum(h)) < 1e-12
+        assert _doeblin_margin(_contract(h, np.ones(h.n), 0).T) < 1e-12
         calls = svd_calls(monkeypatch)
         with pytest.raises(DegenerateNullspace, match="^Doeblin margin .* is not above 2e-08"):
             solve_invariance(h)
@@ -520,7 +519,7 @@ class TestCertifiedSolve:
         # the margin certifies S, and the bordered solve's null vector is refused;
         # the reference refuses with the same class
         h = make()
-        assert _doeblin_margin(_translation_sum(h)) == pytest.approx(margin, abs=1e-15)
+        assert _doeblin_margin(_contract(h, np.ones(h.n), 0).T) == pytest.approx(margin, abs=1e-15)
         with pytest.raises(error):
             dense_solve_invariance(h)
         calls = svd_calls(monkeypatch)

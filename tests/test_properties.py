@@ -1,13 +1,17 @@
 """Property-based checks of the algebra axioms and identity suites."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperhaar import (
+    FiniteHypergroup,
     Function,
     Measure,
     convolve_measures,
+    core,
     involute_measure,
     normalized_approximant,
     pair,
@@ -81,3 +85,32 @@ def test_normalization_kills_bump_scale(theta, k, seed):
     scaled = normalized_approximant(h, cfg, Function(k * g.v))
     np.testing.assert_allclose(scaled.w, base.w, atol=1e-12)
     assert abs(pair(cfg.f0, base) - 1.0) < 1e-14
+
+
+@st.composite
+def sparse_tensors(draw):
+    """A tensor with n <= 6 and about half its points 0: a drawn set of s-rows
+    is emptied, one point may hold NaN, inf or -inf, and inv is any permutation,
+    an involution or not."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    values = st.one_of(st.just(0.0), st.floats(min_value=-1, max_value=1))
+    c = np.array(draw(st.lists(values, min_size=n ** 3, max_size=n ** 3))).reshape((n,) * 3)
+    c[sorted(draw(st.sets(st.integers(min_value=0, max_value=n - 1))))] = 0.0
+    point = draw(st.tuples(*[st.integers(min_value=0, max_value=n - 1)] * 3))
+    c[point] = draw(st.sampled_from([c[point], np.nan, np.inf, -np.inf]))
+    return FiniteHypergroup(n, 0, draw(st.permutations(range(n))), c), c
+
+
+@given(sparse_tensors(), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=2 ** 31 - 1))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_contract_is_the_dense_sum(tensor, m, seed):
+    h, c = tensor
+    x = np.random.default_rng(seed).uniform(-1, 1, (m, h.n))
+    for axis, sums in enumerate(("stu,s->tu", "stu,t->su", "stu,u->st")):
+        stack = np.array([np.einsum(sums, c, row) for row in x])
+        rows = np.array([core._contract(h, row, axis) for row in x])
+        np.testing.assert_allclose(rows, stack, rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(core._contract(h, x, axis), stack, rtol=1e-13, atol=1e-14)
+        with mock.patch.object(core, "_BLOCK_FLOATS", h.n ** 3 - 1):  # past the budget
+            assert core._contract(h, x, axis).tobytes() == rows.tobytes()
