@@ -5,6 +5,7 @@ from .core import (
     Function,
     Measure,
     NoCover,
+    Refusal,
     ValidationReport,
     convolve_function_measure,
     convolve_measure_function,

@@ -22,6 +22,7 @@ from .core import (
     Function,
     Measure,
     NoCover,
+    Refusal,
     _check_size,
     _contract,
     _cover,
@@ -53,15 +54,15 @@ __all__ = [
 ]
 
 
-class ZeroDenominator(Exception):
+class ZeroDenominator(Refusal):
     """(mu0 * g) vanishes somewhere; g violates its positivity precondition."""
 
 
-class NotConverged(Exception):
+class NotConverged(Refusal):
     """Chain exhausted with invariance residual above the certification threshold."""
 
 
-class NoChain(ValueError):
+class NoChain(Refusal, ValueError):
     """inv is not an involution fixing e, so canonical_chain has no chain to build."""
 
 
@@ -241,10 +242,9 @@ def canonical_chain(h: FiniteHypergroup) -> ShrinkingChain:
     orbits keyed by their smallest member, removed in descending key order.
     Raises NoChain when inv is not an involution fixing e.
 
-    When it is one, each neighborhood is a union of orbits that holds e and
-    its bump, the symmetrized indicator, is the indicator itself, so the
-    chain is valid by construction; ShrinkingChain.check names the failure
-    otherwise.
+    When it is one, each neighborhood is a union of orbits that holds e, so
+    its bump, its indicator, is symmetric and the chain is valid by
+    construction; ShrinkingChain.check names the failure otherwise.
     """
     inv = h.inv.tolist()
     current = set(h.points())
@@ -256,8 +256,7 @@ def canonical_chain(h: FiniteHypergroup) -> ShrinkingChain:
     member = np.zeros((len(neighborhoods), h.n))
     member[np.repeat(np.arange(len(sizes)), sizes),
            np.fromiter(itertools.chain.from_iterable(neighborhoods), int, sum(sizes))] = 1.0
-    bumps = 0.5 * (member + member[:, h.inv])  # symmetrize, row by row
-    chain = ShrinkingChain(tuple(neighborhoods), tuple(Function(g) for g in bumps))
+    chain = ShrinkingChain(tuple(neighborhoods), tuple(Function(g) for g in member))
     if inv[h.e] != h.e or any(inv[q] != p for p, q in enumerate(inv)):
         try:
             chain.check(h)

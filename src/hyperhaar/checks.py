@@ -30,7 +30,7 @@ class SuiteResult:
 
 
 def identity_suite(h: FiniteHypergroup, rng: np.random.Generator,
-                   trials: int = 1000, tol: float = EXACT_TOL) -> List[SuiteResult]:
+                   trials: int = 1000) -> List[SuiteResult]:
     """Involution and pairing identities of the convolution algebra,
     checked on random signed measures and functions.
 
@@ -53,7 +53,7 @@ def identity_suite(h: FiniteHypergroup, rng: np.random.Generator,
         draws = rng.uniform(-1, 1, (min(block, trials - start), 4, h.n))
         for key, (a, b) in zip(worst, _identity_sides(h, *draws.transpose(1, 0, 2))):
             worst[key] = float(np.maximum(worst[key], np.abs(a - b).max()))
-    return [SuiteResult(k, v <= tol, v) for k, v in worst.items()]
+    return [SuiteResult(k, v <= EXACT_TOL, v) for k, v in worst.items()]
 
 
 def _identity_sides(h: FiniteHypergroup, mu, nu, sigma, f) -> tuple:

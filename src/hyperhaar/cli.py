@@ -12,17 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AXIOM_TOL, CERTIFY_TOL, EXACT_TOL, Function, Measure, NoCover, validate
-from .approx import (ApproximantConfig, NoChain, NotConverged, ZeroDenominator, canonical_chain,
-                     haar_net)
+from .core import AXIOM_TOL, CERTIFY_TOL, EXACT_TOL, Function, Measure, Refusal, validate
+from .approx import ApproximantConfig, canonical_chain, haar_net
 from .checks import run_all_suites
 from .fileio import ParseError, read_hypergroup, write_hypergroup, write_trace_csv
-from .oracles import (_FAMILIES, DegenerateNullspace, H6Violation, NegativeSolution,
-                      build_family, invariance_residual, jewett_haar, solve_invariance)
-
-# The package's refusals of an input that is not a hypergroup it can work with.
-_REFUSALS = (NoCover, H6Violation, ZeroDenominator, DegenerateNullspace, NegativeSolution,
-             NotConverged, NoChain)
+from .oracles import _FAMILIES, build_family, invariance_residual, jewett_haar, solve_invariance
 
 
 def _load(path: str):
@@ -232,7 +226,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a failed write fails here, not in the interpreter's flush at exit
         return code
-    except _REFUSALS as exc:
+    except Refusal as exc:
         raise SystemExit(f"{subject}: {type(exc).__name__}: {exc}") from None
     except MemoryError as exc:  # numpy refused an array, such as the dense n^3 tensor
         raise SystemExit(f"{subject}: {_reason(exc)}") from None

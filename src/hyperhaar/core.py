@@ -12,7 +12,7 @@ diagonal, supports, bump symmetry).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
@@ -44,6 +44,7 @@ __all__ = [
     "Function",
     "AxiomCheck",
     "ValidationReport",
+    "Refusal",
     "NoCover",
     "convolve_measures",
     "involute_measure",
@@ -58,7 +59,12 @@ __all__ = [
 ]
 
 
-class NoCover(Exception):
+class Refusal(Exception):
+    """An input that is not a hypergroup the requested computation can work with:
+    the CLI reports each as a one-line diagnosis and exits 1."""
+
+
+class NoCover(Refusal):
     """No finite positive combination of translates dominates the target."""
 
 
@@ -68,27 +74,24 @@ class FiniteHypergroup:
 
     c is stored as its entries, the arrays (s, t, u, value) in C order, which
     from_entries takes and FiniteHypergroup(n, e, inv, c) lists from a dense
-    tensor; the dense c is not kept.  Only _contract forms the dense c, for a
-    stack of vectors while its n^3 floats fit in _BLOCK_FLOATS.  Equality is
-    identity.
+    tensor, in place of any entries given with it; the dense c is not kept.
+    Only _contract forms the dense c, for a stack of vectors while its n^3
+    floats fit in _BLOCK_FLOATS.  Equality is identity.
     """
 
     n: int
     e: int
     inv: np.ndarray
-    c: np.ndarray
+    c: InitVar[Optional[np.ndarray]] = None
+    entries: Optional[tuple] = field(default=None, kw_only=True)
 
     @classmethod
     def from_entries(cls, n: int, e: int, inv, s, t, u, value) -> "FiniteHypergroup":
         """The hypergroup whose tensor has c[s[i], t[i], u[i]] = value[i], in any
         order, and zeros elsewhere; an (s, t, u) listed twice is refused."""
-        h = object.__new__(cls)
-        for name, x in (("n", n), ("e", e), ("inv", inv), ("entries", (s, t, u, value))):
-            object.__setattr__(h, name, x)
-        h.__post_init__()
-        return h
+        return cls(n, e, inv, entries=(s, t, u, value))
 
-    def __post_init__(self):
+    def __post_init__(self, c):
         n = self.n
         object.__setattr__(self, "inv", np.asarray(self.inv, dtype=int))
         if not (0 <= self.e < n):
@@ -97,12 +100,13 @@ class FiniteHypergroup:
             raise ValueError("involution must be a permutation vector of length n")
         if sorted(self.inv.tolist()) != list(range(n)):
             raise ValueError("involution is not a permutation")
-        if "entries" not in self.__dict__:
-            c = np.asarray(self.c, dtype=float)
+        if c is not None:
+            c = np.asarray(c, dtype=float)
             if c.shape != (n, n, n):
                 raise ValueError(f"structure tensor must have shape {(n,) * 3}")
-            object.__delattr__(self, "c")
             object.__setattr__(self, "entries", _nonzeros(c))
+        elif self.entries is None:
+            raise TypeError("FiniteHypergroup needs the structure tensor c or its entries")
         if n >= MAX_N:
             raise ValueError(f"n={n} is not below {MAX_N}: the n^3 tensor is not addressable")
         if len(set(map(len, self.entries))) > 1:

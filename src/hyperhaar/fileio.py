@@ -233,8 +233,6 @@ def _read_lines(numbered, count: int):
                     inv = [int(x) for x in fields[1:]]
             else:
                 raise ParseError(f"unknown directive {key!r}", lineno)
-        except ParseError:
-            raise
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from exc
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AXIOM_TOL, FiniteHypergroup, Measure, _contract, _identity_planes
+from .core import AXIOM_TOL, FiniteHypergroup, Measure, Refusal, _contract, _identity_planes
 
 __all__ = [
     "H6Violation",
@@ -32,17 +32,17 @@ __all__ = [
 _RANK_CUT = 1e-8
 
 
-class H6Violation(Exception):
+class H6Violation(Refusal):
     """A diagonal mass at the identity is nonpositive."""
 
 
-class DegenerateNullspace(Exception):
+class DegenerateNullspace(Refusal):
     """The invariance system is not certified to have a one-dimensional solution
     space: its Doeblin margin or the residual of its null vector misses its bar,
     or it overflows before its nullspace can be decided."""
 
 
-class NegativeSolution(Exception):
+class NegativeSolution(Refusal):
     """The invariance solve produced a significantly negative weight."""
 
 

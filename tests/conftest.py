@@ -2,6 +2,7 @@ import itertools
 import tracemalloc
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.isin's first call imports it: kept out of every traced peak
 import pytest
 
 from hyperhaar import build_family

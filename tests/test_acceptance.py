@@ -98,7 +98,7 @@ def test_criterion_3_identity_suites():
     ok = True
     worst = 0.0
     for spec in BUNDLED.values():
-        results = identity_suite(build_family(*spec), rng, trials=1000, tol=1e-12)
+        results = identity_suite(build_family(*spec), rng, trials=1000)
         ok &= all(r.passed for r in results)
         worst = max(worst, max(r.worst for r in results))
     for _ in range(50):
@@ -107,7 +107,7 @@ def test_criterion_3_identity_suites():
         else:
             h = product_hypergroup(theta_hypergroup(rng.uniform(0.05, 1.0)),
                                    cyclic_hypergroup(int(rng.integers(2, 5))))
-        results = identity_suite(h, rng, trials=20, tol=1e-12)
+        results = identity_suite(h, rng, trials=20)
         ok &= all(r.passed for r in results)
         worst = max(worst, max(r.worst for r in results))
     _report("3 identity suites (worst %.2e)" % worst, bool(ok))

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hyperhaar import FiniteHypergroup, cli, fileio
+from hyperhaar import FiniteHypergroup, Refusal, cli, fileio
 from hyperhaar.cli import build_parser, main
 from hyperhaar.core import AXIOM_TOL, validate
 from hyperhaar.fileio import parse_hypergroup, serialize_hypergroup
@@ -447,6 +447,26 @@ def test_refusal_is_one_line_diagnosis(tmp_path, doc, argv, message):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip().splitlines() == [f"hypergroup file {path}: {message}"]
     assert proc.stdout == ""
+
+
+def _refusals(base=Refusal):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _refusals(cls)
+
+
+@pytest.mark.parametrize("refusal", sorted(_refusals(), key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_every_refusal_is_one_line_diagnosis(theta_file, monkeypatch, capsys, refusal):
+    def refuse(*args):
+        raise refusal("the input is refused")
+
+    monkeypatch.setattr(cli, "validate", refuse)
+    with pytest.raises(SystemExit) as exc:  # a str code: printed to stderr, exit status 1
+        main(["validate", theta_file])
+    assert exc.value.code == (f"hypergroup file {theta_file}: {refusal.__name__}: "
+                              "the input is refused")
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("big", ["1e300", "1.7e308"])

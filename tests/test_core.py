@@ -906,7 +906,7 @@ class TestEntryReaders:
 
 class TestTolerancePolicy:
     def test_fields_are_points_identity_involution_tensor(self):
-        assert [f.name for f in dataclasses.fields(FiniteHypergroup)] == ["n", "e", "inv", "c"]
+        assert [f.name for f in dataclasses.fields(FiniteHypergroup)] == ["n", "e", "inv", "entries"]
 
     @pytest.mark.parametrize("excess", [5e-10, 2e-9], ids=["within", "beyond"])
     def test_validate_defaults_to_the_axiom_tolerance(self, excess):
@@ -916,6 +916,40 @@ class TestTolerancePolicy:
         h = FiniteHypergroup(2, 0, h.inv, c)
         assert validate(h).checks["H1"].passed == (excess <= AXIOM_TOL)
         assert not validate(h, excess / 2).checks["H1"].passed
+
+
+class TestFields:
+    def test_replace_keeps_the_entries(self):
+        h = cyclic_hypergroup(4)
+        moved = dataclasses.replace(h, e=2)
+        assert (moved.n, moved.e) == (4, 2)
+        np.testing.assert_array_equal(moved.inv, h.inv)
+        for got, want in zip(moved.entries, h.entries):
+            np.testing.assert_array_equal(got, want)
+        with pytest.raises(ValueError, match="identity index 4 out of range for n=4"):
+            dataclasses.replace(h, e=4)
+
+    def test_asdict_holds_the_declared_fields(self):
+        h = theta_hypergroup(0.5)
+        d = dataclasses.asdict(h)
+        assert list(d) == ["n", "e", "inv", "entries"]
+        assert (d["n"], d["e"]) == (2, 0)
+        np.testing.assert_array_equal(d["inv"], h.inv)
+        for got, want in zip(d["entries"], h.entries):
+            np.testing.assert_array_equal(got, want)
+
+    def test_replace_with_c_lists_its_nonzeros(self):
+        h = cyclic_hypergroup(3)
+        c = np.zeros((3, 3, 3))
+        c[0, 0, 0], c[2, 1, 0], c[1, 2, 2] = 1.0, -0.5, np.nan
+        got = dataclasses.replace(h, c=c)
+        for a, b in zip(got.entries, _nonzeros(c)):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(dense(got), c)
+
+    def test_neither_c_nor_entries_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            FiniteHypergroup(2, 0, [0, 1])
 
 
 def greedy_loop(k, f):
