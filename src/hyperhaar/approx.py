@@ -198,8 +198,9 @@ def _walk(h: FiniteHypergroup, mu0: Measure, bumps: Sequence[Function]):
 
     K is linear in the bump: one contraction gives the first bump's K, and each
     later K adds d_p c[inv[s], t, p] to K[s, t] for every entry of c with u = p,
-    at every point p where the bump changed by d_p, in increasing p: a copy of K
-    and one term per entry met, O(nnz) at most, as a contraction.
+    at every point p where the bump changed by d_p, in increasing p: one term
+    per entry met, O(nnz) at most, as a contraction.  K is updated in place, so
+    a reader is done with each K before it asks for the next.
     """
     s, t, u, value = h.entries
     k = translates(h, bumps[0])
@@ -210,7 +211,6 @@ def _walk(h: FiniteHypergroup, mu0: Measure, bumps: Sequence[Function]):
             row, col, mass = np.argsort(h.inv)[s[by_u]], t[by_u], value[by_u]
         if i:
             d = g.v - bumps[i - 1].v
-            k = k.copy()
             for p in np.flatnonzero(d):
                 j = slice(first[p], first[p + 1])
                 k[row[j], col[j]] += d[p] * mass[j]  # row r of K reads c[inv[r]]
@@ -275,7 +275,7 @@ def _probe_gap(k: np.ndarray, chi_t: np.ndarray) -> float:
     1_i - chi_t[i] K[i, :], the row of the ones probe is 1 - chi_t K."""
     rows = chi_t[:, None] * k
     rows.reshape(-1)[::k.shape[0] + 1] -= 1.0
-    return float(np.maximum(np.abs(rows).max(), np.abs(1.0 - chi_t @ k).max()))
+    return float(np.maximum(np.abs(rows, out=rows).max(), np.abs(1.0 - chi_t @ k).max()))
 
 
 def main_identity_gap(h: FiniteHypergroup, mu0: Measure, g: Function, f: Function) -> float:
@@ -355,7 +355,8 @@ def _net_steps(h: FiniteHypergroup, cfg: ApproximantConfig):
     v0 = Measure.uniform(h.n).w @ _contract(h, cfg.f0.v, 2)
     for k, chi_t in _walk(h, cfg.mu0, cfg.chain.bumps):
         z = cfg.f0.v @ chi_t
-        yield chi_t / z, p @ (chi_t / z), _probe_gap(k, chi_t), float(v0 @ chi_t / z)
+        w = chi_t / z
+        yield w, p @ w, _probe_gap(k, chi_t), float(v0 @ chi_t / z)
 
 
 @np.errstate(all="ignore")  # an overflow is an inf or a nan in the trace and the residual
@@ -373,11 +374,9 @@ def haar_net(h: FiniteHypergroup, cfg: ApproximantConfig):
     a, b = _bounds(h, cfg.f0, _probes(h.n))
 
     steps = []
-    chi = None
     prev_vals = None
     walk = _net_steps(h, cfg)
     for step, (u, (w, vals, gap, rho)) in enumerate(zip(cfg.chain.neighborhoods, walk)):
-        chi = Measure(w, nonneg=True)
         bounds_ok = bool(np.all((a < vals) & (vals < b)))
         diff = float(np.abs(vals - prev_vals).max()) if prev_vals is not None else np.inf
         steps.append(TraceStep(step, len(u), vals, gap, rho, bounds_ok,
@@ -386,6 +385,7 @@ def haar_net(h: FiniteHypergroup, cfg: ApproximantConfig):
             break
         prev_vals = vals
 
+    chi = Measure(w, nonneg=True)  # mu0 > 0, and _walk refuses a denominator <= 0
     residual = invariance_residual(h, chi)
     if not residual <= CERTIFY_TOL:  # a NaN residual certifies nothing
         raise NotConverged(

@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List
 
 import numpy as np
 
+from . import core
 from .core import (
     _BLOCK_FLOATS,
     EXACT_TOL,
     FiniteHypergroup,
     Function,
     Measure,
-    _contract,
 )
 from .approx import _bounds, _probe_gap, _probes, _ratio, _step, _walk, canonical_chain
 
@@ -37,29 +38,35 @@ def identity_suite(h: FiniteHypergroup, rng: np.random.Generator,
     Trials are stacked into blocks of b rows, b set by _BLOCK_FLOATS (a trial
     holds at most two n x n contractions and 48 n-vectors), and each block is
     drawn as one (b, 4, n) array: the same generator stream as drawing mu, nu,
-    sigma and f one trial at a time.  Each of a block's eight contractions is
-    one _contract of a stack: one BLAS product with the dense c while c's n^3
-    floats fit in _BLOCK_FLOATS (n <= 128), and past that a sum over c's
-    entries, O(nnz) a trial, with no n^3 term in time or memory.  A NaN on
-    either side of an identity makes its worst NaN, which fails.
+    sigma and f one trial at a time.  While c's n^3 floats fit in core's
+    _BLOCK_FLOATS (n <= 128) the suite scatters the dense c once, and each of a
+    block's eight contractions is one BLAS product with it; past that each is
+    one _contract of a stack, O(nnz) a trial, with no n^3 term in time or
+    memory.  A NaN on either side of an identity makes its worst NaN, which fails.
     """
     worst = dict.fromkeys((
         "(mu*f)ck = fck*muck", "(f*mu)ck = muck*fck", "<mu*f,nu> = <nu*fck,mu>",
         "<mu*f,sigma> = <f,muck*sigma>", "<f*mu,sigma> = <f,sigma*muck>",
         "(mu*nu)*f = mu*(nu*f)", "f*(mu*nu) = (f*mu)*nu",
         "(mu*nu)ck = nuck*muck"), 0.0)
-    block = max(1, _BLOCK_FLOATS // (h.n * (2 * h.n + 48)))
+    n, contract = h.n, partial(core._contract, h)
+    if n ** 3 <= core._BLOCK_FLOATS:  # the dense c, scattered once for every block
+        c = np.zeros((n,) * 3)
+        c[h.entries[:3]] = h.entries[3]
+        contract = lambda x, axis: (x @ np.moveaxis(c, axis, 0).reshape(n, -1)).reshape(len(x), n, n)
+    block = max(1, _BLOCK_FLOATS // (n * (2 * n + 48)))
     for start in range(0, trials, block):
-        draws = rng.uniform(-1, 1, (min(block, trials - start), 4, h.n))
-        for key, (a, b) in zip(worst, _identity_sides(h, *draws.transpose(1, 0, 2))):
+        draws = rng.uniform(-1, 1, (min(block, trials - start), 4, n))
+        for key, (a, b) in zip(worst, _identity_sides(h, contract, *draws.transpose(1, 0, 2))):
             worst[key] = float(np.maximum(worst[key], np.abs(a - b).max()))
     return [SuiteResult(k, v <= EXACT_TOL, v) for k, v in worst.items()]
 
 
-def _identity_sides(h: FiniteHypergroup, mu, nu, sigma, f) -> tuple:
+def _identity_sides(h: FiniteHypergroup, contract, mu, nu, sigma, f) -> tuple:
     """Both sides of each identity for the rows of the (b, n) stacks mu, nu, sigma
-    and f, from eight contractions of c with one stack each: over s for the left
-    factors of the four measure products, over u for f, fck, f * mu and nu * f."""
+    and f, from eight contractions contract(x, axis) of c with one stack each:
+    over s for the left factors of the four measure products, over u for f, fck,
+    f * mu and nu * f."""
     inv, back = h.inv, np.argsort(h.inv)  # m[inv[s]] = mu[s] for m = mu[:, back]
     muck, nuck, fck = mu[:, inv], nu[:, inv], f[:, inv]
 
@@ -70,13 +77,13 @@ def _identity_sides(h: FiniteHypergroup, mu, nu, sigma, f) -> tuple:
         return (k @ mu[:, back][:, :, None])[:, :, 0]
 
     munu, muck_sigma, sigma_muck, nuck_muck = (  # x * y: x contracted over s, then with y
-        (y[:, None, :] @ _contract(h, x, 0))[:, 0, :]
+        (y[:, None, :] @ contract(x, 0))[:, 0, :]
         for x, y in ((mu, nu), (muck, sigma), (sigma, muck), (nuck, muck)))
-    k_f, k_fck = _contract(h, f, 2), _contract(h, fck, 2)
+    k_f, k_fck = contract(f, 2), contract(fck, 2)
     muf, fmu, nuf, munu_f, f_munu = mf(mu, k_f), fm(k_f, mu), mf(nu, k_f), mf(munu, k_f), fm(k_f, munu)
     fck_muck, muck_fck, nu_fck = fm(k_fck, muck), mf(muck, k_fck), mf(nu, k_fck)
     del k_f, k_fck  # a trial holds two n x n contractions at once, not four
-    k_fmu, k_nuf = _contract(h, fmu, 2), _contract(h, nuf, 2)
+    k_fmu, k_nuf = contract(fmu, 2), contract(nuf, 2)
     return ((muf[:, inv], fck_muck),
             (fmu[:, inv], muck_fck),
             ((muf * nu).sum(axis=1), (nu_fck * mu).sum(axis=1)),

@@ -25,13 +25,13 @@ CERTIFY_TOL = 1e-10  # the invariance residual that certifies haar_net's limit
 MAX_N = 2 ** 20
 # The memory model.  The temporaries of one block of identity-suite trials and
 # the associativity accumulator over one block of (s, t) pairs, n^2 floats a
-# pair, stay below _BLOCK_FLOATS floats.  _contract forms the dense c, for a
-# stack of vectors only, while its n^3 floats fit in that budget, and past it sums
-# over c's entries.  Whole s-rows of the accumulator are merged while they fit in
-# _CACHE_FLOATS, a cache-sized budget; past _BLOCK_FLOATS an s-row is split into
-# ranges of t.  Of 2^12 to 2^18, 2^16 checked the 100 small-mix documents of
-# seed 0 fastest (49-51 ms on one core of a 2-core x86-64; 64-69 ms at 2^14 and
-# 64-70 ms at 2^18).
+# pair, stay below _BLOCK_FLOATS floats.  The identity suite scatters the dense
+# c once while its n^3 floats fit in that budget, and past it calls _contract,
+# which only sums over c's entries.  Whole s-rows of the accumulator are merged
+# while they fit in _CACHE_FLOATS, a cache-sized budget; past _BLOCK_FLOATS an
+# s-row is split into ranges of t.  Of 2^12 to 2^18, 2^16 checked the 100
+# small-mix documents of seed 0 fastest (49-51 ms on one core of a 2-core
+# x86-64; 64-69 ms at 2^14 and 64-70 ms at 2^18).
 _BLOCK_FLOATS = 2 ** 21
 _CACHE_FLOATS = 2 ** 16
 
@@ -74,9 +74,8 @@ class FiniteHypergroup:
 
     c is stored as its entries, the arrays (s, t, u, value) in C order, which
     from_entries takes and FiniteHypergroup(n, e, inv, c) lists from a dense
-    tensor, in place of any entries given with it; the dense c is not kept.
-    Only _contract forms the dense c, for a stack of vectors while its n^3
-    floats fit in _BLOCK_FLOATS.  Equality is identity.
+    tensor, in place of any entries given with it; the dense c is not kept,
+    and no reader in this module forms it.  Equality is identity.
     """
 
     n: int
@@ -212,17 +211,11 @@ def _check_size(h: FiniteHypergroup, *objs) -> None:
 
 def _contract(h: FiniteHypergroup, x: np.ndarray, axis: int) -> np.ndarray:
     """The sums of c over its axis 0 (s), 1 (t) or 2 (u) against x, the other two
-    axes kept in order: an (n, n) array for a vector x, an (m, n, n) array for an
-    (m, n) stack.  A vector is one bincount over c's entries in C order, O(nnz).
-    A stack is one BLAS product with the dense c scattered from the entries while
-    c's n^3 floats fit in _BLOCK_FLOATS, and past that one such bincount a row,
-    O(m nnz) with no n^3 term; a row's n^2 sums stay in cache, where one bincount
-    over all m rows, offset by row, took about twice as long."""
+    axes kept in order: for a vector x one (n, n) bincount over c's entries in C
+    order, O(nnz), and for an (m, n) stack one such bincount a row, O(m nnz).
+    A row's n^2 sums stay in cache: one bincount over all m rows, offset by row,
+    took 1.5-5 times as long."""
     n, (s, t, u, value) = h.n, h.entries
-    if x.ndim == 2 and n ** 3 <= _BLOCK_FLOATS:
-        c = np.zeros((n,) * 3)
-        c[s, t, u] = value
-        return (x @ np.moveaxis(c, axis, 0).reshape(n, -1)).reshape(len(x), n, n)
     kept = [s, t, u]
     at = kept.pop(axis)
     keys = kept[0] * n + kept[1]

@@ -632,6 +632,13 @@ def fresh_walk(h, mu0, f0, bumps):
         yield k, chi_t, w, p @ w, _gap(k, chi_t, p), rho
 
 
+def test_walk_keeps_one_k():
+    # every step of the chain updates the first bump's K in place
+    h = build_family("cosine-grid", "24")
+    ks = [k for k, _ in _walk(h, ones_measure(h.n), canonical_chain(h).bumps)]
+    assert len(ks) == 24 and all(k is ks[0] for k in ks)
+
+
 class TestWalkRounding:
     """_walk's updated K against a from-scratch contraction per bump.
 
@@ -652,7 +659,9 @@ class TestWalkRounding:
         s, t, u, value = h.entries
         habs = FiniteHypergroup.from_entries(n, h.e, h.inv, s, t, u, np.abs(value))
         cfg = ApproximantConfig(mu0, f0, chain)
-        walked = list(zip(_walk(h, mu0, chain.bumps), _net_steps(h, cfg)))
+        # _walk updates one K in place: keep each as it is yielded
+        walked = [((k.copy(), chi_t), net)
+                  for (k, chi_t), net in zip(_walk(h, mu0, chain.bumps), _net_steps(h, cfg))]
         fresh = list(fresh_walk(h, mu0, f0, chain.bumps))
         assert len(walked) == len(fresh) == len(chain)
         m, mass = n, np.abs(chain.bumps[0].v)

@@ -145,6 +145,16 @@ class TestIdentitySuite:
             ref.uniform(-1, 1, h.n)
         assert rng.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("param,trials", [("24", 1000), ("128", 100)])
+    def test_dense_c_is_scattered_once_per_suite(self, monkeypatch, param, trials):
+        # two blocks of trials, eight contractions a block, one dense c
+        h = build_family("cosine-grid", param)
+        assert trials > checks._BLOCK_FLOATS // (h.n * (2 * h.n + 48))
+        shapes, zeros = [], np.zeros
+        monkeypatch.setattr(np, "zeros", lambda shape, *a, **k: shapes.append(shape) or zeros(shape, *a, **k))
+        identity_suite(h, np.random.default_rng(0), trials)
+        assert shapes.count((h.n,) * 3) == 1
+
     def test_peak_does_not_grow_with_trials(self):
         h = build_family("cosine-grid", "48")
         peaks = [traced_peak(identity_suite, h, np.random.default_rng(0), trials)[1]

@@ -6,6 +6,7 @@ import pytest
 from hyperhaar import (
     FiniteHypergroup,
     Function,
+    checks,
     core,
     Measure,
     NoCover,
@@ -1027,8 +1028,8 @@ def kernel_case(request):
 def set_budget_rows(monkeypatch, n, kind):
     """Keep the real budget ("budget"), or set it to the floats of one s-row of c
     ("one-row") or of a row count that does not divide n ("uneven").  Both are
-    below c's n^3 floats, so the stacked contractions sum over c's entries,
-    except "uneven" at n = 2."""
+    below c's n^3 floats, except "uneven" at n = 2; _contract sums over c's
+    entries whatever the budget, and these check that it does."""
     if kind != "budget":
         rows = 1 if kind == "one-row" else next(r for r in range(2, n + 2) if n % r)
         monkeypatch.setattr(core, "_BLOCK_FLOATS", rows * n * n)
@@ -1051,14 +1052,26 @@ def tensor_with_non_finite_entries():
     lambda: build_family("product", "cyclic:3,cosine-grid:4"), three_cycle_tensor,
     tensor_with_empty_row, tensor_with_non_finite_entries],
     ids=["product-Z3xcosine-4", "three-cycle-inv", "empty-s-row", "non-finite"])
-def test_dense_path_is_one_product_with_c(make):
-    # while c fits the budget, each stacked contraction is one BLAS product with
-    # the c scattered from the entries: byte for byte the product with dense(h)
+def test_dense_path_is_one_product_with_c(monkeypatch, make):
+    # while c fits the budget, each stacked contraction of the identity suite is
+    # one BLAS product with the c scattered from the entries: byte for byte the
+    # product with dense(h)
     h = make()
     assert h.n ** 3 <= core._BLOCK_FLOATS
+    contract = suite_contraction(monkeypatch, h)
     x, c = np.random.default_rng(32).uniform(-1, 1, (5, h.n)), dense(h)
-    assert _contract(h, x, 2).tobytes() == (x @ c.reshape(-1, h.n).T).tobytes()
-    assert _contract(h, x, 0).tobytes() == (x @ c.reshape(h.n, -1)).tobytes()
+    assert contract(x, 2).tobytes() == (x @ c.reshape(-1, h.n).T).tobytes()
+    assert contract(x, 0).tobytes() == (x @ c.reshape(h.n, -1)).tobytes()
+
+
+def suite_contraction(monkeypatch, h):
+    """The contraction contract(x, axis) that identity_suite hands _identity_sides."""
+    given, sides = [], checks._identity_sides
+    monkeypatch.setattr(checks, "_identity_sides",
+                        lambda h, contract, *draws: sides(h, given.append(contract) or contract, *draws))
+    with np.errstate(all="ignore"):
+        checks.identity_suite(h, np.random.default_rng(0), 1)
+    return given[0]
 
 
 def deleted_kernels(h, x):
@@ -1094,9 +1107,8 @@ def test_vector_of_empty_and_non_finite_rows_is_the_deleted_kernels(make):
 
 
 class TestBatchedKernels:
-    """The stacked contractions of c, as one product with the dense c and as
-    sums over its entries, and the single-vector contractions, against the
-    defining sums over the dense c."""
+    """The stacked and the single-vector contractions of c, sums over its
+    entries, against the defining sums over the dense c."""
 
     def draws(self, h, rows=5):
         rng = np.random.default_rng(32)
@@ -1137,7 +1149,7 @@ class TestBatchedKernels:
 
     @pytest.mark.parametrize("kind", ["one-row", "uneven"])
     def test_defining_sums_through_small_slabs(self, monkeypatch, kernel_case, kind):
-        # a budget below n^3 (but "uneven" at n = 2): the sums over c's entries
+        # a budget below n^3 (but "uneven" at n = 2) moves none of the sums
         set_budget_rows(monkeypatch, kernel_case.n, kind)
         self.assert_defining_sums(kernel_case)
 
@@ -1149,6 +1161,16 @@ class TestBatchedKernels:
         set_budget_rows(monkeypatch, h.n, kind)
         assert (h.n ** 3 <= core._BLOCK_FLOATS) == (kind == "budget")
         self.assert_defining_sums(h)
+
+    def test_stack_within_the_budget_is_the_single_vector_sum(self, kernel_case):
+        # within the budget too a row of a stack is the vector path's bincount,
+        # bit for bit: _contract forms no dense c at any n
+        h = kernel_case
+        assert h.n ** 3 <= core._BLOCK_FLOATS
+        a = self.draws(h)[0]
+        for axis in (2, 1, 0):
+            rows = np.array([_contract(h, x, axis) for x in a])
+            assert _contract(h, a, axis).tobytes() == rows.tobytes()
 
     def test_u_stack_past_the_budget_is_the_single_vector_sum(self, monkeypatch, kernel_case):
         # past the budget a row of the u-stack, and of the s-stack, is the vector
