@@ -27,6 +27,7 @@ from .core import (
     _contract,
     _cover,
     _indicator_peaks,
+    _involution_witness,
     _peaks,
     pair,
     translates,
@@ -239,25 +240,25 @@ def normalized_approximant(h: FiniteHypergroup, cfg: ApproximantConfig, g: Funct
 
 def canonical_chain(h: FiniteHypergroup) -> ShrinkingChain:
     """Shrink from the whole space down to {e}, one involution-orbit at a time:
-    orbits keyed by their smallest member, removed in descending key order.
-    Raises NoChain when inv is not an involution fixing e.
+    orbits keyed by their smallest member, removed in descending key order, in
+    one pass that drops an orbit's points from the set and zeroes them in the
+    indicator row, each bump being a copy of that row.  Raises NoChain when
+    core's _involution_witness finds inv is not an involution fixing e.
 
-    When it is one, each neighborhood is a union of orbits that holds e, so
-    its bump, its indicator, is symmetric and the chain is valid by
-    construction; ShrinkingChain.check names the failure otherwise.
+    When it is one, each neighborhood is a union of orbits that holds e, so its
+    bump is symmetric and the chain is valid by construction;
+    ShrinkingChain.check names the failure otherwise.
     """
     inv = h.inv.tolist()
-    current = set(h.points())
-    neighborhoods = [frozenset(current)]
+    current, row = set(h.points()), np.ones(h.n)
+    neighborhoods, bumps = [frozenset(current)], [Function(row.copy())]
     for p in sorted({min(p, inv[p]) for p in h.points() if p != h.e}, reverse=True):
         current.difference_update((p, inv[p]))
+        row[p] = row[inv[p]] = 0.0
         neighborhoods.append(frozenset(current))
-    sizes = [len(u) for u in neighborhoods]
-    member = np.zeros((len(neighborhoods), h.n))
-    member[np.repeat(np.arange(len(sizes)), sizes),
-           np.fromiter(itertools.chain.from_iterable(neighborhoods), int, sum(sizes))] = 1.0
-    chain = ShrinkingChain(tuple(neighborhoods), tuple(Function(g) for g in member))
-    if inv[h.e] != h.e or any(inv[q] != p for p, q in enumerate(inv)):
+        bumps.append(Function(row.copy()))
+    chain = ShrinkingChain(tuple(neighborhoods), tuple(bumps))
+    if _involution_witness(h) is not None:
         try:
             chain.check(h)
         except ValueError as exc:

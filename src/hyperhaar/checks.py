@@ -9,13 +9,7 @@ from typing import List
 import numpy as np
 
 from . import core
-from .core import (
-    _BLOCK_FLOATS,
-    EXACT_TOL,
-    FiniteHypergroup,
-    Function,
-    Measure,
-)
+from .core import EXACT_TOL, FiniteHypergroup, Function, Measure
 from .approx import _bounds, _probe_gap, _probes, _ratio, _step, _walk, canonical_chain
 
 __all__ = ["SuiteResult", "identity_suite", "terminal_gap_suite",
@@ -35,14 +29,14 @@ def identity_suite(h: FiniteHypergroup, rng: np.random.Generator,
     """Involution and pairing identities of the convolution algebra,
     checked on random signed measures and functions.
 
-    Trials are stacked into blocks of b rows, b set by _BLOCK_FLOATS (a trial
-    holds at most two n x n contractions and 48 n-vectors), and each block is
-    drawn as one (b, 4, n) array: the same generator stream as drawing mu, nu,
-    sigma and f one trial at a time.  While c's n^3 floats fit in core's
-    _BLOCK_FLOATS (n <= 128) the suite scatters the dense c once, and each of a
-    block's eight contractions is one BLAS product with it; past that each is
-    one _contract of a stack, O(nnz) a trial, with no n^3 term in time or
-    memory.  A NaN on either side of an identity makes its worst NaN, which fails.
+    Trials are stacked into blocks of b rows, b set by core._BLOCK_FLOATS (a
+    trial holds at most two n x n contractions and 48 n-vectors), and each block
+    is drawn as one (b, 4, n) array: the same generator stream as drawing mu,
+    nu, sigma and f one trial at a time.  While c's n^3 floats fit in the same
+    budget (n <= 128) the suite scatters the dense c once, and each of a block's
+    eight contractions is one BLAS product with it; past that each is one
+    _contract of a stack, O(nnz) a trial, with no n^3 term in time or memory.
+    A NaN on either side of an identity makes its worst NaN, which fails.
     """
     worst = dict.fromkeys((
         "(mu*f)ck = fck*muck", "(f*mu)ck = muck*fck", "<mu*f,nu> = <nu*fck,mu>",
@@ -54,7 +48,7 @@ def identity_suite(h: FiniteHypergroup, rng: np.random.Generator,
         c = np.zeros((n,) * 3)
         c[h.entries[:3]] = h.entries[3]
         contract = lambda x, axis: (x @ np.moveaxis(c, axis, 0).reshape(n, -1)).reshape(len(x), n, n)
-    block = max(1, _BLOCK_FLOATS // (n * (2 * n + 48)))
+    block = max(1, core._BLOCK_FLOATS // (n * (2 * n + 48)))
     for start in range(0, trials, block):
         draws = rng.uniform(-1, 1, (min(block, trials - start), 4, n))
         for key, (a, b) in zip(worst, _identity_sides(h, contract, *draws.transpose(1, 0, 2))):

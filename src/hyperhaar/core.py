@@ -25,13 +25,13 @@ CERTIFY_TOL = 1e-10  # the invariance residual that certifies haar_net's limit
 MAX_N = 2 ** 20
 # The memory model.  The temporaries of one block of identity-suite trials and
 # the associativity accumulator over one block of (s, t) pairs, n^2 floats a
-# pair, stay below _BLOCK_FLOATS floats.  The identity suite scatters the dense
-# c once while its n^3 floats fit in that budget, and past it calls _contract,
-# which only sums over c's entries.  Whole s-rows of the accumulator are merged
-# while they fit in _CACHE_FLOATS, a cache-sized budget; past _BLOCK_FLOATS an
-# s-row is split into ranges of t.  Of 2^12 to 2^18, 2^16 checked the 100
-# small-mix documents of seed 0 fastest (49-51 ms on one core of a 2-core
-# x86-64; 64-69 ms at 2^14 and 64-70 ms at 2^18).
+# pair, stay below _BLOCK_FLOATS floats.  This budget also sets the suite's
+# route: the suite scatters the dense c once while c's n^3 floats fit in it, and
+# past it calls _contract, which only sums over c's entries.  Whole s-rows of
+# the accumulator are merged while they fit in _CACHE_FLOATS, a cache-sized
+# budget; past _BLOCK_FLOATS an s-row is split into ranges of t.  Of 2^12 to
+# 2^18, 2^16 checked the 100 small-mix documents of seed 0 fastest (49-51 ms on
+# one core of a 2-core x86-64; 64-69 ms at 2^14 and 64-70 ms at 2^18).
 _BLOCK_FLOATS = 2 ** 21
 _CACHE_FLOATS = 2 ** 16
 
@@ -97,7 +97,7 @@ class FiniteHypergroup:
             raise ValueError(f"identity index {self.e} out of range for n={n}")
         if self.inv.shape != (n,):
             raise ValueError("involution must be a permutation vector of length n")
-        if sorted(self.inv.tolist()) != list(range(n)):
+        if not np.array_equal(np.sort(self.inv), np.arange(n)):
             raise ValueError("involution is not a permutation")
         if c is not None:
             c = np.asarray(c, dtype=float)
@@ -349,17 +349,11 @@ def validate(h: FiniteHypergroup, tol: float = AXIOM_TOL) -> ValidationReport:
     deviation. A non-finite c forms no products: the worst is nan and the
     witness is c's first non-finite entry (s, t, u).
     """
-    n, e, inv = h.n, h.e, h.inv
+    n, inv = h.n, h.inv
     checks = {}
 
-    bad = inv[inv] != np.arange(n)
-    inv_ok = not bad.any() and inv[e] == e
-    witness = None
-    if bad.any():
-        witness = (int(np.flatnonzero(bad)[0]),)
-    elif inv[e] != e:
-        witness = (e,)
-    checks["involution"] = AxiomCheck("involution", inv_ok, 0.0, witness)
+    witness = _involution_witness(h)
+    checks["involution"] = AxiomCheck("involution", witness is None, 0.0, witness)
 
     worst, witness = _row_stochastic(h)
     checks["H1"] = AxiomCheck("H1 row-stochastic", worst <= tol, worst,
@@ -383,9 +377,7 @@ def validate(h: FiniteHypergroup, tol: float = AXIOM_TOL) -> ValidationReport:
     diag = planes[2, np.arange(n), inv]
     off = planes[2][:, inv]
     np.fill_diagonal(off, 0.0)
-    h6_ok = bool(np.all(diag > tol) and np.all(off <= tol))
-    worst = 0.0
-    witness = None
+    worst, witness = 0.0, None
     if not np.all(diag > tol):
         t = int(np.argmin(diag))  # the first NaN, if there is one
         witness = (t, t)
@@ -393,7 +385,7 @@ def validate(h: FiniteHypergroup, tol: float = AXIOM_TOL) -> ValidationReport:
     elif not np.all(off <= tol):
         witness = _argmax_witness(off)
         worst = float(off.max())
-    checks["H6"] = AxiomCheck("H6", h6_ok, worst, witness)
+    checks["H6"] = AxiomCheck("H6", witness is None, worst, witness)
 
     checks["H7"] = AxiomCheck("H7", True, note="automatic (finite discrete)")
 
@@ -402,6 +394,15 @@ def validate(h: FiniteHypergroup, tol: float = AXIOM_TOL) -> ValidationReport:
                                          None if worst <= tol else witness)
 
     return ValidationReport(checks)
+
+
+def _involution_witness(h: FiniteHypergroup) -> Optional[tuple]:
+    """None when inv is an involution fixing e, else the first (p,) with
+    inv[inv[p]] != p, else (e,): the involution check's one reader."""
+    bad = np.flatnonzero(h.inv[h.inv] != np.arange(h.n))
+    if bad.size:
+        return (int(bad[0]),)
+    return None if h.inv[h.e] == h.e else (h.e,)
 
 
 def _row_stochastic(h: FiniteHypergroup) -> tuple:

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -29,7 +30,7 @@ from hyperhaar import (
 from hyperhaar.approx import (_bounds, _gap, _net_steps, _probe_gap, _ratio, _step, _walk,
                               default_probes)
 from hyperhaar.checks import terminal_ratio_suite
-from hyperhaar.core import convolve_measures, translates
+from hyperhaar.core import AxiomCheck, convolve_measures, translates, validate
 from hyperhaar.oracles import (
     conjugacy_class_hypergroup,
     cyclic_hypergroup,
@@ -180,6 +181,55 @@ class TestCanonicalChain:
         h = FiniteHypergroup(3, 0, inv, dense(cyclic_hypergroup(3)))
         with pytest.raises(NoChain, match=f"^{message}$"):
             canonical_chain(h)
+
+
+    def test_every_small_permutation(self):
+        # every permutation inv and identity e with n <= 5: 719 cases, most of
+        # them not involutions or moving e
+        cases = 0
+        for n in range(1, 6):
+            c = dense(cyclic_hypergroup(n))
+            for inv in itertools.permutations(range(n)):
+                for e in range(n):
+                    h = FiniteHypergroup(n, e, list(inv), c)
+                    ref, check = reference_chain(h), reference_involution_check(h)
+                    try:
+                        chain = canonical_chain(h)
+                    except NoChain as exc:
+                        assert str(exc) == ref
+                    else:
+                        assert chain.neighborhoods == ref.neighborhoods
+                        assert [g.v.tobytes() for g in chain.bumps] == [
+                            g.v.tobytes() for g in ref.bumps]
+                    assert validate(h).checks["involution"] == check
+                    cases += 1
+        assert cases == 719
+
+
+def reference_chain(h):
+    """canonical_chain as it was: neighborhoods built as sets, bumps their
+    indicators, and inv tested one point at a time; a NoChain as its text."""
+    inv = h.inv.tolist()
+    current = set(h.points())
+    neighborhoods = [frozenset(current)]
+    for p in sorted({min(p, inv[p]) for p in h.points() if p != h.e}, reverse=True):
+        current.difference_update((p, inv[p]))
+        neighborhoods.append(frozenset(current))
+    chain = ShrinkingChain(neighborhoods, [Function.indicator(h.n, u) for u in neighborhoods])
+    if inv[h.e] != h.e or any(inv[q] != p for p, q in enumerate(inv)):
+        try:
+            chain.check(h)
+        except ValueError as exc:
+            return str(exc)
+    return chain
+
+
+def reference_involution_check(h):
+    """validate's involution entry as it was computed before it had one reader."""
+    n, e, inv = h.n, h.e, h.inv
+    bad = inv[inv] != np.arange(n)
+    witness = (int(np.flatnonzero(bad)[0]),) if bad.any() else (e,) if inv[e] != e else None
+    return AxiomCheck("involution", not bad.any() and inv[e] == e, 0.0, witness)
 
 
 def assert_chain_is_reference(chain, h):

@@ -132,10 +132,27 @@ class TestIdentitySuite:
         h = build_family("cosine-grid", "5")
         one = np.random.default_rng(4)
         whole = identity_suite(h, one, trials=20)
-        monkeypatch.setattr(checks, "_BLOCK_FLOATS", block * h.n * (2 * h.n + 48))
+        monkeypatch.setattr(core, "_BLOCK_FLOATS", block * h.n * (2 * h.n + 48))
         split = np.random.default_rng(4)
         assert identity_suite(h, split, trials=20) == whole
         assert split.bit_generator.state == one.bit_generator.state
+
+    def test_block_size_follows_cores_budget(self, monkeypatch):
+        # a budget of three trials that still holds c's n^3 floats: the dense
+        # route, in blocks of 3, 3, 3 and 1
+        h = build_family("cosine-grid", "8")
+        whole = identity_suite(h, np.random.default_rng(6), trials=10)
+        monkeypatch.setattr(core, "_BLOCK_FLOATS", 3 * h.n * (2 * h.n + 48))
+        assert h.n ** 3 <= core._BLOCK_FLOATS
+        blocks, sides = [], checks._identity_sides
+
+        def spy(h, contract, mu, *rest):
+            blocks.append(len(mu))
+            return sides(h, contract, mu, *rest)
+
+        monkeypatch.setattr(checks, "_identity_sides", spy)
+        assert identity_suite(h, np.random.default_rng(6), trials=10) == whole
+        assert blocks == [3, 3, 3, 1]
 
     def test_draws_are_the_per_trial_stream(self):
         h = build_family("cyclic", "8")
@@ -149,7 +166,7 @@ class TestIdentitySuite:
     def test_dense_c_is_scattered_once_per_suite(self, monkeypatch, param, trials):
         # two blocks of trials, eight contractions a block, one dense c
         h = build_family("cosine-grid", param)
-        assert trials > checks._BLOCK_FLOATS // (h.n * (2 * h.n + 48))
+        assert trials > core._BLOCK_FLOATS // (h.n * (2 * h.n + 48))
         shapes, zeros = [], np.zeros
         monkeypatch.setattr(np, "zeros", lambda shape, *a, **k: shapes.append(shape) or zeros(shape, *a, **k))
         identity_suite(h, np.random.default_rng(0), trials)
@@ -160,7 +177,7 @@ class TestIdentitySuite:
         peaks = [traced_peak(identity_suite, h, np.random.default_rng(0), trials)[1]
                  for trials in (1000, 4000)]
         assert peaks[1] <= 1.05 * peaks[0]
-        assert max(peaks) <= 8 * checks._BLOCK_FLOATS
+        assert max(peaks) <= 8 * core._BLOCK_FLOATS
 
     def test_peak_below_half_an_n3_array_when_c_spans_slabs(self):
         # c spans 8 slabs of _BLOCK_FLOATS floats at n = 256, so the suite sums
@@ -182,7 +199,7 @@ class TestIdentitySuite:
     def test_peak_past_the_budget_does_not_grow_with_blocks(self):
         # one block of trials against eight, each block 3 trials at n = 512
         h = build_family("cyclic", "512")
-        block = checks._BLOCK_FLOATS // (h.n * (2 * h.n + 48))
+        block = core._BLOCK_FLOATS // (h.n * (2 * h.n + 48))
         peaks = [traced_peak(identity_suite, h, np.random.default_rng(0), trials)[1]
                  for trials in (block, 8 * block)]
         assert peaks[1] <= 1.05 * peaks[0]
