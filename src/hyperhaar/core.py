@@ -24,14 +24,15 @@ CERTIFY_TOL = 1e-10  # the invariance residual that certifies haar_net's limit
 # of c's entries fit int64.
 MAX_N = 2 ** 20
 # The memory model.  The temporaries of one block of identity-suite trials and
-# the associativity accumulator over one block of (s, t) pairs, n^2 floats a
-# pair, stay below _BLOCK_FLOATS floats.  This budget also sets the suite's
-# route: the suite scatters the dense c once while c's n^3 floats fit in it, and
-# past it calls _contract, which only sums over c's entries.  Whole s-rows of
-# the accumulator are merged while they fit in _CACHE_FLOATS, a cache-sized
-# budget; past _BLOCK_FLOATS an s-row is split into ranges of t.  Of 2^12 to
-# 2^18, 2^16 checked the 100 small-mix documents of seed 0 fastest (49-51 ms on
-# one core of a 2-core x86-64; 64-69 ms at 2^14 and 64-70 ms at 2^18).
+# the associativity accumulator over one block of (t, s) pairs of middle and
+# left index, n^2 floats a pair, stay below _BLOCK_FLOATS floats.  This budget
+# also sets the suite's route: the suite scatters the dense c once while c's n^3
+# floats fit in it, and past it calls _contract, which only sums over c's
+# entries.  Whole t-slabs of the accumulator are merged while they fit in
+# _CACHE_FLOATS, a cache-sized budget; past _BLOCK_FLOATS a slab is split into
+# ranges of s.  Of 2^14 to 2^18, 2^16 checked the 100 small-mix documents of
+# seed 0 fastest (19-20 ms on one core of a 2-core x86-64; 29-31 ms at 2^14 and
+# 20-21 ms at 2^18).
 _BLOCK_FLOATS = 2 ** 21
 _CACHE_FLOATS = 2 ** 16
 
@@ -339,10 +340,13 @@ def validate(h: FiniteHypergroup, tol: float = AXIOM_TOL) -> ValidationReport:
     The associativity check sets the cost. Its worst is the largest
     |((s*t)*r - s*(t*r))(v)| over all points, where s*t is dirac_s * dirac_t,
     and its witness is the first (s, t, r, v) in C order that reaches it. It
-    forms only the P products of two nonzeros of c, one block of (s, t) pairs
-    at a time, in O(P) time; P is
+    forms only the P products of two nonzeros of c, one block of middle indices
+    t at a time, in O(P) time; P is
     sum_w #{u = w} * (#{s = w} + #{t = w}) over the nonzeros c[s, t, u], which
-    is O(n^3 d^2) when every c[s, t] has at most d nonzeros. Its memory is
+    is O(n^3 d^2) when every c[s, t] has at most d nonzeros. For a commutative
+    c (c[s, t] = c[t, s] bitwise) with n^3 at most _BLOCK_FLOATS, the right
+    side is the left side transposed and is not formed: P is
+    sum_w #{u = w} * #{s = w}, half as many. Its memory is
     O(nnz + n^2) beside one accumulator of at most max(_BLOCK_FLOATS, n^2)
     floats, and the products of one block. A deviation that
     overflows counts as inf, so the worst is inf at the first non-finite
@@ -465,72 +469,89 @@ def _associativity(h: FiniteHypergroup) -> tuple:
     """Worst |((s*t)*r - s*(t*r))[v]| and its first (s, t, r, v) in C order,
     through c's nonzeros (Gustavson's row-by-row product, over blocks of rows).
 
-    The pairs (s, t) are taken in blocks, contiguous in C order: as many whole
-    s-rows as fit in _CACHE_FLOATS floats of accumulator, n^3 a row, while n^3 is
-    at most _BLOCK_FLOATS, and past that one s with t in ranges of
-    max(1, _BLOCK_FLOATS // n^2). For the pairs of a block,
-    ((s*t)*r)(v) = sum_u c[s,t,u] c[u,r,v] meets the block's run of c's entries
-    with the entries grouped by first index, and (s*(t*r))(v) =
-    sum_b c[t,r,b] c[s,b,v] meets the entries of the block's s-rows with those
-    grouped by (third index, first index). Two offset tables of n^2 + 1 find
-    the runs, keyed by (s, t) and by (b, t). Each side is summed in turn into
-    one accumulator, read at the keys of (s, t, r, v) that either side touches
-    and zeroed at those it touched, so the deviation is one subtraction of two
-    sums. Whatever the block shape, each key sums its terms in one order, by u
-    on the left and by b on the right, and ties keep the first key in C order,
-    so the budgets move neither the worst nor the witness. O(P) time for the P
+    Both sides are one kernel, the left product at middle index t,
+    L_t[a, r, v] = sum_u X[a, t, u] X[u, r, v], summed in increasing u:
+    ((s*t)*r)(v) = L_t[s, r, v] for X = c, and (s*(t*r))(v) = L_t[r, s, v] for
+    the opposite tensor X = c', c'[a, b, w] = c[b, a, w]. The kernel meets X's
+    entries grouped by middle index with X's rows, so two orderings of c's
+    entries serve both sides: C order lists c's rows and c' grouped by middle
+    index, and the (t, s, u) order of one stable sort lists c' in C order.
+
+    A block is as many middle indices t as fit in _CACHE_FLOATS floats of
+    accumulator, n^3 a slab (s, r, v), while n^3 is at most _BLOCK_FLOATS, and
+    past that one t with s in ranges of max(1, _BLOCK_FLOATS // n^2). When
+    c' == c bitwise over the entries (c is commutative) and whole slabs fit,
+    side 2 is side 1 transposed and is not formed: the deviation at
+    (s, t, r, v) is |L_t[s, r, v] - L_t[r, s, v]|, read at each key side 1
+    touches and at its transpose. Otherwise each side is summed in turn into the
+    one accumulator, keyed (t, s, r, v), read at the keys either side
+    touches and zeroed at those it touched, so the deviation is one subtraction
+    of two sums. Either way each key sums its terms in one order, by u on the
+    left and by b on the right, and a tie keeps the first (s, t, r, v) in C
+    order, within a block and across blocks, so neither the budgets nor the
+    commutative shortcut move the worst or the witness. O(P) time for the P
     products (see validate).
     A non-finite c forms no products and gives nan at its first non-finite
     entry (s, t, u): the dense sums would spread it through 0 * nan and
     0 * inf, which no product of two nonzeros forms.
     """
-    n, nn, (s_, t_, u_, val) = h.n, h.n * h.n, h.entries  # C order: grouped by (s, t)
+    n, nn, (s_, t_, u_, val) = h.n, h.n * h.n, h.entries
     if not np.isfinite(val).all():
         i = int(np.argmin(np.isfinite(val)))
         return np.nan, (int(s_[i]), int(t_[i]), int(u_[i]))
-    st = s_ * n + t_
-    pairs = np.searchsorted(st, np.arange(nn + 1))  # c[s, t] is the run pairs[st]:pairs[st + 1]
-    first = pairs[::n]  # c[s] is the run first[s]:first[s + 1]
-    rv = t_ * n + u_  # the key part (r, v) of c[u, r, v]
-    by_u = np.argsort(u_, kind="stable")  # c[t, r, b] grouped by (b, t)
-    third = np.searchsorted((u_ * n + s_)[by_u], np.arange(nn + 1))
-    tr, val_u = st[by_u] * n, val[by_u]  # the key part (t, r) of c[t, r, b]
-    if n * nn <= _BLOCK_FLOATS:
-        rows, width = min(n, max(1, _CACHE_FLOATS // (n * nn))), n
-    else:
-        rows, width = 1, max(1, _BLOCK_FLOATS // nn)
-    acc = np.zeros(rows * width * nn)
-    tn, sv = t_ * n, (s_ % rows) * n * nn + u_  # b n, and the key part (s, v) in a block
-    worst, witness = -np.inf, None
-    for s0 in range(0, n, rows):
-        s1 = min(s0 + rows, n)
-        bn, v, y = (a[first[s0]:first[s1]] for a in (tn, sv, val))  # c[s, b, v] = y
-        stop = third[bn]
-        for t0 in range(0, n, width):
-            t1 = min(t0 + width, n)
-            start, stop = stop, third[bn + t1]  # c[t, r, b] for t0 <= t < t1
-            p0 = s0 * n + t0  # the block: pairs p0 up to (s1 - 1) n + t1, at key 0
-            lo, hi = pairs[p0], pairs[(s1 - 1) * n + t1]
-            u, x = u_[lo:hi], val[lo:hi]
-            k = first[u + 1] - first[u]  # c[s,t,u] c[u,r,v] goes to key (s, t, r, v)
-            j = _ranges(first[u], k)
-            left = np.repeat((st[lo:hi] - p0) * nn, k) + rv[j]
-            np.add.at(acc, left, np.repeat(x, k) * val[j])
-            k = stop - start  # c[t,r,b] c[s,b,v] goes to key (s, t, r, v)
-            j = _ranges(start, k)
-            right = tr[j] + np.repeat(v - t0 * nn, k)
-            keys = np.concatenate([left, right])
-            lhs = acc[keys]
-            acc[left] = 0.0
-            np.add.at(acc, right, val_u[j] * np.repeat(y, k))
-            dev = np.abs(lhs - acc[keys])
-            acc[right] = 0.0
+    if n * nn <= _BLOCK_FLOATS:  # whole slabs: the key of (t, s, r, v) is (t - t0, s, r, v)
+        ts, width, slab = min(n, max(1, _CACHE_FLOATS // (n * nn))), n, n * nn
+    else:  # one t: the key of (t0, s, r, v) is (s - s0, r, v)
+        ts, width, slab = 1, max(1, _BLOCK_FLOATS // nn), 0
+    by_t = np.argsort(t_, kind="stable")
+    c, ct = (s_, t_, u_, val), tuple(a[by_t] for a in (t_, s_, u_, val))  # c and c' in C order
+    one = width == n and all(map(np.array_equal, c, ct))  # side 2 is side 1 transposed
+    # c[a, b] is the run oc[a n + b]:oc[a n + b + 1], and c'[a, b] the run of oct
+    oc, oct = (np.searchsorted(x[0] * n + x[1], np.arange(nn + 1)) for x in (c, ct))
+    # Side 1 takes X = c and side 2 X = c'. A side's tuple: for the rows X[u, r, v],
+    # X's offsets, the key part of (r, v) and the values; for X[a, t, u] = X'[t, a, u],
+    # read in the C order of X', its offsets, u, the values and the key part of (t, a).
+    sides = ((oc, t_ * n + u_, val, oct, ct[2], ct[3], ct[0] * slab + ct[1] * nn),
+             (oct, ct[1] * nn + ct[2], ct[3], oc, u_, val, s_ * slab + t_ * n))
+    acc = np.zeros(ts * width * nn)
+    worst, witness = 0.0, (0, 0, 0, 0)
+    for t0 in range(0, n, ts):
+        t1 = min(t0 + ts, n)
+        for s0 in range(0, n, width):
+            s1 = min(s0 + width, n)
+            base, keys, terms = t0 * slab + s0 * nn, [], []
+            for (ox, rv, y, oxt, u, x, ta), (a0, a1), (r0, r1) in zip(
+                    sides, ((s0, s1), (0, n)), ((0, n), (s0, s1))):
+                if not (one and keys):  # else side 2 meets the entries side 1 met
+                    lo, hi = oxt[t0 * n + a0], oxt[(t1 - 1) * n + a1]  # X[a, t, u], a0 <= a < a1
+                    start = ox[r0::n][u[lo:hi]]  # times X[u, r, v], r0 <= r < r1
+                    k = ox[r1::n][u[lo:hi]] - start
+                    j = _ranges(start, k)
+                    terms.append(np.repeat(x[lo:hi], k) * y[j])
+                keys.append(np.repeat(ta[lo:hi] - base, k) + rv[j])
+            left, right = keys
+            np.add.at(acc, left, terms[0])
+            if one:
+                dev = np.abs(acc[left] - acc[right])
+                acc[left] = 0.0
+            else:
+                keys = np.concatenate(keys)
+                lhs = acc[keys]
+                acc[left] = 0.0
+                np.add.at(acc, right, terms[1])
+                dev = np.abs(lhs - acc[keys])
+                acc[right] = 0.0
             top = dev.max(initial=0.0)
             if np.isnan(top):  # c is finite, so overflowed products: inf - inf
                 dev[np.isnan(dev)] = top = np.inf
-            if top > worst:  # ties keep the first in C order
-                p, rv_key = divmod(_first_key(keys, dev, top), nn)
-                worst, witness = float(top), (*divmod(p0 + p, n), *divmod(rv_key, n))
+            if top > 0 and top >= worst:  # the block's first key at top, in C order
+                hit = dev == top
+                q, tail = np.divmod(np.concatenate([left[hit], right[hit]]) if one else keys[hit], nn)
+                s, t = s0 + q % n, t0 + q // n
+                i = np.lexsort((tail, t, s))[0]
+                first = (int(s[i]), int(t[i]), *divmod(int(tail[i]), n))
+                if top > worst or first < witness:
+                    worst, witness = float(top), first
     return worst, witness
 
 

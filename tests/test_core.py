@@ -324,6 +324,22 @@ def assert_outcome(deva, tol, passed, worst, witness):
         assert abs(worst - top) <= 1e-15 * max(1.0, top)
 
 
+def group_algebra(table):
+    """The hypergroup of a group table's elements: c[a, b, ab] = 1."""
+    n = len(table)
+    e = int(np.flatnonzero((table == np.arange(n)).all(axis=1))[0])
+    a, b = np.divmod(np.arange(n * n), n)
+    return FiniteHypergroup.from_entries(n, e, np.argmax(table == e, axis=1), a, b, table[a, b],
+                                         np.ones(n * n))
+
+
+def dihedral_table(k):
+    """D_k's table on f k + i, the map z -> (-1)^f z + i of Z_k."""
+    f, i = np.divmod(np.arange(2 * k), k)
+    return (f[:, None] ^ f) * k + (i[:, None] + (-1) ** f[:, None] * i) % k
+
+
+# valid hypergroups; the group algebras are the non-commutative ones
 STREAM_BASES = {
     "Z4": lambda: cyclic_hypergroup(4),
     "Z7": lambda: cyclic_hypergroup(7),
@@ -331,6 +347,8 @@ STREAM_BASES = {
     "cosine-6": lambda: cosine_grid_hypergroup(6),
     "theta-0.3": lambda: theta_hypergroup(0.3),
     "S4-classes": lambda: conjugacy_class_hypergroup(symmetric_group_table(4)),
+    "S3-group": lambda: group_algebra(symmetric_group_table(3)),
+    "D4-group": lambda: group_algebra(dihedral_table(4)),
 }
 
 
@@ -440,8 +458,8 @@ class TestAssociativityStream:
         h = cosine_grid_hypergroup(48)
         assert self.validate_peak(h) < h.n ** 4 * 8
 
-    # the accumulator, the per-s products and the entries' index arrays, which
-    # weigh 2.3 n^3 floats at n=48 and 1.7 and 1.5 at n=96 and n=128
+    # the accumulator, one block's products and the entries' index arrays, which
+    # weigh 2.3 n^3 floats at n=48 and 1.6 and 1.5 at n=96 and n=128
     @pytest.mark.parametrize("n", [48], ids=["cosine-grid-48"])
     def test_peak_memory_below_four_n3_arrays(self, n):
         h = cosine_grid_hypergroup(n)
@@ -465,6 +483,7 @@ GRID64 = {
     "cyclic-64": lambda: cyclic_hypergroup(64),
     "cosine-grid-64": lambda: cosine_grid_hypergroup(64),
     "product-c8-g8": lambda: build_family("product", "cyclic:8,cosine-grid:8"),
+    "D32-group": lambda: group_algebra(dihedral_table(32)),
 }
 
 
@@ -497,22 +516,23 @@ class TestSparseAssociativity:
 
 
 # The budgets that force each block shape of _associativity on n points; "budget"
-# keeps the real ones, which merge 4 or more s-rows a block at n <= 24.
+# keeps the real ones, which merge 4 or more t-slabs a block at n <= 24.  The
+# s-ranges take the two-sided path on a commutative c too.
 BLOCK_SHAPES = {
     "budget": lambda n: {},
-    "merged-rows": lambda n: {"_CACHE_FLOATS": 3 * n ** 3},
-    "one-row": lambda n: {"_CACHE_FLOATS": 0},
-    "t-ranges-of-1": lambda n: {"_BLOCK_FLOATS": n * n},
-    "t-ranges-of-3": lambda n: {"_BLOCK_FLOATS": 3 * n * n},
+    "merged-slabs": lambda n: {"_CACHE_FLOATS": 3 * n ** 3},
+    "one-slab": lambda n: {"_CACHE_FLOATS": 0},
+    "s-ranges-of-1": lambda n: {"_BLOCK_FLOATS": n * n},
+    "s-ranges-of-3": lambda n: {"_BLOCK_FLOATS": 3 * n * n},
 }
 
 
 def block_of(n, s, t):
-    """The block that holds the pair (s, t) under core's budgets: whole s-rows, or
-    one s and a range of t."""
+    """The block that holds the pair (s, t) under core's budgets: whole t-slabs,
+    or one t and a range of s."""
     if n ** 3 <= core._BLOCK_FLOATS:
-        return s // max(1, core._CACHE_FLOATS // n ** 3), 0
-    return s, t // max(1, core._BLOCK_FLOATS // n ** 2)
+        return t // max(1, core._CACHE_FLOATS // n ** 3), 0
+    return t, s // max(1, core._BLOCK_FLOATS // n ** 2)
 
 
 def block_shapes(monkeypatch, n):
@@ -531,6 +551,31 @@ def assert_rowwise_in_every_block_shape(monkeypatch, h):
         got = _associativity(h)
         assert got[1] == witness, shape
         assert got[0] == worst or np.isnan(got[0]) and np.isnan(worst), shape
+
+
+class CountingNumpy:
+    """numpy with its np.add.at calls counted, to stand in for core's np."""
+
+    def __init__(self):
+        self.add, self.calls = self, 0
+
+    def at(self, *args):
+        self.calls += 1
+        np.add.at(*args)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def sides_formed(monkeypatch, h):
+    """How many sides _associativity(h) sums into its accumulator: its np.add.at
+    calls, on n <= 12, where the budgets make one block."""
+    assert h.n <= 12
+    counting = CountingNumpy()
+    with monkeypatch.context() as m:
+        m.setattr(core, "np", counting)
+        _associativity(h)
+    return counting.calls
 
 
 def dirichlet_row(c, rng):
@@ -556,8 +601,8 @@ PERTURBATIONS = {
 
 
 class TestBlockShapes:
-    """_associativity over blocks of (s, t) pairs, in every shape the budgets
-    give, has the worst and witness of the per-s loop, bit for bit."""
+    """_associativity over blocks of middle indices t, in every shape the
+    budgets give, has the worst and witness of the per-s loop, bit for bit."""
 
     @pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda spec: ":".join(spec))
     @pytest.mark.parametrize("scaled", [False, True], ids=["exact", "scaled"])
@@ -578,7 +623,7 @@ class TestBlockShapes:
 
     def test_exact_tie_across_a_block_boundary(self, monkeypatch):
         # the tie of test_exact_tie_keeps_first_witness: s = 1, 2, 3, and t = 1,
-        # 2, 3 within s = 1
+        # 2, 3 within s = 1, so blocks of t split it
         h = cyclic_hypergroup(4)
         c = dense(h)
         c[1, 1] = [0.0, 0.0, 0.5, 0.5]
@@ -589,6 +634,24 @@ class TestBlockShapes:
             if shape != "budget":  # which puts all of Z4 in one block
                 assert len({block_of(4, s, t) for s, t, _, _ in tied}) > 1, shape
             assert _associativity(h) == (0.5, tuple(tied[0]))
+
+    @pytest.mark.parametrize("name", sorted(STREAM_BASES))
+    def test_one_side_exactly_when_commutative(self, monkeypatch, name):
+        h = STREAM_BASES[name]()
+        c = dense(h)
+        assert sides_formed(monkeypatch, h) == (1 if (c == c.transpose(1, 0, 2)).all() else 2)
+
+    # c' == c is decided bitwise: one ulp on one mirrored entry takes the two-sided
+    # path, whose deviations must still be the per-s loop's
+    @pytest.mark.parametrize("name", sorted(set(STREAM_BASES) - {"S3-group", "D4-group"}))
+    def test_one_ulp_off_commutative(self, monkeypatch, name):
+        h = STREAM_BASES[name]()
+        c = dense(h)
+        s, t, u = next(p for p in zip(*h.entries[:3]) if p[0] != p[1])
+        c[t, s, u] = np.nextafter(c[t, s, u], np.inf)
+        h = FiniteHypergroup(h.n, h.e, h.inv, c)
+        assert sides_formed(monkeypatch, h) == 2
+        assert_rowwise_in_every_block_shape(monkeypatch, h)
 
 
 def argmax_witness(arr):
