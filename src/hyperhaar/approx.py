@@ -104,7 +104,7 @@ class ShrinkingChain:
             ~contained,
             ~((bumps >= 0).all(axis=1) & (np.abs(bumps).max(axis=1) > 0)),
             ((bumps != 0) & ~member).any(axis=1),
-            (bumps != bumps[:, h.inv]).any(axis=1),
+            ~_symmetric(h, bumps),
             bumps[:, h.e] <= 0,
         ], axis=1)
         if failed.any():
@@ -126,9 +126,10 @@ _CHAIN_FAILURES = (
 )
 
 
-def _symmetric(h: FiniteHypergroup, g: Function) -> bool:
-    """g(s) == g(inv[s]) for every s, exactly."""
-    return bool(np.array_equal(g.v, g.v[h.inv]))
+def _symmetric(h: FiniteHypergroup, g: np.ndarray) -> np.ndarray:
+    """For each row of g, whether g(s) == g(inv[s]) for every s, exactly: a NaN
+    is never symmetric, and -0.0 is 0.0. The bump-symmetry test's one reader."""
+    return ~(g != g[..., h.inv]).any(axis=-1)
 
 
 def default_probes(n: int) -> List[Function]:
@@ -297,7 +298,8 @@ def _ratio(h: FiniteHypergroup, chi_t: np.ndarray, fs: np.ndarray, mus: np.ndarr
 def sandwich_ratio(h: FiniteHypergroup, mu0: Measure, g: Function,
                    f: Function, mu: Measure) -> float:
     """<f, mu * approximant> / (|mu| approximant(f)); tends to 1 as g shrinks."""
-    if not _symmetric(h, g):
+    _check_size(h, g)
+    if not _symmetric(h, g.v):
         raise ValueError("bump must be symmetric")
     if mu.norm == 0:
         raise ValueError("mu must be nonzero")
@@ -343,16 +345,15 @@ def bounds_certificate(h: FiniteHypergroup, cfg: ApproximantConfig,
     return BoundsCertificate(a, b, value, a < value < b)
 
 
-def _net_steps(h: FiniteHypergroup, cfg: ApproximantConfig):
+def _net_steps(h: FiniteHypergroup, cfg: ApproximantConfig, p: np.ndarray):
     """Yield, bump by bump down cfg.chain, the normalized approximant's weights,
-    its default-probe values, the gap over the default probes and rho, all
-    derived from _walk's K in O(n^2).
+    its values on the default probes p = _probes(n), the gap over them and rho,
+    all derived from _walk's K in O(n^2).
 
     rho = <f0, uniform * chi_t> / chi_t(f0), the sandwich ratio of the uniform
     measure, and <f0, uniform * chi_t> = v0 . chi_t for v0 = uniform . (c
     contracted over u with f0).
     """
-    p = _probes(h.n)
     v0 = Measure.uniform(h.n).w @ _contract(h, cfg.f0.v, 2)
     for k, chi_t in _walk(h, cfg.mu0, cfg.chain.bumps):
         z = cfg.f0.v @ chi_t
@@ -372,11 +373,12 @@ def haar_net(h: FiniteHypergroup, cfg: ApproximantConfig):
     refused with NotConverged.
     """
     cfg.chain.check(h)
-    a, b = _bounds(h, cfg.f0, _probes(h.n))
+    p = _probes(h.n)
+    a, b = _bounds(h, cfg.f0, p)
 
     steps = []
     prev_vals = None
-    walk = _net_steps(h, cfg)
+    walk = _net_steps(h, cfg, p)
     for step, (u, (w, vals, gap, rho)) in enumerate(zip(cfg.chain.neighborhoods, walk)):
         bounds_ok = bool(np.all((a < vals) & (vals < b)))
         diff = float(np.abs(vals - prev_vals).max()) if prev_vals is not None else np.inf

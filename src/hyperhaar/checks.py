@@ -47,7 +47,8 @@ def identity_suite(h: FiniteHypergroup, rng: np.random.Generator,
     if n ** 3 <= core._BLOCK_FLOATS:  # the dense c, scattered once for every block
         c = np.zeros((n,) * 3)
         c[h.entries[:3]] = h.entries[3]
-        contract = lambda x, axis: (x @ np.moveaxis(c, axis, 0).reshape(n, -1)).reshape(len(x), n, n)
+        over = {0: c.reshape(n, -1), 2: c.reshape(-1, n).T}  # (n, n^2) views, over s and over u
+        contract = lambda x, axis: (x @ over[axis]).reshape(len(x), n, n)
     block = max(1, core._BLOCK_FLOATS // (n * (2 * n + 48)))
     for start in range(0, trials, block):
         draws = rng.uniform(-1, 1, (min(block, trials - start), 4, n))

@@ -33,7 +33,8 @@ _RANK_CUT = 1e-8
 
 
 class H6Violation(Refusal):
-    """A diagonal mass at the identity is nonpositive."""
+    """A diagonal mass at the identity is nonpositive, or so small that its
+    reciprocal, Jewett's weight, overflows."""
 
 
 class DegenerateNullspace(Refusal):
@@ -46,16 +47,18 @@ class NegativeSolution(Refusal):
     """The invariance solve produced a significantly negative weight."""
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused, not warned
 def jewett_haar(h: FiniteHypergroup) -> Measure:
     """Closed-form discrete invariant weights: 1 / (dirac_t * dirac_tcheck)({e}).
 
     Returned unnormalized; callers rescale as needed.
     """
     diag = _identity_planes(h)[2, np.arange(h.n), h.inv]  # c[t, inv t, e], as H6 reads it
-    if not np.all(diag > 0):
-        t = int(np.argmin(diag))  # the first NaN, if there is one
-        raise H6Violation(f"(dirac_{t} * dirac_{int(h.inv[t])})(e) = {diag[t]} "
-                          + ("<= 0" if diag[t] <= 0 else "is not a number"))
+    t = int(np.argmin(diag))  # the first NaN, if any, else the least mass: the largest weight
+    if not (diag[t] > 0 and np.isfinite(1.0 / diag[t])):
+        reason = ("<= 0" if diag[t] <= 0 else "is not a number" if np.isnan(diag[t])
+                  else "has no finite reciprocal: its weight overflows")
+        raise H6Violation(f"(dirac_{t} * dirac_{int(h.inv[t])})(e) = {diag[t]} {reason}")
     return Measure(1.0 / diag, nonneg=True)
 
 
@@ -82,6 +85,7 @@ def _doeblin_margin(total: np.ndarray) -> float:
     return float(total.min(axis=1).sum() - np.abs(total.sum(axis=0) - n).max()) / n
 
 
+@np.errstate(all="ignore")  # an overflow is refused, not warned
 def solve_invariance(h: FiniteHypergroup) -> Measure:
     """The left-invariant measure of mass 1, from the invariance operator's nullspace.
 
@@ -104,11 +108,11 @@ def solve_invariance(h: FiniteHypergroup) -> Measure:
 
     An ||A||_F that is not finite, as when c's squares overflow, is refused
     first. A finite ||A||_F is below sqrt of the largest float, and so is every
-    entry of A; S, a sum of n such entries, is then finite too.
+    entry of A; S, a sum of n such entries, is then finite too. A nearly
+    singular system may overflow in x; its residual is then nan, and refused.
     """
     n, (_, t, u, v) = h.n, h.entries
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        frobenius = np.sqrt(max(v @ v - 2.0 * v[t == u].sum() + n * n, 0.0))
+    frobenius = np.sqrt(max(v @ v - 2.0 * v[t == u].sum() + n * n, 0.0))
     if not np.isfinite(frobenius):
         raise DegenerateNullspace("the invariance operator overflows: ||A||_F is not finite, "
                                   "so its nullspace cannot be decided")
@@ -132,11 +136,10 @@ def solve_invariance(h: FiniteHypergroup) -> Measure:
         raise DegenerateNullspace("the bordered invariance system [[S, 1], [1^T, 0]] is "
                                   "singular, so no null vector of mass 1 is found") from None
     del bordered  # (n+1)^2 floats; the O(nnz) temporaries of A x below set the peak without it
-    with np.errstate(all="ignore"):  # a nearly singular system may overflow; nan is refused below
-        x /= x.sum()
-        ax = _contract(h, x, 1)
-        ax -= x
-        residual = np.linalg.norm(ax) / np.linalg.norm(x)
+    x /= x.sum()
+    ax = _contract(h, x, 1)
+    ax -= x
+    residual = np.linalg.norm(ax) / np.linalg.norm(x)
     bar = _RANK_CUT * frobenius / np.sqrt(n)
     if not residual <= bar:
         raise DegenerateNullspace(

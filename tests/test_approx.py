@@ -27,8 +27,8 @@ from hyperhaar import (
     sandwich_ratio,
     symmetrize,
 )
-from hyperhaar.approx import (_bounds, _gap, _net_steps, _probe_gap, _ratio, _step, _walk,
-                              default_probes)
+from hyperhaar.approx import (_bounds, _gap, _net_steps, _probe_gap, _probes, _ratio, _step,
+                              _symmetric, _walk, default_probes)
 from hyperhaar.checks import terminal_ratio_suite
 from hyperhaar.core import AxiomCheck, convolve_measures, translates, validate
 from hyperhaar.oracles import (
@@ -338,6 +338,26 @@ class TestBumpSymmetryIsExact:
         with pytest.raises(ValueError, match="^bump must be symmetric$"):
             sandwich_ratio(h, ones_measure(4), self.nearly_symmetric(),
                            Function.ones(4), Measure.dirac(4, 0))
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_sandwich_ratio_wrong_bump_length(self, k):
+        # the size is checked before symmetry, which reads the bump at inv
+        with pytest.raises(ValueError, match=f"^dimension mismatch: hypergroup has n=4, got {k}$"):
+            sandwich_ratio(cyclic_hypergroup(4), ones_measure(4), Function(np.ones(k)),
+                           Function.ones(4), Measure.dirac(4, 0))
+
+    def test_rowwise_is_array_equal_per_row(self):
+        # Z4 pairs 1 with 3 and fixes 0 and 2: a NaN is never symmetric, -0.0 is 0.0
+        h = cyclic_hypergroup(4)
+        up = np.nextafter(1.0, 2.0)
+        rows = np.array([
+            [1.0, 2.0, 5.0, 2.0], [np.nan, 1.0, 1.0, 1.0], [1.0, np.nan, 2.0, np.nan],
+            [1.0, 1.0, np.nan, 1.0], [np.nan] * 4, [0.0, -0.0, 1.0, 0.0], [-0.0] * 4,
+            [1.0, 1.0, 1.0, up], [1.0, up, 1.0, 1.0], [up, 1.0, up, 1.0]])
+        ref = [np.array_equal(g, g[h.inv]) for g in rows]
+        assert ref == [True, False, False, False, False, True, True, False, False, True]
+        assert _symmetric(h, rows).tolist() == ref
+        assert [bool(_symmetric(h, g)) for g in rows] == ref
 
 
 def reference_check(chain, h):
@@ -710,8 +730,8 @@ class TestWalkRounding:
         habs = FiniteHypergroup.from_entries(n, h.e, h.inv, s, t, u, np.abs(value))
         cfg = ApproximantConfig(mu0, f0, chain)
         # _walk updates one K in place: keep each as it is yielded
-        walked = [((k.copy(), chi_t), net)
-                  for (k, chi_t), net in zip(_walk(h, mu0, chain.bumps), _net_steps(h, cfg))]
+        walked = [((k.copy(), chi_t), net) for (k, chi_t), net in
+                  zip(_walk(h, mu0, chain.bumps), _net_steps(h, cfg, _probes(n)))]
         fresh = list(fresh_walk(h, mu0, f0, chain.bumps))
         assert len(walked) == len(fresh) == len(chain)
         m, mass = n, np.abs(chain.bumps[0].v)

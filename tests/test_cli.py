@@ -62,6 +62,31 @@ def test_validate_sparse_path_prints_int_witness(tmp_path, capsys):
     assert [line for line in out if "FAIL" in line] == [out[-1]]
 
 
+# cosine-grid 4 with c[0, 1, 1] = 0.75: H1, H4, H5 and associativity fail, each
+# at the same tol rule and with its first witness
+FOUR_FAILURES_REPORT = """\
+involution: pass
+H1 row-stochastic: FAIL worst=2.500e-01 witness=(0, 1)
+H2: pass (automatic (finite discrete))
+H3: pass (automatic (finite discrete))
+H4 identity: FAIL worst=2.500e-01 witness=(1, 1)
+H5 anti-homomorphism: FAIL worst=2.500e-01 witness=(0, 1, 1)
+H6: pass
+H7: pass (automatic (finite discrete))
+associativity: FAIL worst=2.500e-01 witness=(0, 1, 3, 2)
+"""
+
+
+@pytest.mark.parametrize("tol", [(), ("--tol", "0")], ids=["default-tol", "tol-0"])
+def test_validate_report_of_four_failures(tmp_path, capsys, tol):
+    text = serialize_hypergroup(cosine_grid_hypergroup(4))
+    assert "c 0 1 1 1\n" in text
+    path = tmp_path / "grid4-bad.hg"
+    path.write_text(text.replace("c 0 1 1 1\n", "c 0 1 1 0.75\n"))
+    assert main(["validate", str(path), *tol]) == 1
+    assert capsys.readouterr() == (FOUR_FAILURES_REPORT, "")
+
+
 def test_haar_methods_agree(theta_file, capsys):
     rows = {}
     for method in ("net", "jewett", "solve"):
@@ -402,6 +427,10 @@ OVERFLOW_DOC = ("hypergroup v1\nn 3\ne 0\ninv 0 2 1\nc 0 0 0 1\nc 0 1 1 1e308\nc
                 "c 2 2 1 1\n")
 OVERFLOW_REFUSAL = ("DegenerateNullspace: the invariance operator overflows: ||A||_F is not "
                     "finite, so its nullspace cannot be decided")
+# theta = 1 - 1e-310: (dirac_1 * dirac_1)(e) is subnormal, and its reciprocal,
+# Jewett's weight, overflows
+SUBNORMAL_DOC = ("hypergroup v1\nn 2\ne 0\ninv 0 1\nc 0 0 0 1\nc 0 1 1 1\nc 1 0 1 1\n"
+                 "c 1 1 0 1e-310\nc 1 1 1 1\n")
 # Z3's table with inv a three-cycle (1 2 0): a permutation, but not an involution
 THREE_CYCLE_DOC = ("hypergroup v1\nn 3\ne 0\ninv 1 2 0\n" + "".join(
     f"c {s} {t} {(s + t) % 3} 1\n" for s in range(3) for t in range(3)))
@@ -414,6 +443,8 @@ MOVED_IDENTITY_DOC = THREE_CYCLE_DOC.replace("inv 1 2 0", "inv 1 0 2")
     (THETA0_DOC, ("compare",), "NoCover: no translate of f0 reaches point 1"),
     (THETA0_DOC, ("haar", "--method", "jewett"),
      "H6Violation: (dirac_1 * dirac_1)(e) = 0.0 <= 0"),
+    (SUBNORMAL_DOC, ("haar", "--method", "jewett"),
+     "H6Violation: (dirac_1 * dirac_1)(e) = 1e-310 has no finite reciprocal: its weight overflows"),
     (THETA0_DOC, ("check-lemmas",), "ZeroDenominator: (mu0 * g)(1) = 0.0 <= 0"),
     (IDENTITY_TRANSLATIONS_DOC, ("haar", "--method", "solve"),
      "DegenerateNullspace: Doeblin margin 0.000e+00 is not above 2e-08*||A||_F = 0.000e+00, "
@@ -434,7 +465,8 @@ MOVED_IDENTITY_DOC = THREE_CYCLE_DOC.replace("inv 1 2 0", "inv 1 0 2")
     (MOVED_IDENTITY_DOC, ("compare",), "NoChain: neighborhood 2 does not contain the identity"),
     (MOVED_IDENTITY_DOC, ("check-lemmas", "--trials", "5"),
      "NoChain: neighborhood 2 does not contain the identity"),
-], ids=["net-NoCover", "compare-NoCover", "jewett-H6Violation", "lemmas-ZeroDenominator",
+], ids=["net-NoCover", "compare-NoCover", "jewett-H6Violation", "jewett-H6Violation-overflow",
+        "lemmas-ZeroDenominator",
         "solve-DegenerateNullspace", "solve-NegativeSolution",
         "solve-DegenerateNullspace-hang", "solve-DegenerateNullspace-overflow", "net-NotConverged",
         "net-NoChain", "compare-NoChain", "lemmas-NoChain",

@@ -1088,16 +1088,6 @@ def kernel_case(request):
     return build_family(*BUNDLED[request.param])
 
 
-def set_budget_rows(monkeypatch, n, kind):
-    """Keep the real budget ("budget"), or set it to the floats of one s-row of c
-    ("one-row") or of a row count that does not divide n ("uneven").  Both are
-    below c's n^3 floats, except "uneven" at n = 2; _contract sums over c's
-    entries whatever the budget, and these check that it does."""
-    if kind != "budget":
-        rows = 1 if kind == "one-row" else next(r for r in range(2, n + 2) if n % r)
-        monkeypatch.setattr(core, "_BLOCK_FLOATS", rows * n * n)
-
-
 def tensor_with_empty_row():
     """Z4's entries without s-row 2: an s-row of c may hold no entry."""
     s, t, u, value = cyclic_hypergroup(4).entries
@@ -1210,20 +1200,10 @@ class TestBatchedKernels:
                      np.einsum("u,tsu,s->t", x, c[:, h.inv], y))):
                 np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-14)
 
-    @pytest.mark.parametrize("kind", ["one-row", "uneven"])
-    def test_defining_sums_through_small_slabs(self, monkeypatch, kernel_case, kind):
-        # a budget below n^3 (but "uneven" at n = 2) moves none of the sums
-        set_budget_rows(monkeypatch, kernel_case.n, kind)
-        self.assert_defining_sums(kernel_case)
-
-    @pytest.mark.parametrize("kind", ["budget", "one-row"])
     @pytest.mark.parametrize("make", [tensor_with_empty_row, tensor_with_non_finite_entries],
                              ids=["empty-s-row", "non-finite"])
-    def test_defining_sums_of_empty_and_non_finite_rows(self, monkeypatch, make, kind):
-        h = make()
-        set_budget_rows(monkeypatch, h.n, kind)
-        assert (h.n ** 3 <= core._BLOCK_FLOATS) == (kind == "budget")
-        self.assert_defining_sums(h)
+    def test_defining_sums_of_empty_and_non_finite_rows(self, make):
+        self.assert_defining_sums(make())
 
     def test_stack_within_the_budget_is_the_single_vector_sum(self, kernel_case):
         # within the budget too a row of a stack is the vector path's bincount,
@@ -1232,15 +1212,5 @@ class TestBatchedKernels:
         assert h.n ** 3 <= core._BLOCK_FLOATS
         a = self.draws(h)[0]
         for axis in (2, 1, 0):
-            rows = np.array([_contract(h, x, axis) for x in a])
-            assert _contract(h, a, axis).tobytes() == rows.tobytes()
-
-    def test_u_stack_past_the_budget_is_the_single_vector_sum(self, monkeypatch, kernel_case):
-        # past the budget a row of the u-stack, and of the s-stack, is the vector
-        # path's bincount, bit for bit
-        h = kernel_case
-        set_budget_rows(monkeypatch, h.n, "one-row")
-        a = self.draws(h)[0]
-        for axis in (2, 0):
             rows = np.array([_contract(h, x, axis) for x in a])
             assert _contract(h, a, axis).tobytes() == rows.tobytes()
