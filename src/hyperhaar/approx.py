@@ -23,12 +23,15 @@ from .core import (
     Measure,
     NoCover,
     Refusal,
+    _NONNEG_NONZERO,
+    _breaks_nonneg_nonzero,
     _check_size,
     _contract,
     _cover,
     _indicator_peaks,
     _involution_witness,
     _peaks,
+    involute_function,
     pair,
     translates,
 )
@@ -102,7 +105,7 @@ class ShrinkingChain:
             np.bincount(rows[outside], minlength=len(self)).astype(bool)
             | (member != member[:, h.inv]).any(axis=1),
             ~contained,
-            ~((bumps >= 0).all(axis=1) & (np.abs(bumps).max(axis=1) > 0)),
+            _breaks_nonneg_nonzero(bumps),
             ((bumps != 0) & ~member).any(axis=1),
             ~_symmetric(h, bumps),
             bumps[:, h.e] <= 0,
@@ -119,7 +122,7 @@ _CHAIN_FAILURES = (
     "neighborhood {k} does not contain the identity",
     "neighborhood {k} is not involution-stable",
     "neighborhood {k} is not contained in its predecessor",
-    "bump {k} must be nonnegative and nonzero",
+    _NONNEG_NONZERO.format("bump {k}"),
     "bump {k} not supported in its neighborhood",
     "bump {k} is not symmetric",
     "bump {k} vanishes at the identity",
@@ -150,16 +153,17 @@ class ApproximantConfig:
     conv_tol: float = EXACT_TOL
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.mu0.w)):
-            raise ValueError("mu0 must be finite")
-        if np.any(self.mu0.w <= 0):
-            raise ValueError("mu0 must be strictly positive everywhere")
-        if not np.all(np.isfinite(self.f0.v)):
-            raise ValueError("f0 must be finite")
-        if not (self.f0.is_nonneg() and self.f0.sup_norm > 0):
-            raise ValueError("f0 must be nonnegative and nonzero")
-        if self.conv_tol <= 0:
+        _check_mu0(self.mu0.w)
+        if _breaks_nonneg_nonzero(self.f0.v):
+            raise ValueError(_NONNEG_NONZERO.format("f0"))
+        if not self.conv_tol > 0:
             raise ValueError("conv_tol must be positive")
+
+
+def _check_mu0(w: np.ndarray) -> None:
+    """The rule on mu0, for ApproximantConfig, _walk and the CLI's mu0 file."""
+    if not ((w > 0) & (w < np.inf)).all():
+        raise ValueError("mu0 must be finite and positive everywhere")
 
 
 @dataclass(frozen=True)
@@ -191,7 +195,7 @@ class BoundsCertificate:
 
 def symmetrize(h: FiniteHypergroup, g: Function) -> Function:
     """(g + g-check)/2; fixed points of the involution stay fixed."""
-    return Function(0.5 * (g.v + g.v[h.inv]))
+    return Function(0.5 * (g.v + involute_function(h, g).v))
 
 
 def _walk(h: FiniteHypergroup, mu0: Measure, bumps: Sequence[Function]):
@@ -204,6 +208,8 @@ def _walk(h: FiniteHypergroup, mu0: Measure, bumps: Sequence[Function]):
     per entry met, O(nnz) at most, as a contraction.  K is updated in place, so
     a reader is done with each K before it asks for the next.
     """
+    _check_size(h, mu0)
+    _check_mu0(mu0.w)
     s, t, u, value = h.entries
     k = translates(h, bumps[0])
     for i, g in enumerate(bumps):
@@ -282,6 +288,7 @@ def _probe_gap(k: np.ndarray, chi_t: np.ndarray) -> float:
 
 def main_identity_gap(h: FiniteHypergroup, mu0: Measure, g: Function, f: Function) -> float:
     """Sup-norm of f - ((f . approximant) * g); vanishes at the terminal bump."""
+    _check_size(h, f)
     return _gap(*_step(h, mu0, g), f.v)
 
 
@@ -298,7 +305,7 @@ def _ratio(h: FiniteHypergroup, chi_t: np.ndarray, fs: np.ndarray, mus: np.ndarr
 def sandwich_ratio(h: FiniteHypergroup, mu0: Measure, g: Function,
                    f: Function, mu: Measure) -> float:
     """<f, mu * approximant> / (|mu| approximant(f)); tends to 1 as g shrinks."""
-    _check_size(h, g)
+    _check_size(h, g, f, mu)
     if not _symmetric(h, g.v):
         raise ValueError("bump must be symmetric")
     if mu.norm == 0:
@@ -317,6 +324,7 @@ def _bounds(h: FiniteHypergroup, f0: Function, f: np.ndarray) -> np.ndarray:
     all of them in one pass over c's entries; any other f costs a contraction.
     """
     n = h.n
+    w_b, uncovered_b = _cover(*_peaks(translates(h, f0)), f)  # f0's size is checked first
     indicator = ((f == 1.0).sum(axis=1) == 1) & ((f == 0.0).sum(axis=1) == n - 1)
     s_a, best_a = np.zeros(f.shape, dtype=int), np.zeros(f.shape)
     if indicator.any():
@@ -326,13 +334,11 @@ def _bounds(h: FiniteHypergroup, f0: Function, f: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(~indicator):
         s_a[i], best_a[i] = _peaks(translates(h, Function(f[i])))
     w_a, uncovered_a = _cover(s_a, best_a, np.broadcast_to(f0.v, f.shape))
-    w_b, uncovered_b = _cover(*_peaks(translates(h, f0)), f)
-    invalid = ~((f >= 0).all(axis=1) & (np.abs(f).max(axis=1) > 0))
-    failed = np.hstack([invalid[:, None], uncovered_a, uncovered_b])
+    failed = np.hstack([_breaks_nonneg_nonzero(f)[:, None], uncovered_a, uncovered_b])
     if failed.any():
         col = int(np.argmax(failed)) % (2 * n + 1)
         if col == 0:
-            raise ValueError("f0 must be nonnegative and nonzero")
+            raise ValueError(_NONNEG_NONZERO.format("f"))
         raise NoCover(f"no translate of f0 reaches point {(col - 1) % n}")
     return np.array([1.0 / (2.0 * np.abs(w_a).sum(axis=1)), 2.0 * np.abs(w_b).sum(axis=1)])
 
@@ -340,8 +346,8 @@ def _bounds(h: FiniteHypergroup, f0: Function, f: np.ndarray) -> np.ndarray:
 def bounds_certificate(h: FiniteHypergroup, cfg: ApproximantConfig,
                        g: Function, f: Function) -> BoundsCertificate:
     """Two-sided bounds on the normalized approximant via greedy dominating measures."""
+    value = pair(f, normalized_approximant(h, cfg, g))  # f's size is checked first
     a, b = _bounds(h, cfg.f0, f.v[None]).ravel().tolist()
-    value = pair(f, normalized_approximant(h, cfg, g))
     return BoundsCertificate(a, b, value, a < value < b)
 
 

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AXIOM_TOL, CERTIFY_TOL, EXACT_TOL, Function, Measure, Refusal, validate
-from .approx import ApproximantConfig, canonical_chain, haar_net
+from .core import AXIOM_TOL, CERTIFY_TOL, EXACT_TOL, Function, Measure, Refusal, _check_size, validate
+from .approx import ApproximantConfig, _check_mu0, canonical_chain, haar_net
 from .checks import run_all_suites
 from .fileio import ParseError, read_hypergroup, write_hypergroup, write_trace_csv
 from .oracles import _FAMILIES, build_family, invariance_residual, jewett_haar, solve_invariance
@@ -38,20 +38,16 @@ def _parse_f0(spec: str, n: int) -> Function:
     raise SystemExit(f"unrecognized f0 spec {spec!r}")
 
 
-def _parse_mu0(spec: str, n: int) -> Measure:
+def _parse_mu0(spec: str, h) -> Measure:
     if spec == "uniform":
-        return Measure(np.ones(n), nonneg=True)
-    try:
-        w = np.array([float(x) for x in Path(spec).read_text().split()])
+        return Measure(np.ones(h.n), nonneg=True)
+    try:  # the library's dimension check and mu0 rule, reported against the file
+        mu0 = Measure([float(x) for x in Path(spec).read_text().split()])
+        _check_size(h, mu0)
+        _check_mu0(mu0.w)
+        return mu0
     except (OSError, ValueError) as exc:
         raise SystemExit(f"mu0 file {spec}: {exc}") from None
-    if w.size != n:
-        raise SystemExit(f"mu0 file {spec}: {w.size} weights, expected n={n}")
-    if not np.all(np.isfinite(w)):
-        raise SystemExit(f"mu0 file {spec}: weights must be finite")
-    if not np.all(w > 0):
-        raise SystemExit(f"mu0 file {spec}: weights must be positive")
-    return Measure(w, nonneg=True)
 
 
 def _fmt(w: np.ndarray) -> str:
@@ -66,7 +62,7 @@ def cmd_validate(args) -> int:
 
 
 def _run_net(h, f0: str, mu0: str, tol: float, trace_path=None):
-    cfg = ApproximantConfig(_parse_mu0(mu0, h.n), _parse_f0(f0, h.n), canonical_chain(h),
+    cfg = ApproximantConfig(_parse_mu0(mu0, h), _parse_f0(f0, h.n), canonical_chain(h),
                             conv_tol=tol)
     chi, trace = haar_net(h, cfg)
     if trace_path:

@@ -96,9 +96,7 @@ class FiniteHypergroup:
         object.__setattr__(self, "inv", np.asarray(self.inv, dtype=int))
         if not (0 <= self.e < n):
             raise ValueError(f"identity index {self.e} out of range for n={n}")
-        if self.inv.shape != (n,):
-            raise ValueError("involution must be a permutation vector of length n")
-        if not np.array_equal(np.sort(self.inv), np.arange(n)):
+        if self.inv.shape != (n,) or not np.array_equal(np.sort(self.inv), np.arange(n)):
             raise ValueError("involution is not a permutation")
         if c is not None:
             c = np.asarray(c, dtype=float)
@@ -183,15 +181,8 @@ class Function:
     def n(self) -> int:
         return self.v.shape[0]
 
-    @property
-    def sup_norm(self) -> float:
-        return float(np.abs(self.v).max()) if self.n else 0.0
-
     def support(self, threshold: float = 0.0) -> frozenset:
         return frozenset(np.flatnonzero(np.abs(self.v) > threshold).tolist())
-
-    def is_nonneg(self) -> bool:
-        return bool(np.all(self.v >= 0))
 
     @staticmethod
     def indicator(n: int, points: Iterable[int]) -> "Function":
@@ -204,10 +195,19 @@ class Function:
         return Function(np.ones(n))
 
 
-def _check_size(h: FiniteHypergroup, *objs) -> None:
-    for o in objs:
-        if o.n != h.n:
-            raise ValueError(f"dimension mismatch: hypergroup has n={h.n}, got {o.n}")
+def _check_size(ref, *objs) -> None:
+    for o in objs:  # ref is a hypergroup, a measure or a function
+        if o.n != ref.n:
+            raise ValueError(f"dimension mismatch: expected n={ref.n}, got {o.n}")
+
+
+_NONNEG_NONZERO = "{} must be nonnegative and nonzero, and finite"
+
+
+def _breaks_nonneg_nonzero(v: np.ndarray) -> np.ndarray:
+    """The rule on f0, the bumps and bounds' probes, refused with _NONNEG_NONZERO: for
+    each row of v, whether it has a negative, infinite or NaN value, or no positive one."""
+    return ~(((v >= 0) & (v < np.inf)).all(axis=-1) & (v > 0).any(axis=-1))
 
 
 def _contract(h: FiniteHypergroup, x: np.ndarray, axis: int) -> np.ndarray:
@@ -247,8 +247,7 @@ def involute_function(h: FiniteHypergroup, f: Function) -> Function:
 
 def pair(f: Function, mu: Measure) -> float:
     """Integral of f against mu: sum_t f_t w_t."""
-    if f.n != mu.n:
-        raise ValueError(f"dimension mismatch: {f.n} vs {mu.n}")
+    _check_size(mu, f)
     return float(f.v @ mu.w)
 
 
@@ -555,10 +554,10 @@ def find_dominating_measure(h: FiniteHypergroup, f: Function, f0: Function) -> M
     receives mass (f(t)+1) / (dirac_s * f0)(t).
     """
     _check_size(h, f, f0)
-    if not f.is_nonneg():
-        raise ValueError("f must be nonnegative")
-    if not (f0.is_nonneg() and f0.sup_norm > 0):
-        raise ValueError("f0 must be nonnegative and nonzero")
+    if not ((f.v >= 0) & (f.v < np.inf)).all():
+        raise ValueError("f must be nonnegative and finite")
+    if _breaks_nonneg_nonzero(f0.v):
+        raise ValueError(_NONNEG_NONZERO.format("f0"))
     w, uncovered = _cover(*_peaks(translates(h, f0)), f.v[None])
     if uncovered.any():
         raise NoCover(f"no translate of f0 reaches point {np.argmax(uncovered)}")

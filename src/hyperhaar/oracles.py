@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AXIOM_TOL, FiniteHypergroup, Measure, Refusal, _contract, _identity_planes
+from .core import AXIOM_TOL, FiniteHypergroup, Measure, Refusal, _check_size, _contract, _identity_planes
 
 __all__ = [
     "H6Violation",
@@ -66,8 +66,7 @@ def invariance_residual(h: FiniteHypergroup, chi: Measure) -> float:
     """Worst violation of left invariance, max over s, u of
     |sum_t c[inv[s], t, u] chi_t - chi_u|; inv permutes s, so the max runs
     over the rows c[s] in stored order."""
-    if chi.n != h.n:
-        raise ValueError(f"dimension mismatch: {chi.n} vs {h.n}")
+    _check_size(h, chi)
     return float(np.abs(_contract(h, chi.w, 1) - chi.w).max())
 
 

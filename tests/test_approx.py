@@ -342,7 +342,7 @@ class TestBumpSymmetryIsExact:
     @pytest.mark.parametrize("k", [3, 5])
     def test_sandwich_ratio_wrong_bump_length(self, k):
         # the size is checked before symmetry, which reads the bump at inv
-        with pytest.raises(ValueError, match=f"^dimension mismatch: hypergroup has n=4, got {k}$"):
+        with pytest.raises(ValueError, match=f"^dimension mismatch: expected n=4, got {k}$"):
             sandwich_ratio(cyclic_hypergroup(4), ones_measure(4), Function(np.ones(k)),
                            Function.ones(4), Measure.dirac(4, 0))
 
@@ -370,8 +370,8 @@ def reference_check(chain, h):
             raise ValueError(f"neighborhood {k} is not involution-stable")
         if prev is not None and not u <= prev:
             raise ValueError(f"neighborhood {k} is not contained in its predecessor")
-        if not (g.is_nonneg() and g.sup_norm > 0):
-            raise ValueError(f"bump {k} must be nonnegative and nonzero")
+        if not (np.all(g.v >= 0) and np.any(g.v > 0) and np.isfinite(g.v).all()):
+            raise ValueError(f"bump {k} must be nonnegative and nonzero, and finite")
         if not g.support() <= u:
             raise ValueError(f"bump {k} not supported in its neighborhood")
         if not np.array_equal(g.v, g.v[h.inv]):
@@ -403,9 +403,9 @@ class TestChainCheck:
         (z4_chain([range(4), {0}, {0, 2}, {0}]),
          "neighborhood 2 is not contained in its predecessor"),
         (z4_chain([range(4), {0, 2}, {0}], [np.ones(4), [1, 0, -1, 0], [1, 0, 0, 0]]),
-         "bump 1 must be nonnegative and nonzero"),
+         "bump 1 must be nonnegative and nonzero, and finite"),
         (z4_chain([range(4), {0}], [np.zeros(4), [1, 0, 0, 0]]),
-         "bump 0 must be nonnegative and nonzero"),
+         "bump 0 must be nonnegative and nonzero, and finite"),
         (z4_chain([range(4), {0, 2}, {0}], [np.ones(4), np.ones(4), [1, 0, 0, 0]]),
          "bump 1 not supported in its neighborhood"),
         (z4_chain([range(4), {0}], [[1, 1, 1, 0.5], [1, 0, 0, 0]]), "bump 0 is not symmetric"),
@@ -414,6 +414,8 @@ class TestChainCheck:
         (z4_chain([range(4), {0, 2}]),
          "chain must terminate at the singleton identity neighborhood"),
         (z4_chain([]), "chain must terminate at the singleton identity neighborhood"),
+        (z4_chain([range(4), {0}], [[1, 1, np.inf, 1], [1, 0, 0, 0]]),
+         "bump 0 must be nonnegative and nonzero, and finite"),
     ])
     def test_message(self, chain, message):
         for check in (chain.check, lambda h: reference_check(chain, h)):
@@ -437,7 +439,7 @@ class TestChainCheck:
 
     def test_wrong_bump_length(self):
         chain = z4_chain([range(4), {0}], [np.ones(4), [1.0, 0.0]])
-        with pytest.raises(ValueError, match="^dimension mismatch: hypergroup has n=4, got 2$"):
+        with pytest.raises(ValueError, match="^dimension mismatch: expected n=4, got 2$"):
             chain.check(self.Z4)
 
     def test_agrees_with_reference_on_damaged_chains(self, bundled):
@@ -659,7 +661,7 @@ class TestProbeDerivations:
 
     def test_invalid_probe_refused_before_later_cover_failure(self):
         h = theta_hypergroup(0.0)  # no translate of an f0 on point 0 reaches point 1
-        with pytest.raises(ValueError, match="^f0 must be nonnegative and nonzero$"):
+        with pytest.raises(ValueError, match="^f must be nonnegative and nonzero, and finite$"):
             _bounds(h, Function.ones(2), np.array([[1.0, -1.0], [0.0, 1.0]]))
         with pytest.raises(NoCover, match="^no translate of f0 reaches point 1$"):
             _bounds(h, Function.ones(2), np.array([[1.0, 0.0], [1.0, -1.0]]))
@@ -671,7 +673,7 @@ class TestApproximantConfigRefusals:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_mu0(self, value):
         mu0 = Measure([1.0, value, 1.0, 1.0])
-        with pytest.raises(ValueError, match="^mu0 must be finite$"):
+        with pytest.raises(ValueError, match="^mu0 must be finite and positive everywhere$"):
             ApproximantConfig(mu0, Function.ones(4), canonical_chain(self.Z4))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -679,7 +681,7 @@ class TestApproximantConfigRefusals:
         # with f0 = [1, inf, 1, 1] the chain ends in the all-zero measure, whose
         # invariance residual is 0, so haar_net would certify it
         f0 = Function([1.0, value, 1.0, 1.0])
-        with pytest.raises(ValueError, match="^f0 must be finite$"):
+        with pytest.raises(ValueError, match="^f0 must be nonnegative and nonzero, and finite$"):
             ApproximantConfig(ones_measure(4), f0, canonical_chain(self.Z4))
 
     def test_finite_accepted(self):

@@ -270,9 +270,9 @@ def test_form_feed_in_an_entry_is_one_line_diagnosis(tmp_path):
 
 
 @pytest.mark.parametrize("weights,message", [
-    ("1 2 3", "3 weights, expected n=4"),
-    ("1 -2 3 1", "weights must be positive"),
-    ("inf 1 1 1", "weights must be finite"),
+    ("1 2 3", "dimension mismatch: expected n=4, got 3"),
+    ("1 -2 3 1", "mu0 must be finite and positive everywhere"),
+    ("inf 1 1 1", "mu0 must be finite and positive everywhere"),
 ])
 def test_bad_mu0_is_one_line_diagnosis(z4_file, tmp_path, weights, message):
     mu0_path = tmp_path / "mu0.txt"
@@ -290,6 +290,57 @@ def test_bad_f0_is_one_line_diagnosis(z4_file, spec):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip().splitlines() == [
         f"f0 spec {spec!r}: the point must be an integer in 0..3"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("haar", "{z4}", "--method", "net", "--f0", "gauss"), "unrecognized f0 spec 'gauss'"),
+    (("haar", "{z4}", "--method", "net", "--f0", "dirac:4"),
+     "f0 spec 'dirac:4': the point must be an integer in 0..3"),
+    (("haar", "{z4}", "--method", "net", "--mu0", "{missing}"),
+     "mu0 file {missing}: [Errno 2] No such file or directory: '{missing}'"),
+    (("haar", "{z4}", "--method", "net", "--mu0", "{mu0}"),
+     "mu0 file {mu0}: mu0 must be finite and positive everywhere"),
+    (("haar", "{z4}", "--method", "net", "--trace", "{missing}/t.csv"),
+     "trace file {missing}/t.csv: [Errno 2] No such file or directory: '{missing}/t.csv'"),
+    (("validate", "{missing}"),
+     "hypergroup file {missing}: [Errno 2] No such file or directory: '{missing}'"),
+    (("gen", "--family", "cyclic", "--param", "0"), "gen --param 0: n must be at least 1"),
+    (("gen", "--family", "product", "--param", "cyclic:2"),
+     "gen --param cyclic:2: product parameter must be '<family>:<param>,<family>:<param>'"),
+], ids=["f0-unrecognized", "f0-dirac", "mu0-missing", "mu0-rule", "trace", "document",
+        "gen-cyclic", "gen-product"])
+def test_refusal_through_main(z4_file, tmp_path, capsys, argv, message):
+    """Each of the CLI's own refusals, in process: the exit message is the one
+    stderr line, and the command writes nothing else."""
+    names = {"z4": z4_file, "missing": tmp_path / "missing", "mu0": tmp_path / "mu0.txt"}
+    names["mu0"].write_text("1 0 1 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**names) for a in argv])
+    assert exc.value.code == message.format(**names)
+    assert capsys.readouterr() == ("", "")
+
+
+def test_out_of_range_flag_through_main(z4_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", z4_file, "--tol", "-1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "hyperhaar validate: error: argument --tol: '-1' is not a finite number >= 0")
+
+
+def test_failed_write_to_stdout_through_main(z4_file, monkeypatch):
+    """A stream whose write fails, in place of a closed pipe: the command is named."""
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", z4_file])
+    assert exc.value.code == "validate: [Errno 32] Broken pipe"
 
 
 @pytest.mark.parametrize("argv", [

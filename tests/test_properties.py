@@ -1,8 +1,13 @@
-"""Property-based checks of the algebra axioms and identity suites."""
+"""Property-based checks of the algebra axioms and identity suites, and a
+fuzzer of the CLI over mutated documents."""
 
+import io
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +15,7 @@ from hyperhaar import (
     FiniteHypergroup,
     Function,
     Measure,
+    build_family,
     convolve_measures,
     core,
     involute_measure,
@@ -20,7 +26,11 @@ from hyperhaar import (
 )
 from hyperhaar.approx import ApproximantConfig, canonical_chain, symmetrize
 from hyperhaar.checks import identity_suite
+from hyperhaar.cli import main
+from hyperhaar.fileio import serialize_hypergroup
 from hyperhaar.oracles import cyclic_hypergroup, product_hypergroup, theta_hypergroup
+
+from conftest import BUNDLED
 
 thetas = st.floats(min_value=0.01, max_value=1.0, allow_nan=False)
 weights2 = st.lists(st.floats(min_value=-1, max_value=1, allow_nan=False),
@@ -114,3 +124,84 @@ def test_contract_is_the_dense_sum(tensor, m, seed):
         np.testing.assert_allclose(core._contract(h, x, axis), stack, rtol=1e-13, atol=1e-14)
         with mock.patch.object(core, "_BLOCK_FLOATS", h.n ** 3 - 1):  # past the budget
             assert core._contract(h, x, axis).tobytes() == rows.tobytes()
+
+
+# The bundled documents (n <= 8) the fuzzer mutates, and what it writes into them.
+_DOCUMENTS = {name: serialize_hypergroup(build_family(*spec)) for name, spec in BUNDLED.items()}
+_VALUES = ["0.5", "2", "-1", "1e300", "1e-300", "1e-310", "0"]
+_JUNK = ["junk", "c 0 0", "c 0 0 0 x", "n 3", "e", "inv", "c 9 9 9 1", "hypergroup v1"]
+_COMMANDS = [("validate",), ("haar", "--method", "net"), ("haar", "--method", "jewett"),
+             ("haar", "--method", "solve"), ("compare",), ("check-lemmas", "--trials", "5")]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A bundled document after one to three mutations: a c line dropped,
+    duplicated, retargeted to another index or given another value; n, e or an
+    inv entry changed to an index in 0..n; or a junk line appended. A new value
+    is drawn three times as often as the others, since most of them refuse the
+    document before any command reads its values."""
+    lines = _DOCUMENTS[draw(st.sampled_from(sorted(_DOCUMENTS)))].splitlines()
+    index = st.integers(min_value=0, max_value=int(lines[1].split()[1])).map(str)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        cs = [i for i, line in enumerate(lines) if line.startswith("c ")]
+        kinds = ["n", "e", "inv", "junk"] + (["drop", "dup", "retarget"] + ["value"] * 3
+                                             if cs else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "junk":
+            lines.append(draw(st.sampled_from(_JUNK)))
+        elif kind in ("n", "e", "inv"):
+            i = next(i for i, line in enumerate(lines) if line.split()[0] == kind)
+            fields = lines[i].split()
+            fields[draw(st.integers(min_value=1, max_value=len(fields) - 1))] = draw(index)
+            lines[i] = " ".join(fields)
+        else:
+            i = draw(st.sampled_from(cs))
+            fields = lines[i].split()
+            if kind == "drop":
+                del lines[i]
+            elif kind == "dup":
+                lines.insert(i, lines[i])
+            elif kind == "retarget":
+                fields[draw(st.integers(min_value=1, max_value=3))] = draw(index)
+            else:
+                fields[4] = draw(st.sampled_from(_VALUES))
+            if kind in ("retarget", "value"):
+                lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def _run(argv) -> tuple:
+    """cli.main(argv) in process: its exit code, its refusal (the message of a
+    SystemExit, which the interpreter writes to stderr and exits 1 on) or None,
+    what it wrote to stderr itself, and the warnings it raised."""
+    err, refusal = io.StringIO(), None
+    with warnings.catch_warnings(record=True) as caught, \
+            redirect_stdout(io.StringIO()), redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    if isinstance(code, str):
+        code, refusal = 1, code
+    return code, refusal, err.getvalue(), caught
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.hg"
+
+
+@given(mutated_documents())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_mutated_documents_exit_cleanly(fuzz_path, doc):
+    """Every command ends in exit 0, 1 or 2, with no other exception and no
+    warning, and a refusal is one stderr line."""
+    fuzz_path.write_text(doc)
+    for command in _COMMANDS:
+        code, refusal, err, caught = _run([command[0], str(fuzz_path), *command[1:]])
+        assert code in (0, 1, 2), (command, code)
+        assert not caught, (command, [str(w.message) for w in caught])
+        if code != 2:  # argparse writes its usage before its one error line
+            assert err == "" and "\n" not in (refusal or ""), (command, err, refusal)
