@@ -156,8 +156,13 @@ class ApproximantConfig:
         _check_mu0(self.mu0.w)
         if _breaks_nonneg_nonzero(self.f0.v):
             raise ValueError(_NONNEG_NONZERO.format("f0"))
-        if not self.conv_tol > 0:
-            raise ValueError("conv_tol must be positive")
+        _check_conv_tol(self.conv_tol)
+
+
+def _check_conv_tol(conv_tol: float) -> None:
+    """The rule on conv_tol, for ApproximantConfig and the CLI's haar --tol."""
+    if not (0 < conv_tol < np.inf):
+        raise ValueError("conv_tol must be a finite number > 0")
 
 
 def _check_mu0(w: np.ndarray) -> None:
@@ -308,7 +313,7 @@ def sandwich_ratio(h: FiniteHypergroup, mu0: Measure, g: Function,
     _check_size(h, g, f, mu)
     if not _symmetric(h, g.v):
         raise ValueError("bump must be symmetric")
-    if mu.norm == 0:
+    if not mu.norm > 0:  # a NaN norm fails too
         raise ValueError("mu must be nonzero")
     return float(_ratio(h, _step(h, mu0, g)[1], f.v[None], mu.w[None])[0, 0])
 

@@ -38,6 +38,7 @@ def identity_suite(h: FiniteHypergroup, rng: np.random.Generator,
     _contract of a stack, O(nnz) a trial, with no n^3 term in time or memory.
     A NaN on either side of an identity makes its worst NaN, which fails.
     """
+    _check_trials(trials)
     worst = dict.fromkeys((
         "(mu*f)ck = fck*muck", "(f*mu)ck = muck*fck", "<mu*f,nu> = <nu*fck,mu>",
         "<mu*f,sigma> = <f,muck*sigma>", "<f*mu,sigma> = <f,sigma*muck>",
@@ -55,6 +56,12 @@ def identity_suite(h: FiniteHypergroup, rng: np.random.Generator,
         for key, (a, b) in zip(worst, _identity_sides(h, contract, *draws.transpose(1, 0, 2))):
             worst[key] = float(np.maximum(worst[key], np.abs(a - b).max()))
     return [SuiteResult(k, v <= EXACT_TOL, v) for k, v in worst.items()]
+
+
+def _check_trials(trials: int) -> None:
+    """The rule on trials, for identity_suite, run_all_suites and the CLI's --trials."""
+    if not trials >= 1:
+        raise ValueError("trials must be at least 1")
 
 
 def _identity_sides(h: FiniteHypergroup, contract, mu, nu, sigma, f) -> tuple:
@@ -123,8 +130,5 @@ def bounds_suite(h: FiniteHypergroup) -> SuiteResult:
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow shows as an inf or nan worst
 def run_all_suites(h: FiniteHypergroup, seed: int = 0, trials: int = 1000) -> List[SuiteResult]:
-    results = identity_suite(h, np.random.default_rng(seed), trials)
-    results.append(terminal_gap_suite(h))
-    results.append(terminal_ratio_suite(h))
-    results.append(bounds_suite(h))
-    return results
+    return identity_suite(h, np.random.default_rng(seed), trials) + [
+        terminal_gap_suite(h), terminal_ratio_suite(h), bounds_suite(h)]

@@ -4,23 +4,24 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import stat
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from .core import AXIOM_TOL, CERTIFY_TOL, EXACT_TOL, Function, Measure, Refusal, _check_size, validate
-from .approx import ApproximantConfig, _check_mu0, canonical_chain, haar_net
-from .checks import run_all_suites
+from .core import (AXIOM_TOL, CERTIFY_TOL, EXACT_TOL, Function, Measure, Refusal, _check_size,
+                   _check_tol, validate)
+from .approx import ApproximantConfig, _check_conv_tol, _check_mu0, canonical_chain, haar_net
+from .checks import _check_trials, run_all_suites
 from .fileio import ParseError, read_hypergroup, write_hypergroup, write_trace_csv
 from .oracles import _FAMILIES, build_family, invariance_residual, jewett_haar, solve_invariance
 
 
 def _load(path: str):
-    # ValueError covers undecodable text and FiniteHypergroup's consistency checks
+    # ValueError covers undecodable text; a ParseError names the line it refuses
     try:
         return read_hypergroup(path)
     except (OSError, ValueError, ParseError) as exc:
@@ -31,10 +32,10 @@ def _parse_f0(spec: str, n: int) -> Function:
     if spec == "uniform":
         return Function.ones(n)
     if spec.startswith("dirac:"):
-        point = spec.split(":", 1)[1]
-        if not (point.isdecimal() and int(point) < n):
-            raise SystemExit(f"f0 spec {spec!r}: the point must be an integer in 0..{n - 1}")
-        return Function.indicator(n, [int(point)])
+        try:  # int's reading and the library's point rule, reported against the spec
+            return Function.indicator(n, [int(spec[len("dirac:"):])])
+        except ValueError as exc:
+            raise SystemExit(f"f0 spec {spec!r}: {exc}") from None
     raise SystemExit(f"unrecognized f0 spec {spec!r}")
 
 
@@ -88,21 +89,17 @@ def cmd_haar(args) -> int:
 
 def cmd_compare(args) -> int:
     h = _load(args.file)
-    weights = {}
-    weights["net"] = _run_net(h, "uniform", "uniform", EXACT_TOL).w
-    weights["jewett"] = jewett_haar(h).w
-    weights["solve"] = solve_invariance(h).w
+    weights = {"net": _run_net(h, "uniform", "uniform", EXACT_TOL).w,
+               "jewett": jewett_haar(h).w, "solve": solve_invariance(h).w}
     normalized = {k: w / w.sum() for k, w in weights.items()}
     for name, w in normalized.items():
         print(f"{name}: {_fmt(w)}")
     ok = True
-    names = list(normalized)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            wa, wb = normalized[a], normalized[b]
-            rel = float(np.max(np.abs(wa - wb) / np.maximum(wa, wb)))
-            ok = ok and rel <= args.tol
-            print(f"max relative difference {a}/{b}: {rel:.3e}")
+    for a, b in combinations(normalized, 2):
+        wa, wb = normalized[a], normalized[b]
+        rel = float(np.max(np.abs(wa - wb) / np.maximum(wa, wb)))
+        ok = ok and rel <= args.tol
+        print(f"max relative difference {a}/{b}: {rel:.3e}")
     residual = invariance_residual(h, Measure(normalized["net"], nonneg=True))
     print(f"invariance residual (net): {residual:.3e}")
     return 0 if ok else 1
@@ -140,28 +137,23 @@ def cmd_gen(args) -> int:
 def cmd_check_lemmas(args) -> int:
     h = _load(args.file)
     results = run_all_suites(h, seed=args.seed, trials=args.trials)
-    ok = True
     for r in results:
-        status = "pass" if r.passed else "FAIL"
         detail = f" ({r.detail})" if r.detail else ""
-        print(f"{r.name}: {status} worst={r.worst:.3e}{detail}")
-        ok = ok and r.passed
-    return 0 if ok else 1
+        print(f"{r.name}: {'pass' if r.passed else 'FAIL'} worst={r.worst:.3e}{detail}")
+    return 0 if all(r.passed for r in results) else 1
 
 
-def _checked(kind, ok, what: str):
-    """An argparse type: a value of kind for which ok holds; others are usage errors."""
+def _checked(kind, rule):
+    """An argparse type: a value of kind; one the library's rule refuses is a usage error."""
     def parse(text: str):
         value = kind(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        try:
+            rule(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
         return value
     parse.__name__ = kind.__name__  # argparse names it in 'invalid int value'
     return parse
-
-
-_TOL = _checked(float, lambda x: 0 <= x < math.inf, "a finite number >= 0")
-_POSITIVE_TOL = _checked(float, lambda x: 0 < x < math.inf, "a finite number > 0")
 
 
 @functools.cache
@@ -174,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the hypergroup axioms")
     p.add_argument("file")
-    p.add_argument("--tol", type=_TOL, default=AXIOM_TOL)
+    p.add_argument("--tol", type=_checked(float, _check_tol), default=AXIOM_TOL)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("haar", help="compute invariant weights")
@@ -182,13 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["net", "jewett", "solve"], required=True)
     p.add_argument("--f0", default="uniform", help="uniform | dirac:<i>")
     p.add_argument("--mu0", default="uniform", help="uniform | <file of n weights>")
-    p.add_argument("--tol", type=_POSITIVE_TOL, default=EXACT_TOL)
+    p.add_argument("--tol", type=_checked(float, _check_conv_tol), default=EXACT_TOL)
     p.add_argument("--trace", help="write per-step CSV trace here (net only)")
     p.set_defaults(func=cmd_haar)
 
     p = sub.add_parser("compare", help="run all three methods and compare")
     p.add_argument("file")
-    p.add_argument("--tol", type=_TOL, default=CERTIFY_TOL)
+    p.add_argument("--tol", type=_checked(float, _check_tol), default=CERTIFY_TOL)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("gen", help="emit a hypergroup document for a bundled family")
@@ -199,9 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-lemmas", help="run the randomized identity/convergence suites")
     p.add_argument("file")
-    p.add_argument("--seed", type=_checked(int, lambda k: k >= 0, "an integer >= 0"), default=0)
-    p.add_argument("--trials", type=_checked(int, lambda k: k >= 1, "an integer >= 1"),
-                   default=1000)
+    p.add_argument("--seed", type=_checked(int, np.random.default_rng), default=0)
+    p.add_argument("--trials", type=_checked(int, _check_trials), default=1000)
     p.set_defaults(func=cmd_check_lemmas)
 
     return parser

@@ -24,15 +24,11 @@ CERTIFY_TOL = 1e-10  # the invariance residual that certifies haar_net's limit
 # of c's entries fit int64.
 MAX_N = 2 ** 20
 # The memory model.  The temporaries of one block of identity-suite trials and
-# the associativity accumulator over one block of (t, s) pairs of middle and
-# left index, n^2 floats a pair, stay below _BLOCK_FLOATS floats.  This budget
-# also sets the suite's route: the suite scatters the dense c once while c's n^3
-# floats fit in it, and past it calls _contract, which only sums over c's
-# entries.  Whole t-slabs of the accumulator are merged while they fit in
-# _CACHE_FLOATS, a cache-sized budget; past _BLOCK_FLOATS a slab is split into
-# ranges of s.  Of 2^14 to 2^18, 2^16 checked the 100 small-mix documents of
-# seed 0 fastest (19-20 ms on one core of a 2-core x86-64; 29-31 ms at 2^14 and
-# 20-21 ms at 2^18).
+# the associativity accumulator stay below _BLOCK_FLOATS floats, which also sets
+# the suite's route (identity_suite); _associativity merges whole t-slabs of its
+# accumulator while they fit in _CACHE_FLOATS, a cache-sized budget.  Of 2^14 to
+# 2^18, 2^16 checked the 100 small-mix documents of seed 0 fastest (19-20 ms on
+# one core of a 2-core x86-64; 29-31 ms at 2^14 and 20-21 ms at 2^18).
 _BLOCK_FLOATS = 2 ** 21
 _CACHE_FLOATS = 2 ** 16
 
@@ -69,6 +65,21 @@ class NoCover(Refusal):
     """No finite positive combination of translates dominates the target."""
 
 
+class _HeaderError(ValueError):
+    """A broken rule on n, e or inv; field names which, for a document's reader."""
+    def __init__(self, field: str, text: str):
+        super().__init__(text)
+        self.field = field
+
+
+def _check_n(n: int) -> None:
+    """The rule on n, for FiniteHypergroup, a document's n line and cyclic_hypergroup."""
+    if n < 1:
+        raise _HeaderError("n", "n must be at least 1")
+    if n >= MAX_N:
+        raise _HeaderError("n", f"n={n} is not below {MAX_N}: the n^3 tensor is not addressable")
+
+
 @dataclass(frozen=True, repr=False, eq=False)
 class FiniteHypergroup:
     """Finite hypergroup: identity e, involution inv, structure tensor c.
@@ -92,12 +103,13 @@ class FiniteHypergroup:
         return cls(n, e, inv, entries=(s, t, u, value))
 
     def __post_init__(self, c):
-        n = self.n
-        object.__setattr__(self, "inv", np.asarray(self.inv, dtype=int))
+        n, inv = self.n, np.asarray(self.inv)  # checked before its entries are cast to int
+        _check_n(n)
         if not (0 <= self.e < n):
-            raise ValueError(f"identity index {self.e} out of range for n={n}")
-        if self.inv.shape != (n,) or not np.array_equal(np.sort(self.inv), np.arange(n)):
-            raise ValueError("involution is not a permutation")
+            raise _HeaderError("e", f"identity index {self.e} out of range for n={n}")
+        if inv.shape != (n,) or not np.array_equal(np.sort(inv), np.arange(n)):
+            raise _HeaderError("inv", "involution is not a permutation")
+        object.__setattr__(self, "inv", inv.astype(int, copy=False))
         if c is not None:
             c = np.asarray(c, dtype=float)
             if c.shape != (n, n, n):
@@ -105,8 +117,6 @@ class FiniteHypergroup:
             object.__setattr__(self, "entries", _nonzeros(c))
         elif self.entries is None:
             raise TypeError("FiniteHypergroup needs the structure tensor c or its entries")
-        if n >= MAX_N:
-            raise ValueError(f"n={n} is not below {MAX_N}: the n^3 tensor is not addressable")
         if len(set(map(len, self.entries))) > 1:
             raise ValueError("entries must list as many values as indices")
         stu, value = np.array(self.entries[:3], dtype=np.intp), np.array(self.entries[3], float)
@@ -156,9 +166,7 @@ class Measure:
 
     @staticmethod
     def dirac(n: int, s: int) -> "Measure":
-        w = np.zeros(n)
-        w[s] = 1.0
-        return Measure(w, nonneg=True)
+        return Measure(Function.indicator(n, [s]).v, nonneg=True)
 
     @staticmethod
     def uniform(n: int) -> "Measure":
@@ -186,8 +194,13 @@ class Function:
 
     @staticmethod
     def indicator(n: int, points: Iterable[int]) -> "Function":
+        """1 at points, 0 elsewhere; also the point rule of Measure.dirac and support_product."""
+        points = list(points)
+        for p in points:
+            if not (0 <= p < n):
+                raise ValueError(f"point index {p} out of range for n={n}")
         v = np.zeros(n)
-        v[list(points)] = 1.0
+        v[points] = 1.0
         return Function(v)
 
     @staticmethod
@@ -271,14 +284,9 @@ def convolve_function_measure(h: FiniteHypergroup, f: Function, mu: Measure) -> 
 
 def support_product(h: FiniteHypergroup, a: Iterable[int], b: Iterable[int]) -> frozenset:
     """A . B: union of supports of dirac_a * dirac_b over a in A, b in B."""
-    a = list(a)
-    b = list(b)
-    for p in a + b:
-        if not (0 <= p < h.n):
-            raise ValueError(f"point index {p} out of range for n={h.n}")
+    a, b = (Function.indicator(h.n, x).v > 0 for x in (a, b))
     s, t, u, value = h.entries
-    hit = np.isin(s, a) & np.isin(t, b) & (value > 0)
-    return frozenset(np.unique(u[hit]).tolist())
+    return frozenset(np.unique(u[a[s] & b[t] & (value > 0)]).tolist())
 
 
 @dataclass(frozen=True)
@@ -341,22 +349,19 @@ def validate(h: FiniteHypergroup, tol: float = AXIOM_TOL) -> ValidationReport:
     all n^3 points, nan if any is, at the first point in C order that reaches
     it. They form no dense view of c.
 
-    The associativity check sets the cost. Its worst is the largest
-    |((s*t)*r - s*(t*r))(v)| over all points, where s*t is dirac_s * dirac_t,
-    and its witness is the first (s, t, r, v) in C order that reaches it. It
-    forms only the P products of two nonzeros of c, one block of middle indices
-    t at a time, in O(P) time; P is
+    The associativity check (_associativity) sets the cost. Its worst is the
+    largest |((s*t)*r - s*(t*r))(v)| over all points, where s*t is
+    dirac_s * dirac_t, at the first (s, t, r, v) in C order that reaches it.
+    It forms only the P products of two nonzeros of c, in O(P) time; P is
     sum_w #{u = w} * (#{s = w} + #{t = w}) over the nonzeros c[s, t, u], which
-    is O(n^3 d^2) when every c[s, t] has at most d nonzeros. For a commutative
-    c (c[s, t] = c[t, s] bitwise) with n^3 at most _BLOCK_FLOATS, the right
-    side is the left side transposed and is not formed: P is
-    sum_w #{u = w} * #{s = w}, half as many. Its memory is
-    O(nnz + n^2) beside one accumulator of at most max(_BLOCK_FLOATS, n^2)
-    floats, and the products of one block. A deviation that
-    overflows counts as inf, so the worst is inf at the first non-finite
-    deviation. A non-finite c forms no products: the worst is nan and the
-    witness is c's first non-finite entry (s, t, u).
+    is O(n^3 d^2) when every c[s, t] has at most d nonzeros, and half as many,
+    sum_w #{u = w} * #{s = w}, for a commutative c (c[s, t] = c[t, s] bitwise)
+    with n^3 at most _BLOCK_FLOATS. Its memory is O(nnz + n^2) beside one
+    accumulator of at most max(_BLOCK_FLOATS, n^2) floats and the products of
+    one block. A deviation that overflows counts as inf; a non-finite c gives
+    nan at its first non-finite entry (s, t, u).
     """
+    _check_tol(tol)
     n, inv = h.n, h.inv
     checks = {}
 
@@ -390,6 +395,12 @@ def validate(h: FiniteHypergroup, tol: float = AXIOM_TOL) -> ValidationReport:
     checks["associativity"] = _graded("associativity", tol, *_associativity(h))
 
     return ValidationReport(checks)
+
+
+def _check_tol(tol: float) -> None:
+    """The rule on validate's tol, and on the CLI's --tol of validate and compare."""
+    if not (0 <= tol < np.inf):
+        raise ValueError("tol must be a finite number >= 0")
 
 
 def _involution_witness(h: FiniteHypergroup) -> Optional[tuple]:

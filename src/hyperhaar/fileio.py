@@ -14,20 +14,11 @@ The tokens of a 'c' line are ASCII decimals: no underscores, no other digits.
 parse_hypergroup(text) is the one authority on a document: it reads the lines
 above the first 'c' line one at a time and the 'c' block in one np.loadtxt
 call, and reads the whole document again line by line on any doubt, which
-alone writes an error.  The CLI reads a file with read_hypergroup(path): the
-text once, for the header and any fallback, and, in a document of 16 KB or
-more, the 'c' block a second time, by np.loadtxt from the file itself, which
-numpy reads with its C reader instead of one Python line at a time.  A
-shorter document is parsed from its text.  Where that second read could differ
-from the text (a pipe or a device, a file changed in between, a compressed
-name, or text on whose lines or fields numpy's tokenizer and str.splitlines /
-str.split disagree) the text goes to parse_hypergroup instead.
-
-write_hypergroup(h, out) writes a document to a text stream in blocks of
-'c' lines, so its memory does not grow with the document; a block's lines are
-gathered from byte cells of the index and value texts, NUL-padded to whole
-64-bit words, and written once their padding is dropped.
-serialize_hypergroup(h) is that writer into a string.
+alone writes an error, at a line.  FiniteHypergroup's rules on n, e and inv
+are refused at the line of that directive.  The CLI reads a file with
+read_hypergroup(path), which takes a long document's 'c' block from the file
+itself.  write_hypergroup(h, out) writes a document to a text stream in
+blocks of 'c' lines, and serialize_hypergroup(h) into a string.
 """
 
 from __future__ import annotations
@@ -44,7 +35,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .core import FiniteHypergroup
+from .core import FiniteHypergroup, _check_n, _HeaderError
 from .approx import ConvergenceTrace
 
 __all__ = [
@@ -101,9 +92,12 @@ def parse_hypergroup(text: str) -> FiniteHypergroup:
         except _DOUBT:
             pass  # the error of an earlier line may come first
     if h is None:
-        n, e, inv, entries = _read_lines(enumerate(lines, start=1), len(lines))
+        n, e, inv, entries, directives = _read_lines(enumerate(lines, start=1), len(lines))
         stu = np.array(list(entries), dtype=np.intp).reshape(-1, 3).T
-        h = FiniteHypergroup.from_entries(n, e, inv, *stu, list(entries.values()))
+        try:  # every entry was checked at its line; FiniteHypergroup judges e and inv
+            h = FiniteHypergroup.from_entries(n, e, inv, *stu, list(entries.values()))
+        except _HeaderError as exc:
+            raise RangeError(str(exc), directives[exc.field]) from None
     return h
 
 
@@ -166,7 +160,7 @@ def _bulk(header: list, rows, **where) -> FiniteHypergroup | None:
     read one at a time and whose 'c' block np.loadtxt reads in one go from rows
     (lines, or a file path with the header skipped); None, or an error, when a
     check fails.  Its errors are never shown: the document is read again."""
-    n, e, inv, _ = _read_lines(enumerate(header, start=1), len(header))
+    n, e, inv, *_ = _read_lines(enumerate(header, start=1), len(header))
     # As errors, loadtxt's warnings refuse the read: "input contained no data",
     # and older numpy's (1.23 on) DeprecationWarning on an int field such as
     # '1.5', which it reads through float; newer numpy refuses that read
@@ -175,15 +169,16 @@ def _bulk(header: list, rows, **where) -> FiniteHypergroup | None:
         entries = np.loadtxt(rows, dtype=_ENTRY, comments=None, ndmin=1, **where)
     if not ((entries["key"] == "c").all() and np.isfinite(entries["value"]).all()):
         return None
-    # raises ValueError on an index out of range or a repeated entry
+    # raises ValueError on an index out of range, a repeated entry, or e or inv broken
     return FiniteHypergroup.from_entries(n, e, inv, entries["s"], entries["t"], entries["u"],
                                          entries["value"])
 
 
 def _read_lines(numbered, count: int):
-    """n, e, inv and the entries, a dict (s, t, u) -> value in the document's
-    order, read one line at a time, or the error of the first failing line: the
-    only place a parse error is raised.
+    """n, e, inv, the entries, a dict (s, t, u) -> value in the document's
+    order, and the line of each directive, read one line at a time, or the
+    error of the first failing line.  The n rule is FiniteHypergroup's, applied
+    at the n line; e and inv are left to FiniteHypergroup.
 
     numbered gives (line number, text) pairs; count is the document's length.
     """
@@ -225,28 +220,22 @@ def _read_lines(numbered, count: int):
                 directives[key] = lineno
                 if key == "n":
                     n = int(fields[1])
-                    if n < 1:
-                        raise RangeError("n must be at least 1", lineno)
+                    _check_n(n)
                 elif key == "e":
                     e = int(fields[1])
                 else:
                     inv = [int(x) for x in fields[1:]]
             else:
                 raise ParseError(f"unknown directive {key!r}", lineno)
+        except _HeaderError as exc:
+            raise RangeError(str(exc), lineno) from None
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from exc
 
     for name, value in (("n", n), ("e", e), ("inv", inv)):
         if value is None:
             raise ParseError(f"missing directive {name!r}", count or 1)
-    if not (0 <= e < n):
-        raise RangeError(f"identity {e} out of range for n={n}", directives["e"])
-    if len(inv) != n:
-        raise ParseError(f"inv must list {n} entries, got {len(inv)}", directives["inv"])
-    for idx in inv:
-        if not (0 <= idx < n):
-            raise RangeError(f"inv entry {idx} out of range for n={n}", directives["inv"])
-    return n, e, inv, seen
+    return n, e, inv, seen, directives
 
 
 # c's entries that write_hypergroup formats and writes at once

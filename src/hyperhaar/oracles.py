@@ -8,7 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AXIOM_TOL, FiniteHypergroup, Measure, Refusal, _check_size, _contract, _identity_planes
+from .core import (AXIOM_TOL, FiniteHypergroup, Measure, Refusal, _check_n, _check_size, _contract,
+                   _identity_planes)
 
 __all__ = [
     "H6Violation",
@@ -153,8 +154,7 @@ def solve_invariance(h: FiniteHypergroup) -> Measure:
 
 def cyclic_hypergroup(n: int) -> FiniteHypergroup:
     """Cyclic group Z_n as a hypergroup."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_n(n)  # before any n x n array
     s, t = (a.ravel() for a in np.indices((n, n)))
     return FiniteHypergroup.from_entries(n, 0, (-np.arange(n)) % n, s, t, (s + t) % n,
                                          np.ones(n * n))

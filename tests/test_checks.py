@@ -124,8 +124,9 @@ class TestIdentitySuite:
         assert all(not r.passed and np.isnan(r.worst) for r in results)
 
     def test_zero_trials(self, bundled):
-        results = identity_suite(bundled, np.random.default_rng(0), trials=0)
-        assert [(r.name, r.passed, r.worst) for r in results] == [(k, True, 0.0) for k in IDENTITIES]
+        # no trial checks no identity: refused, not passed
+        with pytest.raises(ValueError, match="^trials must be at least 1$"):
+            identity_suite(bundled, np.random.default_rng(0), trials=0)
 
     @pytest.mark.parametrize("block", [1, 3, 7])
     def test_blocks_match_one_block(self, monkeypatch, block):

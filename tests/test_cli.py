@@ -283,19 +283,21 @@ def test_bad_mu0_is_one_line_diagnosis(z4_file, tmp_path, weights, message):
     assert proc.stderr.strip().splitlines() == [f"mu0 file {mu0_path}: {message}"]
 
 
-@pytest.mark.parametrize("spec", ["dirac:9", "dirac:x"])
-def test_bad_f0_is_one_line_diagnosis(z4_file, spec):
+@pytest.mark.parametrize("spec,message", [
+    ("dirac:9", "point index 9 out of range for n=4"),
+    ("dirac:x", "invalid literal for int() with base 10: 'x'"),
+], ids=["dirac:9", "dirac:x"])
+def test_bad_f0_is_one_line_diagnosis(z4_file, spec, message):
     proc = run_cli("haar", z4_file, "--method", "net", "--f0", spec)
     assert proc.returncode != 0
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.strip().splitlines() == [
-        f"f0 spec {spec!r}: the point must be an integer in 0..3"]
+    assert proc.stderr.strip().splitlines() == [f"f0 spec {spec!r}: {message}"]
 
 
 @pytest.mark.parametrize("argv,message", [
     (("haar", "{z4}", "--method", "net", "--f0", "gauss"), "unrecognized f0 spec 'gauss'"),
     (("haar", "{z4}", "--method", "net", "--f0", "dirac:4"),
-     "f0 spec 'dirac:4': the point must be an integer in 0..3"),
+     "f0 spec 'dirac:4': point index 4 out of range for n=4"),
     (("haar", "{z4}", "--method", "net", "--mu0", "{missing}"),
      "mu0 file {missing}: [Errno 2] No such file or directory: '{missing}'"),
     (("haar", "{z4}", "--method", "net", "--mu0", "{mu0}"),
@@ -325,7 +327,7 @@ def test_out_of_range_flag_through_main(z4_file, capsys):
         main(["validate", z4_file, "--tol", "-1"])
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1] == (
-        "hyperhaar validate: error: argument --tol: '-1' is not a finite number >= 0")
+        "hyperhaar validate: error: argument --tol: tol must be a finite number >= 0, got '-1'")
 
 
 def test_failed_write_to_stdout_through_main(z4_file, monkeypatch):
@@ -366,7 +368,7 @@ def test_missing_document_is_one_line_diagnosis(tmp_path, argv):
 ])
 @pytest.mark.parametrize("text,message", [
     ("hypergroup v1\nn x\n", "line 2: invalid literal for int() with base 10: 'x'"),
-    ("hypergroup v1\nn 2\ne 0\ninv 0 0\nc 0 0 0 1\n", "involution is not a permutation"),
+    ("hypergroup v1\nn 2\ne 0\ninv 0 0\nc 0 0 0 1\n", "line 4: involution is not a permutation"),
 ], ids=["parse-error", "inconsistent"])
 def test_bad_document_is_one_line_diagnosis(tmp_path, argv, text, message):
     path = tmp_path / "bad.hg"
@@ -694,16 +696,17 @@ def test_unallocatable_gen_is_one_line_diagnosis(tmp_path):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (("haar", "--method", "net", "--tol", "0"), "argument --tol: '0' is not a finite number > 0"),
+    (("haar", "--method", "net", "--tol", "0"),
+     "argument --tol: conv_tol must be a finite number > 0, got '0'"),
     (("haar", "--method", "net", "--tol", "-0.5"),
-     "argument --tol: '-0.5' is not a finite number > 0"),
+     "argument --tol: conv_tol must be a finite number > 0, got '-0.5'"),
     (("haar", "--method", "net", "--tol", "nan"),
-     "argument --tol: 'nan' is not a finite number > 0"),
-    (("validate", "--tol", "nan"), "argument --tol: 'nan' is not a finite number >= 0"),
-    (("compare", "--tol", "-1"), "argument --tol: '-1' is not a finite number >= 0"),
-    (("check-lemmas", "--trials", "-5"), "argument --trials: '-5' is not an integer >= 1"),
-    (("check-lemmas", "--trials", "0"), "argument --trials: '0' is not an integer >= 1"),
-    (("check-lemmas", "--seed", "-1"), "argument --seed: '-1' is not an integer >= 0"),
+     "argument --tol: conv_tol must be a finite number > 0, got 'nan'"),
+    (("validate", "--tol", "nan"), "argument --tol: tol must be a finite number >= 0, got 'nan'"),
+    (("compare", "--tol", "-1"), "argument --tol: tol must be a finite number >= 0, got '-1'"),
+    (("check-lemmas", "--trials", "-5"), "argument --trials: trials must be at least 1, got '-5'"),
+    (("check-lemmas", "--trials", "0"), "argument --trials: trials must be at least 1, got '0'"),
+    (("check-lemmas", "--seed", "-1"), "argument --seed: expected non-negative integer, got '-1'"),
     (("check-lemmas", "--trials", "x"), "argument --trials: invalid int value: 'x'"),
 ], ids=["haar-tol-0", "haar-tol-negative", "haar-tol-nan", "validate-tol-nan",
         "compare-tol-negative", "trials-negative", "trials-0", "seed-negative", "trials-x"])

@@ -61,7 +61,7 @@ class TestParse:
 
     def test_range_error_with_line(self):
         doc = "hypergroup v1\nn 3\ne 5\ninv 0 1 2\n"
-        with pytest.raises(RangeError, match="identity 5"):
+        with pytest.raises(RangeError, match="identity index 5"):
             parse_hypergroup(doc)
 
     def test_entry_out_of_range_line_located(self):
@@ -106,11 +106,20 @@ class TestParse:
             parse_hypergroup(doc)
 
     @pytest.mark.parametrize("doc,error,line,message", [
-        ("n 3\ne 5\ninv 0 1 2", RangeError, 3, "identity 5 out of range for n=3"),
-        ("n 3\ninv 0 1 2\n# comment\n\ne 3", RangeError, 6, "identity 3 out of range for n=3"),
-        ("n 3\ne 0\n\ninv 0 1", ParseError, 5, "inv must list 3 entries, got 2"),
-        ("inv 0 1 7\nn 3\ne 0", RangeError, 2, "inv entry 7 out of range for n=3"),
-    ], ids=["e-line-3", "e-line-6", "inv-length", "inv-entry"])
+        ("n 3\ne 5\ninv 0 1 2", RangeError, 3, "identity index 5 out of range for n=3"),
+        ("n 3\ninv 0 1 2\n# comment\n\ne 3", RangeError, 6,
+         "identity index 3 out of range for n=3"),
+        ("n 3\ne 0\n\ninv 0 1", RangeError, 5, "involution is not a permutation"),
+        ("inv 0 1 7\nn 3\ne 0", RangeError, 2, "involution is not a permutation"),
+        ("n 2\ne 0\ninv 0 0", RangeError, 4, "involution is not a permutation"),
+        ("n 3\ne 0\ninv 0 0 1\nc 0 0 0 1", RangeError, 4, "involution is not a permutation"),
+        ("n 3\ne 0\ninv 0 99999999999999999999 1", RangeError, 4,
+         "involution is not a permutation"),
+        ("n 1048576\ne 0\ninv 0", RangeError, 2,
+         r"n=1048576 is not below 1048576: the n\^3 tensor is not addressable"),
+        ("e 0\ninv 0\nn 0", RangeError, 4, "n must be at least 1"),
+    ], ids=["e-line-3", "e-line-6", "inv-length", "inv-entry", "inv-repeated-2",
+            "inv-repeated-3", "inv-entry-huge", "n-max", "n-0"])
     def test_directive_checks_report_their_line(self, doc, error, line, message):
         with pytest.raises(error, match=f"^line {line}: {message}$") as err:
             parse_hypergroup(f"hypergroup v1\n{doc}\n")
@@ -361,17 +370,12 @@ _documents = st.tuples(st.sampled_from(["hypergroup v1", "hypergroup v2", ""]),
 @given(_documents)
 @settings(max_examples=300, deadline=None)
 def test_parse_outcomes(doc):
-    """A document parses, or raises ParseError, or fails FiniteHypergroup's
-    consistency checks with a ValueError: the three outcomes the CLI handles."""
+    """A document parses, or raises a ParseError that names a line of it: a
+    broken rule of FiniteHypergroup's on n, e or inv too."""
     try:
         assert isinstance(parse_hypergroup(doc), FiniteHypergroup)
-    except ParseError:
-        pass
-    except ValueError as exc:
-        tb = exc.__traceback__
-        while tb.tb_next is not None:
-            tb = tb.tb_next
-        assert tb.tb_frame.f_code.co_name == "__post_init__"
+    except ParseError as exc:
+        assert 1 <= exc.line <= max(1, len(doc.splitlines()))
 
 
 _MAGIC = "hypergroup v1"
@@ -379,8 +383,9 @@ _FIELDS = {"n": 2, "e": 2, "c": 5}
 
 
 def _reference_parse(text):
-    """The line-by-line parser that parse_hypergroup replaced, kept as a reference;
-    it keeps the entries as the document lists them, -0.0 and other zeros included."""
+    """The line-by-line parser that parse_hypergroup replaced, kept as a reference,
+    with FiniteHypergroup's rules on n, e and inv reported at their lines; it
+    keeps the entries as the document lists them, -0.0 and other zeros included."""
     n = e = inv = None
     seen = {}
     directives = {}  # directive -> its line
@@ -421,6 +426,9 @@ def _reference_parse(text):
                     n = int(fields[1])
                     if n < 1:
                         raise RangeError("n must be at least 1", lineno)
+                    if n >= 2 ** 20:
+                        raise RangeError(f"n={n} is not below {2 ** 20}: the n^3 tensor is "
+                                         "not addressable", lineno)
                 elif key == "e":
                     e = int(fields[1])
                 else:
@@ -436,12 +444,9 @@ def _reference_parse(text):
         if value is None:
             raise ParseError(f"missing directive {name!r}", len(lines) or 1)
     if not (0 <= e < n):
-        raise RangeError(f"identity {e} out of range for n={n}", directives["e"])
-    if len(inv) != n:
-        raise ParseError(f"inv must list {n} entries, got {len(inv)}", directives["inv"])
-    for idx in inv:
-        if not (0 <= idx < n):
-            raise RangeError(f"inv entry {idx} out of range for n={n}", directives["inv"])
+        raise RangeError(f"identity index {e} out of range for n={n}", directives["e"])
+    if sorted(inv) != list(range(n)):
+        raise RangeError("involution is not a permutation", directives["inv"])
     stu = np.array(list(seen), dtype=np.intp).reshape(-1, 3).T
     return FiniteHypergroup.from_entries(n, e, np.asarray(inv), *stu, list(seen.values()))
 
@@ -452,8 +457,6 @@ def _outcome(parse, doc):
         h = parse(doc)
     except ParseError as exc:
         return type(exc), exc.line, str(exc)
-    except ValueError as exc:  # FiniteHypergroup's consistency checks, after every line
-        return ValueError, math.inf, str(exc)
     return h.n, h.e, h.inv.tobytes(), tuple(a.tobytes() for a in h.entries)
 
 
@@ -533,7 +536,7 @@ def test_bad_line_before_unallocatable_n():
     """Parse forms no n^3 tensor, so n = 10^5 (7 PiB dense) reads to the short
     inv line; a bad line above the 'n' line still comes first, as it does read
     line by line."""
-    with pytest.raises(ParseError, match="^line 4: inv must list 100000 entries, got 1$"):
+    with pytest.raises(RangeError, match="^line 4: involution is not a permutation$"):
         parse_hypergroup("hypergroup v1\nn 100000\ne 0\ninv 0\n")
     with pytest.raises(ParseError, match="^line 2: 'c' entry before 'n'$"):
         parse_hypergroup("hypergroup v1\nc 0 0 0 1\nn 100000\ne 0\ninv 0\n")
@@ -677,6 +680,25 @@ def test_read_takes_the_c_block_from_the_file(tmp_path, monkeypatch):
     h = read_hypergroup(path)
     assert calls == [(str(path), 4)]
     assert h.entries[3].tobytes() == parse_hypergroup(path.read_text()).entries[3].tobytes()
+
+
+@pytest.mark.parametrize("line,message", [
+    ("inv 0 1 2 3 4 4", "line 4: involution is not a permutation"),
+    ("e 6", "line 3: identity index 6 out of range for n=6"),
+], ids=["inv", "e"])
+def test_read_refuses_a_broken_header_at_its_line(tmp_path, monkeypatch, line, message):
+    """The file route's FiniteHypergroup refuses e or inv without a line, so the
+    text is read line by line and the refusal names the directive's line."""
+    monkeypatch.setattr(fileio, "_FILE_READ_BYTES", 0)
+    lines = serialize_hypergroup(cosine_grid_hypergroup(6)).splitlines()
+    key = line.split()[0]
+    lines = [line if old.split()[0] == key else old for old in lines]
+    path = tmp_path / "grid.hg"
+    path.write_text("\n".join(lines) + "\n")
+    calls = _spy_loadtxt(monkeypatch)
+    with pytest.raises(RangeError, match=f"^{message}$"):
+        read_hypergroup(path)
+    assert calls[0] == (str(path), 4)  # then parse_hypergroup of the text
 
 
 def test_read_of_a_file_that_changes_parses_the_text(tmp_path, monkeypatch):

@@ -20,8 +20,11 @@ from hyperhaar import (
     normalized_approximant,
     pair,
     sandwich_ratio,
+    support_product,
     symmetrize,
+    validate,
 )
+from hyperhaar.checks import identity_suite, run_all_suites
 from hyperhaar.oracles import cyclic_hypergroup, invariance_residual, theta_hypergroup
 
 Z3 = cyclic_hypergroup(3)
@@ -69,9 +72,9 @@ CASES = {
     "gap-mu0-negative": (lambda: main_identity_gap(Z3, Measure([1.0, -5.0, 1.0]), ONES, ONES),
                          MU0_RULE),
     "config-conv-tol-0": (lambda: ApproximantConfig(MU0, ONES, CHAIN, conv_tol=0.0),
-                          "conv_tol must be positive"),
+                          "conv_tol must be a finite number > 0"),
     "config-conv-tol-nan": (lambda: ApproximantConfig(MU0, ONES, CHAIN, conv_tol=np.nan),
-                            "conv_tol must be positive"),
+                            "conv_tol must be a finite number > 0"),
     "pair": (lambda: pair(Function.ones(2), MU0), "dimension mismatch: expected n=3, got 2"),
     "residual": (lambda: invariance_residual(Z3, Measure(np.ones(2))),
                  "dimension mismatch: expected n=3, got 2"),
@@ -108,6 +111,38 @@ CASES = {
     "function-2d": (lambda: Function(np.ones((2, 2))), "function values must be a 1-d vector"),
     "nonneg-measure": (lambda: Measure([1.0, -0.5], nonneg=True),
                        "nonneg measure has a negative weight"),
+    "sandwich-mu-nan": (lambda: sandwich_ratio(Z3, MU0, ONES, ONES, Measure([np.nan, 0, 0])),
+                        "mu must be nonzero"),
+    "config-conv-tol-inf": (lambda: ApproximantConfig(MU0, ONES, CHAIN, conv_tol=np.inf),
+                            "conv_tol must be a finite number > 0"),
+    # validate grades with tol: at nan or -1 every graded check would read FAIL
+    "validate-tol-nan": (lambda: validate(Z3, np.nan), "tol must be a finite number >= 0"),
+    "validate-tol-negative": (lambda: validate(Z3, -1.0), "tol must be a finite number >= 0"),
+    "validate-tol-inf": (lambda: validate(Z3, np.inf), "tol must be a finite number >= 0"),
+    # no trial checks no identity
+    "suites-trials-0": (lambda: run_all_suites(Z3, trials=0), "trials must be at least 1"),
+    "identity-suite-trials-negative": (
+        lambda: identity_suite(Z3, np.random.default_rng(0), trials=-1),
+        "trials must be at least 1"),
+    # a negative index would mark a point from the end
+    "indicator-negative": (lambda: Function.indicator(3, [0, -1]),
+                           "point index -1 out of range for n=3"),
+    "dirac-negative": (lambda: Measure.dirac(3, -1), "point index -1 out of range for n=3"),
+    "dirac-n": (lambda: Measure.dirac(3, 3), "point index 3 out of range for n=3"),
+    "support-product": (lambda: support_product(Z3, [0], [1, 5]),
+                        "point index 5 out of range for n=3"),
+    "hypergroup-n-0": (lambda: FiniteHypergroup.from_entries(0, 0, [], [], [], [], []),
+                       "n must be at least 1"),
+    "hypergroup-e": (lambda: FiniteHypergroup(3, 3, [0, 2, 1], np.zeros((3, 3, 3))),
+                     "identity index 3 out of range for n=3"),
+    "inv-repeated": (lambda: FiniteHypergroup(3, 0, [0, 0, 1], np.zeros((3, 3, 3))),
+                     "involution is not a permutation"),
+    "inv-huge": (lambda: FiniteHypergroup(2, 0, [0, 10 ** 20], np.zeros((2, 2, 2))),
+                 "involution is not a permutation"),
+    "cyclic-0": (lambda: cyclic_hypergroup(0), "n must be at least 1"),
+    # refused before its n^2 entries are allocated
+    "cyclic-max-n": (lambda: cyclic_hypergroup(2 ** 20),
+                     r"n=1048576 is not below 1048576: the n\^3 tensor is not addressable"),
     "theta-above-1": (lambda: theta_hypergroup(1.5), r"theta must lie in \[0, 1\]"),
     "theta-nan": (lambda: theta_hypergroup(np.nan), r"theta must lie in \[0, 1\]"),
 }

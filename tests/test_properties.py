@@ -27,7 +27,7 @@ from hyperhaar import (
 from hyperhaar.approx import ApproximantConfig, canonical_chain, symmetrize
 from hyperhaar.checks import identity_suite
 from hyperhaar.cli import main
-from hyperhaar.fileio import serialize_hypergroup
+from hyperhaar.fileio import ParseError, parse_hypergroup, serialize_hypergroup
 from hyperhaar.oracles import cyclic_hypergroup, product_hypergroup, theta_hypergroup
 
 from conftest import BUNDLED
@@ -144,7 +144,8 @@ def mutated_documents(draw):
     lines = _DOCUMENTS[draw(st.sampled_from(sorted(_DOCUMENTS)))].splitlines()
     index = st.integers(min_value=0, max_value=int(lines[1].split()[1])).map(str)
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        cs = [i for i, line in enumerate(lines) if line.startswith("c ")]
+        # the c lines with four fields; an appended junk line such as "c 0 0" is not one
+        cs = [i for i, line in enumerate(lines) if line.startswith("c ") and len(line.split()) == 5]
         kinds = ["n", "e", "inv", "junk"] + (["drop", "dup", "retarget"] + ["value"] * 3
                                              if cs else [])
         kind = draw(st.sampled_from(kinds))
@@ -197,7 +198,15 @@ def fuzz_path(tmp_path_factory):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_mutated_documents_exit_cleanly(fuzz_path, doc):
     """Every command ends in exit 0, 1 or 2, with no other exception and no
-    warning, and a refusal is one stderr line."""
+    warning, and a refusal is one stderr line. parse_hypergroup returns or
+    raises a ParseError that names a line, and every command refuses a
+    document that parse refuses with that line."""
+    try:
+        parse_hypergroup(doc)
+        expected = None
+    except ParseError as exc:
+        assert str(exc).startswith(f"line {exc.line}: ")
+        expected = f"hypergroup file {fuzz_path}: {exc}"
     fuzz_path.write_text(doc)
     for command in _COMMANDS:
         code, refusal, err, caught = _run([command[0], str(fuzz_path), *command[1:]])
@@ -205,3 +214,5 @@ def test_mutated_documents_exit_cleanly(fuzz_path, doc):
         assert not caught, (command, [str(w.message) for w in caught])
         if code != 2:  # argparse writes its usage before its one error line
             assert err == "" and "\n" not in (refusal or ""), (command, err, refusal)
+        if expected:
+            assert refusal == expected, (command, refusal)
