@@ -102,8 +102,8 @@ class ShrinkingChain:
         contained[1:] = ~(member[1:] & ~member[:-1]).any(axis=1)
         failed = np.stack([
             ~member[:, h.e],
-            np.bincount(rows[outside], minlength=len(self)).astype(bool)
-            | (member != member[:, h.inv]).any(axis=1),
+            np.bincount(rows[outside], minlength=len(self)).astype(bool),
+            (member != member[:, h.inv]).any(axis=1),
             ~contained,
             _breaks_nonneg_nonzero(bumps),
             ((bumps != 0) & ~member).any(axis=1),
@@ -112,7 +112,8 @@ class ShrinkingChain:
         ], axis=1)
         if failed.any():
             k = int(np.argmax(failed.any(axis=1)))
-            raise ValueError(_CHAIN_FAILURES[int(np.argmax(failed[k]))].format(k=k))
+            p = min((q for q in self.neighborhoods[k] if not 0 <= q < h.n), default=None)
+            raise ValueError(_CHAIN_FAILURES[int(np.argmax(failed[k]))].format(k=k, p=p, n=h.n))
         if not self.neighborhoods or self.neighborhoods[-1] != frozenset({h.e}):
             raise ValueError("chain must terminate at the singleton identity neighborhood")
 
@@ -120,6 +121,7 @@ class ShrinkingChain:
 # ShrinkingChain.check's conditions on neighborhood k and its bump, in the order tested.
 _CHAIN_FAILURES = (
     "neighborhood {k} does not contain the identity",
+    "neighborhood {k}: point index {p} out of range for n={n}",
     "neighborhood {k} is not involution-stable",
     "neighborhood {k} is not contained in its predecessor",
     _NONNEG_NONZERO.format("bump {k}"),

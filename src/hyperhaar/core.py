@@ -65,19 +65,20 @@ class NoCover(Refusal):
     """No finite positive combination of translates dominates the target."""
 
 
-class _HeaderError(ValueError):
-    """A broken rule on n, e or inv; field names which, for a document's reader."""
-    def __init__(self, field: str, text: str):
+class _RuleError(ValueError):
+    """A broken rule of FiniteHypergroup's input; where names its place for a document's
+    reader: "n", "e", "inv" or an entry's position as given. repeat marks a repeated entry."""
+    def __init__(self, where, text: str, repeat: bool = False):
         super().__init__(text)
-        self.field = field
+        self.where, self.repeat = where, repeat
 
 
 def _check_n(n: int) -> None:
-    """The rule on n, for FiniteHypergroup, a document's n line and cyclic_hypergroup."""
+    """The rule on n, for FiniteHypergroup and cyclic_hypergroup."""
     if n < 1:
-        raise _HeaderError("n", "n must be at least 1")
+        raise _RuleError("n", "n must be at least 1")
     if n >= MAX_N:
-        raise _HeaderError("n", f"n={n} is not below {MAX_N}: the n^3 tensor is not addressable")
+        raise _RuleError("n", f"n={n} is not below {MAX_N}: the n^3 tensor is not addressable")
 
 
 @dataclass(frozen=True, repr=False, eq=False)
@@ -99,16 +100,17 @@ class FiniteHypergroup:
     @classmethod
     def from_entries(cls, n: int, e: int, inv, s, t, u, value) -> "FiniteHypergroup":
         """The hypergroup whose tensor has c[s[i], t[i], u[i]] = value[i], in any
-        order, and zeros elsewhere; an (s, t, u) listed twice is refused."""
+        order, and zeros elsewhere.  Refused: an index outside 0..n-1, then an (s, t, u)
+        listed twice; the refusal names the first such i, for a repeat its later listing."""
         return cls(n, e, inv, entries=(s, t, u, value))
 
     def __post_init__(self, c):
         n, inv = self.n, np.asarray(self.inv)  # checked before its entries are cast to int
         _check_n(n)
         if not (0 <= self.e < n):
-            raise _HeaderError("e", f"identity index {self.e} out of range for n={n}")
+            raise _RuleError("e", f"identity index {self.e} out of range for n={n}")
         if inv.shape != (n,) or not np.array_equal(np.sort(inv), np.arange(n)):
-            raise _HeaderError("inv", "involution is not a permutation")
+            raise _RuleError("inv", "involution is not a permutation")
         object.__setattr__(self, "inv", inv.astype(int, copy=False))
         if c is not None:
             c = np.asarray(c, dtype=float)
@@ -119,16 +121,21 @@ class FiniteHypergroup:
             raise TypeError("FiniteHypergroup needs the structure tensor c or its entries")
         if len(set(map(len, self.entries))) > 1:
             raise ValueError("entries must list as many values as indices")
-        stu, value = np.array(self.entries[:3], dtype=np.intp), np.array(self.entries[3], float)
-        try:
+        value = np.array(self.entries[3], float)
+        try:  # an index past int64 fails the cast, one outside 0..n-1 the raveling
+            stu = np.array(self.entries[:3], dtype=np.intp)
             keys = np.ravel_multi_index(stu, (n,) * 3)
-        except ValueError:
-            raise ValueError(f"entry indices must lie in 0..{n - 1}") from None
+        except (OverflowError, ValueError):  # the first entry outside, judged as given
+            given = np.asarray(self.entries[:3])
+            first = int(np.argmax(((given < 0) | (given >= n)).any(axis=0)))
+            raise _RuleError(first, f"entry indices must lie in 0..{n - 1}") from None
         if not (keys[1:] > keys[:-1]).all():  # out of C order, or repeated
             order = np.argsort(keys, kind="stable")
             stu, value, keys = stu[:, order], value[order], keys[order]
-            if not (keys[1:] > keys[:-1]).all():
-                raise ValueError("an entry (s, t, u) is listed twice")
+            repeat = keys[1:] == keys[:-1]  # a stable sort keeps a repeat's listings in order
+            if repeat.any():
+                raise _RuleError(int(order[1:][repeat].min()), "an entry (s, t, u) is listed twice",
+                                 repeat=True)
         object.__setattr__(self, "entries", (*stu, value))
 
     def __repr__(self) -> str:

@@ -14,8 +14,9 @@ The tokens of a 'c' line are ASCII decimals: no underscores, no other digits.
 parse_hypergroup(text) is the one authority on a document: it reads the lines
 above the first 'c' line one at a time and the 'c' block in one np.loadtxt
 call, and reads the whole document again line by line on any doubt, which
-alone writes an error, at a line.  FiniteHypergroup's rules on n, e and inv
-are refused at the line of that directive.  The CLI reads a file with
+alone writes an error, at a line.  That reader judges how a document is
+written; FiniteHypergroup judges what it says, and its refusal is placed at
+the line of the directive or entry it names.  The CLI reads a file with
 read_hypergroup(path), which takes a long document's 'c' block from the file
 itself.  write_hypergroup(h, out) writes a document to a text stream in
 blocks of 'c' lines, and serialize_hypergroup(h) into a string.
@@ -35,7 +36,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .core import FiniteHypergroup, _check_n, _HeaderError
+from .core import FiniteHypergroup, _RuleError
 from .approx import ConvergenceTrace
 
 __all__ = [
@@ -79,7 +80,8 @@ def parse_hypergroup(text: str) -> FiniteHypergroup:
 
     A document whose trailing block of 'c' lines passes one bulk read is
     accepted from it.  On any doubt the whole document is read again line by
-    line, which reports the first failing line.
+    line, which reports the first line written wrong, else the line of what
+    FiniteHypergroup refuses.
     """
     lines = text.splitlines()
     if "#" in text:
@@ -90,14 +92,14 @@ def parse_hypergroup(text: str) -> FiniteHypergroup:
         try:
             h = _bulk(lines[:first], islice(lines, first, None))
         except _DOUBT:
-            pass  # the error of an earlier line may come first
+            pass  # a line written wrong may come first
     if h is None:
-        n, e, inv, entries, directives = _read_lines(enumerate(lines, start=1), len(lines))
-        stu = np.array(list(entries), dtype=np.intp).reshape(-1, 3).T
-        try:  # every entry was checked at its line; FiniteHypergroup judges e and inv
-            h = FiniteHypergroup.from_entries(n, e, inv, *stu, list(entries.values()))
-        except _HeaderError as exc:
-            raise RangeError(str(exc), directives[exc.field]) from None
+        n, e, inv, entries, line_of = _read_lines(enumerate(lines, start=1), len(lines))
+        try:  # the document is written right; FiniteHypergroup judges what it says
+            h = FiniteHypergroup.from_entries(n, e, inv, *entries)
+        except _RuleError as exc:
+            error = DuplicateEntry if exc.repeat else RangeError
+            raise error(str(exc), line_of[exc.where]) from None
     return h
 
 
@@ -169,22 +171,21 @@ def _bulk(header: list, rows, **where) -> FiniteHypergroup | None:
         entries = np.loadtxt(rows, dtype=_ENTRY, comments=None, ndmin=1, **where)
     if not ((entries["key"] == "c").all() and np.isfinite(entries["value"]).all()):
         return None
-    # raises ValueError on an index out of range, a repeated entry, or e or inv broken
+    # raises ValueError on a broken rule of FiniteHypergroup's: n, e, inv or an entry
     return FiniteHypergroup.from_entries(n, e, inv, entries["s"], entries["t"], entries["u"],
                                          entries["value"])
 
 
 def _read_lines(numbered, count: int):
-    """n, e, inv, the entries, a dict (s, t, u) -> value in the document's
-    order, and the line of each directive, read one line at a time, or the
-    error of the first failing line.  The n rule is FiniteHypergroup's, applied
-    at the n line; e and inv are left to FiniteHypergroup.
+    """n, e, inv, the lists (s, t, u, value) of the entries in the document's
+    order, and the line of each directive and entry, read one line at a time,
+    or the error of the first line written wrong.  What the values say is
+    FiniteHypergroup's to judge.
 
     numbered gives (line number, text) pairs; count is the document's length.
     """
-    n = e = inv = None
-    seen = {}
-    directives = {}  # directive -> its line
+    header, entries = {}, ([], [], [], [])  # header: directive -> its integers
+    line_of = {}  # "n", "e", "inv" and each entry's position -> its line
     body = [(lineno, line.strip()) for lineno, line in numbered if line.strip()]
     if not body or body[0][1] != _MAGIC:
         raise ParseError(f"expected header {_MAGIC!r}", body[0][0] if body else 1)
@@ -197,45 +198,34 @@ def _read_lines(numbered, count: int):
                              f"{_FIELDS[key] - 1}", lineno)
         try:
             if key == "c":
-                entry = int(fields[1]), int(fields[2]), int(fields[3])
-                value = float(fields[4])
+                row = int(fields[1]), int(fields[2]), int(fields[3]), float(fields[4])
                 # Python's int and float also read underscores and non-ASCII digits
                 for token, what in zip(fields[1:], _TOKENS):
                     if not token.isascii() or "_" in token:
                         raise ParseError(f"{what} {token!r} must be written in ASCII digits "
                                          "without underscores", lineno)
-                if not math.isfinite(value):
+                if not math.isfinite(row[3]):
                     raise ParseError(f"value {fields[4]!r} is not finite", lineno)
-                if n is None:
+                if "n" not in line_of:
                     raise ParseError("'c' entry before 'n'", lineno)
-                for idx in entry:
-                    if not (0 <= idx < n):
-                        raise RangeError(f"index {idx} out of range for n={n}", lineno)
-                if entry in seen:
-                    raise DuplicateEntry(f"repeated entry {entry}", lineno)
-                seen[entry] = value
+                line_of[len(entries[0])] = lineno
+                for column, x in zip(entries, row):
+                    column.append(x)
             elif key in ("n", "e", "inv"):
-                if key in directives:
+                if key in line_of:
                     raise DuplicateEntry(f"repeated directive {key!r}", lineno)
-                directives[key] = lineno
-                if key == "n":
-                    n = int(fields[1])
-                    _check_n(n)
-                elif key == "e":
-                    e = int(fields[1])
-                else:
-                    inv = [int(x) for x in fields[1:]]
+                line_of[key] = lineno
+                header[key] = [int(x) for x in fields[1:]]
             else:
                 raise ParseError(f"unknown directive {key!r}", lineno)
-        except _HeaderError as exc:
-            raise RangeError(str(exc), lineno) from None
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from exc
 
-    for name, value in (("n", n), ("e", e), ("inv", inv)):
-        if value is None:
+    for name in ("n", "e", "inv"):
+        if name not in line_of:
             raise ParseError(f"missing directive {name!r}", count or 1)
-    return n, e, inv, seen, directives
+    (n,), (e,) = header["n"], header["e"]
+    return n, e, header["inv"], entries, line_of
 
 
 # c's entries that write_hypergroup formats and writes at once

@@ -366,7 +366,10 @@ def reference_check(chain, h):
     for k, (u, g) in enumerate(zip(chain.neighborhoods, chain.bumps)):
         if h.e not in u:
             raise ValueError(f"neighborhood {k} does not contain the identity")
-        if any(not 0 <= p < h.n for p in u) or frozenset(int(h.inv[p]) for p in u) != u:
+        outside = sorted(p for p in u if not 0 <= p < h.n)
+        if outside:
+            raise ValueError(f"neighborhood {k}: point index {outside[0]} out of range for n={h.n}")
+        if frozenset(int(h.inv[p]) for p in u) != u:
             raise ValueError(f"neighborhood {k} is not involution-stable")
         if prev is not None and not u <= prev:
             raise ValueError(f"neighborhood {k} is not contained in its predecessor")
@@ -399,7 +402,7 @@ class TestChainCheck:
                                                          [1, 0, 0, 0]]),
          "neighborhood 2 is not involution-stable"),
         (z4_chain([range(4), {0, 5}, {0}], [np.ones(4), [1, 0, 0, 0], [1, 0, 0, 0]]),
-         "neighborhood 1 is not involution-stable"),
+         "neighborhood 1: point index 5 out of range for n=4"),
         (z4_chain([range(4), {0}, {0, 2}, {0}]),
          "neighborhood 2 is not contained in its predecessor"),
         (z4_chain([range(4), {0, 2}, {0}], [np.ones(4), [1, 0, -1, 0], [1, 0, 0, 0]]),
@@ -416,6 +419,8 @@ class TestChainCheck:
         (z4_chain([]), "chain must terminate at the singleton identity neighborhood"),
         (z4_chain([range(4), {0}], [[1, 1, np.inf, 1], [1, 0, 0, 0]]),
          "bump 0 must be nonnegative and nonzero, and finite"),
+        (z4_chain([range(4), {-1, 0, 7}, {0}], [np.ones(4), [1, 0, 0, 0], [1, 0, 0, 0]]),
+         "neighborhood 1: point index -1 out of range for n=4"),
     ])
     def test_message(self, chain, message):
         for check in (chain.check, lambda h: reference_check(chain, h)):

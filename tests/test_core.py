@@ -24,6 +24,7 @@ from hyperhaar import (
 from hyperhaar.core import (
     AXIOM_TOL,
     MAX_N,
+    _RuleError,
     _associativity,
     _contract,
     _cover,
@@ -870,6 +871,21 @@ class TestEntries:
     def test_from_entries_refuses(self, entries, message):
         with pytest.raises(ValueError, match=message):
             FiniteHypergroup.from_entries(3, 0, [0, 1, 2], *entries)
+
+    @pytest.mark.parametrize("entries,where,repeat", [
+        (([0, 1, 2, 0], [0, 3, 0, 4], [0, 0, 0, 0]), 1, False),
+        (([0, 0, 0], [0, 0, 0], [0, 0, 5]), 2, False),
+        (([2, 0, 1, 0, 2], [0] * 5, [0] * 5), 3, True),
+        ((np.array([0, 2 ** 63], dtype=np.uint64), [0, 0], [0, 0]), 1, False),
+        (([0, 0], [1, 0], [0, -10 ** 30]), 1, False),
+    ], ids=["first-outside", "outside-after-repeat", "first-later-listing", "uint64", "huge"])
+    def test_refusal_names_the_entry(self, entries, where, repeat):
+        """The first entry outside 0..n-1 in the order given, else the later
+        listing of the first repeat; a reader places the refusal by it."""
+        with pytest.raises(_RuleError) as err:
+            FiniteHypergroup.from_entries(3, 0, [0, 1, 2], *entries, np.ones(len(entries[0])))
+        assert (err.value.where, err.value.repeat) == (where, repeat)
+        assert type(err.value.where) is int
 
     def test_from_entries_keeps_the_consistency_checks(self):
         with pytest.raises(ValueError, match="^involution is not a permutation$"):

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperhaar import (
@@ -142,8 +142,7 @@ class TestParse:
 
     def test_index_beyond_int64_is_out_of_range(self):
         doc = "hypergroup v1\nn 2\ne 0\ninv 0 1\nc 1 1 1 1\nc 0 99999999999999999999 0 1\n"
-        with pytest.raises(RangeError,
-                           match="^line 6: index 99999999999999999999 out of range for n=2$"):
+        with pytest.raises(RangeError, match=r"^line 6: entry indices must lie in 0\.\.1$"):
             parse_hypergroup(doc)
 
     @pytest.mark.parametrize("index", ["1.5", "1e3", "2.0"])
@@ -383,11 +382,13 @@ _FIELDS = {"n": 2, "e": 2, "c": 5}
 
 
 def _reference_parse(text):
-    """The line-by-line parser that parse_hypergroup replaced, kept as a reference,
-    with FiniteHypergroup's rules on n, e and inv reported at their lines; it
-    keeps the entries as the document lists them, -0.0 and other zeros included."""
+    """The line-by-line parser that parse_hypergroup replaced, kept as a reference:
+    a pass over the lines for how the document is written, then FiniteHypergroup's
+    rules on n, e, inv and the entries, in its order and texts, each reported at
+    its line; it keeps the entries as the document lists them, -0.0 and other
+    zeros included."""
     n = e = inv = None
-    seen = {}
+    listed = []  # (s, t, u), value and line of each entry, in the document's order
     directives = {}  # directive -> its line
     lines = text.splitlines()
     body = []
@@ -412,23 +413,13 @@ def _reference_parse(text):
                     raise ParseError(f"value {fields[4]!r} is not finite", lineno)
                 if n is None:
                     raise ParseError("'c' entry before 'n'", lineno)
-                for idx in entry:
-                    if not (0 <= idx < n):
-                        raise RangeError(f"index {idx} out of range for n={n}", lineno)
-                if entry in seen:
-                    raise DuplicateEntry(f"repeated entry {entry}", lineno)
-                seen[entry] = value
+                listed.append((entry, value, lineno))
             elif key in ("n", "e", "inv"):
                 if key in directives:
                     raise DuplicateEntry(f"repeated directive {key!r}", lineno)
                 directives[key] = lineno
                 if key == "n":
                     n = int(fields[1])
-                    if n < 1:
-                        raise RangeError("n must be at least 1", lineno)
-                    if n >= 2 ** 20:
-                        raise RangeError(f"n={n} is not below {2 ** 20}: the n^3 tensor is "
-                                         "not addressable", lineno)
                 elif key == "e":
                     e = int(fields[1])
                 else:
@@ -443,10 +434,23 @@ def _reference_parse(text):
     for name, value in (("n", n), ("e", e), ("inv", inv)):
         if value is None:
             raise ParseError(f"missing directive {name!r}", len(lines) or 1)
+    if n < 1:
+        raise RangeError("n must be at least 1", directives["n"])
+    if n >= 2 ** 20:
+        raise RangeError(f"n={n} is not below {2 ** 20}: the n^3 tensor is not addressable",
+                         directives["n"])
     if not (0 <= e < n):
         raise RangeError(f"identity index {e} out of range for n={n}", directives["e"])
     if sorted(inv) != list(range(n)):
         raise RangeError("involution is not a permutation", directives["inv"])
+    for entry, _, lineno in listed:
+        if not all(0 <= idx < n for idx in entry):
+            raise RangeError(f"entry indices must lie in 0..{n - 1}", lineno)
+    seen = {}
+    for entry, value, lineno in listed:
+        if entry in seen:
+            raise DuplicateEntry("an entry (s, t, u) is listed twice", lineno)
+        seen[entry] = value
     stu = np.array(list(seen), dtype=np.intp).reshape(-1, 3).T
     return FiniteHypergroup.from_entries(n, e, np.asarray(inv), *stu, list(seen.values()))
 
@@ -476,7 +480,11 @@ def _assert_same_outcome(doc):
     token = refused.group(2)
     assert "_" in token or not token.isascii()
     assert token in doc.splitlines()[got[1] - 1].split()
-    assert len(expected) == 4 or expected[1] >= got[1], (got, expected)
+    # The reference reads past that line: it accepts, or refuses a later line
+    # written wrong, or, with none, what FiniteHypergroup refuses, at any line.
+    judged = len(expected) == 3 and (expected[0] is RangeError
+                                     or expected[2].endswith("is listed twice"))
+    assert len(expected) == 4 or judged or expected[1] >= got[1], (got, expected)
 
 
 # Documents whose directives are good, so most outcomes turn on the 'c' lines:
@@ -495,6 +503,7 @@ _entry_documents = st.tuples(st.integers(1, 4), st.lists(_entry, max_size=12),
 
 
 @given(st.one_of(_documents, _entry_documents))
+@example("hypergroup v1\nn 1\ne 0\ninv 0\nc 0 0 1 0.0\nc 0 0 0 1_0")  # range, then '1_0'
 @settings(max_examples=300, deadline=None)
 def test_parse_matches_reference(doc):
     """The bulk parser gives the line-by-line parser's outcome: the same
@@ -510,10 +519,65 @@ _GOOD = serialize_hypergroup(cosine_grid_hypergroup(6)).splitlines()
                                  "c 99999999999999999999 0 0 1", "c 0 0 0 nan",
                                  "c 5 5 0 0.5", "q 1", "n 3"])
 def test_bad_line_among_many(at, bad):
-    """One bad line among many good ones, and a later one: the parser reports
-    the first, as the reference does."""
+    """One bad line among many good ones, and a later syntax error: the parser
+    reports the first line written wrong, as the reference does."""
     lines = _GOOD[:at] + [bad] + _GOOD[at:] + ["c 0 0 0 x", "c 0 0 0 1"]
     _assert_same_outcome("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("at", [4, 5, 37, len(_GOOD) - 1, len(_GOOD)])
+@pytest.mark.parametrize("bad,error", [("c 0 0 6 1", RangeError),
+                                       ("c 99999999999999999999 0 0 1", RangeError),
+                                       ("c 5 5 0 0.5", DuplicateEntry)])
+def test_bad_entry_among_many(at, bad, error):
+    """One bad entry among many good ones, and a later repeat of the first: the
+    refusal names the bad entry's line, or for a repeat the later of its two."""
+    lines = _GOOD[:at] + [bad] + _GOOD[at:] + ["c 0 0 0 1"]
+    doc = "\n".join(lines) + "\n"
+    with pytest.raises(error) as err:
+        parse_hypergroup(doc)
+    named = lines[err.value.line - 1]
+    assert named == bad if error is RangeError else named.split()[:4] == bad.split()[:4]
+    _assert_same_outcome(doc)
+
+
+@pytest.mark.parametrize("doc,error,line", [
+    ("n 2\ne 0\ninv 0 1\n# the entries\n\nc 0 0 0 1\n\n# a bad one\nc 0 0 5 1", RangeError, 10),
+    ("n 2\ne 0\ninv 0 1\nc 0 0 0 1\n# again\nc 1 1 1 1\n\nc 0 0 0 1", DuplicateEntry, 9),
+    ("n 2\nc 0 0 0 1\nc 1 1 0 1\ne 0\ninv 0 1\nc 0 1 2 1", RangeError, 7),
+    ("n 2\nc 0 0 0 1\ne 0\n# inv follows\ninv 0 1\n\nc 1 1 1 1\nc 0 0 0 1", DuplicateEntry, 9),
+    ("n 2\ne 0\nc 0 0 0 1  # the identity\ninv 0 1\nc 1 1 1 1 # 1 * 1\nc -1 0 0 1", RangeError, 7),
+], ids=["comments-range", "comments-repeat", "directive-range", "directive-repeat",
+        "trailing-comments-range"])
+def test_entry_refusal_names_its_line(doc, error, line):
+    """Comments, blank lines and directives among the 'c' lines part an entry's
+    position from its line; the constructor's refusal is placed at the line."""
+    text = f"hypergroup v1\n{doc}\n"
+    with pytest.raises(error) as err:
+        parse_hypergroup(text)
+    assert err.value.line == line
+    assert text.splitlines()[line - 1].split()[0] == "c"
+    _assert_same_outcome(text)
+
+
+@pytest.mark.parametrize("doc,error,line,message", [
+    ("n 2\ne 0\ninv 0 1\nc 0 0 5 1\nc x 0 0 1", ParseError, 6,
+     "invalid literal for int() with base 10: 'x'"),
+    ("n 2\ne 0\ninv 0 1\nc 0 0 0 1\nc 0 0 0 1\nq 1", ParseError, 7, "unknown directive 'q'"),
+    ("n 2\ne 3\ninv 0 1\nc 0 0 5 1", RangeError, 3, "identity index 3 out of range for n=2"),
+    ("n 2\ne 0\ninv 0 0\nc 0 0 0 1\nc 0 0 0 1", RangeError, 4, "involution is not a permutation"),
+    ("n 2\ne 0\ninv 0 1\nc 0 0 0 1\nc 0 0 0 1\nc 0 0 5 1", RangeError, 7,
+     "entry indices must lie in 0..1"),
+    ("n 0\ne 0\ninv 0\nq 1", ParseError, 5, "unknown directive 'q'"),
+], ids=["range-then-syntax", "repeat-then-syntax", "e-then-range", "inv-then-repeat",
+        "repeat-then-range", "n-then-syntax"])
+def test_written_faults_come_before_the_constructors(doc, error, line, message):
+    """A document reports its first line written wrong; if it has none, the
+    constructor's first broken rule: n, e, inv, an index out of range, a repeat."""
+    with pytest.raises(error) as err:
+        parse_hypergroup(f"hypergroup v1\n{doc}\n")
+    assert type(err.value) is error
+    assert str(err.value) == f"line {line}: {message}"
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([repr, "%.17g".__mod__]))

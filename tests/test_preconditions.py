@@ -139,6 +139,14 @@ CASES = {
                      "involution is not a permutation"),
     "inv-huge": (lambda: FiniteHypergroup(2, 0, [0, 10 ** 20], np.zeros((2, 2, 2))),
                  "involution is not a permutation"),
+    # judged before the indices are cast to int64, which would overflow
+    "entry-index-huge": (
+        lambda: FiniteHypergroup.from_entries(2, 0, [0, 1], [0], [10 ** 20], [0], [1.0]),
+        r"entry indices must lie in 0\.\.1"),
+    "entry-index-huge-negative": (
+        lambda: FiniteHypergroup.from_entries(2, 0, [0, 1], [0, 1], [0, 0], [0, -10 ** 20],
+                                              [1.0, 1.0]),
+        r"entry indices must lie in 0\.\.1"),
     "cyclic-0": (lambda: cyclic_hypergroup(0), "n must be at least 1"),
     # refused before its n^2 entries are allocated
     "cyclic-max-n": (lambda: cyclic_hypergroup(2 ** 20),

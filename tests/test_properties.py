@@ -27,7 +27,8 @@ from hyperhaar import (
 from hyperhaar.approx import ApproximantConfig, canonical_chain, symmetrize
 from hyperhaar.checks import identity_suite
 from hyperhaar.cli import main
-from hyperhaar.fileio import ParseError, parse_hypergroup, serialize_hypergroup
+from hyperhaar.fileio import (DuplicateEntry, ParseError, RangeError, parse_hypergroup,
+                              serialize_hypergroup)
 from hyperhaar.oracles import cyclic_hypergroup, product_hypergroup, theta_hypergroup
 
 from conftest import BUNDLED
@@ -200,13 +201,22 @@ def test_mutated_documents_exit_cleanly(fuzz_path, doc):
     """Every command ends in exit 0, 1 or 2, with no other exception and no
     warning, and a refusal is one stderr line. parse_hypergroup returns or
     raises a ParseError that names a line, and every command refuses a
-    document that parse refuses with that line."""
+    document that parse refuses with that line. An entry refused at its 'c'
+    line holds an index >= n (RangeError) or repeats an earlier 'c' line's
+    (s, t, u) (DuplicateEntry)."""
     try:
         parse_hypergroup(doc)
         expected = None
     except ParseError as exc:
         assert str(exc).startswith(f"line {exc.line}: ")
         expected = f"hypergroup file {fuzz_path}: {exc}"
+        lines = [line.split() for line in doc.splitlines()]
+        if isinstance(exc, (RangeError, DuplicateEntry)) and lines[exc.line - 1][:1] == ["c"]:
+            n = int(next(fields[1] for fields in lines if fields[:1] == ["n"]))
+            stu = [int(i) for i in lines[exc.line - 1][1:4]]
+            earlier = [[int(i) for i in fields[1:4]] for fields in lines[:exc.line - 1]
+                       if fields[:1] == ["c"]]
+            assert max(stu) >= n if isinstance(exc, RangeError) else stu in earlier, exc
     fuzz_path.write_text(doc)
     for command in _COMMANDS:
         code, refusal, err, caught = _run([command[0], str(fuzz_path), *command[1:]])
