@@ -170,10 +170,21 @@ def theta_hypergroup(theta: float) -> FiniteHypergroup:
     return FiniteHypergroup.from_entries(2, 0, [0, 1], *stu[:, listed], value[listed])
 
 
-def _check_group_table(table: np.ndarray) -> int:
-    n = table.shape[0]
+_TABLE_RULE = "group table must be n x n with entries in 0..n-1"
+
+
+def _check_group_table(table) -> tuple[np.ndarray, int]:
+    """The table as an int64 array, and its identity.  Refused in this order: the shape
+    and range rule (a ragged table and a value past int64 break it), no identity, an
+    element with no inverse, and a product that is not associative, named by its
+    first (a, b) in row order."""
+    try:
+        table = np.asarray(table, dtype=np.int64)
+    except (OverflowError, ValueError):  # ragged, or a value past int64, which no n admits
+        raise ValueError(_TABLE_RULE) from None
+    n = len(table)
     if table.shape != (n, n) or np.any(table < 0) or np.any(table >= n):
-        raise ValueError("group table must be n x n with entries in 0..n-1")
+        raise ValueError(_TABLE_RULE)
     idx = np.arange(n)
     is_e = np.all(table == idx, axis=1) & np.all(table.T == idx, axis=1)
     if not is_e.any():
@@ -182,12 +193,33 @@ def _check_group_table(table: np.ndarray) -> int:
     no_inv = ~np.any(table == e, axis=1)
     if no_inv.any():
         raise ValueError(f"element {int(np.argmax(no_inv))} has no inverse")
-    # row b of each side is (a b) c and a (b c) over c: O(n^2) memory per a
-    for a in range(n):
-        bad = np.any(table[table[a]] != table[a][table], axis=1)
-        if bad.any():
-            raise ValueError(f"group table not associative at ({a}, {int(np.argmax(bad))})")
-    return e
+    # Light's test: the g with (x g) y = x (g y) for all x, y are closed under the
+    # product and hold e, so they are every element once they hold a generating set
+    if not all(np.array_equal(table[table[:, g]], table[:, table[g]])
+               for g in _generators(table, e)):
+        # row b of each side is (a b) c and a (b c) over c: O(n^2) memory per a
+        for a in range(n):
+            bad = np.any(table[table[a]] != table[a][table], axis=1)
+            if bad.any():
+                raise ValueError(f"group table not associative at ({a}, {int(np.argmax(bad))})")
+    return table, e
+
+
+def _generators(table: np.ndarray, e: int):
+    """Yield a set that generates the table's magma with e: each time the least element
+    outside the closure so far, whose closure then grows as H.H (H holds e) until it
+    stops growing.  A group of order n takes at most log2(n) of them."""
+    closed = np.zeros(len(table), dtype=bool)
+    closed[e] = True
+    while not closed.all():
+        g = int(np.argmin(closed))
+        yield g
+        closed[g] = True
+        while True:
+            inside = np.flatnonzero(closed)
+            closed[table[np.ix_(inside, inside)]] = True
+            if np.count_nonzero(closed) == len(inside):
+                break
 
 
 def conjugacy_class_hypergroup(table) -> FiniteHypergroup:
@@ -196,8 +228,7 @@ def conjugacy_class_hypergroup(table) -> FiniteHypergroup:
     Masses are counts of product pairs landing in each class, normalized by
     the sizes of the two source classes (exact rationals cast to float once).
     """
-    table = np.asarray(table, dtype=int)
-    ge = _check_group_table(table)
+    table, ge = _check_group_table(table)
     ginv = np.argmax(table == ge, axis=1)
     # conj[g, a] = g a g^-1; classes are numbered in order of their smallest member
     conj = table[table, ginv[:, None]]
@@ -250,14 +281,13 @@ def symmetric_group_table(k: int) -> np.ndarray:
     return np.searchsorted(elems @ weights, elems[:, elems] @ weights)
 
 
-def _group_table(param: str) -> np.ndarray:
+def _group_table(param: str) -> np.ndarray | list:
     """S3 or S4 by name, or the rows of a table file ('#' starts a comment line)."""
     if param.lower() in ("s3", "s4"):
         return symmetric_group_table(int(param[1]))
     lines = Path(param).read_text().splitlines()
-    rows = [[int(x) for x in line.split()]
+    return [[int(x) for x in line.split()]
             for line in lines if line.strip() and not line.startswith("#")]
-    return np.asarray(rows, dtype=int)
 
 
 def _theta2(param: str) -> FiniteHypergroup:

@@ -424,14 +424,16 @@ def test_missing_group_table_is_one_line_diagnosis(tmp_path):
     ("cyclic", "x", None, "invalid literal for int() with base 10: 'x'"),
     ("theta2", "2", None, "theta must lie in (0, 1]"),
     ("conj-class", "table.txt", "0 1 2\n1 0 0\n2 0 0\n", "group table not associative at (1, 1)"),
-    ("conj-class", "table.txt", "0 1\n1\n",
-     "setting an array element with a sequence. The requested array has an inhomogeneous "
-     "shape after 1 dimensions. The detected shape was (2,) + inhomogeneous part."),
+    ("conj-class", "table.txt", "0 1\n1\n", "group table must be n x n with entries in 0..n-1"),
     ("conj-class", "table.txt", "0 1\n1 x\n", "invalid literal for int() with base 10: 'x'"),
+    ("conj-class", "table.txt", "0 1\n1 99999999999999999999\n",
+     "group table must be n x n with entries in 0..n-1"),
+    ("conj-class", "table.txt", "0 99999999999999999999\n1 x\n",
+     "invalid literal for int() with base 10: 'x'"),
     ("product", "cyclic,cyclic", None,
      "product parameter must be '<family>:<param>,<family>:<param>'"),
 ], ids=["cyclic-0", "cyclic-x", "theta2-2", "table-malformed", "table-ragged", "table-x",
-        "product-no-params"])
+        "table-past-int64", "table-past-int64-then-x", "product-no-params"])
 def test_bad_gen_param_is_one_line_diagnosis(tmp_path, family, param, table, message):
     if table is not None:
         param = str(tmp_path / param)

@@ -27,7 +27,9 @@ from hyperhaar import (
 from hyperhaar.core import AXIOM_TOL, _contract
 from hyperhaar.oracles import (
     _RANK_CUT,
+    _check_group_table,
     _doeblin_margin,
+    _generators,
     conjugacy_class_hypergroup,
     cosine_grid_hypergroup,
     cyclic_hypergroup,
@@ -714,17 +716,159 @@ class TestBuildersMatchDefinition:
     @pytest.mark.parametrize("table,message", [
         ([[0, 2], [1, 0]], "group table must be n x n with entries in 0..n-1"),
         ([[0, 1, 0], [1, 0, 1]], "group table must be n x n with entries in 0..n-1"),
+        ([[0, 1], [1]], "group table must be n x n with entries in 0..n-1"),
+        ([[0, 10**20], [1, 0]], "group table must be n x n with entries in 0..n-1"),
         ([[0, 0, 0]] * 3, "group table has no identity"),
         ([[0, 1, 2], [1, 1, 1], [2, 1, 2]], "element 1 has no inverse"),
         ([[0, 1, 2], [1, 0, 0], [2, 0, 0]], "group table not associative at (1, 1)"),
         ([[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
           [3, 2, 5, 4, 1, 0], [4, 5, 1, 0, 3, 2], [5, 4, 3, 2, 1, 0]],
          "group table not associative at (1, 3)"),
-    ], ids=["range", "shape", "no-identity", "no-inverse", "not-associative",
-            "s3-two-entries-swapped"])
+    ], ids=["range", "shape", "ragged", "past-int64", "no-identity", "no-inverse",
+            "not-associative", "s3-two-entries-swapped"])
     def test_malformed_table(self, table, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             conjugacy_class_hypergroup(table)
+
+
+def reference_check_group_table(table):
+    """The group-table rules with associativity as a scan over every (a, b, c), one
+    a at a time: the identity, or the text of the first rule broken."""
+    n = table.shape[0]
+    if table.shape != (n, n) or np.any(table < 0) or np.any(table >= n):
+        return "group table must be n x n with entries in 0..n-1"
+    idx = np.arange(n)
+    is_e = np.all(table == idx, axis=1) & np.all(table.T == idx, axis=1)
+    if not is_e.any():
+        return "group table has no identity"
+    e = int(np.argmax(is_e))
+    no_inv = ~np.any(table == e, axis=1)
+    if no_inv.any():
+        return f"element {int(np.argmax(no_inv))} has no inverse"
+    for a in range(n):
+        bad = np.any(table[table[a]] != table[a][table], axis=1)
+        if bad.any():
+            return f"group table not associative at ({a}, {int(np.argmax(bad))})"
+    return e
+
+
+def check_outcome(table):
+    """_check_group_table's identity, or the text it refuses the table with."""
+    try:
+        return _check_group_table(table)[1]
+    except ValueError as exc:
+        return str(exc)
+
+
+def reduced_latin_squares(n):
+    """Every loop of order n with identity 0 whose first row and column are 0..n-1,
+    in lexicographic order of the rows: 56 of order 5, 9408 of order 6."""
+    perms = np.array(list(permutations(range(n))))  # perms[0] is the first row
+    clash = (perms[:, None, 1:] == perms[None, :, 1:]).any(axis=2)
+    found = []
+
+    def extend(rows, allowed):
+        if len(rows) == n:
+            found.append(perms[rows])
+            return
+        for p in np.flatnonzero(allowed & (perms[:, 0] == len(rows))):
+            extend(rows + [p], allowed & ~clash[p])
+
+    extend([0], ~clash[0])
+    return found
+
+
+def relabelled(table, rng):
+    """The same table with element a renamed p[a], p a random permutation."""
+    p = rng.permutation(len(table))
+    out = np.empty_like(table)
+    out[np.ix_(p, p)] = p[table]
+    return out
+
+
+MUTATIONS = ["none", "entry", "swap-in-row", "swap-rows"]
+
+
+def mutated(table, kind, rng):
+    """table with one entry changed, two values of a row swapped, or two rows swapped."""
+    n, out = len(table), table.copy()
+    a, b = rng.choice(n, 2, replace=False)
+    if kind == "entry":
+        out[a, b] = (out[a, b] + rng.integers(1, n)) % n
+    elif kind == "swap-in-row":
+        out[a, [b, (b + 1) % n]] = out[a, [(b + 1) % n, b]]
+    else:
+        out[[a, b]] = out[[b, a]]
+    return out
+
+
+def cayley_tables():
+    """Cyclic, dihedral and symmetric groups of order up to 120, by name."""
+    cyclic = {f"z{n}": np.add.outer(np.arange(n), np.arange(n)) % n
+              for n in (1, 2, 3, 4, 6, 7, 12, 16, 30, 64, 120)}
+    dihedral = {f"d{k}": dihedral_table(k) for k in (3, 4, 5, 6, 10, 15, 30, 60)}
+    symmetric = {f"s{k}": symmetric_group_table(k) for k in (3, 4, 5)}
+    return {**cyclic, **dihedral, **symmetric}
+
+
+def reference_closure(table, elements):
+    """The least set holding elements and closed under the table's product."""
+    rows, closed = table.tolist(), set(elements)
+    while True:
+        grown = closed | {rows[a][b] for a in closed for b in closed}
+        if grown == closed:
+            return closed
+        closed = grown
+
+
+class TestLightsAssociativityTest:
+    """_check_group_table tests associativity at a generating set only (Light's test);
+    it must decide and name exactly what the scan over every (a, b, c) does."""
+
+    def test_every_loop_of_order_5(self):
+        loops = reduced_latin_squares(5)
+        assert len(loops) == 56
+        for table in loops:
+            assert check_outcome(table) == reference_check_group_table(table)
+
+    def test_loops_of_order_6(self):
+        loops = reduced_latin_squares(6)
+        assert len(loops) == 9408
+        # the first generator is 1: every loop where it passes, and a sample of the rest
+        first_passes = {i for i, t in enumerate(loops) if np.array_equal(t[t[:, 1]], t[:, t[1]])}
+        sample = set(np.random.default_rng(6).choice(len(loops), 600, replace=False).tolist())
+        expected = {i: reference_check_group_table(loops[i]) for i in first_passes | sample}
+        for i, outcome in expected.items():
+            assert check_outcome(loops[i]) == outcome
+        # in 280 of them only a later generator fails
+        assert sum(isinstance(expected[i], str) for i in first_passes) == 280
+
+    @pytest.mark.parametrize("kind", MUTATIONS)
+    def test_relabelled_cayley_tables(self, kind):
+        rng = np.random.default_rng(MUTATIONS.index(kind))
+        for name, table in cayley_tables().items():
+            if kind != "none" and len(table) < 3:
+                continue  # Z1 has no two entries, and Z2 with its rows swapped is a group
+            table = relabelled(table, rng)
+            if kind != "none":
+                table = mutated(table, kind, rng)
+            expected = reference_check_group_table(table)
+            assert check_outcome(table) == expected, name
+            assert (kind == "none") == isinstance(expected, int), name
+
+    def test_generators_are_least_outside_the_closure(self):
+        rng = np.random.default_rng(1)
+        groups = [cayley_tables()[name] for name in ("z12", "z16", "d6", "d15", "s4")]
+        loops = [reduced_latin_squares(5)[17], reduced_latin_squares(6)[4321]]  # not groups
+        for i, table in enumerate(relabelled(t, rng) for t in groups + loops):
+            e = int(np.flatnonzero((table == np.arange(len(table))).all(axis=1))[0])
+            gens = list(_generators(table, e))
+            closures = [reference_closure(table, [e] + gens[:k]) for k in range(len(gens) + 1)]
+            for g, closed in zip(gens, closures):
+                assert g == min(set(range(len(table))) - closed, default=None)
+            assert closures[-1] == set(range(len(table)))
+            if i < len(groups):  # each generator at least doubles a subgroup
+                assert 2 ** len(gens) <= len(table)
 
 
 def assert_same_entries(got, ref):
